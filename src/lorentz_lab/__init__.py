@@ -1,36 +1,6 @@
-"""Desk-scale synthetic Lorentzian geometry toolkit."""
+"""Desk-scale synthetic Lorentzian geometry toolkit.
 
-from .core import (EPS, FiniteLorentzSpace, LorentzQuery, PreconditionError,
-                   StructuralError, ValidationReport, check_causal_convexity,
-                   check_pushup, diamond, validate_axioms)
-from .models import (EuclideanSegment, ExplicitTable, MetricFactor,
-                     PlaneSample, ProductSpace, TripodGraph,
-                     check_diamond_basis, check_product_glob_hyp,
-                     check_realizer_characterization, minkowski_space,
-                     tau_minkowski, tau_product)
-from .chains import (CausalChain, brute_force_tau, chain_lengths,
-                     check_nonbranching, is_line, maximize_tau,
-                     maximizing_chain, reparametrize_tau_arclength)
-from .comparison import (ComparisonTriangle, SideTriple, SignedAngle,
-                         SpaceTriangle, UnrealizableError, build_triangle,
-                         comparison_point, law_of_cosines_side,
-                         realize_triangle, solve_angle,
-                         test_curvature_lower0, test_monotonicity_comparison,
-                         verify_alexandrov_across, verify_alexandrov_future,
-                         verify_stacking, angle_equals_comparison_angle,
-                         sides_equal_check)
-from .asymptotics import (AsymptoteResult, BusemannEstimate, LineDescriptor,
-                          build_asymptote, build_asymptotic_line,
-                          busemann_value, check_asymptote_complete,
-                          check_tcrc, join_asymptotic_line, line_from_chain,
-                          vertical_line)
-from .parallel import (CFunctionTable, ParallelRealisation, c_functions,
-                       strong_causality_trick_check, test_parallel,
-                       test_parallel_uniqueness,
-                       test_two_asymptotes_synchronized,
-                       test_weak_transitivity)
-from .splitting import (SpacelikeSlice, SplittingResult, build_splitting_map,
-                        check_cauchy_slices, check_slice_alexandrov,
-                        check_tc_property, extract_slice, slice_from_table)
+The public interface is the submodules (``lorentz_lab.core``,
+``lorentz_lab.models``, ...) and the ``lorentz-lab`` command line."""
 
 __version__ = "0.1.0"

@@ -16,6 +16,10 @@ from .core import EPS, FiniteLorentzSpace, LorentzQuery, PreconditionError
 from .chains import CausalChain, is_line, maximize_tau, reparametrize_tau_arclength
 
 
+class NotALineError(PreconditionError):
+    """A chain offered as a line fails additivity between some knot pair."""
+
+
 @dataclass(frozen=True)
 class LineDescriptor:
     """A verified line with explicit parameter values at its knots."""
@@ -56,7 +60,7 @@ def line_from_chain(space, chain: CausalChain, anchor: int = 0,
     given knot, verifying additivity between all index pairs first."""
     check = is_line(space, chain, tol)
     if not check.is_line:
-        raise PreconditionError(
+        raise NotALineError(
             f"chain is not a line; first failing pair {check.first_failure}")
     params = reparametrize_tau_arclength(space, chain)
     offset = params[anchor]
@@ -163,7 +167,7 @@ def _finite_limit(family_chains, direction):
 
 
 def build_asymptote(space: LorentzQuery, line: LineDescriptor, p, direction,
-                    horizons, knot_step=None, knot_extent=None, mesh=None,
+                    horizons, knot_extent=None,
                     tol_null=None) -> AsymptoteResult:
     """Maximizer family from p to line points at increasing horizons plus its
     pointwise-stabilized limit chain.
@@ -171,8 +175,8 @@ def build_asymptote(space: LorentzQuery, line: LineDescriptor, p, direction,
     Horizons are parameter magnitudes along the line (targets sit at -t for
     the past direction).  ``tol_null`` separates genuinely timelike limit
     steps from discretization noise; it defaults to ten grid meshes, and the
-    knot step defaults to twice that threshold so a genuinely timelike limit
-    is never misread as null.
+    knot step is twice that threshold (at least 2) so a genuinely timelike
+    limit is never misread as null.
 
     This is the fixed-footpoint construction.  The general notion also
     allows the footpoints to converge from the side (z_n -> z) rather than
@@ -187,12 +191,10 @@ def build_asymptote(space: LorentzQuery, line: LineDescriptor, p, direction,
     if not in_timelike_envelope(space, line, p):
         raise PreconditionError("footpoint is not timelike related to the line "
                                 "in both directions")
-    if mesh is None:
-        mesh = getattr(space, "mesh", EPS)
+    mesh = getattr(space, "mesh", EPS)
     if tol_null is None:
         tol_null = 10.0 * mesh
-    if knot_step is None:
-        knot_step = max(2.0, 2.0 * tol_null)
+    knot_step = max(2.0, 2.0 * tol_null)
     if knot_extent is None:
         knot_extent = max(horizons[0], knot_step)
 
@@ -298,15 +300,15 @@ def join_asymptotic_line(space, line: LineDescriptor, p,
 
 
 def build_asymptotic_line(space, line: LineDescriptor, p, horizons,
-                          busemann_shift=0.0, tol=None, **kw) -> LineDescriptor:
-    """Both-direction asymptote through p as a single verified line.  The
-    parameters are cumulative separation from p shifted by
-    ``busemann_shift`` (pass the synchronization value of p to put the line
-    into synchronized parametrization)."""
+                          busemann_shift=0.0, **kw) -> LineDescriptor:
+    """Both-direction asymptote through p as a single verified line, its
+    additivity checked to ten grid meshes.  The parameters are cumulative
+    separation from p shifted by ``busemann_shift`` (pass the
+    synchronization value of p to put the line into synchronized
+    parametrization)."""
     fut = build_asymptote(space, line, p, "future", horizons, **kw)
     pst = build_asymptote(space, line, p, "past", horizons, **kw)
-    if tol is None:
-        tol = 10.0 * getattr(space, "mesh", EPS)
+    tol = 10.0 * getattr(space, "mesh", EPS)
     joined = join_asymptotic_line(space, line, p, fut, pst, tol)
     return joined.shifted(busemann_shift) if busemann_shift else joined
 
@@ -384,16 +386,15 @@ class VerticalityReport:
     angles: tuple       # rapidity of the apex ray from the lower base point
 
 
-def verticality_report(space, line: LineDescriptor, a, b, horizons,
-                       busemann_horizons=None) -> VerticalityReport:
+def verticality_report(space, line: LineDescriptor, a, b,
+                       horizons) -> VerticalityReport:
     """Plant the comparison triangles of (a, b, line(t)) over the fixed base
     realizing the synchronized-time offsets of a and b, and track how the
     apex direction approaches the vertical as the horizon grows."""
     if not space.ll(a, b):
         raise PreconditionError("base points must satisfy a << b")
-    bh = busemann_horizons if busemann_horizons is not None else horizons
-    s0 = busemann_value(space, line, a, bh).value
-    t0 = busemann_value(space, line, b, bh).value
+    s0 = busemann_value(space, line, a, horizons).value
+    t0 = busemann_value(space, line, b, horizons).value
     dt = t0 - s0
     tau_ab = space.tau(a, b)
     csq = dt * dt - tau_ab * tau_ab

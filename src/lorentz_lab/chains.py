@@ -265,11 +265,3 @@ def check_nonbranching(space: LorentzQuery, chains, tol: float = EPS):
                                 or a.points != b.points):
                 violations.append((a, b, shared))
     return violations
-
-
-def maximizing_chain(space: LorentzQuery, p, q, n_knots: int = 9) -> CausalChain:
-    """A maximizing chain from p to q: the analytic realizer in model spaces,
-    the longest chain in finite tables."""
-    if isinstance(space, FiniteLorentzSpace):
-        return maximize_tau(space, p, q).chain
-    return CausalChain(tuple(space.realizer(p, q, n_knots)))

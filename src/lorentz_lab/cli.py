@@ -19,21 +19,21 @@ import numpy as np
 
 from .core import (EPS, FiniteLorentzSpace, PreconditionError, StructuralError,
                    check_pushup, validate_axioms)
-from ._exec import worker_cap
 from .models import (EuclideanSegment, ExplicitTable, PlaneSample,
                      ProductSpace, TripodGraph, minkowski_space)
-from .chains import CausalChain, is_line, maximize_tau
+from .chains import CausalChain, maximize_tau
 from .comparison import UnrealizableError, test_curvature_lower0, \
     test_monotonicity_comparison
-from .asymptotics import build_asymptote, busemann_value, line_from_chain
+from .asymptotics import (NotALineError, build_asymptote, busemann_value,
+                          line_from_chain)
 from .splitting import build_splitting_map, extract_slice
 from . import sampling
 
 FORMAT_VERSION = 1
 
 
-class MathFailure(Exception):
-    """Negative mathematical verdict surfaced through exit code 1."""
+class InputError(Exception):
+    """Malformed command-line input, surfaced through exit code 2."""
 
 
 def _real(x) -> str:
@@ -167,17 +167,25 @@ def _atomic_write(path, text):
         raise
 
 
-def parse_point(raw, space_kind):
-    if space_kind == "finite":
-        return int(raw)
-    parts = raw.split(",")
-    return (float(parts[0]), float(parts[1]))
+def parse_point(raw, space):
+    """A point index of a finite table, or a "t,x" pair of an analytic
+    space."""
+    try:
+        if isinstance(space, FiniteLorentzSpace):
+            index = int(raw)
+            if not 0 <= index < space.n:
+                raise InputError(f"point index {index} outside 0..{space.n - 1}")
+            return index
+        parts = raw.split(",")
+        return (float(parts[0]), float(parts[1]))
+    except (ValueError, IndexError):
+        raise InputError(f"cannot parse point {raw!r}") from None
 
 
 class RunReport:
     def __init__(self, command, seed=None):
         self.doc = {"command": command, "verdicts": {}, "defects": {},
-                    "witnesses": [], "seed": seed, "threads": worker_cap()}
+                    "witnesses": [], "seed": seed}
         self._t0 = time.time()
 
     def verdict(self, name, value):
@@ -221,8 +229,8 @@ def cmd_validate(args):
 def cmd_tau(args):
     report = RunReport(["tau", args.path, args.src, args.dst], seed=None)
     space, meta = load_space(args.path)
-    p = parse_point(args.src, meta["kind"])
-    q = parse_point(args.dst, meta["kind"])
+    p = parse_point(args.src, space)
+    q = parse_point(args.dst, space)
     stored = space.tau(p, q)
     report.defect("tau", stored)
     if stored == 0.0 and not space.leq(p, q):
@@ -297,10 +305,6 @@ def cmd_curvature(args):
 
 def _load_line(space, meta, path, tol):
     chain = load_chain(path, meta["kind"])
-    check = is_line(space, chain, tol)
-    if not check.is_line:
-        raise MathFailure(
-            f"chain is not a line; first_failure={check.first_failure}")
     return line_from_chain(space, chain,
                            anchor=min(range(len(chain.points)),
                                       key=lambda i: abs(chain.points[i][0])
@@ -313,7 +317,7 @@ def cmd_asymptote(args):
                        seed=None)
     space, meta = load_space(args.path)
     line = _load_line(space, meta, args.line, args.tol_line)
-    p = parse_point(args.src, meta["kind"])
+    p = parse_point(args.src, space)
     horizons = [float(h) for h in args.horizons.split(",")]
     result = build_asymptote(space, line, p, args.direction, horizons)
     report.verdict("timelike", result.is_timelike)
@@ -462,13 +466,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except StructuralError as exc:
         print(f"structural error: {exc}", file=sys.stderr)
         return 2
-    except MathFailure as exc:
+    except NotALineError as exc:
         print(f"failure: {exc}", file=sys.stderr)
         return 1
     except (PreconditionError, UnrealizableError) as exc:

@@ -79,10 +79,10 @@ class SideTriple:
             order.reverse()
         return tuple(order)
 
-    def check_size_bounds(self, tol=EPS):
+    def check_size_bounds(self):
         b, m, t = self.ordered()
         lng, s1, s2 = self.side(b, t), self.side(b, m), self.side(m, t)
-        if lng + tol < s1 + s2:
+        if lng + EPS < s1 + s2:
             raise UnrealizableError(
                 f"reverse triangle inequality fails: {lng} < {s1} + {s2}")
 
@@ -184,12 +184,6 @@ def realize_triangle(sides: SideTriple) -> ComparisonTriangle:
     return tri
 
 
-def comparison_point(tri: ComparisonTriangle, side: str, s: float):
-    """Comparison point on a planted side, ``side`` given as "12"/"23"/"13"."""
-    i, j = int(side[0]), int(side[1])
-    return tri.point_on_side(i, j, s)
-
-
 def triangle_angle(sides: SideTriple, vertex: int) -> SignedAngle:
     """Angle of the planted triangle at the given vertex label."""
     labels = [1, 2, 3]
@@ -269,10 +263,6 @@ class SpaceTriangle:
 
     def point_at(self, side, s):
         return self.sides[side].point_at(s)
-
-
-def build_triangle(space, x, y, z, n_knots=9) -> SpaceTriangle:
-    return SpaceTriangle(space, x, y, z, n_knots)
 
 
 # ---------------------------------------------------------------------------
@@ -436,19 +426,19 @@ class MonotonicityReport:
 
 
 def test_monotonicity_comparison(space, leg_a, leg_b, sense="lower",
-                                 n_grid=8, tol=EPS) -> MonotonicityReport:
+                                 tol=EPS) -> MonotonicityReport:
     """Monotonicity form of the curvature bound: the signed comparison angle
     theta(s, t) of a hinge must be non-decreasing in each argument for a
     lower bound and non-increasing for an upper bound, over the grid of
-    timelike related parameter pairs.
+    timelike related parameter pairs (eight steps per analytic leg).
 
     In the upper sense, parameter pairs that lose timelike relatedness while
     their comparison images keep it are counted as warnings, not failures.
     """
     if sense not in ("lower", "upper"):
         raise PreconditionError(f"unknown sense {sense!r}")
-    svals = leg_a.param_grid(n_grid)
-    tvals = leg_b.param_grid(n_grid)
+    svals = leg_a.param_grid(8)
+    tvals = leg_b.param_grid(8)
     theta = {}
     skipped = 0
     for s in svals:
@@ -519,14 +509,14 @@ def _planted_pair_related(tri: ComparisonTriangle, dir_a, dir_b, s2, t2) -> bool
     return tau_minkowski(pa, pb) > 0 or tau_minkowski(pb, pa) > 0
 
 
-def upper_angle(space, leg_a, leg_b, s0=None, t0=None, rungs=8):
-    """Upper angle of a hinge approximated on a geometric parameter ladder
-    s, t in {s0 * 2^-k}; the maximum over the last three defined rungs."""
-    s0 = s0 if s0 is not None else leg_a.total
-    t0 = t0 if t0 is not None else leg_b.total
+def upper_angle(space, leg_a, leg_b):
+    """Upper angle of a hinge approximated on the geometric parameter ladder
+    (s, t) = 2^-k (leg_a.total, leg_b.total), k < 8; the maximum over the
+    last three defined rungs."""
     values = []
-    for k in range(rungs):
-        ang = hinge_angle(space, leg_a, leg_b, s0 * 2.0 ** -k, t0 * 2.0 ** -k)
+    for k in range(8):
+        ang = hinge_angle(space, leg_a, leg_b, leg_a.total * 2.0 ** -k,
+                          leg_b.total * 2.0 ** -k)
         if ang is not None:
             values.append(ang.omega)
     if not values:
@@ -711,8 +701,7 @@ class StackingReport:
     coords: tuple  # planted (y1bar, y2bar, y3bar)
 
 
-def verify_stacking(space, gamma_point, p, t1, t2, t3,
-                    line_tol=EPS) -> StackingReport:
+def verify_stacking(space, gamma_point, p, t1, t2, t3) -> StackingReport:
     """Plant the comparison triangles of (p, y1, y2) and (p, y2, y3) about a
     shared side and measure how far ybar2 sits from the segment ybar1 ybar3;
     with the line maximizing and curvature bounded below the three planted
@@ -721,7 +710,7 @@ def verify_stacking(space, gamma_point, p, t1, t2, t3,
         raise PreconditionError("need t1 < t2 < t3")
     y1, y2, y3 = gamma_point(t1), gamma_point(t2), gamma_point(t3)
     segs = (space.tau(y1, y2), space.tau(y2, y3), space.tau(y1, y3))
-    if abs(segs[2] - segs[0] - segs[1]) > line_tol * max(1.0, segs[2]):
+    if abs(segs[2] - segs[0] - segs[1]) > EPS * max(1.0, segs[2]):
         raise PreconditionError("the three line points are not on a maximizer")
     eps_sign = []
     taus = []

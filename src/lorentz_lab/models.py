@@ -180,6 +180,28 @@ def tau_minkowski(p, q) -> float:
     return _product_tau(q[0] - p[0], abs(q[1] - p[1]))
 
 
+def product_image_defect(space, pairs, null_band):
+    """Compare a space against the product model it is claimed to realize.
+
+    ``pairs`` yields ``(p, q, dt, dx, label)``: two space points, the time
+    and factor-distance differences of their product images, and a label.
+    Pairs within ``null_band`` of the null boundary ``dt == dx`` are
+    skipped.  Returns the largest |tau(p, q) - product tau| and the labels
+    of the pairs whose causal relation disagrees with ``dt >= dx``, in
+    input order."""
+    tau_defect = 0.0
+    mismatched = []
+    for p, q, dt, dx, label in pairs:
+        if abs(dt - dx) <= null_band:
+            # the square root amplifies grid noise inside the band and both
+            # separations vanish at its centre
+            continue
+        tau_defect = max(tau_defect, abs(space.tau(p, q) - _product_tau(dt, dx)))
+        if space.leq(p, q) != (dt >= dx):
+            mismatched.append(label)
+    return tau_defect, mismatched
+
+
 class ProductSpace(LorentzQuery):
     """Time axis crossed with a metric factor.
 
@@ -268,11 +290,6 @@ def minkowski_space(t_min=-2.0, t_max=2.0, x_min=-1.0, x_max=1.0, step=0.25):
     formula path as any other product, so the two agree bit for bit."""
     n = int(round((x_max - x_min) / step)) + 1
     return ProductSpace(EuclideanSegment(x_min, x_max, n), t_min, t_max, step)
-
-
-def tau_product(space: ProductSpace, p, q) -> float:
-    """Time separation in a product space (formula value when p <= q, else 0)."""
-    return space.tau(p, q)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .core import EPS, PreconditionError
-from .models import tau_minkowski
+from .models import product_image_defect
 from .comparison import SideTriple, solve_angle, UnrealizableError
 from .asymptotics import (LineDescriptor, build_asymptotic_line,
                           busemann_value)
@@ -66,8 +66,8 @@ class CFunctionTable:
         return out
 
 
-def c_functions(space, alpha: LineDescriptor, beta: LineDescriptor,
-                s_params=None, t_params=None) -> CFunctionTable:
+def c_functions(space, alpha: LineDescriptor,
+                beta: LineDescriptor) -> CFunctionTable:
     """Evaluate the four parallelity functions on the knot grids.
 
     Entries with a negative radicand (possible on tables violating the
@@ -77,14 +77,12 @@ def c_functions(space, alpha: LineDescriptor, beta: LineDescriptor,
     preceding knot (a lower bound) and whether it sat at the grid edge,
     where no bracket exists.
     """
-    sv = list(s_params) if s_params is not None else list(alpha.params)
-    tv = list(t_params) if t_params is not None else list(beta.params)
+    a_knots = list(zip(alpha.params, alpha.chain.points))
+    b_knots = list(zip(beta.params, beta.chain.points))
     c_ab, c_ba, n_ab, n_ba = {}, {}, {}, {}
     flags = 0
-    for s in sv:
-        pa = alpha.point_at(s)
-        for t in tv:
-            pb = beta.point_at(t)
+    for s, pa in a_knots:
+        for t, pb in b_knots:
             if space.leq(pa, pb):
                 rad = (t - s) ** 2 - space.tau(pa, pb) ** 2
                 if rad < -EPS:
@@ -98,21 +96,19 @@ def c_functions(space, alpha: LineDescriptor, beta: LineDescriptor,
                 else:
                     c_ba[(s, t)] = math.sqrt(max(rad, 0.0))
 
-    def null_scan(src_params, src_line, dst_params, dst_line, out):
-        for s in src_params:
-            pa = src_line.point_at(s)
-            qualifying = [t for t in dst_params
-                          if space.leq(pa, dst_line.point_at(t))]
+    def null_scan(src_knots, dst_knots, out):
+        for s, pa in src_knots:
+            qualifying = [t for t, pb in dst_knots if space.leq(pa, pb)]
             if not qualifying:
                 continue
             tmin = min(qualifying)
-            below = [t for t in dst_params if t < tmin]
+            below = [t for t, _ in dst_knots if t < tmin]
             edge = not below
             prev_gap = (max(below) - s) if below else -math.inf
             out[s] = (tmin - s, edge, prev_gap)
 
-    null_scan(sv, alpha, tv, beta, n_ab)
-    null_scan(tv, beta, sv, alpha, n_ba)
+    null_scan(a_knots, b_knots, n_ab)
+    null_scan(b_knots, a_knots, n_ba)
     return CFunctionTable(c_ab, c_ba, n_ab, n_ba, flags)
 
 
@@ -185,7 +181,7 @@ def _fit_shift(raw: CFunctionTable):
 
 
 def test_parallel(space, alpha: LineDescriptor, beta: LineDescriptor,
-                  tolerance, null_band=None) -> ParallelVerdict:
+                  tolerance) -> ParallelVerdict:
     """Decide parallelity of two separation-parametrized lines.
 
     The synchronization shift is recovered by least squares from the
@@ -193,10 +189,9 @@ def test_parallel(space, alpha: LineDescriptor, beta: LineDescriptor,
     entries after shifting, the null minima must bracket that distance at
     knot resolution, and on success the vertical realization is re-verified
     directly: separations and causal order of all sampled knot pairs must
-    transfer to the flat model within tolerance.
+    transfer to the flat model within tolerance, pairs within ``tolerance``
+    of the null boundary excepted.
     """
-    if null_band is None:
-        null_band = tolerance
     raw = c_functions(space, alpha, beta)
     shift = _fit_shift(raw)
 
@@ -219,22 +214,12 @@ def test_parallel(space, alpha: LineDescriptor, beta: LineDescriptor,
     tau_defect = 0.0
     mismatches = 0
     if ok:
-        for s in alpha.params:
-            pa = alpha.point_at(s)
-            fa = (s, 0.0)
-            for t in synced.params:
-                pb = synced.point_at(t)
-                fb = (t, c_mean)
-                for u, v, ub, vb in ((pa, pb, fa, fb), (pb, pa, fb, fa)):
-                    dt, dx = vb[0] - ub[0], abs(vb[1] - ub[1])
-                    if abs(dt - dx) <= null_band:
-                        # inside the null band the square root amplifies
-                        # knot rounding; both sides vanish there anyway
-                        continue
-                    tau_defect = max(tau_defect,
-                                     abs(space.tau(u, v) - tau_minkowski(ub, vb)))
-                    if space.leq(u, v) != (dt >= dx):
-                        mismatches += 1
+        pairs = ((u, v, dt, c_mean, None)
+                 for s, pa in zip(alpha.params, alpha.chain.points)
+                 for t, pb in zip(synced.params, synced.chain.points)
+                 for u, v, dt in ((pa, pb, t - s), (pb, pa, s - t)))
+        tau_defect, mismatched = product_image_defect(space, pairs, tolerance)
+        mismatches = len(mismatched)
         ok = tau_defect <= tolerance and mismatches == 0
 
     realisation = ParallelRealisation(alpha, synced, shift, c_mean) if ok else None

@@ -17,10 +17,10 @@ from .comparison import Leg, SpaceTriangle
 from .models import ProductSpace, tau_minkowski
 
 
-def sprinkle_points(n, seed, t_span=2.0, x_span=2.0):
+def sprinkle_points(n, seed):
+    """n points drawn uniformly from the box [-2, 2] x [-2, 2]."""
     rng = random.Random(seed)
-    return [(rng.uniform(-t_span, t_span), rng.uniform(-x_span, x_span))
-            for _ in range(n)]
+    return [(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(n)]
 
 
 def sprinkle_causal_set(n, seed, weighted=True) -> FiniteLorentzSpace:
@@ -64,7 +64,7 @@ def _random_future_step(rng, min_tau=0.3, max_tau=1.5, max_rapidity=1.0):
     return a * math.cosh(phi), a * math.sinh(phi)
 
 
-def minkowski_triangles(space, count, seed, n_knots=9):
+def minkowski_triangles(space, count, seed):
     """Random timelike triangles in a flat product: two independent future
     steps from a random base point, factor coordinates folded into the
     segment."""
@@ -85,13 +85,13 @@ def minkowski_triangles(space, count, seed, n_knots=9):
         if not (lo <= y[1] <= hi and lo <= z[1] <= hi):
             continue
         if space.ll(x, y) and space.ll(y, z) and space.ll(x, z):
-            out.append(SpaceTriangle(space, x, y, z, n_knots))
+            out.append(SpaceTriangle(space, x, y, z))
     return out
 
 
-def product_hinges(space, count, seed, mixed=True):
-    """Random hinges: a base point with two timelike legs, mixed time
-    orientation or both future."""
+def product_hinges(space, count, seed):
+    """Random hinges: a base point with two timelike legs, alternating
+    between mixed time orientation and both future."""
     rng = random.Random(seed)
     lo, hi = space.factor.lo, space.factor.hi
     out = []
@@ -99,7 +99,7 @@ def product_hinges(space, count, seed, mixed=True):
         x = (rng.uniform(-1.0, 1.0), rng.uniform(lo, hi))
         dt1, dx1 = _random_future_step(rng)
         dt2, dx2 = _random_future_step(rng)
-        if mixed and len(out) % 2 == 0:
+        if len(out) % 2 == 0:
             tip_a = (x[0] - dt1, x[1] - dx1)
         else:
             tip_a = (x[0] + dt1, x[1] + dx1)
@@ -112,8 +112,9 @@ def product_hinges(space, count, seed, mixed=True):
     return out
 
 
-def random_realizer_chain(space: ProductSpace, seed, n_knots=7):
-    """Random timelike maximizer chain inside the product window."""
+def random_realizer_chain(space: ProductSpace, seed):
+    """Random timelike maximizer chain of seven knots inside the product
+    window."""
     rng = random.Random(seed)
     lo, hi = space.factor.lo, space.factor.hi
     while True:
@@ -123,16 +124,14 @@ def random_realizer_chain(space: ProductSpace, seed, n_knots=7):
         dt = abs(b - a) * rng.uniform(1.2, 3.0) + rng.uniform(0.5, 1.5)
         p, q = (t0, a), (t0 + dt, b)
         if space.ll(p, q):
-            return CausalChain(tuple(space.realizer(p, q, n_knots)))
+            return CausalChain(tuple(space.realizer(p, q, 7)))
 
 
-def perturb_chain(space: ProductSpace, chain: CausalChain, seed,
-                  min_defect=None):
+def perturb_chain(space: ProductSpace, chain: CausalChain, seed):
     """Replace the interior of a maximizer by a near-null detour through a
-    displaced midpoint, so that additivity fails well beyond the diagnosis
-    tolerance while both steps stay causal."""
-    if min_defect is None:
-        min_defect = 3.0 * space.mesh
+    displaced midpoint, so that additivity fails by more than three grid
+    meshes (beyond the diagnosis tolerance) while both steps stay causal."""
+    min_defect = 3.0 * space.mesh
     rng = random.Random(seed)
     p, q = chain.points[0], chain.points[-1]
     lo, hi = space.factor.lo, space.factor.hi
@@ -164,12 +163,11 @@ def perturb_chain(space: ProductSpace, chain: CausalChain, seed,
     raise RuntimeError("could not build a perturbed chain with a large defect")
 
 
-def spanning_timelike_chains(space: ProductSpace, count, seed,
-                             t_lo=None, t_hi=None, step=0.5):
-    """Zigzag timelike chains crossing the whole time window."""
+def spanning_timelike_chains(space: ProductSpace, count, seed):
+    """Zigzag timelike chains crossing the whole time window in steps of
+    about 0.5."""
     rng = random.Random(seed)
-    t_lo = space.t_min if t_lo is None else t_lo
-    t_hi = space.t_max if t_hi is None else t_hi
+    t_lo, t_hi, step = space.t_min, space.t_max, 0.5
     lo, hi = space.factor.lo, space.factor.hi
     chains = []
     for c in range(count):
@@ -208,14 +206,15 @@ def finite_triangles(space: FiniteLorentzSpace, count, seed):
     return out
 
 
-def random_causal_chain(space: ProductSpace, seed, max_steps=10):
-    """Random future-directed causal chain (not necessarily maximizing)."""
+def random_causal_chain(space: ProductSpace, seed):
+    """Random future-directed causal chain (not necessarily maximizing) of
+    two to nine steps."""
     rng = random.Random(seed)
     lo, hi = space.factor.lo, space.factor.hi
     t = rng.uniform(space.t_min, 0.0)
     x = rng.uniform(lo, hi)
     pts = [(t, x)]
-    for _ in range(rng.randrange(2, max_steps)):
+    for _ in range(rng.randrange(2, 10)):
         dt = rng.uniform(0.05, 0.6)
         dx = rng.uniform(-1.0, 1.0) * dt
         x = min(max(x + dx, lo), hi)

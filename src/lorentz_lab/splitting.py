@@ -18,10 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EPS, PreconditionError
-from ._exec import pmap
+from .models import product_image_defect
 from .asymptotics import (LineDescriptor, build_asymptotic_line,
                           busemann_value, in_timelike_envelope, line_point)
 from .parallel import test_parallel
+
+# image pairs checked by build_splitting_map; larger maps are sampled with
+# seed 0 so that reports stay reproducible
+MAX_PAIRS = 20000
 
 
 @dataclass(frozen=True)
@@ -65,36 +69,28 @@ def slice_from_table(members, d_S) -> SpacelikeSlice:
 
 
 def extract_slice(space, line: LineDescriptor, seeds, horizons,
-                  tolerance, dedupe_radius=None, metric_tol=None,
-                  **asymptote_kw) -> SpacelikeSlice:
+                  tolerance, **asymptote_kw) -> SpacelikeSlice:
     """One synchronized asymptote per seed, deduplicated by footpoint, with
     the parallel-line distance table over the surviving members.
 
     The asymptote knot extent must exceed the largest synchronized-time
     magnitude among the seeds, or the zero-time footpoint falls off the
     sampled part of its line.  The distance table is checked to be a metric
-    before it is returned; a violation beyond ``metric_tol`` means the
+    before it is returned; a violation beyond ``tolerance`` means the
     asymptote family is broken and raises."""
-    if dedupe_radius is None:
-        dedupe_radius = 0.25 * getattr(space, "mesh", EPS)
-    if metric_tol is None:
-        metric_tol = tolerance
-
-    def one_seed(seed):
+    dedupe_radius = 0.25 * getattr(space, "mesh", EPS)
+    members, lines = [], []
+    for seed in seeds:
         if not in_timelike_envelope(space, line, seed):
             raise PreconditionError(f"seed {seed} outside the timelike envelope")
         b = busemann_value(space, line, seed, horizons)
         asym = build_asymptotic_line(space, line, seed, horizons,
                                      busemann_shift=b.value, **asymptote_kw)
-        return b.value, asym, line_point(space, asym, 0.0)
-
-    members, lines, values = [], [], []
-    for b_value, asym, foot in pmap(one_seed, seeds):
+        foot = line_point(space, asym, 0.0)
         if any(space.d(foot, m) < dedupe_radius for m in members):
             continue
         members.append(foot)
         lines.append(asym)
-        values.append(b_value)
 
     n = len(members)
     d = np.zeros((n, n))
@@ -107,7 +103,7 @@ def extract_slice(space, line: LineDescriptor, seeds, horizons,
                     "parallelity test")
             d[i, j] = d[j, i] = verdict.distance_c
     out = SpacelikeSlice(tuple(members), d, tuple(lines), line, tuple(horizons))
-    ok, worst = out.validate_metric(metric_tol)
+    ok, worst = out.validate_metric(tolerance)
     if not ok:
         raise PreconditionError(f"slice distances violate the metric axioms "
                                 f"by {worst}")
@@ -130,29 +126,18 @@ class SplittingResult:
         return self.bijective and self.leq_mismatches == 0
 
 
-def product_tau_from_slice(d_S, i, j, s, t):
-    dt = t - s
-    dist = d_S[i, j]
-    if dt < dist:
-        return 0.0
-    rad = dt * dt - dist * dist
-    return math.sqrt(rad) if rad > 0 else 0.0
-
-
 def build_splitting_map(space, sl: SpacelikeSlice, time_knots,
-                        tolerance, null_band=None, cover_sample=None,
-                        cover_radius=None, max_pairs=20000,
-                        seed=0) -> SplittingResult:
+                        tolerance, cover_sample=None,
+                        cover_radius=None) -> SplittingResult:
     """Tabulate the reconstruction map on time knots x slice members and
     verify it: separations must match the product formula over the slice
-    distances, causal order must transfer outside the null band, images must
-    be pairwise distinct, and (when a cover sample is supplied) every sampled
-    point of the timelike envelope must be within ``cover_radius`` of some
-    image."""
+    distances, causal order must transfer outside the null band of width
+    ``tolerance``, images must be pairwise distinct, and (when a cover sample
+    is supplied) every sampled point of the timelike envelope must be within
+    ``cover_radius`` of some image.  Above ``MAX_PAIRS`` image pairs a fixed
+    random sample of them is checked."""
     if any(l is None for l in sl.lines):
         raise PreconditionError("slice carries no asymptote lines")
-    if null_band is None:
-        null_band = tolerance
     if cover_radius is None:
         cover_radius = 2.0 * getattr(space, "mesh", EPS)
     time_knots = tuple(time_knots)
@@ -174,29 +159,23 @@ def build_splitting_map(space, sl: SpacelikeSlice, time_knots,
                     witnesses.append(("duplicate-image", ki, mi, mj))
 
     keys = list(images)
-    rng = random.Random(seed)
     all_pairs = list(itertools.combinations(range(len(keys)), 2))
-    if len(all_pairs) > max_pairs:
-        all_pairs = rng.sample(all_pairs, max_pairs)
-    tau_defect = 0.0
-    mismatches = 0
-    for ia, ib in all_pairs:
-        (ka, ma), (kb, mb) = keys[ia], keys[ib]
-        u, v = images[keys[ia]], images[keys[ib]]
-        sa, sb = time_knots[ka], time_knots[kb]
-        for (p, q, s, t, i, j) in ((u, v, sa, sb, ma, mb),
-                                   (v, u, sb, sa, mb, ma)):
-            dt = t - s
-            dist = sl.d_S[i, j]
-            if abs(dt - dist) <= null_band:
-                # the square root amplifies grid noise inside the band and
-                # both separations vanish at its centre
-                continue
-            model = product_tau_from_slice(sl.d_S, i, j, s, t)
-            tau_defect = max(tau_defect, abs(space.tau(p, q) - model))
-            if space.leq(p, q) != (dt >= dist):
-                mismatches += 1
-                witnesses.append(("leq-mismatch", (i, s), (j, t)))
+    if len(all_pairs) > MAX_PAIRS:
+        all_pairs = random.Random(0).sample(all_pairs, MAX_PAIRS)
+
+    def image_pairs():
+        for ia, ib in all_pairs:
+            (ka, ma), (kb, mb) = keys[ia], keys[ib]
+            u, v = images[keys[ia]], images[keys[ib]]
+            sa, sb = time_knots[ka], time_knots[kb]
+            for (p, q, s, t, i, j) in ((u, v, sa, sb, ma, mb),
+                                       (v, u, sb, sa, mb, ma)):
+                yield p, q, t - s, sl.d_S[i, j], ("leq-mismatch", (i, s), (j, t))
+
+    tau_defect, mismatched = product_image_defect(space, image_pairs(),
+                                                  tolerance)
+    mismatches = len(mismatched)
+    witnesses.extend(mismatched)
 
     if cover_sample is not None:
         image_list = list(images.values())
@@ -228,18 +207,18 @@ def synchronized_time(space, line: LineDescriptor, p, horizons):
 
 
 def check_cauchy_slices(space, result: SplittingResult, test_chains,
-                        levels=None, on_slice_tol=None) -> CauchyReport:
+                        levels=None) -> CauchyReport:
     """Every spanning causal chain must cross each synchronized-time level
     exactly once, detected as a sign change (or a single on-level knot) of
-    the synchronized time along the chain."""
+    the synchronized time along the chain.  Knots within one grid mesh of a
+    level count as lying on it."""
     sl = result.slice
     if sl.reference_line is None:
         raise PreconditionError("splitting result carries no reference line")
     if levels is None:
         ts = sorted(result.time_knots)
         levels = ts[1:-1] if len(ts) > 2 else ts
-    if on_slice_tol is None:
-        on_slice_tol = getattr(space, "mesh", EPS)
+    on_slice_tol = getattr(space, "mesh", EPS)
 
     statuses = []
     all_ok = True
@@ -281,8 +260,8 @@ class SliceCurvatureReport:
     skipped: int
 
 
-def check_slice_alexandrov(sl: SpacelikeSlice, tol=1e-6, max_quadruples=None,
-                           seed=0, metric_tol=None) -> SliceCurvatureReport:
+def check_slice_alexandrov(sl: SpacelikeSlice, tol=1e-6,
+                           metric_tol=None) -> SliceCurvatureReport:
     """Quadruple comparison test for nonnegative curvature of the slice: for
     every center x and triple (a, b, c), the three flat comparison angles at
     x must sum to at most a full turn.  Degenerate quadruples are skipped
@@ -310,8 +289,6 @@ def check_slice_alexandrov(sl: SpacelikeSlice, tol=1e-6, max_quadruples=None,
     quads = [(x, trip) for x in range(n)
              for trip in itertools.combinations(
                  [i for i in range(n) if i != x], 3)]
-    if max_quadruples is not None and len(quads) > max_quadruples:
-        quads = random.Random(seed).sample(quads, max_quadruples)
 
     worst = -math.inf
     witness = None
@@ -337,12 +314,12 @@ class TCReport:
     statuses: tuple
 
 
-def check_tc_property(space, result: SplittingResult, probes,
-                      radius=None) -> TCReport:
+def check_tc_property(space, result: SplittingResult, probes) -> TCReport:
     """Probe finite-length timelike maximizing chains for continuous
     extendibility through the reconstruction: the factor component must have
     finite slice length with its limit candidate present in the sampled
-    slice.
+    slice, with the endpoint within two grid meshes of the limit candidate's
+    asymptote.
 
     Vertical probes (constant factor component) carry a linear growth
     certificate and are rejected as out of scope; probe points outside the
@@ -351,8 +328,7 @@ def check_tc_property(space, result: SplittingResult, probes,
     sl = result.slice
     if sl.reference_line is None:
         raise PreconditionError("splitting result carries no reference line")
-    if radius is None:
-        radius = 2.0 * getattr(space, "mesh", EPS)
+    radius = 2.0 * getattr(space, "mesh", EPS)
     statuses = []
     all_ok = True
     for ci, chain in enumerate(probes):

@@ -202,11 +202,11 @@ class TestNonbranching:
         assert violations[0][2] == 2  # shared prefix length
 
     def test_single_realizer_clean(self, segment_product):
-        from lorentz_lab.chains import maximizing_chain
-        chain = maximizing_chain(segment_product, (0.0, 0.2), (2.0, 0.8), 5)
+        chain = CausalChain(tuple(
+            segment_product.realizer((0.0, 0.2), (2.0, 0.8), 5)))
         assert check_nonbranching(segment_product, [chain], tol=1e-9) == []
         table = diamond_table()
-        assert maximizing_chain(table, 0, 3).points == (0, 1, 3)
+        assert maximize_tau(table, 0, 3).chain.points == (0, 1, 3)
 
 
 class TestIntrinsicness:

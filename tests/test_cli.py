@@ -12,7 +12,8 @@ from lorentz_lab.cli import (FORMAT_VERSION, _real, load_space, main,
                              save_space)
 from lorentz_lab.core import FiniteLorentzSpace
 
-GOLDEN = os.path.join(os.path.dirname(__file__), "..", "docs", "golden")
+ROOT = os.path.join(os.path.dirname(__file__), "..")
+GOLDEN = os.path.join(ROOT, "docs", "golden")
 
 
 def golden(name):
@@ -107,6 +108,17 @@ class TestTauCommand:
              "--from", "0,0.0", "--to", "2,1.0", "--intrinsic"], capsys)
         assert code == 0
         assert "intrinsic" in report["verdicts"]
+
+    @pytest.mark.parametrize("src,dst", [("-4", "3"), ("0", "-1"),
+                                         ("0", "99"), ("abc", "3")])
+    def test_bad_finite_index_exit_2(self, src, dst, capsys):
+        code = main(["tau", golden("finite_diamond.json"),
+                     "--from", src, "--to", dst])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
 
     def test_intrinsic_on_unrelated_pair_reports_note(self, capsys):
         code, report = run_cli(
@@ -219,6 +231,8 @@ class TestReproducibility:
                 "--bound", "lower0", "--samples", "10", "--seed", "7"]
         _, first = run_cli(args, capsys)
         _, second = run_cli(args, capsys)
+        assert set(first) == {"command", "verdicts", "defects", "witnesses",
+                              "seed", "wall_time_s"}
         first.pop("wall_time_s")
         second.pop("wall_time_s")
         assert first == second
@@ -230,9 +244,13 @@ class TestReproducibility:
             capture_output=True, text=True)
         assert proc.returncode == 0
 
-    def test_threads_env_respected(self, capsys, monkeypatch):
-        monkeypatch.setenv("LORENTZ_LAB_THREADS", "4")
-        code, report = run_cli(["validate", golden("finite_diamond.json")],
-                               capsys)
-        assert code == 0
-        assert report["threads"] == 4
+
+def test_experiment_scripts_run():
+    path = filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    for script in ("busemann_convergence.py", "curvature_scan.py",
+                   "splitting_demo.py"):
+        proc = subprocess.run(
+            [sys.executable, os.path.join(ROOT, "scripts", script)],
+            capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, (script, proc.stderr)

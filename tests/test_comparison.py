@@ -9,9 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from lorentz_lab.core import PreconditionError
 from lorentz_lab.models import tau_minkowski
-from lorentz_lab.comparison import (Leg, KnotLeg, SideTriple,
-                                    UnrealizableError, build_triangle,
-                                    comparison_point, hinge_angle,
+from lorentz_lab.comparison import (Leg, KnotLeg, SideTriple, SpaceTriangle,
+                                    UnrealizableError, hinge_angle,
                                     law_of_cosines_side, realize_triangle,
                                     solve_angle, triangle_angle, upper_angle,
                                     verify_alexandrov_across,
@@ -154,23 +153,23 @@ class TestRealizeTriangle:
 class TestComparisonPoint:
     def test_midpoint(self):
         tri = realize_triangle(SideTriple(1, 1, 2))
-        mid = comparison_point(tri, "13", 1.0)
+        mid = tri.point_on_side(1, 3, 1.0)
         assert tau_minkowski(tri.vertex(1), mid) == pytest.approx(1.0)
         assert tau_minkowski(mid, tri.vertex(3)) == pytest.approx(1.0)
 
     def test_zero_parameter_is_start(self):
         tri = realize_triangle(SideTriple(1, 1, math.sqrt(5)))
-        assert comparison_point(tri, "12", 0.0) == tri.vertex(1)
+        assert tri.point_on_side(1, 2, 0.0) == tri.vertex(1)
 
     def test_long_side_midpoint_coordinates(self):
         tri = realize_triangle(SideTriple(1, 1, math.sqrt(5)))
-        assert comparison_point(tri, "13", math.sqrt(5) / 2) \
+        assert tri.point_on_side(1, 3, math.sqrt(5) / 2) \
             == pytest.approx((math.sqrt(5) / 2, 0.0))
 
     def test_out_of_range(self):
         tri = realize_triangle(SideTriple(1, 1, 2))
         with pytest.raises(PreconditionError):
-            comparison_point(tri, "12", 1.5)
+            tri.point_on_side(1, 2, 1.5)
 
 
 class TestCurvatureTester:
@@ -189,7 +188,7 @@ class TestCurvatureTester:
 
     def test_violation_table_fails_with_witness(self):
         space = violated_six_point_table()
-        tri = build_triangle(space, 0, 2, 5)
+        tri = SpaceTriangle(space, 0, 2, 5)
         sampler = lambda rng, t: [(((1, 2), 1.0), ((1, 3), 2.25))]
         report = curvature_bound(space, [tri], pair_sampler=sampler,
                                        mode="lower", tol=1e-9)
@@ -199,7 +198,7 @@ class TestCurvatureTester:
 
     def test_flat_table_passes(self):
         space = flat_six_point_table()
-        tri = build_triangle(space, 0, 2, 5)
+        tri = SpaceTriangle(space, 0, 2, 5)
         report = curvature_bound(space, [tri], pairs_per_triangle=12,
                                        mode="lower", tol=1e-9, seed=1)
         assert report.passed
@@ -224,7 +223,7 @@ class TestMonotonicity:
         leg_a = Leg(space, x, (2.2, (1, 0.5)))
         leg_b = Leg(space, x, (4.8, (2, 0.7)))
         mono = monotonicity_bound(space, leg_a, leg_b, "lower", tol=1e-9)
-        tri = build_triangle(space, x, (2.2, (1, 0.5)), (4.8, (2, 0.7)))
+        tri = SpaceTriangle(space, x, (2.2, (1, 0.5)), (4.8, (2, 0.7)))
         comp = curvature_bound(space, [tri], pairs_per_triangle=40,
                                mode="lower", tol=1e-9, seed=2)
         assert not mono.passed and not comp.passed

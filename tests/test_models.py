@@ -13,7 +13,7 @@ from lorentz_lab.models import (EuclideanSegment, ExplicitTable, ProductSpace,
                                 check_product_glob_hyp,
                                 check_realizer_characterization,
                                 factor_properness_scan, minkowski_space,
-                                tau_minkowski, tau_product)
+                                tau_minkowski)
 from lorentz_lab.sampling import random_causal_chain, random_realizer_chain
 
 SQRT3 = math.sqrt(3.0)
@@ -35,12 +35,12 @@ class TestTauMinkowski:
 
 class TestTauProduct:
     def test_matches_minkowski_on_segment(self, segment_product):
-        assert tau_product(segment_product, (0, 0.0), (2, 1.0)) \
+        assert segment_product.tau((0, 0.0), (2, 1.0)) \
             == pytest.approx(SQRT3, abs=1e-15)
 
     def test_null_boundary(self, segment_product):
         p, q = (0.0, 0.0), (1.0, 1.0)
-        assert tau_product(segment_product, p, q) == 0.0
+        assert segment_product.tau(p, q) == 0.0
         assert segment_product.leq(p, q)
         assert not segment_product.ll(p, q)
 
