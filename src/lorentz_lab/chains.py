@@ -10,10 +10,14 @@ table by dynamic programming; an exhaustive enumerator serves as its oracle.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
-from .core import EPS, FiniteLorentzSpace, LorentzQuery, PreconditionError
+import numpy as np
+
+from .core import (EPS, FiniteLorentzSpace, LorentzQuery, PreconditionError,
+                   _first)
 
 BRUTE_FORCE_LIMIT = 20
 
@@ -84,32 +88,29 @@ class MaximizerResult:
 
 
 def _check_causal(space: FiniteLorentzSpace):
-    for i in range(space.n):
-        for j in range(i + 1, space.n):
-            if space.leq(i, j) and space.leq(j, i):
-                raise PreconditionError(
-                    f"non-causal space: leq has a 2-cycle between {i} and {j}")
+    leq = space.leq_table()
+    hit = _first(np.triu(leq & leq.T, 1))
+    if hit is not None:
+        raise PreconditionError(
+            f"non-causal space: leq has a 2-cycle between {hit[0]} and {hit[1]}")
 
 
 def _topological_order(space: FiniteLorentzSpace):
-    # strict relation is a DAG once antisymmetry holds; sort by in-degree
-    n = space.n
-    succ = [[j for j in range(n) if j != i and space.leq(i, j)] for i in range(n)]
-    indeg = [0] * n
-    for i in range(n):
-        for j in succ[i]:
-            indeg[j] += 1
-    stack = sorted((i for i in range(n) if indeg[i] == 0), reverse=True)
+    # strict relation is a DAG once antisymmetry holds; Kahn's algorithm,
+    # always taking the smallest ready vertex
+    strict = space.leq_table() & ~np.eye(space.n, dtype=bool)
+    succ = [np.flatnonzero(row).tolist() for row in strict]
+    indeg = strict.sum(axis=0).tolist()
+    ready = [i for i in range(space.n) if indeg[i] == 0]  # sorted, so a heap
     order = []
-    while stack:
-        i = stack.pop()
+    while ready:
+        i = heapq.heappop(ready)
         order.append(i)
         for j in succ[i]:
             indeg[j] -= 1
             if indeg[j] == 0:
-                stack.append(j)
-        stack.sort(reverse=True)
-    if len(order) != n:
+                heapq.heappush(ready, j)
+    if len(order) != space.n:
         raise PreconditionError("non-causal space: leq is cyclic")
     return order, succ
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -41,7 +42,17 @@ def _real(x) -> str:
 
 
 def _parse_real(s) -> float:
-    return float(s)
+    try:
+        return float(s)
+    except (TypeError, ValueError):
+        raise StructuralError(f"not a real number: {s!r}") from None
+
+
+def _parse_int(s) -> int:
+    try:
+        return int(s)
+    except (TypeError, ValueError):
+        raise StructuralError(f"not an integer: {s!r}") from None
 
 
 def _table_out(arr):
@@ -99,10 +110,10 @@ def _factor_in(doc):
     kind = doc["kind"]
     if kind == "euclidean-segment":
         return EuclideanSegment(_parse_real(doc["lo"]), _parse_real(doc["hi"]),
-                                int(doc["points"]))
+                                _parse_int(doc["points"]))
     if kind == "metric-graph":
         return TripodGraph(_parse_real(doc["leg_length"]),
-                           int(doc["points_per_leg"]))
+                           _parse_int(doc["points_per_leg"]))
     if kind == "euclidean-plane-sample":
         pts = tuple((_parse_real(a), _parse_real(b)) for a, b in doc["points"])
         return PlaneSample(pts, _parse_real(doc["mesh"]))
@@ -120,24 +131,10 @@ def load_space(path):
         raise StructuralError(f"unsupported format_version {doc.get('format_version')}")
     kind = doc.get("kind")
     payload = doc.get("payload", {})
-    if kind == "finite":
-        tau = _table_in(payload["tau"])
-        space = FiniteLorentzSpace(_table_in(payload["d"]), payload["leq"],
-                                   payload["ll"], tau)
-    elif kind == "product":
-        grid = payload["time_grid"]
-        space = ProductSpace(_factor_in(payload["factor"]),
-                             _parse_real(grid["t_min"]), _parse_real(grid["t_max"]),
-                             _parse_real(grid["t_step"]))
-    elif kind == "minkowski":
-        space = minkowski_space(
-            _parse_real(payload.get("t_min", "-2.0")),
-            _parse_real(payload.get("t_max", "2.0")),
-            _parse_real(payload.get("x_min", "-1.0")),
-            _parse_real(payload.get("x_max", "1.0")),
-            _parse_real(payload.get("step", "0.25")))
-    else:
-        raise StructuralError(f"unknown space kind {kind!r}")
+    try:
+        space = _space_in(kind, payload)
+    except KeyError as exc:
+        raise StructuralError(f"missing key {exc}") from None
     meta = {"kind": kind,
             "mesh": _parse_real(doc["mesh"]) if "mesh" in doc else None,
             "tolerances": {k: _parse_real(v)
@@ -145,12 +142,33 @@ def load_space(path):
     return space, meta
 
 
-def load_chain(path, space_kind):
+def _space_in(kind, payload):
+    if kind == "finite":
+        tau = _table_in(payload["tau"])
+        return FiniteLorentzSpace(_table_in(payload["d"]), payload["leq"],
+                                  payload["ll"], tau)
+    if kind == "product":
+        grid = payload["time_grid"]
+        return ProductSpace(_factor_in(payload["factor"]),
+                            _parse_real(grid["t_min"]), _parse_real(grid["t_max"]),
+                            _parse_real(grid["t_step"]))
+    if kind == "minkowski":
+        return minkowski_space(
+            _parse_real(payload.get("t_min", "-2.0")),
+            _parse_real(payload.get("t_max", "2.0")),
+            _parse_real(payload.get("x_min", "-1.0")),
+            _parse_real(payload.get("x_max", "1.0")),
+            _parse_real(payload.get("step", "0.25")))
+    raise StructuralError(f"unknown space kind {kind!r}")
+
+
+def load_chain(path, space_kind, n_points=None):
+    """Parse a chain file; finite indices must lie in 0..n_points-1."""
     with open(path) as fh:
         doc = json.load(fh)
     pts = doc["points"]
     if space_kind == "finite":
-        return CausalChain(tuple(int(p) for p in pts))
+        return CausalChain(tuple(_point_index(p, n_points) for p in pts))
     return CausalChain(tuple((_parse_real(p[0]), _parse_real(p[1])) for p in pts))
 
 
@@ -167,15 +185,22 @@ def _atomic_write(path, text):
         raise
 
 
+def _point_index(raw, n):
+    try:
+        index = int(raw)
+    except (TypeError, ValueError):
+        raise InputError(f"cannot parse point {raw!r}") from None
+    if not 0 <= index < n:
+        raise InputError(f"point index {index} outside 0..{n - 1}")
+    return index
+
+
 def parse_point(raw, space):
     """A point index of a finite table, or a "t,x" pair of an analytic
     space."""
+    if isinstance(space, FiniteLorentzSpace):
+        return _point_index(raw, space.n)
     try:
-        if isinstance(space, FiniteLorentzSpace):
-            index = int(raw)
-            if not 0 <= index < space.n:
-                raise InputError(f"point index {index} outside 0..{space.n - 1}")
-            return index
         parts = raw.split(",")
         return (float(parts[0]), float(parts[1]))
     except (ValueError, IndexError):
@@ -304,7 +329,7 @@ def cmd_curvature(args):
 
 
 def _load_line(space, meta, path, tol):
-    chain = load_chain(path, meta["kind"])
+    chain = load_chain(path, meta["kind"], getattr(space, "n", None))
     return line_from_chain(space, chain,
                            anchor=min(range(len(chain.points)),
                                       key=lambda i: abs(chain.points[i][0])
@@ -342,6 +367,13 @@ def cmd_split(args):
     space, meta = load_space(args.path)
     if isinstance(space, FiniteLorentzSpace):
         raise PreconditionError("splitting reconstruction needs an analytic space")
+    try:
+        lo, hi, step = (float(v) for v in args.t_grid.split(":"))
+    except ValueError:
+        raise InputError(f"--t-grid {args.t_grid!r} is not lo:hi:step") from None
+    if not (all(map(math.isfinite, (lo, hi, step))) and step > 0 and hi >= lo):
+        raise InputError(f"--t-grid {args.t_grid!r} needs finite lo <= hi "
+                         "and step > 0")
     line = _load_line(space, meta, args.line, args.tol_line)
     horizons = [float(h) for h in args.horizons.split(",")]
     bus_bound = max((busemann_value(space, line, (0.0, q), horizons).error_bound
@@ -352,7 +384,6 @@ def cmd_split(args):
     seeds = [(0.0, q) for q in space.factor.sample()]
     sl = extract_slice(space, line, seeds, horizons, tolerance=tolerance,
                        knot_extent=args.knot_extent)
-    lo, hi, step = (float(v) for v in args.t_grid.split(":"))
     knots = [lo + step * k for k in range(int(round((hi - lo) / step)) + 1)]
     cover_radius = 0.5 * step + 2.0 * space.mesh
     covered = [z for z in space.sample_points()

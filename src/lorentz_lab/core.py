@@ -115,7 +115,6 @@ class AxiomCheck:
     name: str
     passed: bool
     witness: tuple | None = None
-    detail: str = ""
 
 
 @dataclass(frozen=True)
@@ -126,9 +125,6 @@ class ValidationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self):
-        return [c for c in self.checks if not c.passed]
-
     def __getitem__(self, name):
         for c in self.checks:
             if c.name == name:
@@ -136,139 +132,74 @@ class ValidationReport:
         raise KeyError(name)
 
 
+def _first(mask):
+    """Lexicographically first index tuple where ``mask`` holds, as plain
+    ints, or None."""
+    if not mask.any():
+        return None
+    return tuple(int(v) for v in np.unravel_index(int(np.argmax(mask)), mask.shape))
+
+
+def _first_triple(n, mask_at):
+    """Lexicographically first (i, j, k) where the (j, k) mask ``mask_at(i)``
+    holds, or None.  One i at a time, so no array grows beyond n x n."""
+    for i in range(n):
+        hit = _first(mask_at(i))
+        if hit is not None:
+            return (i,) + hit
+    return None
+
+
 def validate_axioms(space: FiniteLorentzSpace) -> ValidationReport:
     """Check every structural axiom of a finite space, reporting one named
-    outcome per axiom together with the first counterexample tuple found."""
+    outcome per axiom together with the lexicographically first
+    counterexample tuple."""
     if not isinstance(space, FiniteLorentzSpace):
         raise StructuralError("validate_axioms expects a finite table space")
     n = space.n
     d, leq, ll, tau = space._d, space._leq, space._ll, space._tau
-    checks = []
+    # inf - inf in a table gives NaN, which compares as no violation
+    with np.errstate(invalid="ignore"):
+        witnesses = {
+            # metric axioms
+            "d zero diagonal": _first(np.abs(np.diagonal(d)) > EPS),
+            "d symmetric": _first(np.triu(np.abs(d - d.T) > EPS, 1)),
+            "d positive off diagonal": _first(~np.eye(n, dtype=bool) & (d <= EPS)),
+            # [j, k] of row i: d[i, k] > d[i, j] + d[j, k] + EPS
+            "d triangle inequality": _first_triple(
+                n, lambda i: d[i, None, :] > (d[i, :, None] + d) + EPS),
+            # relation axioms
+            "leq reflexive": _first(~np.diagonal(leq)),
+            "leq transitive": _first_triple(
+                n, lambda i: leq[i, :, None] & leq & ~leq[i, None, :]),
+            "ll transitive": _first_triple(
+                n, lambda i: ll[i, :, None] & ll & ~ll[i, None, :]),
+            "ll contained in leq": _first(ll & ~leq),
+            # time separation axioms
+            "tau zero when unrelated": _first(~leq & (tau > EPS)),
+            "tau positive iff timelike": _first((tau > EPS) != ll),
+            "reverse triangle inequality": _first_triple(
+                n, lambda i: leq[i, :, None] & leq
+                & (tau[i, None, :] < (tau[i, :, None] + tau) - EPS)),
+        }
+    return ValidationReport(tuple(AxiomCheck(name, w is None, w)
+                                  for name, w in witnesses.items()))
 
-    def record(name, witness, detail=""):
-        checks.append(AxiomCheck(name, witness is None, witness, detail))
 
-    # metric axioms
-    w = None
-    for i in range(n):
-        if abs(d[i, i]) > EPS:
-            w = (i,)
-            break
-    record("d zero diagonal", w)
-
-    w = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(d[i, j] - d[j, i]) > EPS:
-                w = (i, j)
-                break
-        if w:
-            break
-    record("d symmetric", w)
-
-    w = None
-    for i in range(n):
-        for j in range(n):
-            if i != j and d[i, j] <= EPS:
-                w = (i, j)
-                break
-        if w:
-            break
-    record("d positive off diagonal", w)
-
-    w = None
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if d[i, k] > d[i, j] + d[j, k] + EPS:
-                    w = (i, j, k)
-                    break
-            if w:
-                break
-        if w:
-            break
-    record("d triangle inequality", w)
-
-    # relation axioms
-    w = next(((i,) for i in range(n) if not leq[i, i]), None)
-    record("leq reflexive", w)
-
-    w = None
-    for i in range(n):
-        for j in range(n):
-            if leq[i, j]:
-                for k in range(n):
-                    if leq[j, k] and not leq[i, k]:
-                        w = (i, j, k)
-                        break
-            if w:
-                break
-        if w:
-            break
-    record("leq transitive", w)
-
-    w = None
-    for i in range(n):
-        for j in range(n):
-            if ll[i, j]:
-                for k in range(n):
-                    if ll[j, k] and not ll[i, k]:
-                        w = (i, j, k)
-                        break
-            if w:
-                break
-        if w:
-            break
-    record("ll transitive", w)
-
-    w = None
-    for i in range(n):
-        for j in range(n):
-            if ll[i, j] and not leq[i, j]:
-                w = (i, j)
-                break
-        if w:
-            break
-    record("ll contained in leq", w)
-
-    # time separation axioms
-    w = None
-    for i in range(n):
-        for j in range(n):
-            if not leq[i, j] and tau[i, j] > EPS:
-                w = (i, j)
-                break
-        if w:
-            break
-    record("tau zero when unrelated", w)
-
-    w = None
-    for i in range(n):
-        for j in range(n):
-            pos = tau[i, j] > EPS
-            if pos != bool(ll[i, j]):
-                w = (i, j)
-                break
-        if w:
-            break
-    record("tau positive iff timelike", w)
-
-    w = None
-    for i in range(n):
-        for j in range(n):
-            if not leq[i, j]:
-                continue
-            for k in range(n):
-                if leq[j, k] and tau[i, k] < tau[i, j] + tau[j, k] - EPS:
-                    w = (i, j, k)
-                    break
-            if w:
-                break
-        if w:
-            break
-    record("reverse triangle inequality", w)
-
-    return ValidationReport(tuple(checks))
+def metric_defect(d) -> float:
+    """Largest violation of the metric axioms by a distance table: the
+    largest of |d[i, i]|, |d[i, j] - d[j, i]| and the triangle excess
+    d[i, k] - d[i, j] - d[j, k], never below zero.  NaN (from inf - inf)
+    counts as no violation."""
+    d = np.asarray(d, dtype=float)
+    with np.errstate(invalid="ignore"):
+        worst = max(np.nanmax(np.abs(np.diagonal(d)), initial=0.0),
+                    np.nanmax(np.abs(d - d.T), initial=0.0))
+        for i in range(len(d)):
+            # [j, k] of row i: d[i, k] - d[i, j] - d[j, k]
+            worst = max(worst, np.nanmax((d[i, None, :] - d[i, :, None]) - d,
+                                         initial=0.0))
+    return float(worst)
 
 
 @dataclass(frozen=True)

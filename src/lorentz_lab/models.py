@@ -50,6 +50,10 @@ class EuclideanSegment(MetricFactor):
 
     kind = "euclidean-segment"
 
+    def __post_init__(self):
+        if self.n_points < 2:
+            raise StructuralError("a segment sample needs at least two points")
+
     @property
     def eta(self):
         return (self.hi - self.lo) / (self.n_points - 1)
@@ -101,6 +105,10 @@ class TripodGraph(MetricFactor):
     n_per_leg: int = 11
 
     kind = "metric-graph"
+
+    def __post_init__(self):
+        if self.n_per_leg < 2:
+            raise StructuralError("a tripod sample needs at least two points per leg")
 
     @property
     def eta(self):
@@ -212,8 +220,10 @@ class ProductSpace(LorentzQuery):
     """
 
     def __init__(self, factor: MetricFactor, t_min=-2.0, t_max=2.0, t_step=0.05):
-        if t_max <= t_min or t_step <= 0:
-            raise StructuralError("time grid must satisfy t_min < t_max, t_step > 0")
+        if not (all(map(math.isfinite, (t_min, t_max, t_step)))
+                and t_min < t_max and t_step > 0):
+            raise StructuralError("time grid must be finite with t_min < t_max, "
+                                  "t_step > 0")
         self.factor = factor
         self.t_min = float(t_min)
         self.t_max = float(t_max)

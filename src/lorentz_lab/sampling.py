@@ -188,10 +188,12 @@ def finite_triangles(space: FiniteLorentzSpace, count, seed):
     """Timelike triangles of a table space: vertex triples that are pairwise
     timelike related and admit maximizing side chains."""
     rng = random.Random(seed)
-    triples = [(i, j, k)
-               for i in range(space.n) for j in range(space.n)
-               for k in range(space.n)
-               if space.ll(i, j) and space.ll(j, k) and space.ll(i, k)]
+    ll = space._ll
+    triples = []
+    for i in range(space.n):
+        # [j, k] of row i: ll[i, j] and ll[j, k] and ll[i, k]
+        hits = np.argwhere(ll[i, :, None] & ll & ll[i, None, :])
+        triples.extend((i, j, k) for j, k in hits.tolist())
     rng.shuffle(triples)
     out = []
     for (i, j, k) in triples:

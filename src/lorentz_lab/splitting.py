@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS, PreconditionError
+from .core import EPS, PreconditionError, metric_defect
 from .models import product_image_defect
 from .asymptotics import (LineDescriptor, build_asymptotic_line,
                           busemann_value, in_timelike_envelope, line_point)
@@ -47,16 +47,8 @@ class SpacelikeSlice:
 
     def validate_metric(self, tol=EPS):
         """Symmetry, vanishing diagonal and the triangle inequality of the
-        distance table, checked entry by entry."""
-        d = self.d_S
-        n = len(self.members)
-        worst = 0.0
-        for i in range(n):
-            worst = max(worst, abs(d[i, i]))
-            for j in range(n):
-                worst = max(worst, abs(d[i, j] - d[j, i]))
-                for k in range(n):
-                    worst = max(worst, d[i, k] - d[i, j] - d[j, k])
+        distance table: ``(metric_defect(d_S) <= tol, metric_defect(d_S))``."""
+        worst = metric_defect(self.d_S)
         return worst <= tol, worst
 
 

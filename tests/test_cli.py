@@ -51,6 +51,43 @@ class TestSpaceFiles:
             load_space(str(path))
 
 
+def product_doc(edit):
+    """The golden product space file with one edit applied."""
+    with open(golden("product_segment.json")) as fh:
+        doc = json.load(fh)
+    edit(doc["payload"])
+    return doc
+
+
+def assert_one_line_exit_2(code, capsys):
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("edit,argv", [
+    (lambda p: p.pop("time_grid"), ["validate"]),
+    (lambda p: p["time_grid"].update(t_step="abc"), ["validate"]),
+    (lambda p: p["time_grid"].update(t_min="nan"), ["validate"]),
+    (lambda p: p["factor"].update(points=1), ["validate"]),
+    (lambda p: p["factor"].update(points="abc"), ["validate"]),
+    (lambda p: None, ["split", "--t-grid=1:2"]),
+    (lambda p: None, ["split", "--t-grid=-2:2:0"]),
+    (lambda p: None, ["split", "--t-grid=2:-2:0.5"]),
+    (lambda p: None, ["split", "--t-grid=nan:2:0.5"]),
+], ids=["no-time-grid", "t-step-abc", "t-min-nan", "one-point-factor",
+        "factor-points-abc", "grid-two-fields", "grid-zero-step", "grid-reversed", "grid-nan"])
+def test_malformed_space_or_grid_exit_2(edit, argv, tmp_path, capsys):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(product_doc(edit)))
+    extra = ["--line", golden("product_vertical_line.json")] \
+        if argv[0] == "split" else []
+    code = main([argv[0], str(path), *argv[1:], *extra])
+    assert_one_line_exit_2(code, capsys)
+
+
 class TestValidateCommand:
     def test_golden_files_pass(self, capsys):
         for name in ("finite_diamond.json", "minkowski_strip.json",
@@ -188,6 +225,16 @@ class TestAsymptoteCommand:
              "--horizons", "2,4", "--tol-busemann", "1e-9"], capsys)
         assert code == 0
         assert report["verdicts"]["busemann_converged"] is False
+
+
+    @pytest.mark.parametrize("points", [[0, -1], [0, 1, 99], [0, "x"]])
+    def test_bad_finite_chain_index_exit_2(self, points, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps({"format_version": FORMAT_VERSION,
+                                    "points": points}))
+        code = main(["asymptote", golden("finite_diamond.json"),
+                     "--line", str(path), "--from", "0"])
+        assert_one_line_exit_2(code, capsys)
 
 
 class TestSplitCommand:

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lorentz_lab.core import PreconditionError
+from lorentz_lab.core import PreconditionError, StructuralError
 from lorentz_lab.chains import CausalChain
 from lorentz_lab.models import (EuclideanSegment, ExplicitTable, ProductSpace,
                                 TripodGraph, check_diamond_basis,
@@ -229,3 +229,22 @@ class TestProductInvariants:
         assert diag.is_realizer
         assert diag.speed_c == pytest.approx(1.0, abs=1e-12)
         assert diag.causal_character == "null"
+
+
+class TestDegenerateGrids:
+    @pytest.mark.parametrize("grid", [
+        (math.nan, 2.0, 0.05), (-2.0, math.nan, 0.05), (-2.0, 2.0, math.nan),
+        (-math.inf, 2.0, 0.05), (-2.0, math.inf, 0.05), (-2.0, 2.0, math.inf),
+        (2.0, -2.0, 0.05), (-2.0, 2.0, 0.0),
+    ])
+    def test_product_time_grid_refused(self, grid):
+        with pytest.raises(StructuralError):
+            ProductSpace(EuclideanSegment(0.0, 1.0, 21), *grid)
+
+    @pytest.mark.parametrize("make", [lambda: EuclideanSegment(0.0, 1.0, 1),
+                                      lambda: EuclideanSegment(0.0, 1.0, 0),
+                                      lambda: TripodGraph(1.0, 1)],
+                             ids=["segment-1", "segment-0", "tripod-1"])
+    def test_factor_with_fewer_than_two_points_refused(self, make):
+        with pytest.raises(StructuralError):
+            make()
