@@ -9,6 +9,7 @@ less than the grid mesh.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -37,14 +38,24 @@ class LineDescriptor:
         if not (0 <= self.anchor < len(self.params)):
             raise PreconditionError("anchor index out of range")
 
+    def _knot_index(self, t):
+        """Index of the first knot p with |p - t| <= 1e-9 max(1, |t|), or
+        None.  p - t rounds monotonically in p, so over the increasing
+        parameters the matching knots are one run, found by bisection."""
+        tol = 1e-9 * max(1.0, abs(t))
+        i = bisect.bisect_left(self.params, -tol, key=lambda p: p - t)
+        if i < len(self.params) and abs(self.params[i] - t) <= tol:
+            return i
+        return None
+
     def point_at(self, t):
-        for p, pt in zip(self.params, self.chain.points):
-            if abs(p - t) <= 1e-9 * max(1.0, abs(t)):
-                return pt
-        raise PreconditionError(f"parameter {t} is not a knot of this line")
+        i = self._knot_index(t)
+        if i is None:
+            raise PreconditionError(f"parameter {t} is not a knot of this line")
+        return self.chain.points[i]
 
     def has_param(self, t):
-        return any(abs(p - t) <= 1e-9 * max(1.0, abs(t)) for p in self.params)
+        return self._knot_index(t) is not None
 
     def footpoint(self):
         return self.chain.points[self.anchor]
@@ -89,11 +100,11 @@ def line_point(space, line: LineDescriptor, param):
     if line.has_param(param):
         return line.point_at(param)
     ps, pts = line.params, line.chain.points
-    for i in range(len(ps) - 1):
-        if ps[i] < param < ps[i + 1]:
-            if hasattr(space, "realizer_point"):
-                return space.realizer_point(pts[i], pts[i + 1], param - ps[i])
-            return pts[i] if param - ps[i] <= ps[i + 1] - param else pts[i + 1]
+    i = bisect.bisect_left(ps, param) - 1   # ps[i] < param <= ps[i + 1]
+    if 0 <= i < len(ps) - 1 and param < ps[i + 1]:
+        if hasattr(space, "realizer_point"):
+            return space.realizer_point(pts[i], pts[i + 1], param - ps[i])
+        return pts[i] if param - ps[i] <= ps[i + 1] - param else pts[i + 1]
     raise PreconditionError(f"parameter {param} outside the line extent")
 
 

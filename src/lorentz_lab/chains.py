@@ -211,19 +211,22 @@ def is_line(space: LorentzQuery, chain: CausalChain, tol: float = EPS) -> LineCh
     for s in steps:
         cum.append(cum[-1] + s)
 
+    # one row i at a time: defect of every pair (i, j > i)
+    cum_arr = np.array(cum)
     first_failure = None
     ray_ok = True
-    line_ok = True
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            defect = abs((cum[j] - cum[i]) - space.tau(pts[i], pts[j]))
-            if defect > tol:
-                line_ok = False
-                if i == 0:
-                    ray_ok = False
-                if first_failure is None:
-                    first_failure = (i, j)
-    return LineCheck(ray_ok, line_ok, first_failure, cum[-1])
+    for i in range(len(pts) - 1):
+        js = np.arange(1, len(pts) - i)       # pts[i + js] after pts[i]
+        defect = np.abs((cum_arr[i + 1:] - cum[i])
+                        - space.tau_array(pts[i:], np.zeros_like(js), js))
+        bad = defect > tol
+        if bad.any():
+            # later rows change nothing: the line fails and row 0 settled
+            # the ray
+            ray_ok = i > 0
+            first_failure = (i, i + 1 + int(np.argmax(bad)))
+            break
+    return LineCheck(ray_ok, first_failure is None, first_failure, cum[-1])
 
 
 def reparametrize_tau_arclength(space: LorentzQuery, chain: CausalChain):

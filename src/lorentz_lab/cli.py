@@ -163,13 +163,19 @@ def _space_in(kind, payload):
 
 
 def load_chain(path, space_kind, n_points=None):
-    """Parse a chain file; finite indices must lie in 0..n_points-1."""
+    """Parse a chain file: a list of ``points``, each an integer index in
+    0..n_points-1 (finite spaces) or a ``[t, x]`` pair of reals."""
     with open(path) as fh:
         doc = json.load(fh)
-    pts = doc["points"]
+    pts = doc.get("points") if isinstance(doc, dict) else None
+    if not isinstance(pts, list):
+        raise InputError(f"chain file {path} has no list of points")
     if space_kind == "finite":
         return CausalChain(tuple(_point_index(p, n_points) for p in pts))
-    return CausalChain(tuple((_parse_real(p[0]), _parse_real(p[1])) for p in pts))
+    for p in pts:
+        if not (isinstance(p, list) and len(p) == 2):
+            raise InputError(f"chain point {p!r} is not a [t, x] pair")
+    return CausalChain(tuple((_parse_real(t), _parse_real(x)) for t, x in pts))
 
 
 def _atomic_write(path, text):
@@ -186,9 +192,12 @@ def _atomic_write(path, text):
 
 
 def _point_index(raw, n):
+    # int() would truncate 1.7 and take True for 1
+    if isinstance(raw, bool) or not isinstance(raw, (int, str)):
+        raise InputError(f"point {raw!r} is not an integer index")
     try:
         index = int(raw)
-    except (TypeError, ValueError):
+    except ValueError:
         raise InputError(f"cannot parse point {raw!r}") from None
     if not 0 <= index < n:
         raise InputError(f"point index {index} outside 0..{n - 1}")
@@ -374,6 +383,11 @@ def cmd_split(args):
     if not (all(map(math.isfinite, (lo, hi, step))) and step > 0 and hi >= lo):
         raise InputError(f"--t-grid {args.t_grid!r} needs finite lo <= hi "
                          "and step > 0")
+    if step < space.t_step:
+        # checked before the knot list is built: a tiny step asks for an
+        # unbounded number of knots
+        raise InputError(f"--t-grid step {step!r} is finer than the space's "
+                         f"time step {space.t_step!r}")
     line = _load_line(space, meta, args.line, args.tol_line)
     horizons = [float(h) for h in args.horizons.split(",")]
     bus_bound = max((busemann_value(space, line, (0.0, q), horizons).error_bound

@@ -54,6 +54,21 @@ class LorentzQuery:
     def tau(self, p, q) -> float:
         raise NotImplementedError
 
+    # Array forms: entry k is the scalar answer for the pair
+    # (points[i[k]], points[j[k]]), bit for bit, as a numpy array.
+
+    def tau_array(self, points, i, j):
+        raise NotImplementedError
+
+    def leq_array(self, points, i, j):
+        raise NotImplementedError
+
+    def d_array(self, points, i, j):
+        """Array form of ``d``; unlike the others it may differ from the
+        scalar form in the last bit (``np.hypot`` is not ``math.hypot``), so
+        a threshold decision on it settles near-ties with ``d``."""
+        raise NotImplementedError
+
 
 def _as_square(arr, n, name, dtype):
     out = np.array(arr, dtype=dtype)  # always copy: instances own their tables
@@ -98,6 +113,20 @@ class FiniteLorentzSpace(LorentzQuery):
 
     def tau(self, p, q):
         return float(self._tau[p, q])
+
+    def _gather(self, table, points, i, j):
+        pts = np.asarray(points, dtype=np.intp)
+        return table[pts[np.asarray(i, dtype=np.intp)],
+                     pts[np.asarray(j, dtype=np.intp)]]
+
+    def tau_array(self, points, i, j):
+        return self._gather(self._tau, points, i, j)
+
+    def leq_array(self, points, i, j):
+        return self._gather(self._leq, points, i, j)
+
+    def d_array(self, points, i, j):
+        return self._gather(self._d, points, i, j)
 
     @property
     def has_infinite_tau(self) -> bool:

@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
+
+import numpy as np
 
 from .core import EPS, LorentzQuery, PreconditionError, StructuralError
 
@@ -30,6 +33,13 @@ class MetricFactor:
 
     def distance(self, a, b) -> float:
         raise NotImplementedError
+
+    def distance_array(self, points, i, j):
+        """``distance(points[i[k]], points[j[k]])`` for each k, as an array."""
+        return np.array([self.distance(points[a], points[b])
+                         for a, b in zip(np.asarray(i, dtype=np.intp).tolist(),
+                                         np.asarray(j, dtype=np.intp).tolist())],
+                        dtype=float)
 
     def sample(self):
         raise NotImplementedError
@@ -60,6 +70,10 @@ class EuclideanSegment(MetricFactor):
 
     def distance(self, a, b):
         return abs(b - a)
+
+    def distance_array(self, points, i, j):
+        x = np.asarray(points, dtype=float)
+        return np.abs(x[j] - x[i])
 
     def sample(self):
         step = self.eta
@@ -182,32 +196,38 @@ def _product_tau(dt: float, dist: float) -> float:
     return math.sqrt(rad) if rad > 0.0 else 0.0
 
 
+def _product_tau_array(dt, dist):
+    """``_product_tau`` elementwise over arrays, bit for bit (NaN gives 0)."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        rad = dt * dt - dist * dist
+        return np.where((dt < dist) | ~(rad > 0.0), 0.0, np.sqrt(rad))
+
+
 def tau_minkowski(p, q) -> float:
     """Time separation of two (t, x) points of the flat two-dimensional
     model; zero unless q lies in the causal future of p."""
     return _product_tau(q[0] - p[0], abs(q[1] - p[1]))
 
 
-def product_image_defect(space, pairs, null_band):
+def product_image_defect(space, points, i, j, dt, dx, null_band):
     """Compare a space against the product model it is claimed to realize.
 
-    ``pairs`` yields ``(p, q, dt, dx, label)``: two space points, the time
-    and factor-distance differences of their product images, and a label.
+    Pair k is the space points ``points[i[k]]`` and ``points[j[k]]``, whose
+    product images differ by ``dt[k]`` in time and ``dx[k]`` in the factor.
     Pairs within ``null_band`` of the null boundary ``dt == dx`` are
-    skipped.  Returns the largest |tau(p, q) - product tau| and the labels
-    of the pairs whose causal relation disagrees with ``dt >= dx``, in
-    input order."""
-    tau_defect = 0.0
-    mismatched = []
-    for p, q, dt, dx, label in pairs:
-        if abs(dt - dx) <= null_band:
-            # the square root amplifies grid noise inside the band and both
-            # separations vanish at its centre
-            continue
-        tau_defect = max(tau_defect, abs(space.tau(p, q) - _product_tau(dt, dx)))
-        if space.leq(p, q) != (dt >= dx):
-            mismatched.append(label)
-    return tau_defect, mismatched
+    skipped.  Returns the largest |tau - product tau| (a NaN defect counts
+    as none) and the indices k, in input order, of the pairs whose causal
+    relation disagrees with ``dt >= dx``."""
+    dt, dx = np.asarray(dt, dtype=float), np.asarray(dx, dtype=float)
+    i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+    with np.errstate(invalid="ignore"):
+        # the square root amplifies grid noise inside the band and both
+        # separations vanish at its centre
+        kept = ~(np.abs(dt - dx) <= null_band)
+        defect = np.abs(space.tau_array(points, i, j) - _product_tau_array(dt, dx))
+        mismatched = kept & (space.leq_array(points, i, j) != (dt >= dx))
+    return (float(np.fmax.reduce(defect, where=kept, initial=0.0)),
+            np.flatnonzero(mismatched).tolist())
 
 
 class ProductSpace(LorentzQuery):
@@ -251,6 +271,24 @@ class ProductSpace(LorentzQuery):
 
     def tau(self, p, q):
         return _product_tau(q[0] - p[0], self.factor.distance(p[1], q[1]))
+
+    def _dt_dist(self, points, i, j):
+        i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+        t = np.fromiter(map(itemgetter(0), points), dtype=float,
+                        count=len(points))
+        return (t[j] - t[i],
+                self.factor.distance_array(list(map(itemgetter(1), points)),
+                                           i, j))
+
+    def d_array(self, points, i, j):
+        return np.hypot(*self._dt_dist(points, i, j))
+
+    def leq_array(self, points, i, j):
+        dt, dist = self._dt_dist(points, i, j)
+        return dt >= dist
+
+    def tau_array(self, points, i, j):
+        return _product_tau_array(*self._dt_dist(points, i, j))
 
     # -- analytic maximizers ------------------------------------------------
 

@@ -214,11 +214,17 @@ def test_parallel(space, alpha: LineDescriptor, beta: LineDescriptor,
     tau_defect = 0.0
     mismatches = 0
     if ok:
-        pairs = ((u, v, dt, c_mean, None)
-                 for s, pa in zip(alpha.params, alpha.chain.points)
-                 for t, pb in zip(synced.params, synced.chain.points)
-                 for u, v, dt in ((pa, pb, t - s), (pb, pa, s - t)))
-        tau_defect, mismatched = product_image_defect(space, pairs, tolerance)
+        # the knots of alpha, then those of synced beta; each pair of an
+        # alpha(s) and a beta(t) is taken in both orders
+        points = alpha.chain.points + synced.chain.points
+        i, j, dt = [], [], []
+        for a, s in enumerate(alpha.params):
+            for b, t in enumerate(synced.params, len(alpha.params)):
+                i += (a, b)
+                j += (b, a)
+                dt += (t - s, s - t)
+        tau_defect, mismatched = product_image_defect(
+            space, points, i, j, dt, [c_mean] * len(dt), tolerance)
         mismatches = len(mismatched)
         ok = tau_defect <= tolerance and mismatches == 0
 

@@ -151,33 +151,69 @@ def build_splitting_map(space, sl: SpacelikeSlice, time_knots,
                     witnesses.append(("duplicate-image", ki, mi, mj))
 
     keys = list(images)
-    all_pairs = list(itertools.combinations(range(len(keys)), 2))
-    if len(all_pairs) > MAX_PAIRS:
-        all_pairs = random.Random(0).sample(all_pairs, MAX_PAIRS)
-
-    def image_pairs():
-        for ia, ib in all_pairs:
-            (ka, ma), (kb, mb) = keys[ia], keys[ib]
-            u, v = images[keys[ia]], images[keys[ib]]
-            sa, sb = time_knots[ka], time_knots[kb]
-            for (p, q, s, t, i, j) in ((u, v, sa, sb, ma, mb),
-                                       (v, u, sb, sa, mb, ma)):
-                yield p, q, t - s, sl.d_S[i, j], ("leq-mismatch", (i, s), (j, t))
-
-    tau_defect, mismatched = product_image_defect(space, image_pairs(),
-                                                  tolerance)
+    image_list = list(images.values())
+    # pair number k of itertools.combinations(range(n), 2), drawn as a
+    # number so that the pairs are never listed: row a holds the pairs
+    # (a, b > a) from number first[a] on
+    n = len(keys)
+    n_all = n * (n - 1) // 2
+    numbers = np.array(random.Random(0).sample(range(n_all), MAX_PAIRS)
+                       if n_all > MAX_PAIRS else range(n_all), dtype=np.intp)
+    first = np.arange(n) * (2 * n - np.arange(n) - 1) // 2
+    a = np.searchsorted(first, numbers, side="right") - 1
+    b = numbers - first[a] + a + 1
+    # every pair in both orders, (a, b) then (b, a); image a sits at time
+    # knot knot[a] on the line of member[a]
+    src, dst = np.empty(2 * len(a), np.intp), np.empty(2 * len(a), np.intp)
+    src[0::2], src[1::2], dst[0::2], dst[1::2] = a, b, b, a
+    del numbers, a, b    # the pair arrays below set the peak memory
+    knot, member = np.array(keys, dtype=np.intp).reshape(-1, 2).T
+    times = np.array(time_knots, dtype=float)
+    tau_defect, mismatched = product_image_defect(
+        space, image_list, src, dst, times[knot[dst]] - times[knot[src]],
+        sl.d_S[member[src], member[dst]], tolerance)
+    for k in mismatched:
+        (ka, ma), (kb, mb) = keys[src[k]], keys[dst[k]]
+        witnesses.append(("leq-mismatch", (ma, time_knots[ka]),
+                          (mb, time_knots[kb])))
     mismatches = len(mismatched)
-    witnesses.extend(mismatched)
 
     if cover_sample is not None:
-        image_list = list(images.values())
-        for z in cover_sample:
-            if min(space.d(z, w) for w in image_list) > cover_radius:
-                bijective = False
-                witnesses.append(("uncovered", z))
+        uncovered = _uncovered(space, list(cover_sample), image_list,
+                               cover_radius)
+        bijective = bijective and not uncovered
+        witnesses.extend(("uncovered", z) for z in uncovered)
 
     return SplittingResult(sl, time_knots, images, tau_defect, mismatches,
-                           bijective, tuple(witnesses), 2 * len(all_pairs))
+                           bijective, tuple(witnesses), len(src))
+
+
+def _uncovered(space, sample, images, radius):
+    """The sample points farther than ``radius`` from every image, in sample
+    order.  Distances are screened as arrays, at most 2 * MAX_PAIRS at a
+    time.  ``d_array`` may differ from ``d`` in the last bit, so a point
+    with no screened distance clearly below the radius but one within a
+    relative 1e-12 of it (or NaN) is settled by ``min`` over ``space.d``."""
+    if sample and not images:
+        raise PreconditionError("no images to cover the sample with")
+    out = []
+    block = max(1, 2 * MAX_PAIRS // max(1, len(images)))
+    for start in range(0, len(sample), block):
+        zs = sample[start:start + block]
+        # row z, column w: d(z, w) over the points images + zs
+        zi = np.repeat(np.arange(len(images), len(images) + len(zs)),
+                       len(images))
+        wi = np.tile(np.arange(len(images)), len(zs))
+        dist = space.d_array(images + zs, zi, wi).reshape(len(zs), len(images))
+        with np.errstate(invalid="ignore"):
+            near = ~(np.abs(dist - radius)
+                     > 1e-12 * np.maximum(dist, abs(radius)))
+        below = (dist < radius) & ~near
+        for z, far, tie in zip(zs, ~below.any(axis=1), near.any(axis=1)):
+            if far and (not tie
+                        or min(space.d(z, w) for w in images) > radius):
+                out.append(z)
+    return out
 
 
 @dataclass(frozen=True)
@@ -270,31 +306,31 @@ def check_slice_alexandrov(sl: SpacelikeSlice, tol=1e-6,
     if not ok:
         raise PreconditionError(f"slice table is not a metric (defect {worst_metric})")
     d = sl.d_S
-
-    def angle(x, a, b):
-        da, db, dab = d[x, a], d[x, b], d[a, b]
-        if da <= EPS or db <= EPS:
-            return None
-        c = (da * da + db * db - dab * dab) / (2.0 * da * db)
-        return math.acos(min(1.0, max(-1.0, c)))
-
-    quads = [(x, trip) for x in range(n)
-             for trip in itertools.combinations(
-                 [i for i in range(n) if i != x], 3)]
-
     worst = -math.inf
     witness = None
-    skipped = 0
     count = 0
-    for x, (a, b, c) in quads:
-        angs = (angle(x, a, b), angle(x, b, c), angle(x, a, c))
-        if any(v is None for v in angs):
-            skipped += 1
-            continue
-        count += 1
-        excess = sum(angs) - 2.0 * math.pi
-        if excess > worst:
-            worst, witness = excess, (x, a, b, c)
+    for x in range(n):
+        others = [i for i in range(n) if i != x]
+        # comparison angle at x over each pair a < b of the others, rounded
+        # as the scalar law of cosines rounds it (a degenerate row gives
+        # NaN or inf here, and its quadruples are skipped below)
+        da, dab = d[x, others], d[np.ix_(others, others)]
+        with np.errstate(all="ignore"):
+            cos = ((da[:, None] * da[:, None] + da[None, :] * da[None, :])
+                   - dab * dab) / (2.0 * da[:, None] * da[None, :])
+        cos = np.where(cos > -1.0, cos, -1.0)    # max(-1.0, c): NaN gives -1
+        ang = np.where(cos < 1.0, cos, 1.0).tolist()
+        for a, row in enumerate(ang):
+            row[a + 1:] = map(math.acos, row[a + 1:])
+        # a quadruple is degenerate when x nearly meets one of its points
+        live = [k for k in range(len(others)) if not da[k] <= EPS]
+        for a, b, c in itertools.combinations(live, 3):
+            excess = ((ang[a][b] + ang[b][c]) + ang[a][c]) - 2.0 * math.pi
+            if excess > worst:
+                worst = excess
+                witness = (x, others[a], others[b], others[c])
+        count += math.comb(len(live), 3)
+    skipped = n * math.comb(n - 1, 3) - count
     if count == 0:
         raise PreconditionError("all quadruples degenerate")
     return SliceCurvatureReport(worst <= tol, worst, witness, count, skipped)

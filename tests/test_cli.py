@@ -77,8 +77,10 @@ def assert_one_line_exit_2(code, capsys):
     (lambda p: None, ["split", "--t-grid=-2:2:0"]),
     (lambda p: None, ["split", "--t-grid=2:-2:0.5"]),
     (lambda p: None, ["split", "--t-grid=nan:2:0.5"]),
+    (lambda p: None, ["split", "--t-grid=-2:2:1e-12"]),
 ], ids=["no-time-grid", "t-step-abc", "t-min-nan", "one-point-factor",
-        "factor-points-abc", "grid-two-fields", "grid-zero-step", "grid-reversed", "grid-nan"])
+        "factor-points-abc", "grid-two-fields", "grid-zero-step", "grid-reversed", "grid-nan",
+        "grid-step-below-t-step"])
 def test_malformed_space_or_grid_exit_2(edit, argv, tmp_path, capsys):
     path = tmp_path / "space.json"
     path.write_text(json.dumps(product_doc(edit)))
@@ -227,13 +229,31 @@ class TestAsymptoteCommand:
         assert report["verdicts"]["busemann_converged"] is False
 
 
-    @pytest.mark.parametrize("points", [[0, -1], [0, 1, 99], [0, "x"]])
+    @pytest.mark.parametrize("points", [[0, -1], [0, 1, 99], [0, "x"],
+                                        [0, 1.7], [0, True]])
     def test_bad_finite_chain_index_exit_2(self, points, tmp_path, capsys):
         path = tmp_path / "chain.json"
         path.write_text(json.dumps({"format_version": FORMAT_VERSION,
                                     "points": points}))
         code = main(["asymptote", golden("finite_diamond.json"),
                      "--line", str(path), "--from", "0"])
+        assert_one_line_exit_2(code, capsys)
+
+    @pytest.mark.parametrize("space,doc", [
+        ("finite_diamond.json", {"format_version": FORMAT_VERSION}),
+        ("product_segment.json", {"format_version": FORMAT_VERSION}),
+        ("product_segment.json", [["-1.0", "0.5"], ["1.0", "0.5"]]),
+        ("product_segment.json", {"points": [["-1.0", "0.5"], 5]}),
+        ("product_segment.json", {"points": [["-1.0", "0.5"], ["1.0"]]}),
+        ("product_segment.json",
+         {"points": [["-1.0", "0.5"], ["1.0", "0.5", "2.0"]]}),
+    ], ids=["finite-no-points", "product-no-points", "not-an-object",
+            "point-not-a-pair", "one-coordinate", "three-coordinates"])
+    def test_malformed_chain_exit_2(self, space, doc, tmp_path, capsys):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        code = main(["asymptote", golden(space), "--line", str(path),
+                     "--from", "0" if space.startswith("finite") else "0,0.5"])
         assert_one_line_exit_2(code, capsys)
 
 
