@@ -9,6 +9,7 @@ verdict, 2 I/O or parse trouble, 3 precondition violation.
 from __future__ import annotations
 
 import argparse
+import bisect
 import json
 import math
 import os
@@ -26,7 +27,7 @@ from .chains import CausalChain, maximize_tau
 from .comparison import UnrealizableError, test_curvature_lower0, \
     test_monotonicity_comparison
 from .asymptotics import (NotALineError, build_asymptote, busemann_value,
-                          line_from_chain)
+                          line_from_chain, line_point)
 from .splitting import build_splitting_map, extract_slice
 from . import sampling
 
@@ -170,6 +171,8 @@ def load_chain(path, space_kind, n_points=None):
     pts = doc.get("points") if isinstance(doc, dict) else None
     if not isinstance(pts, list):
         raise InputError(f"chain file {path} has no list of points")
+    if len(pts) < 2:
+        raise InputError(f"chain file {path} has fewer than two points")
     if space_kind == "finite":
         return CausalChain(tuple(_point_index(p, n_points) for p in pts))
     for p in pts:
@@ -214,6 +217,17 @@ def parse_point(raw, space):
         return (float(parts[0]), float(parts[1]))
     except (ValueError, IndexError):
         raise InputError(f"cannot parse point {raw!r}") from None
+
+
+def _parse_horizons(raw):
+    """The comma-separated ``--horizons`` list: finite reals."""
+    try:
+        horizons = [float(h) for h in raw.split(",")]
+    except ValueError:
+        raise InputError(f"--horizons {raw!r} is not a list of reals") from None
+    if not all(map(math.isfinite, horizons)):
+        raise InputError(f"--horizons {raw!r} has a non-finite entry")
+    return horizons
 
 
 class RunReport:
@@ -352,7 +366,7 @@ def cmd_asymptote(args):
     space, meta = load_space(args.path)
     line = _load_line(space, meta, args.line, args.tol_line)
     p = parse_point(args.src, space)
-    horizons = [float(h) for h in args.horizons.split(",")]
+    horizons = _parse_horizons(args.horizons)
     result = build_asymptote(space, line, p, args.direction, horizons)
     report.verdict("timelike", result.is_timelike)
     report.verdict("stabilized", result.stabilized)
@@ -389,7 +403,7 @@ def cmd_split(args):
         raise InputError(f"--t-grid step {step!r} is finer than the space's "
                          f"time step {space.t_step!r}")
     line = _load_line(space, meta, args.line, args.tol_line)
-    horizons = [float(h) for h in args.horizons.split(",")]
+    horizons = _parse_horizons(args.horizons)
     bus_bound = max((busemann_value(space, line, (0.0, q), horizons).error_bound
                      for q in space.factor.sample()[:: max(1, len(space.factor.sample()) // 5)]
                      if space.ll((0.0, q), line.point_at(horizons[0]))),
@@ -398,7 +412,9 @@ def cmd_split(args):
     seeds = [(0.0, q) for q in space.factor.sample()]
     sl = extract_slice(space, line, seeds, horizons, tolerance=tolerance,
                        knot_extent=args.knot_extent)
-    knots = [lo + step * k for k in range(int(round((hi - lo) / step)) + 1)]
+    n_knots = int(round((hi - lo) / step)) + 1
+    _check_knot_extent(space, sl.lines, lo, step, n_knots)
+    knots = [lo + step * k for k in range(n_knots)]
     cover_radius = 0.5 * step + 2.0 * space.mesh
     covered = [z for z in space.sample_points()
                if lo - 0.5 * step <= z[0] <= hi + 0.5 * step]
@@ -433,6 +449,27 @@ def cmd_split(args):
         _atomic_write(args.plot_svg, _slice_scatter_svg(sl))
     report.emit()
     return 0 if result.verified else 1
+
+
+def _check_knot_extent(space, lines, lo, step, n_knots):
+    """Raise what ``build_splitting_map`` raises on the first knot
+    ``lo + step * k`` (k < n_knots) that some line does not reach, without
+    listing the knots.  Each line reaches one interval of parameters and the
+    knots increase, so the knots every line reaches are one run; when knot 0
+    is in it, the first knot past it is found by bisection."""
+    def reached(k):
+        try:
+            for line in lines:
+                line_point(space, line, lo + step * k)
+        except PreconditionError:
+            return False
+        return True
+
+    first = bisect.bisect_left(range(n_knots), True,
+                               key=lambda k: not reached(k)) if reached(0) else 0
+    if first < n_knots:
+        for line in lines:
+            line_point(space, line, lo + step * first)
 
 
 def _slice_scatter_svg(sl, size=360, pad=20):

@@ -14,7 +14,7 @@ import numpy as np
 from .core import FiniteLorentzSpace
 from .chains import CausalChain
 from .comparison import Leg, SpaceTriangle
-from .models import ProductSpace, tau_minkowski
+from .models import ProductSpace, _product_tau_array
 
 
 def sprinkle_points(n, seed):
@@ -28,27 +28,36 @@ def sprinkle_causal_set(n, seed, weighted=True) -> FiniteLorentzSpace:
     order.  With ``weighted`` the separations of related pairs are drawn
     uniformly (a pure longest-chain instance, not required to satisfy the
     reverse triangle inequality); otherwise the flat separations are kept
-    and every axiom holds."""
-    pts = sprinkle_points(n, seed)
+    and every axiom holds.
+
+    The tables are built one row at a time, so no temporary exceeds one
+    n x n table.  Distances use ``math.hypot`` (``np.hypot`` can differ in
+    the last bit) on the upper triangle only, as ``hypot(-a, -b)`` equals
+    ``hypot(a, b)``; weights are drawn one per timelike pair in row-major
+    order, as ``rng.uniform(0.05, 2.0)`` would draw them."""
+    pts = np.array(sprinkle_points(n, seed), dtype=float).reshape(n, 2)
+    t, x = pts[:, 0], pts[:, 1]
     rng = random.Random(seed + 10_000)
     d = np.zeros((n, n))
     leq = np.zeros((n, n), dtype=bool)
     ll = np.zeros((n, n), dtype=bool)
     tau = np.zeros((n, n))
-    for i, p in enumerate(pts):
-        leq[i, i] = True
-        for j, q in enumerate(pts):
-            if i == j:
-                continue
-            d[i, j] = max(math.hypot(q[0] - p[0], q[1] - p[1]), 1e-6)
-            if q[0] - p[0] >= abs(q[1] - p[1]) and q != p:
-                leq[i, j] = True
-                ll[i, j] = q[0] - p[0] > abs(q[1] - p[1])
-                if ll[i, j]:
-                    tau[i, j] = rng.uniform(0.05, 2.0) if weighted \
-                        else tau_minkowski(p, q)
-    # symmetrize d deterministically
-    d = np.maximum(d, d.T)
+    for i in range(n):
+        dt, dxs = t - t[i], x - x[i]
+        dx = np.abs(dxs)
+        leq[i] = (dt >= dx) & ~((dt == 0) & (dxs == 0))
+        ll[i] = leq[i] & (dt > dx)
+        d[i, i + 1:] = list(map(math.hypot, dt[i + 1:].tolist(),
+                                dxs[i + 1:].tolist()))
+        hits = ll[i]
+        if weighted:
+            r = np.array([rng.random() for _ in range(np.count_nonzero(hits))])
+            tau[i, hits] = 0.05 + (2.0 - 0.05) * r
+        else:
+            tau[i, hits] = _product_tau_array(dt[hits], dx[hits])
+    np.fill_diagonal(leq, True)
+    d = d + d.T
+    np.maximum(d, 1e-6, out=d)
     np.fill_diagonal(d, 0.0)
     return FiniteLorentzSpace(d, leq, ll, tau)
 

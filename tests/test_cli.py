@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,13 @@ GOLDEN = os.path.join(ROOT, "docs", "golden")
 
 def golden(name):
     return os.path.join(GOLDEN, name)
+
+
+def src_env(**extra):
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for
+    subprocesses."""
+    path = filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(path), **extra}
 
 
 def run_cli(args, capsys):
@@ -247,13 +255,30 @@ class TestAsymptoteCommand:
         ("product_segment.json", {"points": [["-1.0", "0.5"], ["1.0"]]}),
         ("product_segment.json",
          {"points": [["-1.0", "0.5"], ["1.0", "0.5", "2.0"]]}),
+        ("finite_diamond.json", {"points": []}),
+        ("finite_diamond.json", {"points": [0]}),
+        ("product_segment.json", {"points": []}),
+        ("product_segment.json", {"points": [["-1.0", "0.5"]]}),
     ], ids=["finite-no-points", "product-no-points", "not-an-object",
-            "point-not-a-pair", "one-coordinate", "three-coordinates"])
+            "point-not-a-pair", "one-coordinate", "three-coordinates",
+            "finite-empty", "finite-one-point", "product-empty",
+            "product-one-point"])
     def test_malformed_chain_exit_2(self, space, doc, tmp_path, capsys):
         path = tmp_path / "chain.json"
         path.write_text(json.dumps(doc))
         code = main(["asymptote", golden(space), "--line", str(path),
                      "--from", "0" if space.startswith("finite") else "0,0.5"])
+        assert_one_line_exit_2(code, capsys)
+
+    @pytest.mark.parametrize("command", ["asymptote", "split"])
+    @pytest.mark.parametrize("horizons", ["2,x", "x", "", "2,,4", "2,nan",
+                                          "inf", "2,-inf"])
+    def test_unparsable_horizons_exit_2(self, command, horizons, capsys):
+        argv = [command, golden("product_segment.json"),
+                "--line", golden("product_vertical_line.json"),
+                f"--horizons={horizons}"]
+        code = main(argv + (["--from", "0,0.5"] if command == "asymptote"
+                            else []))
         assert_one_line_exit_2(code, capsys)
 
 
@@ -291,6 +316,38 @@ class TestSplitCommand:
                      "--line", str(path), "--t-grid=-1:1:0.5"])
         assert code == 1
 
+    @pytest.mark.parametrize("grid,param", [("-2:10:0.5", "2.5"),
+                                            ("-1e6:1e6:1", "-1000000.0")])
+    def test_knot_outside_line_exit_3(self, grid, param, capsys):
+        code = main(["split", golden("product_segment.json"),
+                     "--line", golden("product_vertical_line.json"),
+                     f"--t-grid={grid}"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == \
+            f"precondition: parameter {param} outside the line extent\n"
+
+    @pytest.mark.parametrize("grid,param", [("-1e12:1e12:1", "-1000000000000.0"),
+                                            ("-2:1e12:1", "3.0")])
+    def test_wide_grid_refused_without_listing_knots(self, grid, param):
+        # about 1e12 knots: listing them would run into the memory cap
+        limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, " \
+                "(1 << 31, 1 << 31)); "
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             limit + "import sys; from lorentz_lab.cli import main; "
+             "sys.exit(main(sys.argv[1:]))",
+             "split", golden("product_segment.json"),
+             "--line", golden("product_vertical_line.json"),
+             f"--t-grid={grid}"],
+            capture_output=True, text=True,
+            env=src_env(OPENBLAS_NUM_THREADS="1"), timeout=60)
+        assert proc.returncode == 3
+        assert proc.stderr == \
+            f"precondition: parameter {param} outside the line extent\n"
+        assert time.perf_counter() - start < 10.0
+
 
 class TestReproducibility:
     def test_reports_identical_up_to_wall_time(self, capsys):
@@ -308,16 +365,14 @@ class TestReproducibility:
         proc = subprocess.run(
             [sys.executable, "-m", "lorentz_lab.cli", "validate",
              golden("finite_diamond.json")],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0
 
 
 def test_experiment_scripts_run():
-    path = filter(None, [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     for script in ("busemann_convergence.py", "curvature_scan.py",
                    "splitting_demo.py"):
         proc = subprocess.run(
             [sys.executable, os.path.join(ROOT, "scripts", script)],
-            capture_output=True, text=True, env=env)
+            capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0, (script, proc.stderr)

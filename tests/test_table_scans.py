@@ -2,10 +2,10 @@
 replaced.
 
 The loops below are the former implementations of ``validate_axioms``,
-``_check_causal``, ``_topological_order``, ``finite_triangles`` and
-``SpacelikeSlice.validate_metric``, kept as oracles: each array scan must
-give the same verdicts, the same first witnesses, the same errors and the
-same values, bit for bit.
+``_check_causal``, ``_topological_order``, ``finite_triangles``,
+``SpacelikeSlice.validate_metric`` and ``sprinkle_causal_set``, kept as
+oracles: each array scan must give the same verdicts, the same first
+witnesses, the same errors and the same values, bit for bit.
 """
 
 import math
@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lorentz_lab import chains
+from lorentz_lab import chains, sampling
 from lorentz_lab.chains import maximize_tau
 from lorentz_lab.comparison import SpaceTriangle
 from lorentz_lab.core import (EPS, AxiomCheck, FiniteLorentzSpace,
                               PreconditionError, ValidationReport,
                               validate_axioms)
+from lorentz_lab.models import tau_minkowski
 from lorentz_lab.sampling import (finite_triangles, flat_finite_space,
                                   sprinkle_causal_set)
 from lorentz_lab.splitting import slice_from_table
@@ -231,6 +232,32 @@ def validate_metric_loops(d, tol):
             for k in range(n):
                 worst = max(worst, d[i, k] - d[i, j] - d[j, k])
     return worst <= tol, worst
+
+
+def sprinkle_causal_set_loops(n, seed, weighted=True):
+    # points through the module, so that a test can plant its own
+    pts = sampling.sprinkle_points(n, seed)
+    rng = random.Random(seed + 10_000)
+    d = np.zeros((n, n))
+    leq = np.zeros((n, n), dtype=bool)
+    ll = np.zeros((n, n), dtype=bool)
+    tau = np.zeros((n, n))
+    for i, p in enumerate(pts):
+        leq[i, i] = True
+        for j, q in enumerate(pts):
+            if i == j:
+                continue
+            d[i, j] = max(math.hypot(q[0] - p[0], q[1] - p[1]), 1e-6)
+            if q[0] - p[0] >= abs(q[1] - p[1]) and q != p:
+                leq[i, j] = True
+                ll[i, j] = q[0] - p[0] > abs(q[1] - p[1])
+                if ll[i, j]:
+                    tau[i, j] = rng.uniform(0.05, 2.0) if weighted \
+                        else tau_minkowski(p, q)
+    # symmetrize d deterministically
+    d = np.maximum(d, d.T)
+    np.fill_diagonal(d, 0.0)
+    return FiniteLorentzSpace(d, leq, ll, tau)
 
 
 def outcome(fn, *args):
@@ -458,3 +485,44 @@ class TestMetricDefectMatchesLoops:
         d = np.array(entries)
         got = slice_from_table(range(len(d)), d).validate_metric(EPS)
         assert got == validate_metric_loops(d, EPS)
+
+
+# ---------------------------------------------------------------------------
+# sprinkle_causal_set
+
+
+def table_bytes(space):
+    return [(a.dtype, a.shape, a.tobytes())
+            for a in (space._d, space._leq, space._ll, space._tau)]
+
+
+# coordinates on a coarse grid, so that coincident points, equal times and
+# exact light-cone ties (0.3 - 0.1 against 0.2 included) all occur
+GRID = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.1, 0.2, 0.3, 0.5, 1.0])
+
+
+class TestSprinkleMatchesLoop:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 40), seed=SEEDS, weighted=st.booleans())
+    def test_sprinkles(self, n, seed, weighted):
+        assert table_bytes(sprinkle_causal_set(n, seed, weighted)) == \
+            table_bytes(sprinkle_causal_set_loops(n, seed, weighted))
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_two_hundred_points(self, weighted):
+        assert table_bytes(sprinkle_causal_set(200, 5, weighted)) == \
+            table_bytes(sprinkle_causal_set_loops(200, 5, weighted))
+
+    def test_flat_finite_space(self):
+        assert table_bytes(flat_finite_space(60, 11)) == \
+            table_bytes(sprinkle_causal_set_loops(60, 11, weighted=False))
+
+    @settings(max_examples=80, deadline=None)
+    @given(pts=st.lists(st.tuples(GRID, GRID), max_size=14), seed=SEEDS,
+           weighted=st.booleans())
+    def test_planted_ties(self, pts, seed, weighted):
+        with mock.patch.object(sampling, "sprinkle_points",
+                               lambda n, seed: pts):
+            got = sprinkle_causal_set(len(pts), seed, weighted)
+            want = sprinkle_causal_set_loops(len(pts), seed, weighted)
+        assert table_bytes(got) == table_bytes(want)
