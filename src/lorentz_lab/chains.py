@@ -5,7 +5,7 @@ related.  Its time-separation length is the sum over consecutive pairs; by
 the reverse triangle inequality that sum never exceeds the endpoint
 separation, and maximizing chains are those attaining it.  The chain
 optimizer below computes the exact longest-chain value over a finite causal
-table by dynamic programming; an exhaustive enumerator serves as its oracle.
+table by dynamic programming.
 """
 
 from __future__ import annotations
@@ -18,8 +18,6 @@ import numpy as np
 
 from .core import (EPS, FiniteLorentzSpace, LorentzQuery, PreconditionError,
                    _first)
-
-BRUTE_FORCE_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -96,23 +94,37 @@ def _check_causal(space: FiniteLorentzSpace):
 
 
 def _topological_order(space: FiniteLorentzSpace):
-    # strict relation is a DAG once antisymmetry holds; Kahn's algorithm,
-    # always taking the smallest ready vertex
+    """Kahn's order of the strict relation (a DAG once antisymmetry holds),
+    always taking the smallest ready vertex, with the successor lists packed
+    into one array (4 bytes per relation): the successors of v, in
+    increasing order, are ``targets[start[v]:start[v + 1]]``."""
     strict = space.leq_table() & ~np.eye(space.n, dtype=bool)
-    succ = [np.flatnonzero(row).tolist() for row in strict]
+    rows, targets = np.nonzero(strict)
+    start = np.searchsorted(rows, np.arange(space.n + 1)).tolist()
+    targets = targets.astype(np.int32)
     indeg = strict.sum(axis=0).tolist()
     ready = [i for i in range(space.n) if indeg[i] == 0]  # sorted, so a heap
     order = []
     while ready:
         i = heapq.heappop(ready)
         order.append(i)
-        for j in succ[i]:
+        for j in targets[start[i]:start[i + 1]].tolist():
             indeg[j] -= 1
             if indeg[j] == 0:
                 heapq.heappush(ready, j)
     if len(order) != space.n:
         raise PreconditionError("non-causal space: leq is cyclic")
-    return order, succ
+    return order, start, targets
+
+
+def _causal_order(space: FiniteLorentzSpace):
+    """``_check_causal`` and ``_topological_order`` of a finite space, run
+    on its first maximization and kept on the instance: its tables are
+    read-only, so the order never changes."""
+    if space._causal_order is None:
+        _check_causal(space)
+        space._causal_order = _topological_order(space)
+    return space._causal_order
 
 
 def maximize_tau(space: FiniteLorentzSpace, source: int, target: int) -> MaximizerResult:
@@ -127,9 +139,11 @@ def maximize_tau(space: FiniteLorentzSpace, source: int, target: int) -> Maximiz
         raise PreconditionError("endpoints must be distinct")
     if not space.leq(source, target):
         raise PreconditionError(f"points {source} and {target} are not related")
-    _check_causal(space)
+    order, start, targets = _causal_order(space)
 
-    order, succ = _topological_order(space)
+    def successors(v):
+        return targets[start[v]:start[v + 1]].tolist()
+
     # best[v]: longest chain value from v to target, counting chains
     best = {target: 0.0}
     ways = {target: 1}
@@ -138,7 +152,7 @@ def maximize_tau(space: FiniteLorentzSpace, source: int, target: int) -> Maximiz
             continue
         b = -math.inf
         w = 0
-        for u in succ[v]:
+        for u in successors(v):
             if u not in best:
                 continue
             cand = space.tau(v, u) + best[u]
@@ -155,7 +169,7 @@ def maximize_tau(space: FiniteLorentzSpace, source: int, target: int) -> Maximiz
     v = source
     remaining = value
     while v != target:
-        for u in sorted(succ[v]):
+        for u in successors(v):
             if u in best and abs(space.tau(v, u) + best[u] - remaining) <= EPS * (1 + len(chain)):
                 chain.append(u)
                 remaining -= space.tau(v, u)
@@ -164,31 +178,6 @@ def maximize_tau(space: FiniteLorentzSpace, source: int, target: int) -> Maximiz
         else:
             raise AssertionError("optimal chain reconstruction failed")
     return MaximizerResult(value, CausalChain(tuple(chain)), ways[source])
-
-
-def brute_force_tau(space: FiniteLorentzSpace, source: int, target: int) -> float:
-    """Oracle for maximize_tau: exhaustive enumeration of every causal chain
-    from source to target.  Refuses spaces with more than 20 points."""
-    if space.n > BRUTE_FORCE_LIMIT:
-        raise PreconditionError(
-            f"brute force limited to {BRUTE_FORCE_LIMIT} points, got {space.n}")
-    if not space.leq(source, target):
-        raise PreconditionError(f"points {source} and {target} are not related")
-    _check_causal(space)
-
-    best = -math.inf
-
-    def walk(v, acc):
-        nonlocal best
-        if v == target:
-            best = max(best, acc)
-            return
-        for u in range(space.n):
-            if u != v and space.leq(v, u) and space.leq(u, target):
-                walk(u, acc + space.tau(v, u))
-
-    walk(source, 0.0)
-    return best
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,10 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import EPS, FiniteLorentzSpace, PreconditionError
-from .models import tau_minkowski
+from .models import _product_tau_array, tau_minkowski
 from . import chains as _chains
 
 
@@ -37,6 +39,13 @@ def _acosh1p(u: float) -> float:
             raise UnrealizableError(f"cosh(omega) - 1 = {u} < 0")
         u = 0.0
     return math.log1p(u + math.sqrt(u * (u + 2.0)))
+
+
+def _ordered(config):
+    order = [int(c) for c in config]
+    if order[0] > order[2]:
+        order.reverse()
+    return tuple(order)
 
 
 @dataclass(frozen=True)
@@ -74,10 +83,7 @@ class SideTriple:
     def ordered(self):
         """Vertex labels bottom-to-top in the causal order, canonicalizing
         time reversal."""
-        order = [int(c) for c in self.config]
-        if order[0] > order[2]:
-            order.reverse()
-        return tuple(order)
+        return _ordered(self.config)
 
     def check_size_bounds(self):
         b, m, t = self.ordered()
@@ -123,6 +129,34 @@ def solve_angle(sides: SideTriple) -> SignedAngle:
         gap = abs(a - b)
         u = (gap - c) * (gap + c) / (2.0 * a * b)
     return SignedAngle(_acosh1p(u), sides.sigma)
+
+
+def solve_angles(a12, a23, a13, config):
+    """Array form of ``solve_angle`` for one configuration (one of the six
+    orders of "123"): the angle omega at x2 of each side triple
+    (a12[k], a23[k], a13[k]), NaN where ``solve_angle`` raises.  Equal to
+    ``solve_angle(...).omega`` bit for bit: the same expressions evaluated
+    elementwise, then ``math.log1p`` on each element, since ``np.log1p``
+    can round differently."""
+    if sorted(config) != ["1", "2", "3"]:
+        raise PreconditionError(f"bad configuration {config!r}")
+    a, b, c = (np.asarray(v, dtype=float) for v in (a12, a23, a13))
+    side = {(1, 2): a, (2, 3): b, (1, 3): c}
+    lo, mid, hi = _ordered(config)
+    lng, s1, s2 = (side[min(e), max(e)] for e in ((lo, hi), (lo, mid), (mid, hi)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if config[1] == "2":
+            u = (c - (a + b)) * (c + a + b) / (2.0 * a * b)
+        else:
+            gap = np.abs(a - b)
+            u = (gap - c) * (gap + c) / (2.0 * a * b)
+        raises = ((a <= 0.0) | (b <= 0.0) | (c <= 0.0) | (lng + EPS < s1 + s2)
+                  | (u < -1e-12))
+        u = np.where(u < 0.0, 0.0, u)
+        w = u + np.sqrt(u * (u + 2.0))
+    omega = np.array([math.log1p(v) for v in w.ravel().tolist()]).reshape(w.shape)
+    omega[raises] = np.nan
+    return omega
 
 
 # ---------------------------------------------------------------------------
@@ -288,18 +322,25 @@ def test_curvature_lower0(space, triangles, pairs_per_triangle=8, mode="lower",
     For every sampled on-triangle pair (p, q) the lower-bound mode demands
     tau(p, q) <= taubar(pbar, qbar) + tol; the upper-bound mode reverses the
     inequality.  The worst signed defect tau - taubar and its witness are
-    reported.
+    reported.  Every triangle must lie in ``space``: the separations of all
+    pairs, in both directions, come from one ``space.tau_array`` call.
     """
     if mode not in ("lower", "upper"):
         raise PreconditionError(f"unknown mode {mode!r}")
     rng = random.Random(seed)
-    lo, hi = math.inf, -math.inf
-    witness_lo = witness_hi = None
-    n_pairs = 0
+    points = []
+    ends = []        # per point: planted side endpoints, side length, parameter
+    witnesses = []   # per sampled pair
     n_tris = 0
     for tidx, tri in enumerate(triangles):
+        if tri.space is not space:
+            raise PreconditionError(f"triangle {tidx} lies in another space")
         n_tris += 1
         planted = realize_triangle(tri.side_triple())
+        planted_sides = {}
+        for side in SpaceTriangle.SIDES:
+            (a0, a1), (b0, b1) = planted._side_endpoints(*side)
+            planted_sides[side] = (a0, a1, b0, b1, planted.sides.side(*side))
         if pair_sampler is not None:
             pair_list = pair_sampler(rng, tri)
         else:
@@ -310,23 +351,35 @@ def test_curvature_lower0(space, triangles, pairs_per_triangle=8, mode="lower",
                 pair_list.append(((sa, tri.sides[sa].sample_params(rng)),
                                   (sb, tri.sides[sb].sample_params(rng))))
         for (sa, pa), (sb, pb) in pair_list:
-            p = tri.point_at(sa, pa)
-            q = tri.point_at(sb, pb)
-            pbar = planted.point_on_side(*sa, pa)
-            qbar = planted.point_on_side(*sb, pb)
-            for u, v, ub, vb in ((p, q, pbar, qbar), (q, p, qbar, pbar)):
-                defect = tri.space.tau(u, v) - tau_minkowski(ub, vb)
-                n_pairs += 1
-                if defect > hi:
-                    hi, witness_hi = defect, (tidx, (sa, pa), (sb, pb))
-                if defect < lo:
-                    lo, witness_lo = defect, (tidx, (sa, pa), (sb, pb))
+            points += (tri.point_at(sa, pa), tri.point_at(sb, pb))
+            ends += (planted_sides[sa] + (pa,), planted_sides[sb] + (pb,))
+            witnesses.append((tidx, (sa, pa), (sb, pb)))
+    n_pairs = len(points)   # each sampled pair in both directions
     if n_pairs == 0:
         raise PreconditionError("no on-triangle pairs sampled")
+
+    # planted images as ComparisonTriangle.point_on_side computes them
+    a0, a1, b0, b1, total, param = np.array(ends, dtype=float).T
+    outside = (param < -EPS) | (param > total + EPS)
+    if outside.any():
+        k = int(np.argmax(outside))
+        raise PreconditionError(
+            f"parameter {ends[k][5]} outside side of length {ends[k][4]}")
+    lam = np.minimum(np.maximum(param / total, 0.0), 1.0)
+    bar_t = a0 + lam * (b0 - a0)
+    bar_x = a1 + lam * (b1 - a1)
+    # entry 2k is (p, q) of pair k, entry 2k + 1 is (q, p)
+    i = np.arange(n_pairs)
+    j = i ^ 1
+    defect = space.tau_array(points, i, j) - _product_tau_array(
+        bar_t[j] - bar_t[i], np.abs(bar_x[j] - bar_x[i]))
+    # the first extreme, as a strict comparison in a loop picks it
+    k_lo, k_hi = int(np.argmin(defect)), int(np.argmax(defect))
+    lo, hi = float(defect[k_lo]), float(defect[k_hi])
     if mode == "lower":
-        return CurvatureReport("lower", hi <= tol, hi, witness_hi,
+        return CurvatureReport("lower", hi <= tol, hi, witnesses[k_hi // 2],
                                n_tris, n_pairs, lo, hi)
-    return CurvatureReport("upper", -lo <= tol, lo, witness_lo,
+    return CurvatureReport("upper", -lo <= tol, lo, witnesses[k_lo // 2],
                            n_tris, n_pairs, lo, hi)
 
 
@@ -439,17 +492,27 @@ def test_monotonicity_comparison(space, leg_a, leg_b, sense="lower",
         raise PreconditionError(f"unknown sense {sense!r}")
     svals = leg_a.param_grid(8)
     tvals = leg_b.param_grid(8)
-    theta = {}
-    skipped = 0
-    for s in svals:
-        for t in tvals:
-            try:
-                ang = hinge_angle(space, leg_a, leg_b, s, t)
-            except UnrealizableError:
-                skipped += 1
-                continue
-            if ang is not None:
-                theta[(s, t)] = ang.signed
+    ns, nt = len(svals), len(tvals)
+    # each leg point once; entry [k, m] pairs leg-a point k with leg-b point m
+    points = [leg_a.point_at(s) for s in svals] + [leg_b.point_at(t) for t in tvals]
+    i, j = np.divmod(np.arange(ns * nt), nt)
+    j += ns
+    tpq = space.tau_array(points, i, j).reshape(ns, nt)
+    cross = np.maximum(tpq, space.tau_array(points, j, i).reshape(ns, nt))
+    s_grid = np.broadcast_to(np.array(svals, dtype=float)[:, None], (ns, nt))
+    t_grid = np.broadcast_to(np.array(tvals, dtype=float)[None, :], (ns, nt))
+    # hinge_angle per pair: undefined unless timelike related, NaN where
+    # solve_angle raises (such pairs are left out like undefined ones)
+    signed = np.full((ns, nt), np.nan)
+    for a_first in (True, False):
+        config = _hinge_config(leg_a.direction, leg_b.direction, a_first)
+        sigma = 1 if config[1] == "2" else -1
+        on = (cross > 0.0) & ((tpq > 0.0) == a_first)
+        signed[on] = sigma * solve_angles(s_grid[on], t_grid[on], cross[on],
+                                          config)
+    theta = {(s, t): val
+             for s, row in zip(svals, signed.tolist())
+             for t, val in zip(tvals, row) if not math.isnan(val)}
     if not theta:
         raise PreconditionError("no timelike related parameter pairs on the grid")
 
@@ -477,6 +540,9 @@ def test_monotonicity_comparison(space, leg_a, leg_b, sense="lower",
 
     warnings = 0
     if sense == "upper":
+        row = {s: k for k, s in enumerate(svals)}
+        col = {t: m for m, t in enumerate(tvals)}
+        tpq, cross = tpq.tolist(), cross.tolist()
         for s2 in svals:
             for t2 in tvals:
                 if (s2, t2) in theta:
@@ -487,12 +553,11 @@ def test_monotonicity_comparison(space, leg_a, leg_b, sense="lower",
                 if not dominating:
                     continue
                 s, t = dominating[0]
-                p, q = leg_a.point_at(s), leg_b.point_at(t)
-                tpq = space.tau(p, q)
-                cross = max(tpq, space.tau(q, p))
+                k, m = row[s], col[t]
                 tri = realize_triangle(SideTriple(
-                    s, t, cross,
-                    _hinge_config(leg_a.direction, leg_b.direction, tpq > 0.0)))
+                    s, t, cross[k][m],
+                    _hinge_config(leg_a.direction, leg_b.direction,
+                                  tpq[k][m] > 0.0)))
                 if _planted_pair_related(tri, leg_a.direction,
                                          leg_b.direction, s2, t2):
                     warnings += 1

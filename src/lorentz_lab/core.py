@@ -63,6 +63,9 @@ class LorentzQuery:
     def leq_array(self, points, i, j):
         raise NotImplementedError
 
+    def ll_array(self, points, i, j):
+        raise NotImplementedError
+
     def d_array(self, points, i, j):
         """Array form of ``d``; unlike the others it may differ from the
         scalar form in the last bit (``np.hypot`` is not ``math.hypot``), so
@@ -98,6 +101,9 @@ class FiniteLorentzSpace(LorentzQuery):
             raise StructuralError("NaN entries are not permitted")
         for a in (self._d, self._leq, self._ll, self._tau):
             a.setflags(write=False)
+        # topological order and successors of leq, filled in by the chain
+        # optimizer on first use
+        self._causal_order = None
 
     def sample_points(self):
         return range(self.n)
@@ -124,6 +130,9 @@ class FiniteLorentzSpace(LorentzQuery):
 
     def leq_array(self, points, i, j):
         return self._gather(self._leq, points, i, j)
+
+    def ll_array(self, points, i, j):
+        return self._gather(self._ll, points, i, j)
 
     def d_array(self, points, i, j):
         return self._gather(self._d, points, i, j)
@@ -244,19 +253,27 @@ class PushupReport:
 def check_pushup(space: LorentzQuery, sample) -> PushupReport:
     """Verify the push-up rules on all ordered triples of the sample:
     a timelike step followed by a causal one (or vice versa) must compose to
-    a timelike relation.  An empty sample passes vacuously."""
+    a timelike relation.  An empty sample passes vacuously.
+
+    The sample's n x n relation tables are gathered once and scanned one
+    first point x at a time (n² memory per step).  Violations are listed in
+    (x, y, z) order, "ll-leq" before "leq-ll" for the same triple."""
     pts = list(sample)
+    n = len(pts)
+    i, j = np.divmod(np.arange(n * n), n)
+    leq = space.leq_array(pts, i, j).reshape(n, n)
+    ll = space.ll_array(pts, i, j).reshape(n, n)
     violations = []
-    count = 0
-    for x in pts:
-        for y in pts:
-            for z in pts:
-                count += 1
-                if space.ll(x, y) and space.leq(y, z) and not space.ll(x, z):
-                    violations.append(("ll-leq", x, y, z))
-                if space.leq(x, y) and space.ll(y, z) and not space.ll(x, z):
-                    violations.append(("leq-ll", x, y, z))
-    return PushupReport(count, tuple(violations))
+    for x in range(n):
+        # [y, z] of x: x << y <= z (or x <= y << z) without x << z
+        ll_leq = ll[x, :, None] & leq & ~ll[x, None, :]
+        leq_ll = leq[x, :, None] & ll & ~ll[x, None, :]
+        for y, z in np.argwhere(ll_leq | leq_ll).tolist():
+            if ll_leq[y, z]:
+                violations.append(("ll-leq", pts[x], pts[y], pts[z]))
+            if leq_ll[y, z]:
+                violations.append(("leq-ll", pts[x], pts[y], pts[z]))
+    return PushupReport(n ** 3, tuple(violations))
 
 
 @dataclass(frozen=True)

@@ -287,6 +287,10 @@ class ProductSpace(LorentzQuery):
         dt, dist = self._dt_dist(points, i, j)
         return dt >= dist
 
+    def ll_array(self, points, i, j):
+        dt, dist = self._dt_dist(points, i, j)
+        return dt > dist
+
     def tau_array(self, points, i, j):
         return _product_tau_array(*self._dt_dist(points, i, j))
 
@@ -409,12 +413,39 @@ class GlobalHyperbolicityReport:
     worst_excess: float
 
 
+def _grid_diamond(space: ProductSpace, knots, sample, p, q, strict=False):
+    """Mask over the grid ``knots x sample`` (row-major, as
+    ``sample_points`` lists it) of the points r with p <= r <= q, or
+    p << r << q when ``strict``, together with the factor distances from p's
+    point to each sample point.  Distances are taken in the scalar argument
+    order, once per sample point, so the mask holds len(knots) x len(sample)
+    entries."""
+    dp = _factor_distances(space.factor, p[1], sample)
+    dq = _factor_distances(space.factor, q[1], sample, to_point=True)
+    cmp = np.greater if strict else np.greater_equal
+    s = knots[:, None]
+    return cmp(s - p[0], dp) & cmp(q[0] - s, dq), dp
+
+
+def _factor_distances(factor: MetricFactor, a, sample, to_point=False):
+    """``factor.distance(a, y)`` for each sample point y, or
+    ``distance(y, a)`` when ``to_point``, as an array."""
+    ends = np.arange(1, len(sample) + 1)
+    base = np.zeros_like(ends)
+    pts = [a, *sample]
+    if to_point:
+        return factor.distance_array(pts, ends, base)
+    return factor.distance_array(pts, base, ends)
+
+
 def check_product_glob_hyp(space: ProductSpace, diamond_pairs) -> GlobalHyperbolicityReport:
     """Check the product characterisation of global hyperbolicity at sample
     scale: the factor passes the properness scan iff sampled causal diamonds
     satisfy the explicit slab-and-ball bound [r,t] x closed ball of radius
     2|r| + 2|t| around the base factor point."""
     proper = factor_properness_scan(space.factor)
+    knots = np.array(space.time_knots())
+    sample = space.factor.sample()
     bounded = True
     worst = 0.0
     for p, q in diamond_pairs:
@@ -422,16 +453,19 @@ def check_product_glob_hyp(space: ProductSpace, diamond_pairs) -> GlobalHyperbol
             continue
         r, t = p[0], q[0]
         radius = 2.0 * abs(r) + 2.0 * abs(t)
-        for (s, y) in space.sample_points():
-            if not (space.leq(p, (s, y)) and space.leq((s, y), q)):
-                continue
-            if s < r - EPS or s > t + EPS:
-                bounded = False
-                worst = max(worst, max(r - s, s - t))
-            excess = space.factor.distance(p[1], y) - radius
-            if excess > EPS:
-                bounded = False
-                worst = max(worst, excess)
+        inside, dp = _grid_diamond(space, knots, sample, p, q)
+        rows, cols = np.nonzero(inside)
+        s = knots[rows]
+        slab = (s < r - EPS) | (s > t + EPS)
+        excess = dp[cols] - radius
+        ball = excess > EPS
+        if slab.any() or ball.any():
+            bounded = False
+            # every value taken is positive, so the order of the maxima
+            # does not matter
+            worst = max(worst,
+                        float(np.maximum(r - s, s - t)[slab].max(initial=0.0)),
+                        float(excess[ball].max(initial=0.0)))
     return GlobalHyperbolicityReport(proper, bounded, proper == bounded, worst)
 
 
@@ -448,9 +482,10 @@ def check_diamond_basis(space: ProductSpace, t_lo, t_hi, center, radius, witness
     eps = min(b - t_lo, t_hi - b, radius - dxy)
     if eps <= EPS:
         raise PreconditionError("degenerate construction: empty diamond")
-    p, q = (b - eps, y), (b + eps, y)
-    for (s, z) in space.sample_points():
-        if space.ll(p, (s, z)) and space.ll((s, z), q):
-            if not (t_lo < s < t_hi and space.factor.distance(center, z) < radius):
-                return False
-    return True
+    knots = np.array(space.time_knots())
+    sample = space.factor.sample()
+    inside, _ = _grid_diamond(space, knots, sample, (b - eps, y), (b + eps, y),
+                              strict=True)
+    in_set = (((t_lo < knots) & (knots < t_hi))[:, None]
+              & (_factor_distances(space.factor, center, sample) < radius))
+    return not (inside & ~in_set).any()

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from lorentz_lab.core import FiniteLorentzSpace
+from lorentz_lab.chains import _check_causal
+from lorentz_lab.core import FiniteLorentzSpace, PreconditionError
 from lorentz_lab.models import EuclideanSegment, ProductSpace, minkowski_space
 from lorentz_lab.asymptotics import vertical_line
 
@@ -40,6 +41,34 @@ def mink_gamma(mink):
 @pytest.fixture(scope="session")
 def parallel_tolerance(segment_product):
     return 3.0 * (segment_product.mesh + BUSEMANN_TOL)
+
+
+BRUTE_FORCE_LIMIT = 20
+
+
+def brute_force_tau(space, source, target):
+    """Oracle for maximize_tau: exhaustive enumeration of every causal chain
+    from source to target.  Refuses spaces with more than 20 points."""
+    if space.n > BRUTE_FORCE_LIMIT:
+        raise PreconditionError(
+            f"brute force limited to {BRUTE_FORCE_LIMIT} points, got {space.n}")
+    if not space.leq(source, target):
+        raise PreconditionError(f"points {source} and {target} are not related")
+    _check_causal(space)
+
+    best = -math.inf
+
+    def walk(v, acc):
+        nonlocal best
+        if v == target:
+            best = max(best, acc)
+            return
+        for u in range(space.n):
+            if u != v and space.leq(v, u) and space.leq(u, target):
+                walk(u, acc + space.tau(v, u))
+
+    walk(source, 0.0)
+    return best
 
 
 def three_chain(t01=1.0, t12=1.0, t02=2.0):

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from lorentz_lab.chains import CausalChain, brute_force_tau, maximize_tau
+from lorentz_lab.chains import CausalChain, maximize_tau
 from lorentz_lab.comparison import (SideTriple, law_of_cosines_side,
                                     realize_triangle, solve_angle,
                                     verify_alexandrov_across,
@@ -36,7 +36,7 @@ from lorentz_lab.sampling import (minkowski_triangles, perturb_chain,
                                   spanning_timelike_chains)
 from lorentz_lab.asymptotics import line_from_chain
 
-from conftest import HORIZONS
+from conftest import HORIZONS, brute_force_tau
 
 
 def verdict(criterion, passed, detail):

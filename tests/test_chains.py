@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lorentz_lab.core import PreconditionError
-from lorentz_lab.chains import (CausalChain, brute_force_tau, chain_lengths,
+from lorentz_lab.chains import (CausalChain, chain_lengths,
                                 check_nonbranching, is_line, maximize_tau,
                                 reparametrize_tau_arclength)
 from lorentz_lab.sampling import sprinkle_causal_set
 
-from conftest import three_chain, diamond_table
+from conftest import brute_force_tau, three_chain, diamond_table
 
 
 class TestChainLengths:
@@ -66,6 +66,27 @@ class TestMaximizeTau:
                                    np.zeros((2, 2), bool), np.zeros((2, 2)))
         with pytest.raises(PreconditionError, match="non-causal"):
             maximize_tau(space, 0, 1)
+
+    def test_causal_order_computed_once_per_space(self):
+        import numpy as np
+        from unittest import mock
+        from lorentz_lab import chains
+        from lorentz_lab.core import FiniteLorentzSpace
+        space = sprinkle_causal_set(12, 3)
+        pairs = [(i, j) for i in range(12) for j in range(12)
+                 if i != j and space.leq(i, j)]
+        with mock.patch.object(chains, "_topological_order",
+                               wraps=chains._topological_order) as order:
+            for i, j in pairs:
+                maximize_tau(space, i, j)
+        assert order.call_count == 1
+        # a cyclic space is refused on every call, with the 2-cycle named
+        leq = np.array(space._leq)
+        leq[pairs[0][1], pairs[0][0]] = True
+        cyclic = FiniteLorentzSpace(space._d, leq, space._ll, space._tau)
+        for _ in range(2):
+            with pytest.raises(PreconditionError, match="leq has a 2-cycle"):
+                maximize_tau(cyclic, *pairs[0])
 
     def test_superadditivity_through_midpoints(self):
         for seed in range(15):

@@ -361,6 +361,33 @@ class TestReproducibility:
         second.pop("wall_time_s")
         assert first == second
 
+    @pytest.mark.parametrize("name, bound, verdict, defect, value", [
+        ("minkowski_strip.json", "lower0", "curvature", "worst_defect",
+         3.2231162183649076e-15),
+        ("minkowski_strip.json", "upper0", "curvature", "worst_defect",
+         -8.881784197001252e-16),
+        ("minkowski_strip.json", "monotonicity", "monotonicity",
+         "worst_violation", 5.754979826022577e-13),
+        ("product_segment.json", "lower0", "curvature", "worst_defect",
+         2.876171523169546e-15),
+        ("product_segment.json", "upper0", "curvature", "worst_defect",
+         -9.992007221626409e-16),
+        ("product_segment.json", "monotonicity", "monotonicity",
+         "worst_violation", 1.14066503638377e-12),
+        ("finite_diamond.json", "lower0", "curvature", "worst_defect", 0.0),
+    ])
+    def test_golden_curvature_reports(self, name, bound, verdict, defect,
+                                      value, capsys):
+        # the reports of the golden files at seed 0, bit for bit
+        code, report = run_cli(["curvature", golden(name), "--bound", bound,
+                                "--seed", "0"], capsys)
+        report.pop("wall_time_s")
+        assert code == 0
+        assert report == {"command": ["curvature", golden(name), bound],
+                          "verdicts": {verdict: True},
+                          "defects": {defect: value},
+                          "witnesses": [], "seed": 0}
+
     def test_entry_point_runs(self):
         proc = subprocess.run(
             [sys.executable, "-m", "lorentz_lab.cli", "validate",

@@ -196,6 +196,16 @@ class TestCurvatureTester:
         assert report.worst_defect == pytest.approx(0.2, abs=1e-6)
         assert report.witness is not None
 
+    def test_triangle_of_another_space_rejected(self, mink, segment_product):
+        triangles = minkowski_triangles(segment_product, 3, seed=1)
+        with pytest.raises(PreconditionError, match="triangle 0 lies in another space"):
+            curvature_bound(mink, triangles)
+        space = flat_six_point_table()
+        mixed = [SpaceTriangle(space, 0, 2, 5),
+                 SpaceTriangle(flat_six_point_table(), 0, 2, 5)]
+        with pytest.raises(PreconditionError, match="triangle 1 lies in another space"):
+            curvature_bound(space, mixed)
+
     def test_flat_table_passes(self):
         space = flat_six_point_table()
         tri = SpaceTriangle(space, 0, 2, 5)

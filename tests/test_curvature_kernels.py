@@ -1,0 +1,639 @@
+"""The array kernels of the curvature testers, pinned to the loops they
+replaced.
+
+The loops below are the former implementations of ``check_pushup``,
+``check_product_glob_hyp``, ``check_diamond_basis``,
+``test_monotonicity_comparison`` and ``test_curvature_lower0``, kept as
+oracles: each array kernel must give the same reports (``repr``-equal), the
+same verdicts and the same errors.  ``solve_angles`` is pinned to
+``solve_angle`` bit for bit.
+"""
+
+import math
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lorentz_lab.comparison import (CurvatureReport, KnotLeg, Leg,
+                                    MonotonicityReport, SideTriple,
+                                    SpaceTriangle, UnrealizableError,
+                                    _hinge_config,
+                                    _planted_pair_related, hinge_angle,
+                                    realize_triangle, solve_angle,
+                                    solve_angles)
+from lorentz_lab.comparison import test_curvature_lower0 as curvature_bound
+from lorentz_lab.comparison import test_monotonicity_comparison as \
+    monotonicity_bound
+from lorentz_lab.core import (EPS, FiniteLorentzSpace, PreconditionError,
+                              PushupReport, check_pushup)
+from lorentz_lab.models import (EuclideanSegment, ExplicitTable,
+                                GlobalHyperbolicityReport, PlaneSample,
+                                ProductSpace, TripodGraph, check_diamond_basis,
+                                check_product_glob_hyp,
+                                factor_properness_scan, minkowski_space,
+                                tau_minkowski)
+from lorentz_lab.sampling import (finite_triangles, flat_finite_space,
+                                  minkowski_triangles, product_hinges,
+                                  sprinkle_causal_set)
+
+from conftest import flat_six_point_table, violated_six_point_table
+
+SEEDS = st.integers(0, 10_000)
+CONFIGS = ("123", "321", "213", "231", "132", "312")
+
+
+def outcome(fn, *args, **kwargs):
+    """Return value, or the type and message of the exception raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (PreconditionError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# ---------------------------------------------------------------------------
+# loop oracles
+
+
+def check_pushup_loops(space, sample):
+    pts = list(sample)
+    violations = []
+    count = 0
+    for x in pts:
+        for y in pts:
+            for z in pts:
+                count += 1
+                if space.ll(x, y) and space.leq(y, z) and not space.ll(x, z):
+                    violations.append(("ll-leq", x, y, z))
+                if space.leq(x, y) and space.ll(y, z) and not space.ll(x, z):
+                    violations.append(("leq-ll", x, y, z))
+    return PushupReport(count, tuple(violations))
+
+
+def check_product_glob_hyp_loops(space, diamond_pairs):
+    proper = factor_properness_scan(space.factor)
+    bounded = True
+    worst = 0.0
+    for p, q in diamond_pairs:
+        if not space.leq(p, q):
+            continue
+        r, t = p[0], q[0]
+        radius = 2.0 * abs(r) + 2.0 * abs(t)
+        for (s, y) in space.sample_points():
+            if not (space.leq(p, (s, y)) and space.leq((s, y), q)):
+                continue
+            if s < r - EPS or s > t + EPS:
+                bounded = False
+                worst = max(worst, max(r - s, s - t))
+            excess = space.factor.distance(p[1], y) - radius
+            if excess > EPS:
+                bounded = False
+                worst = max(worst, excess)
+    return GlobalHyperbolicityReport(proper, bounded, proper == bounded, worst)
+
+
+def check_diamond_basis_loops(space, t_lo, t_hi, center, radius, witness):
+    b, y = witness
+    dxy = space.factor.distance(center, y)
+    if not (t_lo < b < t_hi) or not (dxy < radius):
+        raise PreconditionError("witness outside the open set")
+    eps = min(b - t_lo, t_hi - b, radius - dxy)
+    if eps <= EPS:
+        raise PreconditionError("degenerate construction: empty diamond")
+    p, q = (b - eps, y), (b + eps, y)
+    for (s, z) in space.sample_points():
+        if space.ll(p, (s, z)) and space.ll((s, z), q):
+            if not (t_lo < s < t_hi and space.factor.distance(center, z) < radius):
+                return False
+    return True
+
+
+def monotonicity_loops(space, leg_a, leg_b, sense="lower", tol=EPS):
+    if sense not in ("lower", "upper"):
+        raise PreconditionError(f"unknown sense {sense!r}")
+    svals = leg_a.param_grid(8)
+    tvals = leg_b.param_grid(8)
+    theta = {}
+    for s in svals:
+        for t in tvals:
+            try:
+                ang = hinge_angle(space, leg_a, leg_b, s, t)
+            except UnrealizableError:
+                continue
+            if ang is not None:
+                theta[(s, t)] = ang.signed
+    if not theta:
+        raise PreconditionError("no timelike related parameter pairs on the grid")
+
+    direction = 1.0 if sense == "lower" else -1.0
+    worst = 0.0
+    witness = None
+
+    def scan(pairs):
+        nonlocal worst, witness
+        prev_key, prev_val = None, None
+        for key in pairs:
+            if key not in theta:
+                continue
+            val = theta[key]
+            if prev_val is not None:
+                viol = direction * (prev_val - val)
+                if viol > worst:
+                    worst, witness = viol, (prev_key, key)
+            prev_key, prev_val = key, val
+
+    for t in tvals:
+        scan([(s, t) for s in svals])
+    for s in svals:
+        scan([(s, t) for t in tvals])
+
+    warnings = 0
+    if sense == "upper":
+        for s2 in svals:
+            for t2 in tvals:
+                if (s2, t2) in theta:
+                    continue
+                dominating = sorted((s, t) for (s, t) in theta
+                                    if s >= s2 and t >= t2)
+                if not dominating:
+                    continue
+                s, t = dominating[0]
+                p, q = leg_a.point_at(s), leg_b.point_at(t)
+                tpq = space.tau(p, q)
+                cross = max(tpq, space.tau(q, p))
+                tri = realize_triangle(SideTriple(
+                    s, t, cross,
+                    _hinge_config(leg_a.direction, leg_b.direction, tpq > 0.0)))
+                if _planted_pair_related(tri, leg_a.direction,
+                                         leg_b.direction, s2, t2):
+                    warnings += 1
+    return MonotonicityReport(worst <= tol, worst, witness, len(theta),
+                              sense, warnings)
+
+
+def curvature_loops(space, triangles, pairs_per_triangle=8, mode="lower",
+                    tol=EPS, seed=0, pair_sampler=None):
+    if mode not in ("lower", "upper"):
+        raise PreconditionError(f"unknown mode {mode!r}")
+    rng = random.Random(seed)
+    lo, hi = math.inf, -math.inf
+    witness_lo = witness_hi = None
+    n_pairs = 0
+    n_tris = 0
+    for tidx, tri in enumerate(triangles):
+        n_tris += 1
+        planted = realize_triangle(tri.side_triple())
+        if pair_sampler is not None:
+            pair_list = pair_sampler(rng, tri)
+        else:
+            pair_list = []
+            for _ in range(pairs_per_triangle):
+                sa = rng.choice(SpaceTriangle.SIDES)
+                sb = rng.choice(SpaceTriangle.SIDES)
+                pair_list.append(((sa, tri.sides[sa].sample_params(rng)),
+                                  (sb, tri.sides[sb].sample_params(rng))))
+        for (sa, pa), (sb, pb) in pair_list:
+            p = tri.point_at(sa, pa)
+            q = tri.point_at(sb, pb)
+            pbar = planted.point_on_side(*sa, pa)
+            qbar = planted.point_on_side(*sb, pb)
+            for u, v, ub, vb in ((p, q, pbar, qbar), (q, p, qbar, pbar)):
+                defect = tri.space.tau(u, v) - tau_minkowski(ub, vb)
+                n_pairs += 1
+                if defect > hi:
+                    hi, witness_hi = defect, (tidx, (sa, pa), (sb, pb))
+                if defect < lo:
+                    lo, witness_lo = defect, (tidx, (sa, pa), (sb, pb))
+    if n_pairs == 0:
+        raise PreconditionError("no on-triangle pairs sampled")
+    if mode == "lower":
+        return CurvatureReport("lower", hi <= tol, hi, witness_hi,
+                               n_tris, n_pairs, lo, hi)
+    return CurvatureReport("upper", -lo <= tol, lo, witness_lo,
+                           n_tris, n_pairs, lo, hi)
+
+
+def same_reports(fn, loops, *args, **kwargs):
+    got = outcome(fn, *args, **kwargs)
+    want = outcome(loops, *args, **kwargs)
+    assert repr(got) == repr(want)
+    return got
+
+
+# ---------------------------------------------------------------------------
+# spaces
+
+
+def random_relation_table(n, seed):
+    """Tables with random relations (not axiom-valid), so that push-up
+    violations of both kinds occur."""
+    rng = np.random.default_rng(seed)
+    leq = rng.random((n, n)) < 0.5
+    ll = leq & (rng.random((n, n)) < 0.6)
+    np.fill_diagonal(leq, True)
+    tau = np.where(ll, 1.0, 0.0)
+    return FiniteLorentzSpace(np.ones((n, n)) - np.eye(n), leq, ll, tau)
+
+
+def light_ray_points(space, base_idx, steps):
+    """Grid points plus points reached from them along light rays, where
+    ``dt == dx`` in exact arithmetic and rounding decides the relation."""
+    grid = space.sample_points()
+    pts = []
+    for k, (h, sign) in zip(base_idx, steps):
+        t, x = grid[k % len(grid)]
+        pts += [(t, x), (t + h, x + sign * h), (t + 2 * h, x)]
+    return pts
+
+
+SEGMENT = ProductSpace(EuclideanSegment(0.0, 1.0, 21), -2.0, 2.0, 0.05)
+MINK = minkowski_space(-2.0, 2.0, -2.0, 2.0, 0.25)
+
+
+# ---------------------------------------------------------------------------
+# check_pushup
+
+
+class TestPushupMatchesLoop:
+    @settings(max_examples=40, deadline=None)
+    @given(base=st.lists(st.integers(0, 10_000), max_size=4),
+           steps=st.lists(st.tuples(st.sampled_from([0.05, 0.1, 0.15, 0.3, 0.35]),
+                                    st.sampled_from([-1, 1])),
+                          min_size=4, max_size=4),
+           grid=st.lists(st.integers(0, 1700), max_size=6))
+    def test_products_with_light_ray_ties(self, base, steps, grid):
+        pts = light_ray_points(SEGMENT, base, steps)
+        pts += [SEGMENT.sample_points()[k] for k in grid]
+        same_reports(check_pushup, check_pushup_loops, SEGMENT, pts)
+
+    def test_light_ray_ties_do_occur(self):
+        # the product grid rounds some exact light-ray pairs to a spurious
+        # violation; array and loop report the same ones
+        pts = light_ray_points(SEGMENT, range(0, 1700, 97),
+                               [(0.15, 1), (0.35, -1)] * 9)
+        report = same_reports(check_pushup, check_pushup_loops, SEGMENT, pts)
+        assert report.violations
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 10), seed=SEEDS, weighted=st.booleans(),
+           picks=st.lists(st.integers(0, 9), max_size=8))
+    def test_flat_tables(self, n, seed, weighted, picks):
+        space = sprinkle_causal_set(n, seed, weighted)
+        same_reports(check_pushup, check_pushup_loops, space, range(n))
+        same_reports(check_pushup, check_pushup_loops, space,
+                     [k % n for k in picks])
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 8), seed=SEEDS)
+    def test_random_relations(self, n, seed):
+        space = random_relation_table(n, seed)
+        same_reports(check_pushup, check_pushup_loops, space, range(n))
+
+    def test_handmade_violation(self):
+        leq = np.triu(np.ones((3, 3), dtype=bool))
+        ll = np.zeros((3, 3), dtype=bool)
+        ll[0, 1] = True
+        tau = np.zeros((3, 3))
+        tau[0, 1] = 1.0
+        d = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=float)
+        space = FiniteLorentzSpace(d, leq, ll, tau)
+        report = same_reports(check_pushup, check_pushup_loops, space, range(3))
+        assert report.violations == (("ll-leq", 0, 1, 2),)
+
+    def test_empty_sample(self):
+        assert same_reports(check_pushup, check_pushup_loops, MINK, []) == \
+            PushupReport(0, ())
+
+
+# ---------------------------------------------------------------------------
+# solve_angles
+
+
+def bits(values):
+    return ["nan" if math.isnan(v) else (v, math.copysign(1.0, v))
+            for v in values]
+
+
+def scalar_angles(a12, a23, a13, config):
+    out = []
+    for a, b, c in zip(a12, a23, a13):
+        try:
+            out.append(solve_angle(SideTriple(a, b, c, config)).omega)
+        except UnrealizableError:
+            out.append(math.nan)
+    return out
+
+
+SIDE = st.floats(1e-3, 1e3)
+
+
+@st.composite
+def side_triples(draw, config):
+    """Side triples of one configuration: generic ones, ones at the
+    ``lng + EPS`` bound of the size check, and ones whose cosh - 1 lands in
+    [-1e-12, 0)."""
+    a, b = draw(SIDE), draw(SIDE)
+    kind = draw(st.sampled_from(["free", "bound", "negative-u"]))
+    if kind == "free":
+        return a, b, draw(st.floats(-1.0, 2e3))
+    sides = {(1, 2): a, (2, 3): b}
+    lo, mid, hi = SideTriple(1.0, 1.0, 1.0, config).ordered()
+    if (min(lo, hi), max(lo, hi)) != (1, 3):
+        # the long side is a12 or a23: set it, the draw fixes the other two
+        c = draw(SIDE)
+        sides[(1, 3)] = c
+        short = [sides[tuple(sorted(e))] for e in ((lo, mid), (mid, hi))]
+        lng = sum(short) - EPS * draw(st.sampled_from([0.0, 0.5, 1.0, 1.5]))
+        sides[tuple(sorted((lo, hi)))] = max(lng, 1e-3)
+        return sides[(1, 2)], sides[(2, 3)], sides[(1, 3)]
+    if kind == "bound":
+        return a, b, a + b - EPS * draw(st.sampled_from([0.0, 0.5, 1.0, 1.5]))
+    # u = (c - (a + b))(c + a + b) / (2ab) or (|a - b| - c)(|a - b| + c) / (2ab)
+    f = draw(st.floats(0.0, 1e-12))
+    if config[1] == "2":
+        return a, b, (a + b) * (1.0 - f * a * b / (a + b) ** 2)
+    gap = abs(a - b)
+    return a, b, gap + f * a * b / max(gap, 1e-3)
+
+
+class TestSolveAnglesMatchesScalar:
+    @pytest.mark.parametrize("config", CONFIGS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_bit_for_bit(self, config, data):
+        triples = data.draw(st.lists(side_triples(config), min_size=1,
+                                     max_size=8))
+        a12, a23, a13 = zip(*triples)
+        got = solve_angles(np.array(a12), np.array(a23), np.array(a13),
+                           config).tolist()
+        assert bits(got) == bits(scalar_angles(a12, a23, a13, config))
+
+    def test_boundary_cases_occur(self):
+        # both rejection rules and the clamped negative u are exercised
+        a12, a23 = [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]
+        a13 = [3.0 - 2 * EPS, 3.0 * (1 - 1e-13), 3.0]
+        got = solve_angles(a12, a23, a13, "123").tolist()
+        assert bits(got) == bits(scalar_angles(a12, a23, a13, "123"))
+        assert math.isnan(got[0]) and got[1] == 0.0 and got[2] == 0.0
+
+    def test_bad_configuration(self):
+        with pytest.raises(PreconditionError):
+            solve_angles([1.0], [1.0], [2.0], "chain")
+
+
+# ---------------------------------------------------------------------------
+# check_product_glob_hyp and check_diamond_basis
+
+
+def clustered_table(n, gap):
+    """Points on a line, the last two ``gap`` apart: below an eighth of the
+    mesh the properness scan calls the factor non-proper."""
+    xs = [0.25 * k for k in range(n - 1)] + [0.25 * (n - 2) + gap]
+    return ExplicitTable(tuple(tuple(abs(a - b) for b in xs) for a in xs), 0.25)
+
+
+def skewed_table(n, seed):
+    """Asymmetric table with negative entries: not a metric, so causal
+    diamonds leave their time slab and the factor ball."""
+    rng = random.Random(seed)
+    return ExplicitTable(tuple(tuple(round(rng.uniform(-0.5, 1.0), 2)
+                                     for _ in range(n)) for _ in range(n)),
+                         0.25)
+
+
+def factors(seed):
+    rng = random.Random(seed)
+    pts = tuple((round(rng.uniform(0, 1), 2), round(rng.uniform(0, 1), 2))
+                for _ in range(6))
+    return [EuclideanSegment(0.0, 1.0, rng.randrange(2, 9)),
+            PlaneSample(pts, 0.25),
+            TripodGraph(1.0, rng.randrange(2, 5)),
+            clustered_table(5, 0.01),
+            skewed_table(4, seed)]
+
+
+def random_pairs(space, rng, count):
+    grid = space.sample_points()
+    pairs = []
+    for _ in range(count):
+        p, q = rng.choice(grid), rng.choice(grid)
+        if rng.random() < 0.3:   # off the time grid
+            p = (p[0] + rng.uniform(-0.1, 0.1), p[1])
+        pairs.append((p, q))
+    return pairs
+
+
+class TestGlobHypMatchesLoop:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=SEEDS, count=st.integers(0, 12))
+    def test_factors(self, seed, count):
+        rng = random.Random(seed)
+        for factor in factors(seed):
+            space = ProductSpace(factor, -1.0, 1.0, 0.25)
+            pairs = random_pairs(space, rng, count)
+            same_reports(check_product_glob_hyp, check_product_glob_hyp_loops,
+                         space, pairs)
+
+    def test_verdicts_cover_both_sides(self):
+        # proper and bounded on the segment; non-proper (clustered) but
+        # bounded; diamonds that break the slab and the ball
+        seg = ProductSpace(EuclideanSegment(0.0, 1.0, 5), -1.0, 1.0, 0.25)
+        pairs = [((-1.0, 0.0), (1.0, 0.5)), ((0.0, 0.5), (0.75, 0.25))]
+        report = same_reports(check_product_glob_hyp,
+                              check_product_glob_hyp_loops, seg, pairs)
+        assert report.proper_factor and report.diamonds_bounded
+        clustered = ProductSpace(clustered_table(5, 0.01), -1.0, 1.0, 0.25)
+        report = same_reports(check_product_glob_hyp,
+                              check_product_glob_hyp_loops, clustered,
+                              [((-1.0, 0), (1.0, 4))])
+        assert not report.proper_factor and not report.verdict_consistent
+        skewed = ProductSpace(ExplicitTable(((-0.5, 3.0), (3.0, 0.0)), 1.0),
+                              -1.0, 1.0, 0.25)
+        report = same_reports(check_product_glob_hyp,
+                              check_product_glob_hyp_loops, skewed,
+                              [((0.0, 0), (0.5, 0)), ((0.0, 1), (0.0, 1))])
+        assert not report.diamonds_bounded and report.worst_excess > 0.4
+        # a diamond that leaves its slab by less than 2 EPS
+        skewed = ProductSpace(ExplicitTable(((0.0, 0.0), (-2 * EPS, 0.0)), 1.0),
+                              -1.0, 1.0, 0.25)
+        report = same_reports(check_product_glob_hyp,
+                              check_product_glob_hyp_loops, skewed,
+                              [((0.0, 0), (0.25 - 1.5 * EPS, 0))])
+        assert not report.diamonds_bounded and report.worst_excess < 2 * EPS
+
+
+class TestDiamondBasisMatchesLoop:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=SEEDS)
+    def test_factors(self, seed):
+        rng = random.Random(seed)
+        for factor in factors(seed):
+            space = ProductSpace(factor, -1.0, 1.0, 0.25)
+            sample = factor.sample()
+            for _ in range(4):
+                t_lo = rng.uniform(-1.2, 0.5)
+                t_hi = t_lo + rng.uniform(0.0, 1.5)
+                witness = (rng.uniform(t_lo - 0.1, t_hi + 0.1),
+                           rng.choice(sample))
+                args = (space, t_lo, t_hi, rng.choice(sample),
+                        rng.uniform(0.0, 1.2), witness)
+                assert outcome(check_diamond_basis, *args) == \
+                    outcome(check_diamond_basis_loops, *args)
+
+    def test_both_verdicts(self):
+        space = ProductSpace(EuclideanSegment(0.0, 1.0, 21), -2.0, 2.0, 0.05)
+        # at radius 0.3 grid points of the diamond round onto the rim of
+        # the ball, so the construction leaves the open set
+        for radius, want in ((0.4, True), (0.3, False)):
+            args = (space, 0.0, 2.0, 0.5, radius, (1.0, 0.5))
+            assert check_diamond_basis(*args) is want
+            assert check_diamond_basis_loops(*args) is want
+        # the diamond's rim touches the ball's rim at the grid point (0, 0):
+        # only the strict (timelike) diamond stays inside
+        coarse = ProductSpace(EuclideanSegment(0.0, 1.0, 5), -1.0, 1.0, 0.25)
+        args = (coarse, -1.0, 1.0, 0.5, 0.5, (0.0, 0.5))
+        assert check_diamond_basis(*args) is True
+        assert check_diamond_basis_loops(*args) is True
+        skewed = ProductSpace(ExplicitTable(((0.0, -1.0), (-1.0, 0.0)), 1.0),
+                              -1.0, 1.0, 0.25)
+        args = (skewed, -0.5, 0.5, 0, 0.5, (0.0, 0))
+        assert check_diamond_basis(*args) is False
+        assert check_diamond_basis_loops(*args) is False
+
+
+# ---------------------------------------------------------------------------
+# test_monotonicity_comparison
+
+
+def random_knot_leg(space, rng):
+    k = rng.randrange(1, 5)
+    params = [round(rng.uniform(0.0, 3.0), 1) for _ in range(k)]
+    points = [rng.randrange(space.n) for _ in range(k)]
+    return KnotLeg(points, params, rng.choice(["future", "past"]))
+
+
+class TestMonotonicityMatchesLoop:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=SEEDS)
+    def test_analytic_legs(self, seed):
+        for space in (SEGMENT, MINK):
+            for leg_a, leg_b in product_hinges(space, 3, seed):
+                for sense in ("lower", "upper"):
+                    same_reports(monotonicity_bound, monotonicity_loops,
+                                 space, leg_a, leg_b, sense, tol=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, n=st.integers(4, 12))
+    def test_knot_legs(self, seed, n):
+        rng = random.Random(seed)
+        for space in (flat_finite_space(n, seed), violated_six_point_table()):
+            leg_a, leg_b = random_knot_leg(space, rng), random_knot_leg(space, rng)
+            for sense in ("lower", "upper"):
+                same_reports(monotonicity_bound, monotonicity_loops,
+                             space, leg_a, leg_b, sense, tol=1e-9)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=SEEDS)
+    def test_table_legs(self, seed):
+        # legs along maximizing chains of a flat table, both time directions
+        space = flat_finite_space(24, seed)
+        rng = random.Random(seed)
+        related = np.argwhere(space._ll).tolist()
+        for _ in range(3):
+            x, y = rng.choice(related)
+            u, v = rng.choice(related)
+            base, tips = (x, (y, v)) if rng.random() < 0.5 else (y, (x, v))
+            try:
+                legs = [Leg(space, base, tip) for tip in tips]
+            except PreconditionError:
+                continue
+            for sense in ("lower", "upper"):
+                same_reports(monotonicity_bound, monotonicity_loops,
+                             space, *legs, sense, tol=1e-9)
+
+    def test_upper_warnings_and_violations_occur(self):
+        tripod = ProductSpace(TripodGraph(1.0, 11), -2.0, 2.0, 0.1)
+        x = (0.0, (0, 0.5))
+        legs = (Leg(tripod, x, (2.2, (1, 0.5))), Leg(tripod, x, (4.8, (2, 0.7))))
+        lower = same_reports(monotonicity_bound, monotonicity_loops, tripod,
+                             *legs, "lower", tol=1e-9)
+        assert not lower.passed
+        warned = [same_reports(monotonicity_bound, monotonicity_loops, SEGMENT,
+                               *legs, "upper", tol=1e-9).warnings
+                  for legs in product_hinges(SEGMENT, 20, 0)]
+        assert max(warned) > 0
+        table = violated_six_point_table()
+        legs = (KnotLeg([1, 2], [1.0, 2.0], "future"),
+                KnotLeg([3, 5], [2.25, 4.5], "future"))
+        assert not same_reports(monotonicity_bound, monotonicity_loops, table,
+                                *legs, "lower", tol=1e-9).passed
+
+
+# ---------------------------------------------------------------------------
+# test_curvature_lower0
+
+
+def knot_sampler(rng, tri):
+    """Pairs of side knots, as a hand-written sampler would give them."""
+    out = []
+    for _ in range(rng.randrange(0, 4)):
+        sa, sb = rng.choice(SpaceTriangle.SIDES), rng.choice(SpaceTriangle.SIDES)
+        out.append(((sa, rng.choice(tri.sides[sa].params)),
+                    (sb, rng.choice(tri.sides[sb].params))))
+    return out
+
+
+class TestCurvatureMatchesLoop:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=SEEDS, count=st.integers(1, 12), per=st.integers(0, 10))
+    def test_analytic_triangles(self, seed, count, per):
+        for space in (SEGMENT, MINK):
+            triangles = minkowski_triangles(space, count, seed)
+            for mode in ("lower", "upper"):
+                same_reports(curvature_bound, curvature_loops, space,
+                             triangles, per, mode=mode, tol=1e-9, seed=seed)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=SEEDS, n=st.integers(6, 24), count=st.integers(1, 8))
+    def test_table_triangles(self, seed, n, count):
+        space = flat_finite_space(n, seed)
+        try:
+            triangles = finite_triangles(space, count, seed)
+        except ValueError:
+            return
+        for mode in ("lower", "upper"):
+            same_reports(curvature_bound, curvature_loops, space, triangles,
+                         mode=mode, tol=1e-9, seed=seed)
+            same_reports(curvature_bound, curvature_loops, space, triangles,
+                         mode=mode, tol=1e-9, seed=seed,
+                         pair_sampler=knot_sampler)
+
+    def test_planted_violation_and_out_of_range_parameter(self):
+        space = violated_six_point_table()
+        tri = SpaceTriangle(space, 0, 2, 5)
+        sampler = lambda rng, t: [(((1, 2), 1.0), ((1, 3), 2.25))]
+        report = same_reports(curvature_bound, curvature_loops, space, [tri],
+                              mode="lower", tol=1e-9, pair_sampler=sampler)
+        assert not report.passed and report.witness == (0, ((1, 2), 1.0),
+                                                        ((1, 3), 2.25))
+        flat = flat_six_point_table()
+        tri = SpaceTriangle(flat, 0, 2, 5)
+        same_reports(curvature_bound, curvature_loops, flat, [tri],
+                     pairs_per_triangle=12, mode="upper", tol=1e-9, seed=1)
+        # parameters within EPS past a side's ends are clamped; beyond, the
+        # planted side refuses them even where the space's maximizer (with
+        # its relative tolerance) still reaches them
+        tri = minkowski_triangles(MINK, 2, 0)[1]
+        length = tri.sides[(1, 3)].length
+        assert length > 2.0
+        for s in (length + 0.5 * EPS, -0.5 * EPS, length * (1.0 + 0.9 * EPS),
+                  length + 1e-6):
+            sampler = lambda rng, t: [(((1, 2), 0.5), ((1, 3), s))]
+            same_reports(curvature_bound, curvature_loops, MINK, [tri],
+                         pair_sampler=sampler)
+        assert outcome(curvature_bound, MINK, [tri], pair_sampler=lambda rng, t: [
+            (((1, 3), length * (1.0 + 0.9 * EPS)), ((1, 2), 0.5))]) == (
+            PreconditionError,
+            f"parameter {length * (1.0 + 0.9 * EPS)} outside side of length {length}")
+        assert outcome(curvature_bound, MINK, [], 8)[0] is PreconditionError
