@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .core import EPS, FiniteLorentzSpace, LorentzQuery, PreconditionError
 from .chains import CausalChain, is_line, maximize_tau, reparametrize_tau_arclength
+from .comparison import Leg
 
 
 class NotALineError(PreconditionError):
@@ -120,36 +121,29 @@ class AsymptoteResult:
     stabilized: bool
 
 
-def _analytic_limit(space, p, targets, direction, knot_step, knot_extent, mesh):
-    """Pointwise-stabilized limit of the maximizer family in a model space."""
-    totals = [space.tau(p, t) if direction == "future" else space.tau(t, p)
-              for t in targets]
-    extent = min(knot_extent, totals[-2] if len(totals) > 1 else totals[-1])
+def _analytic_limit(space, p, targets, direction, knot_step, knot_extent):
+    """Pointwise-stabilized limit of the maximizer family in a model space:
+    the legs from p to the two largest-horizon targets, walked in step."""
+    legs = [Leg(space, p, t) for t in targets[-2:]]
+    extent = min(knot_extent, legs[0].total)
     n_knots = int(math.floor(extent / knot_step + 1e-12))
     if n_knots < 1:
-        if extent <= mesh:
+        if extent <= space.mesh:
             raise PreconditionError("horizons too short for even one knot")
         # trusted window shorter than one knot step: single knot at its end
         knot_step = extent
         n_knots = 1
-
-    def family_point(target, total, param):
-        if direction == "future":
-            return space.realizer_point(p, target, param)
-        return space.realizer_point(target, p, total - param)
 
     knots = [p]
     params = [0.0]
     stabilized = True
     for k in range(1, n_knots + 1):
         u = k * knot_step
-        last = family_point(targets[-1], totals[-1], u)
-        if len(targets) > 1:
-            prev = family_point(targets[-2], totals[-2], u)
-            if space.d(prev, last) >= mesh:
-                # knot still moving between the two largest horizons: the
-                # limit point is taken anyway, without the certificate
-                stabilized = False
+        last = legs[-1].point_at(u)
+        if len(legs) > 1 and space.d(legs[0].point_at(u), last) >= space.mesh:
+            # knot still moving between the two largest horizons: the
+            # limit point is taken anyway, without the certificate
+            stabilized = False
         knots.append(last)
         params.append(u)
     if direction == "past":
@@ -202,9 +196,8 @@ def build_asymptote(space: LorentzQuery, line: LineDescriptor, p, direction,
     if not in_timelike_envelope(space, line, p):
         raise PreconditionError("footpoint is not timelike related to the line "
                                 "in both directions")
-    mesh = getattr(space, "mesh", EPS)
     if tol_null is None:
-        tol_null = 10.0 * mesh
+        tol_null = 10.0 * space.mesh
     knot_step = max(2.0, 2.0 * tol_null)
     if knot_extent is None:
         knot_extent = max(horizons[0], knot_step)
@@ -235,7 +228,7 @@ def build_asymptote(space: LorentzQuery, line: LineDescriptor, p, direction,
             src, dst = (p, g) if direction == "future" else (g, p)
             family.append((t, CausalChain(tuple(space.realizer(src, dst)))))
         pts, params, stabilized = _analytic_limit(
-            space, p, targets, direction, knot_step, knot_extent, mesh)
+            space, p, targets, direction, knot_step, knot_extent)
 
     limit = CausalChain(tuple(pts))
     steps = [space.tau(a, b) for a, b in limit.pairs()]
@@ -319,7 +312,7 @@ def build_asymptotic_line(space, line: LineDescriptor, p, horizons,
     parametrization)."""
     fut = build_asymptote(space, line, p, "future", horizons, **kw)
     pst = build_asymptote(space, line, p, "past", horizons, **kw)
-    tol = 10.0 * getattr(space, "mesh", EPS)
+    tol = 10.0 * space.mesh
     joined = join_asymptotic_line(space, line, p, fut, pst, tol)
     return joined.shifted(busemann_shift) if busemann_shift else joined
 

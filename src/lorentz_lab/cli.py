@@ -305,7 +305,8 @@ def _curvature_tolerance(space, meta, args):
         return args.tol
     if meta["tolerances"].get("curvature"):
         return meta["tolerances"]["curvature"]
-    mesh = meta["mesh"] or getattr(space, "mesh", None)
+    # a finite table's mesh comes from its file alone
+    mesh = meta["mesh"] or (isinstance(space, ProductSpace) and space.mesh)
     return 5.0 * mesh if mesh else EPS
 
 
@@ -374,10 +375,10 @@ def cmd_asymptote(args):
     report.witness({"limit_points": [list(map(str, pt)) if meta["kind"] != "finite"
                                      else pt for pt in result.limit.points],
                     "params": list(result.limit_params)})
-    estimate = busemann_value(space, line, p, horizons)
+    estimate = busemann_value(space, line, p, horizons, args.tol_busemann)
     report.defect("synchronized_time", estimate.value)
     report.defect("error_bound", estimate.error_bound)
-    if args.tol_busemann is not None and estimate.error_bound > args.tol_busemann:
+    if not estimate.converged:
         report.verdict("busemann_converged", False)
         report.witness({"note": "horizons too short for requested tolerance",
                         "error_bound": estimate.error_bound})

@@ -237,39 +237,42 @@ def triangle_angle(sides: SideTriple, vertex: int) -> SignedAngle:
 # triangles inside a space
 
 
-class TriangleSide:
-    """Maximizing chain between two triangle vertices, parametrized by
-    cumulative time separation from the causally earlier vertex."""
+def _knot_at(params, points, s, what):
+    """The point of the first knot whose parameter is within EPS of s."""
+    for p, pt in zip(params, points):
+        if abs(p - s) <= EPS:
+            return pt
+    raise PreconditionError(f"parameter {s} is not a knot{what}")
 
-    def __init__(self, space, start, end, n_knots=9):
+
+class TriangleSide:
+    """Maximizer between two triangle vertices, walked by cumulative time
+    separation from the causally earlier vertex: along the knots of a
+    maximizing chain in a finite table, else (``params`` None) along the
+    model space's realizer."""
+
+    def __init__(self, space, start, end):
         self.space = space
         self.start = start
         self.end = end
         self.length = space.tau(start, end)
         if self.length <= 0.0:
             raise PreconditionError("triangle sides must be timelike")
+        self.knots = self.params = None
         if isinstance(space, FiniteLorentzSpace):
             chain = _chains.maximize_tau(space, start, end).chain
             if abs(_chains.chain_lengths(space, chain).tau_length - self.length) > EPS:
                 raise PreconditionError("side chain is not maximizing")
             self.knots = list(chain.points)
             self.params = _chains.reparametrize_tau_arclength(space, chain)
-            self._analytic = False
-        else:
-            self.knots = space.realizer(start, end, n_knots)
-            self.params = [self.length * k / (n_knots - 1) for k in range(n_knots)]
-            self._analytic = True
 
     def point_at(self, s):
-        if self._analytic:
+        if self.params is None:
             return self.space.realizer_point(self.start, self.end, s)
-        for p, knot in zip(self.params, self.knots):
-            if abs(p - s) <= EPS:
-                return knot
-        raise PreconditionError(f"parameter {s} is not a knot of this side")
+        return _knot_at(self.params, self.knots, s, " of this side")
 
     def sample_params(self, rng: random.Random):
-        if self._analytic:
+        if self.params is None:
             return rng.uniform(0.0, self.length)
         return rng.choice(self.params)
 
@@ -279,15 +282,15 @@ class SpaceTriangle:
 
     SIDES = ((1, 2), (2, 3), (1, 3))
 
-    def __init__(self, space, x, y, z, n_knots=9):
+    def __init__(self, space, x, y, z):
         if not (space.ll(x, y) and space.ll(y, z) and space.ll(x, z)):
             raise PreconditionError("vertices must be causally ordered and timelike related")
         self.space = space
         self.vertices = (x, y, z)
         self.sides = {
-            (1, 2): TriangleSide(space, x, y, n_knots),
-            (2, 3): TriangleSide(space, y, z, n_knots),
-            (1, 3): TriangleSide(space, x, z, n_knots),
+            (1, 2): TriangleSide(space, x, y),
+            (2, 3): TriangleSide(space, y, z),
+            (1, 3): TriangleSide(space, x, z),
         }
 
     def side_triple(self) -> SideTriple:
@@ -389,42 +392,36 @@ def test_curvature_lower0(space, triangles, pairs_per_triangle=8, mode="lower",
 
 class Leg:
     """Timelike maximizer emanating from a hinge base point, parametrized by
-    the time separation to the base."""
+    the time separation to the base: the triangle side between base and tip,
+    walked from the base."""
 
-    def __init__(self, space, base, tip, n_knots=9):
+    def __init__(self, space, base, tip):
         self.space = space
         self.base = base
         self.tip = tip
         if space.ll(base, tip):
             self.direction = "future"
-            self.total = space.tau(base, tip)
+            self._side = TriangleSide(space, base, tip)
         elif space.ll(tip, base):
             self.direction = "past"
-            self.total = space.tau(tip, base)
+            self._side = TriangleSide(space, tip, base)
         else:
             raise PreconditionError("hinge tip must be timelike related to the base")
-        self._side = None
-        if isinstance(space, FiniteLorentzSpace):
-            a, b = (base, tip) if self.direction == "future" else (tip, base)
-            self._side = TriangleSide(space, a, b, n_knots)
+        self.total = self._side.length
 
     def point_at(self, s):
         if s <= 0 or s > self.total + EPS:
             raise PreconditionError(f"leg parameter {s} outside (0, {self.total}]")
-        if self._side is not None:
-            param = s if self.direction == "future" else self.total - s
-            return self._side.point_at(param)
-        if self.direction == "future":
-            return self.space.realizer_point(self.base, self.tip, s)
-        return self.space.realizer_point(self.tip, self.base, self.total - s)
+        return self._side.point_at(s if self.direction == "future"
+                                   else self.total - s)
 
     def param_grid(self, n):
-        if self._side is not None:
-            ps = self._side.params
-            out = [p for p in ps if p > EPS] if self.direction == "future" \
-                else [self.total - p for p in ps if self.total - p > EPS]
-            return sorted(out)
-        return [self.total * k / n for k in range(1, n + 1)]
+        ps = self._side.params
+        if ps is None:
+            return [self.total * k / n for k in range(1, n + 1)]
+        out = [p for p in ps if p > EPS] if self.direction == "future" \
+            else [self.total - p for p in ps if self.total - p > EPS]
+        return sorted(out)
 
 
 class KnotLeg:
@@ -437,10 +434,7 @@ class KnotLeg:
         self.total = max(params)
 
     def point_at(self, s):
-        for p, pt in zip(self.params, self.points):
-            if abs(p - s) <= EPS:
-                return pt
-        raise PreconditionError(f"parameter {s} is not a knot")
+        return _knot_at(self.params, self.points, s, "")
 
     def param_grid(self, n=None):
         return [p for p in self.params if p > EPS]
@@ -455,17 +449,23 @@ def _hinge_config(dir_a, dir_b, a_first):
     return "132" if a_first else "312"
 
 
-def hinge_angle(space, leg_a, leg_b, s, t) -> SignedAngle | None:
-    """Signed comparison angle of the hinge at parameters (s, t), or None
-    when the two leg points are not timelike related."""
-    p = leg_a.point_at(s)
-    q = leg_b.point_at(t)
-    tpq, tqp = space.tau(p, q), space.tau(q, p)
+def _hinge(s, t, tpq, tqp, dir_a, dir_b) -> SignedAngle | None:
+    """Signed comparison angle of the hinge with legs of separations s and t
+    (directions dir_a, dir_b) ending at p and q, tau(p, q) = tpq and
+    tau(q, p) = tqp; None when p and q are not timelike related."""
     cross = max(tpq, tqp)
     if cross <= 0.0:
         return None
-    config = _hinge_config(leg_a.direction, leg_b.direction, tpq > 0.0)
-    return solve_angle(SideTriple(s, t, cross, config))
+    return solve_angle(SideTriple(s, t, cross,
+                                  _hinge_config(dir_a, dir_b, tpq > 0.0)))
+
+
+def hinge_angle(space, leg_a, leg_b, s, t) -> SignedAngle | None:
+    """Signed comparison angle of the hinge at parameters (s, t), or None
+    when the two leg points are not timelike related."""
+    p, q = leg_a.point_at(s), leg_b.point_at(t)
+    return _hinge(s, t, space.tau(p, q), space.tau(q, p),
+                  leg_a.direction, leg_b.direction)
 
 
 @dataclass(frozen=True)
@@ -750,14 +750,11 @@ def _point_angle(space, x, a, b):
     to x), or None when a, b are not timelike related to each other."""
     sa = max(space.tau(x, a), space.tau(a, x))
     sb = max(space.tau(x, b), space.tau(b, x))
-    tab = space.tau(a, b)
-    cross = max(tab, space.tau(b, a))
-    if min(sa, sb) <= 0.0 or cross <= 0.0:
+    if min(sa, sb) <= 0.0:
         return None
     dir_a = "future" if space.ll(x, a) else "past"
     dir_b = "future" if space.ll(x, b) else "past"
-    config = _hinge_config(dir_a, dir_b, tab > 0.0)
-    return solve_angle(SideTriple(sa, sb, cross, config))
+    return _hinge(sa, sb, space.tau(a, b), space.tau(b, a), dir_a, dir_b)
 
 
 @dataclass(frozen=True)
@@ -820,24 +817,20 @@ class AngleSpreadReport:
 def angle_equals_comparison_angle(space, gamma_point, x_param, p,
                                   alpha_fracs, gamma_params) -> AngleSpreadReport:
     """Spread of the comparison angle at a line point x between a maximizer
-    toward p and the line, over probe parameters in both line directions.
-    Constancy is the expected behaviour adjacent to a maximizing line under
-    a lower curvature bound."""
+    toward p and the line, over the maximizer's points at the fractions
+    ``alpha_fracs`` (each in (0, 1]) of its separation and probe parameters
+    in both line directions.  Constancy is the expected behaviour adjacent
+    to a maximizing line under a lower curvature bound."""
     x = gamma_point(x_param)
-    if space.ll(x, p):
-        total = space.tau(x, p)
-        alpha_point = lambda s: space.realizer_point(x, p, s)
-    elif space.ll(p, x):
-        total = space.tau(p, x)
-        alpha_point = lambda s: space.realizer_point(p, x, total - s)
-    else:
+    if not (space.ll(x, p) or space.ll(p, x)):
         raise PreconditionError("p must be timelike related to x")
+    alpha = Leg(space, x, p)
     for t in gamma_params:
         if space.d(p, gamma_point(t)) <= EPS:
             raise PreconditionError("p lies on the line: hinge is degenerate")
     values = []
     for frac in alpha_fracs:
-        a = alpha_point(frac * total)
+        a = alpha.point_at(frac * alpha.total)
         for t in gamma_params:
             if abs(t - x_param) <= EPS:
                 continue
@@ -888,13 +881,11 @@ def sides_equal_check(space, gamma_point, t1, t2, p, q1_params, q2_specs,
                        space.tau(vs[0], vs[2]), "123")
     planted = realize_triangle(sides)
 
-    def pair_on(nm_a, nm_b, tau_from_earlier):
-        if label[nm_a] > label[nm_b]:
-            nm_a, nm_b = nm_b, nm_a
-        first, second = verts[nm_a], verts[nm_b]
-        pt = space.realizer_point(first, second, tau_from_earlier)
-        bar = planted.point_on_side(label[nm_a], label[nm_b], tau_from_earlier)
-        return pt, bar
+    def walk(nm_a, nm_b):
+        lo, hi = sorted((nm_a, nm_b), key=label.get)
+        return label[lo], label[hi], TriangleSide(space, verts[lo], verts[hi])
+
+    xp, px = walk("x1", "p"), walk("p", "x2")
 
     worst = 0.0
     mismatches = 0
@@ -905,10 +896,9 @@ def sides_equal_check(space, gamma_point, t1, t2, p, q1_params, q2_specs,
         q1 = gamma_point(tq1)
         bar1 = planted.point_on_side(label["x1"], label["x2"], space.tau(x1, q1))
         for side_name, frac in q2_specs:
-            nm_a, nm_b = ("x1", "p") if side_name == "xp" else ("p", "x2")
-            lo, hi = (nm_a, nm_b) if label[nm_a] < label[nm_b] else (nm_b, nm_a)
-            length = sides.side(label[lo], label[hi])
-            q2, bar2 = pair_on(lo, hi, frac * length)
+            lo, hi, side = xp if side_name == "xp" else px
+            q2 = side.point_at(frac * side.length)
+            bar2 = planted.point_on_side(lo, hi, frac * side.length)
             for u, v, ub, vb in ((q1, q2, bar1, bar2), (q2, q1, bar2, bar1)):
                 defect = abs(space.tau(u, v) - tau_minkowski(ub, vb))
                 if defect > worst:

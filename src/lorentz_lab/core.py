@@ -38,6 +38,8 @@ class LorentzQuery:
     iff ``ll``, ``tau == 0`` when not ``leq``, ...) on any finite sample.
     """
 
+    mesh = EPS   # unit of grid-scale tolerances; products override it
+
     def sample_points(self):
         """Finite point sample used by global scans."""
         raise NotImplementedError

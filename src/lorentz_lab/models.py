@@ -209,23 +209,22 @@ def tau_minkowski(p, q) -> float:
     return _product_tau(q[0] - p[0], abs(q[1] - p[1]))
 
 
-def product_image_defect(space, points, i, j, dt, dx, null_band):
+def product_image_defect(tau, leq, dt, dx, null_band):
     """Compare a space against the product model it is claimed to realize.
 
-    Pair k is the space points ``points[i[k]]`` and ``points[j[k]]``, whose
-    product images differ by ``dt[k]`` in time and ``dx[k]`` in the factor.
-    Pairs within ``null_band`` of the null boundary ``dt == dx`` are
-    skipped.  Returns the largest |tau - product tau| (a NaN defect counts
-    as none) and the indices k, in input order, of the pairs whose causal
-    relation disagrees with ``dt >= dx``."""
+    Pair k has separation ``tau[k]`` and relation ``leq[k]`` in the space;
+    its product images differ by ``dt[k]`` in time and ``dx[k]`` in the
+    factor.  Pairs within ``null_band`` of the null boundary ``dt == dx``
+    are skipped.  Returns the largest |tau - product tau| (a NaN defect
+    counts as none) and the indices k, in input order, of the pairs whose
+    causal relation disagrees with ``dt >= dx``."""
     dt, dx = np.asarray(dt, dtype=float), np.asarray(dx, dtype=float)
-    i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
     with np.errstate(invalid="ignore"):
         # the square root amplifies grid noise inside the band and both
         # separations vanish at its centre
         kept = ~(np.abs(dt - dx) <= null_band)
-        defect = np.abs(space.tau_array(points, i, j) - _product_tau_array(dt, dx))
-        mismatched = kept & (space.leq_array(points, i, j) != (dt >= dx))
+        defect = np.abs(tau - _product_tau_array(dt, dx))
+        mismatched = kept & (leq != (dt >= dx))
     return (float(np.fmax.reduce(defect, where=kept, initial=0.0)),
             np.flatnonzero(mismatched).tolist())
 
@@ -439,10 +438,12 @@ def _factor_distances(factor: MetricFactor, a, sample, to_point=False):
 
 
 def check_product_glob_hyp(space: ProductSpace, diamond_pairs) -> GlobalHyperbolicityReport:
-    """Check the product characterisation of global hyperbolicity at sample
-    scale: the factor passes the properness scan iff sampled causal diamonds
-    satisfy the explicit slab-and-ball bound [r,t] x closed ball of radius
-    2|r| + 2|t| around the base factor point."""
+    """Global hyperbolicity of a product at sample scale: the factor's
+    properness scan beside the bound of each sampled causal diamond J(p, q)
+    by [r,t] x closed ball of radius 2|r| + 2|t| about p's factor point.
+    Factor distances >= 0 imply the bound (d(p, y) <= s - r <= |r| + |t|),
+    so ``diamonds_bounded`` fails only on tables with negative entries, and
+    on a metric factor ``verdict_consistent`` equals ``proper_factor``."""
     proper = factor_properness_scan(space.factor)
     knots = np.array(space.time_knots())
     sample = space.factor.sample()

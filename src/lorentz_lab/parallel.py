@@ -13,9 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import EPS, PreconditionError
 from .models import product_image_defect
-from .comparison import SideTriple, solve_angle, UnrealizableError
+from .comparison import UnrealizableError, _hinge
 from .asymptotics import (LineDescriptor, build_asymptotic_line,
                           busemann_value)
 
@@ -66,6 +68,60 @@ class CFunctionTable:
         return out
 
 
+def _knot_pairs(space, alpha: LineDescriptor, beta: LineDescriptor):
+    """``leq`` and ``tau`` of each pair of an alpha and a beta knot, once:
+    entry [a, b, 0] relates alpha knot a to beta knot b, [a, b, 1] the
+    reverse.  A shift moves a line's parameters, not its points, so the
+    table serves every parametrization of the two lines."""
+    na, nb = len(alpha.params), len(beta.params)
+    a, b = np.divmod(np.arange(na * nb), nb)
+    b += na
+    i, j = np.stack([a, b], axis=-1).ravel(), np.stack([b, a], axis=-1).ravel()
+    points = alpha.chain.points + beta.chain.points
+    return (space.leq_array(points, i, j).reshape(na, nb, 2),
+            space.tau_array(points, i, j).reshape(na, nb, 2))
+
+
+def _null_minima(src_params, dst_params, related_rows):
+    """Per source parameter s: the gap to the first related destination
+    knot, whether that knot opens the grid, and the previous knot's gap."""
+    out = {}
+    for s, row in zip(src_params, related_rows):
+        qualifying = [t for t, related in zip(dst_params, row) if related]
+        if not qualifying:
+            continue
+        tmin = min(qualifying)
+        below = [t for t in dst_params if t < tmin]
+        prev_gap = (max(below) - s) if below else -math.inf
+        out[s] = (tmin - s, not below, prev_gap)
+    return out
+
+
+def _c_table(a_params, b_params, pairs) -> CFunctionTable:
+    """The four parallelity functions over a ``_knot_pairs`` table."""
+    leq, tau = pairs
+    c_ab, c_ba = {}, {}
+    flags = 0
+    for s, leq_row, tau_row in zip(a_params, leq.tolist(), tau.tolist()):
+        for t, (ab, ba), (tab, tba) in zip(b_params, leq_row, tau_row):
+            if ab:
+                rad = (t - s) ** 2 - tab ** 2
+                if rad < -EPS:
+                    flags += 1
+                else:
+                    c_ab[(s, t)] = math.sqrt(max(rad, 0.0))
+            if ba:
+                rad = (s - t) ** 2 - tba ** 2
+                if rad < -EPS:
+                    flags += 1
+                else:
+                    c_ba[(s, t)] = math.sqrt(max(rad, 0.0))
+    return CFunctionTable(c_ab, c_ba,
+                          _null_minima(a_params, b_params, leq[:, :, 0].tolist()),
+                          _null_minima(b_params, a_params, leq[:, :, 1].T.tolist()),
+                          flags)
+
+
 def c_functions(space, alpha: LineDescriptor,
                 beta: LineDescriptor) -> CFunctionTable:
     """Evaluate the four parallelity functions on the knot grids.
@@ -77,39 +133,7 @@ def c_functions(space, alpha: LineDescriptor,
     preceding knot (a lower bound) and whether it sat at the grid edge,
     where no bracket exists.
     """
-    a_knots = list(zip(alpha.params, alpha.chain.points))
-    b_knots = list(zip(beta.params, beta.chain.points))
-    c_ab, c_ba, n_ab, n_ba = {}, {}, {}, {}
-    flags = 0
-    for s, pa in a_knots:
-        for t, pb in b_knots:
-            if space.leq(pa, pb):
-                rad = (t - s) ** 2 - space.tau(pa, pb) ** 2
-                if rad < -EPS:
-                    flags += 1
-                else:
-                    c_ab[(s, t)] = math.sqrt(max(rad, 0.0))
-            if space.leq(pb, pa):
-                rad = (s - t) ** 2 - space.tau(pb, pa) ** 2
-                if rad < -EPS:
-                    flags += 1
-                else:
-                    c_ba[(s, t)] = math.sqrt(max(rad, 0.0))
-
-    def null_scan(src_knots, dst_knots, out):
-        for s, pa in src_knots:
-            qualifying = [t for t, pb in dst_knots if space.leq(pa, pb)]
-            if not qualifying:
-                continue
-            tmin = min(qualifying)
-            below = [t for t, _ in dst_knots if t < tmin]
-            edge = not below
-            prev_gap = (max(below) - s) if below else -math.inf
-            out[s] = (tmin - s, edge, prev_gap)
-
-    null_scan(a_knots, b_knots, n_ab)
-    null_scan(b_knots, a_knots, n_ba)
-    return CFunctionTable(c_ab, c_ba, n_ab, n_ba, flags)
+    return _c_table(alpha.params, beta.params, _knot_pairs(space, alpha, beta))
 
 
 @dataclass(frozen=True)
@@ -192,11 +216,11 @@ def test_parallel(space, alpha: LineDescriptor, beta: LineDescriptor,
     transfer to the flat model within tolerance, pairs within ``tolerance``
     of the null boundary excepted.
     """
-    raw = c_functions(space, alpha, beta)
-    shift = _fit_shift(raw)
+    pairs = _knot_pairs(space, alpha, beta)
+    shift = _fit_shift(_c_table(alpha.params, beta.params, pairs))
 
     synced = beta.shifted(shift)
-    table = c_functions(space, alpha, synced)
+    table = _c_table(alpha.params, synced.params, pairs)
     values = table.timelike_values()
     if not values:
         return ParallelVerdict(False, math.nan, shift, math.nan,
@@ -214,17 +238,13 @@ def test_parallel(space, alpha: LineDescriptor, beta: LineDescriptor,
     tau_defect = 0.0
     mismatches = 0
     if ok:
-        # the knots of alpha, then those of synced beta; each pair of an
-        # alpha(s) and a beta(t) is taken in both orders
-        points = alpha.chain.points + synced.chain.points
-        i, j, dt = [], [], []
-        for a, s in enumerate(alpha.params):
-            for b, t in enumerate(synced.params, len(alpha.params)):
-                i += (a, b)
-                j += (b, a)
-                dt += (t - s, s - t)
+        # each (alpha(s), synced beta(t)) pair in both orders, as in the table
+        leq, tau = pairs
+        s = np.array(alpha.params)[:, None]
+        t = np.array(synced.params)[None, :]
+        dt = np.stack([t - s, s - t], axis=-1).ravel()
         tau_defect, mismatched = product_image_defect(
-            space, points, i, j, dt, [c_mean] * len(dt), tolerance)
+            tau.ravel(), leq.ravel(), dt, np.full(dt.shape, c_mean), tolerance)
         mismatches = len(mismatched)
         ok = tau_defect <= tolerance and mismatches == 0
 
@@ -263,17 +283,14 @@ def strong_causality_trick_check(space, alpha: LineDescriptor,
         pa = alpha.point_at(s)
         for t in tv:
             pb = beta.point_at(t)
-            tab, tba = space.tau(pa, pb), space.tau(pb, pa)
-            cross = max(tab, tba)
-            if cross <= 0.0:
-                continue
             try:
-                ang = solve_angle(SideTriple(s, t, cross,
-                                             "213" if tab > 0 else "231"))
+                ang = _hinge(s, t, space.tau(pa, pb), space.tau(pb, pa),
+                             "future", "future")
             except UnrealizableError:
                 continue
-            n_pairs += 1
-            max_angle = max(max_angle, ang.omega)
+            if ang is not None:
+                n_pairs += 1
+                max_angle = max(max_angle, ang.omega)
     if n_pairs == 0:
         raise PreconditionError("no timelike related parameter pairs")
     if max_angle > tol_angle:

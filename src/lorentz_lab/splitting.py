@@ -70,7 +70,7 @@ def extract_slice(space, line: LineDescriptor, seeds, horizons,
     sampled part of its line.  The distance table is checked to be a metric
     before it is returned; a violation beyond ``tolerance`` means the
     asymptote family is broken and raises."""
-    dedupe_radius = 0.25 * getattr(space, "mesh", EPS)
+    dedupe_radius = 0.25 * space.mesh
     members, lines = [], []
     for seed in seeds:
         if not in_timelike_envelope(space, line, seed):
@@ -131,7 +131,7 @@ def build_splitting_map(space, sl: SpacelikeSlice, time_knots,
     if any(l is None for l in sl.lines):
         raise PreconditionError("slice carries no asymptote lines")
     if cover_radius is None:
-        cover_radius = 2.0 * getattr(space, "mesh", EPS)
+        cover_radius = 2.0 * space.mesh
     time_knots = tuple(time_knots)
     images = {}
     for ki, t in enumerate(time_knots):
@@ -142,7 +142,7 @@ def build_splitting_map(space, sl: SpacelikeSlice, time_knots,
     # separation check anyway)
     witnesses = []
     bijective = True
-    dedupe = getattr(space, "mesh", EPS) * 0.25
+    dedupe = space.mesh * 0.25
     for ki in range(len(time_knots)):
         for mi in range(len(sl.members)):
             for mj in range(mi + 1, len(sl.members)):
@@ -170,7 +170,9 @@ def build_splitting_map(space, sl: SpacelikeSlice, time_knots,
     knot, member = np.array(keys, dtype=np.intp).reshape(-1, 2).T
     times = np.array(time_knots, dtype=float)
     tau_defect, mismatched = product_image_defect(
-        space, image_list, src, dst, times[knot[dst]] - times[knot[src]],
+        space.tau_array(image_list, src, dst),
+        space.leq_array(image_list, src, dst),
+        times[knot[dst]] - times[knot[src]],
         sl.d_S[member[src], member[dst]], tolerance)
     for k in mismatched:
         (ka, ma), (kb, mb) = keys[src[k]], keys[dst[k]]
@@ -246,7 +248,7 @@ def check_cauchy_slices(space, result: SplittingResult, test_chains,
     if levels is None:
         ts = sorted(result.time_knots)
         levels = ts[1:-1] if len(ts) > 2 else ts
-    on_slice_tol = getattr(space, "mesh", EPS)
+    on_slice_tol = space.mesh
 
     statuses = []
     all_ok = True
@@ -356,16 +358,13 @@ def check_tc_property(space, result: SplittingResult, probes) -> TCReport:
     sl = result.slice
     if sl.reference_line is None:
         raise PreconditionError("splitting result carries no reference line")
-    radius = 2.0 * getattr(space, "mesh", EPS)
+    radius = 2.0 * space.mesh
     statuses = []
     all_ok = True
     for ci, chain in enumerate(probes):
         pts = list(chain.points)
-        try:
-            for p in pts:
-                if not in_timelike_envelope(space, sl.reference_line, p):
-                    raise _OutOfSample
-        except _OutOfSample:
+        if not all(in_timelike_envelope(space, sl.reference_line, p)
+                   for p in pts):
             statuses.append((ci, "out-of-sample"))
             continue
         member_ids = [_nearest_member(space, sl, p) for p in pts]
@@ -386,10 +385,6 @@ def check_tc_property(space, result: SplittingResult, probes) -> TCReport:
             statuses.append((ci, "stuck"))
             all_ok = False
     return TCReport(all_ok, tuple(statuses))
-
-
-class _OutOfSample(Exception):
-    pass
 
 
 def _nearest_member(space, sl: SpacelikeSlice, p):

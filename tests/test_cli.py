@@ -1,5 +1,7 @@
 """Command dispatch, exit codes, file round trips, reproducibility."""
 
+import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -9,9 +11,9 @@ import time
 import numpy as np
 import pytest
 
-from lorentz_lab.cli import (FORMAT_VERSION, _real, load_space, main,
-                             save_space)
-from lorentz_lab.core import FiniteLorentzSpace
+from lorentz_lab.cli import (FORMAT_VERSION, _curvature_tolerance, _real,
+                             load_space, main, save_space)
+from lorentz_lab.core import EPS, FiniteLorentzSpace
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 GOLDEN = os.path.join(ROOT, "docs", "golden")
@@ -236,6 +238,15 @@ class TestAsymptoteCommand:
         assert code == 0
         assert report["verdicts"]["busemann_converged"] is False
 
+    def test_short_horizons_within_tolerance(self, capsys):
+        code, report = run_cli(
+            ["asymptote", golden("product_segment.json"),
+             "--line", golden("product_vertical_line.json"),
+             "--from", "0,0.0", "--direction", "future",
+             "--horizons", "2,4", "--tol-busemann", "1.0"], capsys)
+        assert code == 0
+        assert "busemann_converged" not in report["verdicts"]
+        assert not any("note" in w for w in report["witnesses"])
 
     @pytest.mark.parametrize("points", [[0, -1], [0, 1, 99], [0, "x"],
                                         [0, 1.7], [0, True]])
@@ -349,6 +360,21 @@ class TestSplitCommand:
         assert time.perf_counter() - start < 10.0
 
 
+def test_curvature_tolerance_fallback():
+    # an explicit tolerance, then the file's mesh, then a product's own
+    # mesh; a finite table without mesh metadata gets EPS
+    no_tol = argparse.Namespace(tol=None)
+    bare = {"mesh": None, "tolerances": {}}
+    finite, _ = load_space(golden("finite_diamond.json"))
+    product, _ = load_space(golden("product_segment.json"))
+    assert _curvature_tolerance(finite, bare, no_tol) == EPS
+    assert _curvature_tolerance(product, bare, no_tol) == 5.0 * product.mesh
+    assert _curvature_tolerance(finite, {**bare, "mesh": 0.5}, no_tol) == 2.5
+    assert _curvature_tolerance(
+        product, {**bare, "tolerances": {"curvature": 0.125}}, no_tol) == 0.125
+    assert _curvature_tolerance(finite, bare, argparse.Namespace(tol=0.25)) == 0.25
+
+
 class TestReproducibility:
     def test_reports_identical_up_to_wall_time(self, capsys):
         args = ["curvature", golden("minkowski_strip.json"),
@@ -387,6 +413,53 @@ class TestReproducibility:
                           "verdicts": {verdict: True},
                           "defects": {defect: value},
                           "witnesses": [], "seed": 0}
+
+    @pytest.mark.parametrize("src, direction, verdicts, defects, witness", [
+        ("0,0.0", "future", {"timelike": True, "stabilized": True},
+         {"min_step": 2.0, "synchronized_time": -1.7760866350628957e-15,
+          "error_bound": 0.000488281250000888},
+         {"limit_points": [["0.0", "0.0"],
+                           ["2.0000038147081796", "0.003906257450601913"]],
+          "params": [0.0, 2.0]}),
+        ("0.3,0.2", "past", {"timelike": True, "stabilized": True},
+         {"min_step": 1.9999999999999838,
+          "synchronized_time": 0.30000000000003674,
+          "error_bound": 0.0001759874853137565},
+         {"limit_points": [["-1.7000013700794057", "0.20234100823653467"],
+                           ["0.3", "0.2"]],
+          "params": [-2.0, -0.0]}),
+    ])
+    def test_golden_asymptote_reports(self, src, direction, verdicts, defects,
+                                      witness, capsys):
+        code, report = run_cli(["asymptote", golden("product_segment.json"),
+                                "--line", golden("product_vertical_line.json"),
+                                "--from", src, "--direction", direction],
+                               capsys)
+        report.pop("wall_time_s")
+        assert code == 0
+        assert report == {"command": ["asymptote", golden("product_segment.json"),
+                                      src, direction],
+                          "verdicts": verdicts, "defects": defects,
+                          "witnesses": [witness], "seed": None}
+
+    def test_golden_split_report(self, tmp_path, capsys):
+        out = tmp_path / "split.json"
+        code, report = run_cli(["split", golden("product_segment.json"),
+                                "--line", golden("product_vertical_line.json"),
+                                "--t-grid=-2:2:0.5", "--out", str(out)],
+                               capsys)
+        report.pop("wall_time_s")
+        assert code == 0
+        assert report == {"command": ["split", golden("product_segment.json")],
+                          "verdicts": {"bijective": True,
+                                       "order_preserving": True},
+                          "defects": {"tau_defect": 0.0028024636745296316,
+                                      "members": 21},
+                          "witnesses": [], "seed": None}
+        # the --out document byte for byte: 21 members, their 21 x 21
+        # distance table and the nine time knots
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "c2842d0fe59d0e158e02f11112b7ff9e900861f9ac1ee28e4e8145b305e985fa"
 
     def test_entry_point_runs(self):
         proc = subprocess.run(

@@ -463,6 +463,23 @@ class TestGlobHypMatchesLoop:
         assert not report.diamonds_bounded and report.worst_excess < 2 * EPS
 
 
+class TestGlobHypOnMetricFactors:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=SEEDS, count=st.integers(1, 12), n=st.integers(3, 7),
+           gap=st.sampled_from([0.001, 0.01, 0.03, 0.25]))
+    def test_slab_and_ball_bound_holds(self, seed, count, n, gap):
+        # inside a diamond d(p, y) <= s - r <= |r| + |t|: the bound cannot
+        # fail, so the verdict is consistent exactly when the factor is
+        # proper (a clustered factor is reported inconsistent)
+        rng = random.Random(seed)
+        for factor in factors(seed)[:3] + [clustered_table(n, gap)]:
+            space = ProductSpace(factor, -1.0, 1.0, 0.25)
+            report = check_product_glob_hyp(space, random_pairs(space, rng,
+                                                                count))
+            assert report.diamonds_bounded and report.worst_excess == 0.0
+            assert report.verdict_consistent == report.proper_factor
+
+
 class TestDiamondBasisMatchesLoop:
     @settings(max_examples=30, deadline=None)
     @given(seed=SEEDS)

@@ -3,11 +3,12 @@ versions they replaced.
 
 The loops below are the former implementations of ``LineDescriptor.point_at``
 and ``has_param``, ``line_point``, ``is_line``, ``product_image_defect``,
-``build_splitting_map`` and ``check_slice_alexandrov``, kept as oracles: each
-bisection and array form must give the same answers, the same first
-failures, the same witnesses in the same order and the same values, bit for
-bit.  The array forms of ``tau`` and ``leq`` are compared with the scalar
-forms on every factor kind and on finite tables.
+``build_splitting_map``, ``check_slice_alexandrov``, ``c_functions`` and
+``test_parallel``, kept as oracles: each bisection, array form and knot-pair
+table must give the same answers, the same first failures, the same
+witnesses in the same order and the same values, bit for bit.  The array
+forms of ``tau`` and ``leq`` are compared with the scalar forms on every
+factor kind and on finite tables.
 """
 
 import functools
@@ -24,14 +25,17 @@ from lorentz_lab.chains import CausalChain, LineCheck, is_line, validate_chain
 from lorentz_lab.core import EPS, FiniteLorentzSpace, PreconditionError
 from lorentz_lab.models import (EuclideanSegment, ExplicitTable, PlaneSample,
                                 ProductSpace, TripodGraph, _product_tau,
-                                product_image_defect)
+                                minkowski_space, product_image_defect)
+from lorentz_lab.parallel import (CFunctionTable, ParallelRealisation,
+                                  ParallelVerdict, _fit_shift, c_functions)
+from lorentz_lab.parallel import test_parallel as parallel_verdict
 from lorentz_lab.sampling import sprinkle_causal_set
 from lorentz_lab.splitting import (MAX_PAIRS, SliceCurvatureReport,
                                    SpacelikeSlice, build_splitting_map,
                                    check_slice_alexandrov, extract_slice,
                                    slice_from_table)
 
-from conftest import HORIZONS
+from conftest import HORIZONS, column_lattice_table
 
 # the oracles evaluate inf - inf and overflowing products on numpy scalars
 pytestmark = pytest.mark.filterwarnings(
@@ -203,6 +207,79 @@ def check_slice_alexandrov_loops(sl, tol=1e-6, metric_tol=None):
     if count == 0:
         raise PreconditionError("all quadruples degenerate")
     return SliceCurvatureReport(worst <= tol, worst, witness, count, skipped)
+
+
+def c_functions_loops(space, alpha, beta):
+    a_knots = list(zip(alpha.params, alpha.chain.points))
+    b_knots = list(zip(beta.params, beta.chain.points))
+    c_ab, c_ba, n_ab, n_ba = {}, {}, {}, {}
+    flags = 0
+    for s, pa in a_knots:
+        for t, pb in b_knots:
+            if space.leq(pa, pb):
+                rad = (t - s) ** 2 - space.tau(pa, pb) ** 2
+                if rad < -EPS:
+                    flags += 1
+                else:
+                    c_ab[(s, t)] = math.sqrt(max(rad, 0.0))
+            if space.leq(pb, pa):
+                rad = (s - t) ** 2 - space.tau(pb, pa) ** 2
+                if rad < -EPS:
+                    flags += 1
+                else:
+                    c_ba[(s, t)] = math.sqrt(max(rad, 0.0))
+
+    def null_scan(src_knots, dst_knots, out):
+        for s, pa in src_knots:
+            qualifying = [t for t, pb in dst_knots if space.leq(pa, pb)]
+            if not qualifying:
+                continue
+            tmin = min(qualifying)
+            below = [t for t, _ in dst_knots if t < tmin]
+            edge = not below
+            prev_gap = (max(below) - s) if below else -math.inf
+            out[s] = (tmin - s, edge, prev_gap)
+
+    null_scan(a_knots, b_knots, n_ab)
+    null_scan(b_knots, a_knots, n_ba)
+    return CFunctionTable(c_ab, c_ba, n_ab, n_ba, flags)
+
+
+def parallel_verdict_loops(space, alpha, beta, tolerance):
+    raw = c_functions_loops(space, alpha, beta)
+    shift = _fit_shift(raw)
+
+    synced = beta.shifted(shift)
+    table = c_functions_loops(space, alpha, synced)
+    values = table.timelike_values()
+    if not values:
+        return ParallelVerdict(False, math.nan, shift, math.nan,
+                               table.per_function_spreads(), math.nan, 0,
+                               None, table.complex_flags)
+    spread = max(values) - min(values)
+    c_mean = sum(values) / len(values)
+    ok = spread <= tolerance
+    for low, high in table.null_brackets():
+        if c_mean < low - tolerance or c_mean > high + tolerance:
+            ok = False
+
+    tau_defect = 0.0
+    mismatches = 0
+    if ok:
+        pairs = []
+        for s, pa in zip(alpha.params, alpha.chain.points):
+            for t, pb in zip(synced.params, synced.chain.points):
+                pairs += [(pa, pb, t - s, c_mean, None),
+                          (pb, pa, s - t, c_mean, None)]
+        tau_defect, mismatched = product_image_defect_loops(space, pairs,
+                                                            tolerance)
+        mismatches = len(mismatched)
+        ok = tau_defect <= tolerance and mismatches == 0
+
+    realisation = ParallelRealisation(alpha, synced, shift, c_mean) if ok else None
+    return ParallelVerdict(ok, c_mean, shift, spread,
+                           table.per_function_spreads(), tau_defect,
+                           mismatches, realisation, table.complex_flags)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +562,8 @@ def assert_defects_match(space, points, i, j, dt, dx, band):
     pairs = [(points[a], points[b], s, t, k)
              for k, (a, b, s, t) in enumerate(zip(i, j, dt, dx))]
     want = product_image_defect_loops(space, pairs, band)
-    got = product_image_defect(space, points, i, j, dt, dx, band)
+    got = product_image_defect(space.tau_array(points, i, j),
+                               space.leq_array(points, i, j), dt, dx, band)
     assert got[1] == want[1]
     assert bits(got[0]) == bits(want[0]) and type(got[0]) is float
 
@@ -639,3 +717,138 @@ class TestSliceAlexandrovMatchesLoops:
         got = outcome(check_slice_alexandrov, sl)
         assert got == outcome(check_slice_alexandrov_loops, sl)
         assert got == (PreconditionError, "all quadruples degenerate")
+
+
+# ---------------------------------------------------------------------------
+# c_functions and test_parallel
+
+
+def table_fields(table):
+    """Every entry of a c-function table, keys and values as bit patterns,
+    in insertion order."""
+    return ([[(bits(k), bits(v)) for k, v in d.items()]
+             for d in (table.c_ab, table.c_ba)]
+            + [[(bits(k), bits([v, prev]), edge)
+                for k, (v, edge, prev) in d.items()]
+               for d in (table.n_ab, table.n_ba)]
+            + [table.complex_flags])
+
+
+def verdict_fields(v):
+    """Every field of a parallel verdict; the realisation by its lines,
+    synced parameters and distance."""
+    real = v.realisation
+    return (v.parallel, bits([v.distance_c, v.shift, v.spread, v.tau_defect]),
+            list(v.per_function), bits(list(v.per_function.values())),
+            v.leq_mismatches, v.complex_flags,
+            None if real is None else
+            (real.line_a, real.line_b.chain, bits(real.line_b.params),
+             bits([real.shift_b, real.distance_c])))
+
+
+def assert_parallel_matches(space, alpha, beta, tolerance):
+    for a, b in ((alpha, beta), (beta, alpha)):
+        assert table_fields(c_functions(space, a, b)) == \
+            table_fields(c_functions_loops(space, a, b))
+        assert verdict_fields(parallel_verdict(space, a, b, tolerance)) == \
+            verdict_fields(parallel_verdict_loops(space, a, b, tolerance))
+
+
+PARALLEL_SPACES = {
+    "segment": ProductSpace(EuclideanSegment(0.0, 1.0, 21), -2.0, 2.0, 0.05),
+    "minkowski": minkowski_space(-6.0, 6.0, -6.0, 6.0, 0.25),
+}
+
+
+@st.composite
+def product_lines(draw):
+    """A vertical line, a vertical line with shifted parameters or a
+    boosted line, on a grid of 2 to 9 knots."""
+    x = draw(st.sampled_from([0.0, 0.25, 0.5, 0.8, 1.0]))
+    t0 = draw(st.sampled_from([-4.0, -2.0, -0.5, 0.0]))
+    step = draw(st.sampled_from([0.25, 0.5, 1.0, 2.0]))
+    ts = [t0 + step * k for k in range(draw(st.integers(2, 9)))]
+    kind = draw(st.sampled_from(["vertical", "shifted", "boosted"]))
+    if kind == "boosted":
+        phi = draw(st.sampled_from([-0.3, 0.05, 0.3]))
+        pts = tuple((s * math.cosh(phi), x + s * math.sinh(phi)) for s in ts)
+        return LineDescriptor(CausalChain(pts), ts)
+    line = LineDescriptor(CausalChain(tuple((t, x) for t in ts)), ts)
+    if kind == "shifted":
+        line = line.shifted(draw(st.sampled_from([-1.5, -0.3, 0.25, 2.0])))
+    return line
+
+
+def lattice_chains():
+    space, doctored = column_lattice_table()
+    return space, [tuple(range(5 * c, 5 * c + 5)) for c in range(4)] + [doctored]
+
+
+@st.composite
+def lattice_lines(draw):
+    """Lines through the column lattice: part of a column or of the
+    doctored chain, with parameters that may disagree with the
+    separations (complex flags) and knots at levels the other line never
+    reaches (unrelated pairs, null minima at the grid edge)."""
+    chain = draw(st.sampled_from(lattice_chains()[1]))
+    levels = sorted(draw(st.lists(st.integers(0, 4), min_size=2, max_size=5,
+                                  unique=True)))
+    scale = draw(st.sampled_from([0.5, 1.0, 1.5]))
+    offset = draw(st.sampled_from([-2.0, 0.0, 0.5]))
+    return LineDescriptor(CausalChain(tuple(chain[k] for k in levels)),
+                          [offset + scale * k for k in levels])
+
+
+TOLERANCES = [1e-9, 0.05, 0.2, 1.0]
+
+
+def outcome_of(verdict):
+    if verdict.realisation is not None:
+        return "parallel"
+    if math.isnan(verdict.distance_c):
+        return "no timelike pair"
+    if verdict.tau_defect > 0.0 or verdict.leq_mismatches:
+        return "realisation refuted"
+    return "spread or null bracket"
+
+
+class TestParallelMatchesLoops:
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(sorted(PARALLEL_SPACES)),
+           alpha=product_lines(), beta=product_lines(),
+           tolerance=st.sampled_from(TOLERANCES))
+    def test_product_lines(self, kind, alpha, beta, tolerance):
+        assert_parallel_matches(PARALLEL_SPACES[kind], alpha, beta, tolerance)
+
+    @settings(max_examples=80, deadline=None)
+    @given(alpha=lattice_lines(), beta=lattice_lines(),
+           tolerance=st.sampled_from(TOLERANCES))
+    def test_lattice_lines(self, alpha, beta, tolerance):
+        assert_parallel_matches(lattice_chains()[0], alpha, beta, tolerance)
+
+    def test_lattice_grid_reaches_every_outcome(self):
+        # the first two or all five knots of each chain, at the matching
+        # parameters or squeezed to half of them (complex flags)
+        space, chains = lattice_chains()
+        lines = [LineDescriptor(CausalChain(chain[:n]),
+                                [scale * k for k in range(n)])
+                 for chain in chains for scale in (0.5, 1.0) for n in (2, 5)]
+        outcomes, flagged = set(), False
+        for a in lines:
+            for b in lines:
+                assert_parallel_matches(space, a, b, 1e-9)
+                verdict = parallel_verdict(space, a, b, 1e-9)
+                outcomes.add(outcome_of(verdict))
+                flagged = flagged or verdict.complex_flags > 0
+        assert flagged and outcomes == {"parallel", "no timelike pair",
+                                        "realisation refuted",
+                                        "spread or null bracket"}
+
+    def test_slice_lines(self):
+        # asymptotic lines as extract_slice builds them on the canonical
+        # product, every fifth member against every other
+        space, sl, tol = product_slice()
+        for a in sl.lines[::5]:
+            for b in sl.lines:
+                assert verdict_fields(parallel_verdict(space, a, b, tol)) == \
+                    verdict_fields(parallel_verdict_loops(space, a, b, tol))
