@@ -396,7 +396,6 @@ class Leg:
     walked from the base."""
 
     def __init__(self, space, base, tip):
-        self.space = space
         self.base = base
         self.tip = tip
         if space.ll(base, tip):
