@@ -12,6 +12,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .core import EPS, FiniteLorentzSpace, LorentzQuery, PreconditionError
 from .chains import CausalChain, is_line, maximize_tau, reparametrize_tau_arclength
@@ -113,7 +114,6 @@ def line_point(space, line: LineDescriptor, param):
 class AsymptoteResult:
     footpoint: object
     direction: str
-    family: tuple          # ((horizon, chain), ...)
     limit: CausalChain
     limit_params: tuple    # cumulative separation from the footpoint (signed)
     is_timelike: bool
@@ -124,7 +124,7 @@ class AsymptoteResult:
 def _analytic_limit(space, p, targets, direction, knot_step, knot_extent):
     """Pointwise-stabilized limit of the maximizer family in a model space:
     the legs from p to the two largest-horizon targets, walked in step."""
-    legs = [Leg(space, p, t) for t in targets[-2:]]
+    legs = [Leg(space, p, t) for t in targets]
     extent = min(knot_extent, legs[0].total)
     n_knots = int(math.floor(extent / knot_step + 1e-12))
     if n_knots < 1:
@@ -152,11 +152,12 @@ def _analytic_limit(space, p, targets, direction, knot_step, knot_extent):
     return knots, params, stabilized
 
 
-def _finite_limit(family_chains, direction):
+def _finite_limit(chains, direction):
     """Stabilized prefix (suffix for past direction) common to the two
-    largest-horizon maximizers in a finite table."""
-    a = list(family_chains[-1].points)
-    b = list(family_chains[-2].points) if len(family_chains) > 1 else a
+    largest-horizon maximizers in a finite table (one chain when there is
+    a single horizon)."""
+    a = list(chains[-1].points)
+    b = list(chains[0].points)
     if direction == "past":
         a, b = a[::-1], b[::-1]
     common = []
@@ -174,14 +175,16 @@ def _finite_limit(family_chains, direction):
 def build_asymptote(space: LorentzQuery, line: LineDescriptor, p, direction,
                     horizons, knot_extent=None,
                     tol_null=None) -> AsymptoteResult:
-    """Maximizer family from p to line points at increasing horizons plus its
-    pointwise-stabilized limit chain.
+    """Pointwise-stabilized limit of the maximizers from p to line points at
+    increasing horizons.
 
     Horizons are parameter magnitudes along the line (targets sit at -t for
-    the past direction).  ``tol_null`` separates genuinely timelike limit
-    steps from discretization noise; it defaults to ten grid meshes, and the
-    knot step is twice that threshold (at least 2) so a genuinely timelike
-    limit is never misread as null.
+    the past direction); every horizon must name a knot timelike related to
+    p, but only the maximizers toward the two largest are built, since the
+    limit and its certificate read no others.  ``tol_null`` separates
+    genuinely timelike limit steps from discretization noise; it defaults
+    to ten grid meshes, and the knot step is twice that threshold (at least
+    2) so a genuinely timelike limit is never misread as null.
 
     This is the fixed-footpoint construction.  The general notion also
     allows the footpoints to converge from the side (z_n -> z) rather than
@@ -214,19 +217,15 @@ def build_asymptote(space: LorentzQuery, line: LineDescriptor, p, direction,
             raise PreconditionError(f"footpoint not timelike related to the "
                                     f"horizon point at parameter {param}")
         targets.append(g)
+    targets = targets[-2:]
 
-    family = []
     if isinstance(space, FiniteLorentzSpace):
-        for t, g in zip(horizons, targets):
-            src, dst = (p, g) if direction == "future" else (g, p)
-            family.append((t, maximize_tau(space, src, dst).chain))
-        pts = _finite_limit([c for _, c in family], direction)
+        ends = [(p, g) if direction == "future" else (g, p) for g in targets]
+        pts = _finite_limit([maximize_tau(space, *e).chain for e in ends],
+                            direction)
         params = None
         stabilized = True
     else:
-        for t, g in zip(horizons, targets):
-            src, dst = (p, g) if direction == "future" else (g, p)
-            family.append((t, CausalChain(tuple(space.realizer(src, dst)))))
         pts, params, stabilized = _analytic_limit(
             space, p, targets, direction, knot_step, knot_extent)
 
@@ -234,14 +233,9 @@ def build_asymptote(space: LorentzQuery, line: LineDescriptor, p, direction,
     steps = [space.tau(a, b) for a, b in limit.pairs()]
     min_step = min(steps)
     if params is None:
-        cum = [0.0]
-        for s in steps:
-            cum.append(cum[-1] + s)
-        if direction == "past":
-            params = [c - cum[-1] for c in cum]
-        else:
-            params = cum
-    return AsymptoteResult(p, direction, tuple(family), limit, tuple(params),
+        cum = list(accumulate(steps, initial=0.0))
+        params = [c - cum[-1] for c in cum] if direction == "past" else cum
+    return AsymptoteResult(p, direction, limit, tuple(params),
                            min_step > tol_null, min_step, stabilized)
 
 

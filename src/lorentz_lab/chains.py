@@ -13,6 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -23,14 +24,11 @@ from .core import (EPS, FiniteLorentzSpace, LorentzQuery, PreconditionError,
 @dataclass(frozen=True)
 class CausalChain:
     points: tuple
-    direction: str = "future"
 
     def __post_init__(self):
         object.__setattr__(self, "points", tuple(self.points))
         if len(self.points) < 2:
             raise PreconditionError("a chain needs at least two points")
-        if self.direction not in ("future", "past"):
-            raise PreconditionError(f"bad direction {self.direction!r}")
 
     def __len__(self):
         return len(self.points)
@@ -40,13 +38,11 @@ class CausalChain:
 
 
 def validate_chain(space: LorentzQuery, chain: CausalChain):
-    """Raise unless consecutive points are causally related in the stated
-    direction and the chain is non-constant."""
-    fwd = chain.direction == "future"
+    """Raise unless consecutive points are causally related (future
+    directed) and the chain is non-constant."""
     nonconstant = False
     for a, b in chain.pairs():
-        x, y = (a, b) if fwd else (b, a)
-        if not space.leq(x, y):
+        if not space.leq(a, b):
             raise PreconditionError(f"chain step {a} -> {b} is not causal")
         if a != b:
             nonconstant = True
@@ -62,16 +58,12 @@ class ChainLengths:
 
 def chain_lengths(space: LorentzQuery, chain: CausalChain) -> ChainLengths:
     validate_chain(space, chain)
-    fwd = chain.direction == "future"
     tau_total = 0.0
     d_total = 0.0
     for a, b in chain.pairs():
-        x, y = (a, b) if fwd else (b, a)
-        tau_total += space.tau(x, y)
-        d_total += space.d(x, y)
-    first, last = chain.points[0], chain.points[-1]
-    x, y = (first, last) if fwd else (last, first)
-    if tau_total > space.tau(x, y) + EPS:
+        tau_total += space.tau(a, b)
+        d_total += space.d(a, b)
+    if tau_total > space.tau(chain.points[0], chain.points[-1]) + EPS:
         raise PreconditionError(
             "chain sum exceeds endpoint separation; table violates the "
             "reverse triangle inequality")
@@ -195,10 +187,8 @@ def is_line(space: LorentzQuery, chain: CausalChain, tol: float = EPS) -> LineCh
     so callers can compare against their completeness horizon."""
     validate_chain(space, chain)
     pts = chain.points
-    steps = [space.tau(a, b) for a, b in chain.pairs()]
-    cum = [0.0]
-    for s in steps:
-        cum.append(cum[-1] + s)
+    cum = list(accumulate((space.tau(a, b) for a, b in chain.pairs()),
+                          initial=0.0))
 
     # one row i at a time: defect of every pair (i, j > i)
     cum_arr = np.array(cum)
@@ -226,13 +216,11 @@ def reparametrize_tau_arclength(space: LorentzQuery, chain: CausalChain):
     the parametrization would degenerate there.
     """
     validate_chain(space, chain)
-    params = [0.0]
-    for a, b in chain.pairs():
-        step = space.tau(a, b)
+    steps = [space.tau(a, b) for a, b in chain.pairs()]
+    for (a, b), step in zip(chain.pairs(), steps):
         if step <= 0.0:
             raise PreconditionError(f"null step {a} -> {b}: cannot parametrize")
-        params.append(params[-1] + step)
-    return params
+    return list(accumulate(steps, initial=0.0))
 
 
 def check_nonbranching(space: LorentzQuery, chains, tol: float = EPS):

@@ -64,7 +64,7 @@ def _table_in(rows):
     return np.array([[_parse_real(v) for v in row] for row in rows], dtype=float)
 
 
-def save_space(space, path, mesh=None, tolerances=None):
+def save_space(space, path, mesh=None):
     if isinstance(space, FiniteLorentzSpace):
         payload = {
             "n": space.n,
@@ -86,8 +86,6 @@ def save_space(space, path, mesh=None, tolerances=None):
     doc = {"format_version": FORMAT_VERSION, "kind": kind, "payload": payload}
     if mesh is not None:
         doc["mesh"] = _real(mesh)
-    if tolerances:
-        doc["tolerances"] = {k: _real(v) for k, v in tolerances.items()}
     _atomic_write(path, json.dumps(doc, indent=1))
 
 
@@ -207,6 +205,21 @@ def _point_index(raw, n):
     return index
 
 
+def _cli_real(raw, nonnegative=False) -> float:
+    """A real from the command line: finite and, with ``nonnegative``, at
+    least 0.  Raises ``argparse.ArgumentTypeError``, which argparse reports
+    as a usage error (exit 2) when this parses a flag."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{raw!r} is not a real number") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{raw!r} is not finite")
+    if nonnegative and value < 0.0:
+        raise argparse.ArgumentTypeError(f"{raw!r} is negative")
+    return value
+
+
 def parse_point(raw, space):
     """A point index of a finite table, or a "t,x" pair of an analytic
     space."""
@@ -214,20 +227,17 @@ def parse_point(raw, space):
         return _point_index(raw, space.n)
     try:
         parts = raw.split(",")
-        return (float(parts[0]), float(parts[1]))
-    except (ValueError, IndexError):
+        return (_cli_real(parts[0]), _cli_real(parts[1]))
+    except (argparse.ArgumentTypeError, IndexError):
         raise InputError(f"cannot parse point {raw!r}") from None
 
 
 def _parse_horizons(raw):
     """The comma-separated ``--horizons`` list: finite reals."""
     try:
-        horizons = [float(h) for h in raw.split(",")]
-    except ValueError:
-        raise InputError(f"--horizons {raw!r} is not a list of reals") from None
-    if not all(map(math.isfinite, horizons)):
-        raise InputError(f"--horizons {raw!r} has a non-finite entry")
-    return horizons
+        return [_cli_real(h) for h in raw.split(",")]
+    except argparse.ArgumentTypeError as exc:
+        raise InputError(f"--horizons {raw!r}: {exc}") from None
 
 
 class RunReport:
@@ -262,7 +272,8 @@ def cmd_validate(args):
         report.emit()
         return 0 if result.passed else 1
     # analytic kinds: relations come from formulas; spot-check consistency
-    sample = list(space.sample_points())[:: max(1, len(list(space.sample_points())) // 12)]
+    points = list(space.sample_points())
+    sample = points[:: max(1, len(points) // 12)]
     push = check_pushup(space, sample)
     report.verdict("push-up on sample", push.passed)
     consistent = all(
@@ -392,12 +403,12 @@ def cmd_split(args):
     if isinstance(space, FiniteLorentzSpace):
         raise PreconditionError("splitting reconstruction needs an analytic space")
     try:
-        lo, hi, step = (float(v) for v in args.t_grid.split(":"))
-    except ValueError:
-        raise InputError(f"--t-grid {args.t_grid!r} is not lo:hi:step") from None
-    if not (all(map(math.isfinite, (lo, hi, step))) and step > 0 and hi >= lo):
-        raise InputError(f"--t-grid {args.t_grid!r} needs finite lo <= hi "
-                         "and step > 0")
+        lo, hi, step = (_cli_real(v) for v in args.t_grid.split(":"))
+    except (argparse.ArgumentTypeError, ValueError):
+        raise InputError(f"--t-grid {args.t_grid!r} is not lo:hi:step of "
+                         "finite reals") from None
+    if not (step > 0 and hi >= lo):
+        raise InputError(f"--t-grid {args.t_grid!r} needs lo <= hi and step > 0")
     if step < space.t_step:
         # checked before the knot list is built: a tiny step asks for an
         # unbounded number of knots
@@ -473,8 +484,9 @@ def _check_knot_extent(space, lines, lo, step, n_knots):
             line_point(space, line, lo + step * first)
 
 
-def _slice_scatter_svg(sl, size=360, pad=20):
+def _slice_scatter_svg(sl):
     """Static scatter of the slice through a two-anchor distance embedding."""
+    size, pad = 360, 20
     n = len(sl.members)
     anchor = int(np.argmax(sl.d_S[0])) if n > 1 else 0
     xs = [sl.d_S[0, i] for i in range(n)]
@@ -495,6 +507,9 @@ def build_parser():
         description="desk-scale checks for synthetic Lorentzian geometry")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def nonnegative(raw):
+        return _cli_real(raw, nonnegative=True)
+
     p = sub.add_parser("validate", help="check the axioms of a space file")
     p.add_argument("path")
     p.set_defaults(fn=cmd_validate)
@@ -513,7 +528,7 @@ def build_parser():
                    default="lower0")
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol-curvature", dest="tol", type=float, default=None)
+    p.add_argument("--tol-curvature", dest="tol", type=nonnegative, default=None)
     p.add_argument("--out", default=None, help="worst-defect CSV path")
     p.set_defaults(fn=cmd_curvature)
 
@@ -523,9 +538,9 @@ def build_parser():
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--direction", choices=["future", "past"], default="future")
     p.add_argument("--horizons", default="2,4,8,16,32,64,128,256")
-    p.add_argument("--tol-busemann", dest="tol_busemann", type=float,
+    p.add_argument("--tol-busemann", dest="tol_busemann", type=nonnegative,
                    default=None)
-    p.add_argument("--tol-line", dest="tol_line", type=float, default=EPS)
+    p.add_argument("--tol-line", dest="tol_line", type=nonnegative, default=EPS)
     p.set_defaults(fn=cmd_asymptote)
 
     p = sub.add_parser("split", help="slice extraction and product reconstruction")
@@ -533,9 +548,10 @@ def build_parser():
     p.add_argument("--line", required=True)
     p.add_argument("--t-grid", dest="t_grid", default="-2:2:0.5")
     p.add_argument("--horizons", default="2,4,8,16,32,64,128,256")
-    p.add_argument("--knot-extent", dest="knot_extent", type=float, default=2.5)
-    p.add_argument("--tol-parallel", dest="tol", type=float, default=None)
-    p.add_argument("--tol-line", dest="tol_line", type=float, default=EPS)
+    p.add_argument("--knot-extent", dest="knot_extent", type=nonnegative,
+                   default=2.5)
+    p.add_argument("--tol-parallel", dest="tol", type=nonnegative, default=None)
+    p.add_argument("--tol-line", dest="tol_line", type=nonnegative, default=EPS)
     p.add_argument("--out", default=None)
     p.add_argument("--plot", default=None, help="slice distance rows as CSV")
     p.add_argument("--plot-svg", dest="plot_svg", default=None,

@@ -261,10 +261,10 @@ class TriangleSide:
         self.knots = self.params = None
         if isinstance(space, FiniteLorentzSpace):
             chain = _chains.maximize_tau(space, start, end).chain
-            if abs(_chains.chain_lengths(space, chain).tau_length - self.length) > EPS:
-                raise PreconditionError("side chain is not maximizing")
             self.knots = list(chain.points)
             self.params = _chains.reparametrize_tau_arclength(space, chain)
+            if abs(self.params[-1] - self.length) > EPS:
+                raise PreconditionError("side chain is not maximizing")
 
     def point_at(self, s):
         if self.params is None:
@@ -396,8 +396,6 @@ class Leg:
     walked from the base."""
 
     def __init__(self, space, base, tip):
-        self.base = base
-        self.tip = tip
         if space.ll(base, tip):
             self.direction = "future"
             self._side = TriangleSide(space, base, tip)

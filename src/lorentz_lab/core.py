@@ -283,7 +283,6 @@ class DiamondSet:
     base: tuple
     kind: str  # "causal" or "timelike"
     members: tuple
-    d_bound: float = 0.0  # diameter of the member set; finite-sample stand-in for compactness
 
     def __contains__(self, r):
         return r in self.members
@@ -303,11 +302,7 @@ def diamond(space: LorentzQuery, p, q, kind="causal") -> DiamondSet:
                         if space.ll(p, r) and space.ll(r, q))
     else:
         raise StructuralError(f"unknown diamond kind {kind!r}")
-    bound = 0.0
-    for i, a in enumerate(members):
-        for b in members[i + 1:]:
-            bound = max(bound, space.d(a, b))
-    return DiamondSet((p, q), kind, members, bound)
+    return DiamondSet((p, q), kind, members)
 
 
 def check_causal_convexity(space: LorentzQuery, subset) -> bool:

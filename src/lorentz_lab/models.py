@@ -371,9 +371,7 @@ def check_realizer_characterization(space: ProductSpace, chain) -> RealizerDiagn
     are exactly the chains whose factor projection minimizes distance and
     whose time component is affine (slope c >= 1) against factor arclength.
     """
-    pts = list(chain.points) if hasattr(chain, "points") else list(chain)
-    if len(pts) < 2:
-        raise PreconditionError("chain needs at least two points")
+    pts = chain.points
     for a, b in zip(pts, pts[1:]):
         if not space.leq(a, b):
             raise PreconditionError(f"chain step {a} -> {b} is not causal")

@@ -67,9 +67,9 @@ def flat_finite_space(n, seed) -> FiniteLorentzSpace:
     return sprinkle_causal_set(n, seed, weighted=False)
 
 
-def _random_future_step(rng, min_tau=0.3, max_tau=1.5, max_rapidity=1.0):
-    a = rng.uniform(min_tau, max_tau)
-    phi = rng.uniform(-max_rapidity, max_rapidity)
+def _random_future_step(rng):
+    a = rng.uniform(0.3, 1.5)
+    phi = rng.uniform(-1.0, 1.0)
     return a * math.cosh(phi), a * math.sinh(phi)
 
 

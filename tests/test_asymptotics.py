@@ -2,10 +2,13 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from lorentz_lab.core import PreconditionError
+from lorentz_lab import asymptotics
+from lorentz_lab.core import FiniteLorentzSpace, PreconditionError
 from lorentz_lab.chains import CausalChain, is_line
+from lorentz_lab.models import ProductSpace, minkowski_space
 from lorentz_lab.asymptotics import (build_asymptote, build_asymptotic_line,
                                      busemann_value, check_asymptote_complete,
                                      check_tcrc, join_asymptotic_line,
@@ -16,6 +19,22 @@ from lorentz_lab.asymptotics import (build_asymptote, build_asymptotic_line,
 from conftest import HORIZONS, null_coray_table
 
 KW = dict(knot_extent=4.0, tol_null=1.0)
+
+
+def flat_line_table():
+    """Finite table of flat points: a vertical line (t, 0), t = -5..5, at
+    indices 0..10 (parameter t, anchored at t = 0), and the probes (0, 0.5)
+    at 11 and (0, 1.5) at 12."""
+    flat = minkowski_space(-6.0, 6.0, -2.0, 2.0, 0.5)
+    pts = [(float(t), 0.0) for t in range(-5, 6)] + [(0.0, 0.5), (0.0, 1.5)]
+    n = len(pts)
+    i, j = np.divmod(np.arange(n * n), n)
+    space = FiniteLorentzSpace(*(
+        f(pts, i, j).reshape(n, n) for f in (flat.d_array, flat.leq_array,
+                                             flat.ll_array, flat.tau_array)))
+    line = LineDescriptor(CausalChain(tuple(range(11))),
+                          tuple(float(t) for t in range(-5, 6)), anchor=5)
+    return space, line
 
 
 class TestBuildAsymptote:
@@ -36,9 +55,11 @@ class TestBuildAsymptote:
         # transverse drift at knot u is bounded by u * d / L(last horizon)
         drifts = [abs(x - 1.0) for (t, x) in result.limit.points]
         assert max(drifts) <= 4.0 * 1.0 / HORIZONS[-1] * 1.01
-        # family members tilt less as the horizon grows
-        tilts = [abs(chain.points[1][1] - 1.0) / chain.points[1][0]
-                 for _, chain in result.family]
+        # maximizers toward the line tilt less as the horizon grows
+        tilts = []
+        for h in HORIZONS:
+            pts = mink.realizer((0.0, 1.0), mink_gamma.point_at(h))
+            tilts.append(abs(pts[1][1] - 1.0) / pts[1][0])
         assert all(b < a for a, b in zip(tilts, tilts[1:]))
 
     def test_point_outside_envelope_rejected(self, mink, mink_gamma):
@@ -51,6 +72,54 @@ class TestBuildAsymptote:
         with pytest.raises(PreconditionError, match="exhausts"):
             build_asymptote(segment_product, product_gamma, (0.0, 0.5),
                             "future", [512.0], **KW)
+
+    @pytest.mark.parametrize("direction,ends", [
+        ("future", [(11, 9), (11, 10)]), ("past", [(1, 11), (0, 11)])])
+    def test_finite_table_maximizes_toward_two_largest_horizons(
+            self, direction, ends, monkeypatch):
+        space, line = flat_line_table()
+        maximize_tau = asymptotics.maximize_tau
+        calls = []
+
+        def counted(space, source, target):
+            calls.append((source, target))
+            return maximize_tau(space, source, target)
+
+        monkeypatch.setattr(asymptotics, "maximize_tau", counted)
+        result = build_asymptote(space, line, 11, direction,
+                                 [2.0, 3.0, 4.0, 5.0])
+        assert calls == ends
+        assert result.is_timelike
+
+    def test_model_space_builds_no_realizer(self, segment_product,
+                                            product_gamma, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("realizer called")
+
+        monkeypatch.setattr(ProductSpace, "realizer", refuse)
+        for direction in ("future", "past"):
+            result = build_asymptote(segment_product, product_gamma,
+                                     (0.0, 0.2), direction, HORIZONS, **KW)
+            assert result.is_timelike
+
+    def test_finite_limit_is_the_common_prefix(self):
+        # the maximizers toward 2 and 3 are (4, 5, 2) and (4, 5, 3)
+        space = null_coray_table()
+        line = LineDescriptor(CausalChain((0, 1, 2, 3)), (0.0, 1.0, 2.0, 3.0))
+        result = build_asymptote(space, line, 4, "future", [2.0, 3.0])
+        assert result.limit.points == (4, 5)
+        assert result.limit_params == (0.0, 0.0)
+
+    @pytest.mark.parametrize("probe,horizons,message", [
+        (11, [1.5, 4.0, 5.0], r"horizon 1\.5 exhausts the line sample "
+                              r"\(no knot at 1\.5\)"),
+        (12, [1.0, 4.0, 5.0], "footpoint not timelike related to the "
+                              r"horizon point at parameter 1\.0"),
+    ], ids=["knot-missing", "not-timelike"])
+    def test_smaller_horizon_still_checked(self, probe, horizons, message):
+        space, line = flat_line_table()
+        with pytest.raises(PreconditionError, match=message):
+            build_asymptote(space, line, probe, "future", horizons)
 
 
 class TestTimelikeCoRayCondition:

@@ -100,6 +100,41 @@ def test_malformed_space_or_grid_exit_2(edit, argv, tmp_path, capsys):
     assert_one_line_exit_2(code, capsys)
 
 
+ASYMPTOTE_ARGV = ["asymptote", golden("product_segment.json"), "--line",
+                  golden("product_vertical_line.json"), "--from", "0,0.5"]
+SPLIT_ARGV = ["split", golden("product_segment.json"), "--line",
+              golden("product_vertical_line.json")]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+@pytest.mark.parametrize("argv,flag", [
+    (["curvature", golden("minkowski_strip.json"), "--samples", "5"],
+     "--tol-curvature"),
+    (ASYMPTOTE_ARGV, "--tol-busemann"),
+    (ASYMPTOTE_ARGV, "--tol-line"),
+    (SPLIT_ARGV, "--tol-parallel"),
+    (SPLIT_ARGV, "--tol-line"),
+    (SPLIT_ARGV, "--knot-extent"),
+], ids=["curvature-tol-curvature", "asymptote-tol-busemann",
+        "asymptote-tol-line", "split-tol-parallel", "split-tol-line",
+        "split-knot-extent"])
+def test_numeric_flag_needs_finite_nonnegative_exit_2(argv, flag, value,
+                                                      capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"{flag}={value}"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert f"argument {flag}: " in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_non_finite_point_exit_2(capsys):
+    code = main(["tau", golden("product_segment.json"),
+                 "--from", "nan,0", "--to", "2,0.5"])
+    assert_one_line_exit_2(code, capsys)
+
+
 class TestValidateCommand:
     def test_golden_files_pass(self, capsys):
         for name in ("finite_diamond.json", "minkowski_strip.json",
