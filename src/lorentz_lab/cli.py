@@ -205,17 +205,23 @@ def _point_index(raw, n):
     return index
 
 
-def _cli_real(raw, nonnegative=False) -> float:
-    """A real from the command line: finite and, with ``nonnegative``, at
-    least 0.  Raises ``argparse.ArgumentTypeError``, which argparse reports
-    as a usage error (exit 2) when this parses a flag."""
+def _cli_real(raw) -> float:
+    """A finite real from the command line.  Raises
+    ``argparse.ArgumentTypeError``, which argparse reports as a usage error
+    (exit 2) when this parses a flag."""
     try:
         value = float(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{raw!r} is not a real number") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"{raw!r} is not finite")
-    if nonnegative and value < 0.0:
+    return value
+
+
+def _cli_nonnegative(raw) -> float:
+    """A finite real from the command line that is at least 0."""
+    value = _cli_real(raw)
+    if value < 0.0:
         raise argparse.ArgumentTypeError(f"{raw!r} is negative")
     return value
 
@@ -507,9 +513,6 @@ def build_parser():
         description="desk-scale checks for synthetic Lorentzian geometry")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def nonnegative(raw):
-        return _cli_real(raw, nonnegative=True)
-
     p = sub.add_parser("validate", help="check the axioms of a space file")
     p.add_argument("path")
     p.set_defaults(fn=cmd_validate)
@@ -528,7 +531,8 @@ def build_parser():
                    default="lower0")
     p.add_argument("--samples", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol-curvature", dest="tol", type=nonnegative, default=None)
+    p.add_argument("--tol-curvature", dest="tol", type=_cli_nonnegative,
+                   default=None)
     p.add_argument("--out", default=None, help="worst-defect CSV path")
     p.set_defaults(fn=cmd_curvature)
 
@@ -538,9 +542,10 @@ def build_parser():
     p.add_argument("--from", dest="src", required=True)
     p.add_argument("--direction", choices=["future", "past"], default="future")
     p.add_argument("--horizons", default="2,4,8,16,32,64,128,256")
-    p.add_argument("--tol-busemann", dest="tol_busemann", type=nonnegative,
+    p.add_argument("--tol-busemann", dest="tol_busemann", type=_cli_nonnegative,
                    default=None)
-    p.add_argument("--tol-line", dest="tol_line", type=nonnegative, default=EPS)
+    p.add_argument("--tol-line", dest="tol_line", type=_cli_nonnegative,
+                   default=EPS)
     p.set_defaults(fn=cmd_asymptote)
 
     p = sub.add_parser("split", help="slice extraction and product reconstruction")
@@ -548,10 +553,12 @@ def build_parser():
     p.add_argument("--line", required=True)
     p.add_argument("--t-grid", dest="t_grid", default="-2:2:0.5")
     p.add_argument("--horizons", default="2,4,8,16,32,64,128,256")
-    p.add_argument("--knot-extent", dest="knot_extent", type=nonnegative,
+    p.add_argument("--knot-extent", dest="knot_extent", type=_cli_nonnegative,
                    default=2.5)
-    p.add_argument("--tol-parallel", dest="tol", type=nonnegative, default=None)
-    p.add_argument("--tol-line", dest="tol_line", type=nonnegative, default=EPS)
+    p.add_argument("--tol-parallel", dest="tol", type=_cli_nonnegative,
+                   default=None)
+    p.add_argument("--tol-line", dest="tol_line", type=_cli_nonnegative,
+                   default=EPS)
     p.add_argument("--out", default=None)
     p.add_argument("--plot", default=None, help="slice distance rows as CSV")
     p.add_argument("--plot-svg", dest="plot_svg", default=None,
