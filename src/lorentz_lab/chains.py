@@ -51,26 +51,6 @@ def validate_chain(space: LorentzQuery, chain: CausalChain):
 
 
 @dataclass(frozen=True)
-class ChainLengths:
-    tau_length: float
-    d_length: float
-
-
-def chain_lengths(space: LorentzQuery, chain: CausalChain) -> ChainLengths:
-    validate_chain(space, chain)
-    tau_total = 0.0
-    d_total = 0.0
-    for a, b in chain.pairs():
-        tau_total += space.tau(a, b)
-        d_total += space.d(a, b)
-    if tau_total > space.tau(chain.points[0], chain.points[-1]) + EPS:
-        raise PreconditionError(
-            "chain sum exceeds endpoint separation; table violates the "
-            "reverse triangle inequality")
-    return ChainLengths(tau_total, d_total)
-
-
-@dataclass(frozen=True)
 class MaximizerResult:
     value: float
     chain: CausalChain
@@ -172,6 +152,9 @@ def maximize_tau(space: FiniteLorentzSpace, source: int, target: int) -> Maximiz
     return MaximizerResult(value, CausalChain(tuple(chain)), ways[source])
 
 
+PAIR_BLOCK = 1 << 15   # knot pairs per array call of ``is_line``
+
+
 @dataclass(frozen=True)
 class LineCheck:
     is_ray: bool
@@ -184,28 +167,36 @@ def is_line(space: LorentzQuery, chain: CausalChain, tol: float = EPS) -> LineCh
     """A chain is a line when the time separation is additive between every
     index pair, and a ray when additivity holds from the first point onward.
     The first failing pair (if any) is reported; total tau-length is returned
-    so callers can compare against their completeness horizon."""
+    so callers can compare against their completeness horizon.
+
+    The pairs (i, j > i) are scanned in row-major order, ``PAIR_BLOCK`` at a
+    time, so memory stays bounded however long the chain; the scan stops at
+    the first block holding a failure."""
     validate_chain(space, chain)
     pts = chain.points
-    cum = list(accumulate((space.tau(a, b) for a, b in chain.pairs()),
-                          initial=0.0))
-
-    # one row i at a time: defect of every pair (i, j > i)
-    cum_arr = np.array(cum)
-    first_failure = None
-    ray_ok = True
-    for i in range(len(pts) - 1):
-        js = np.arange(1, len(pts) - i)       # pts[i + js] after pts[i]
-        defect = np.abs((cum_arr[i + 1:] - cum[i])
-                        - space.tau_array(pts[i:], np.zeros_like(js), js))
-        bad = defect > tol
+    cum = np.array(list(accumulate((space.tau(a, b) for a, b in chain.pairs()),
+                                   initial=0.0)))
+    # row i holds the pairs (i, i + 1) .. (i, n - 1); start[i] is the
+    # row-major index of its first pair
+    n = len(pts)
+    start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    total = int(start[-1])
+    for k0 in range(0, total, PAIR_BLOCK):
+        k1 = min(k0 + PAIR_BLOCK, total)
+        # the rows the block [k0, k1) meets, and its pairs in each
+        rows = np.arange(np.searchsorted(start, k0, side="right") - 1,
+                         np.searchsorted(start, k1))
+        counts = np.diff(np.clip(start[rows[0]:rows[-1] + 2], k0, k1))
+        ii = np.repeat(rows, counts)
+        jj = np.arange(k0, k1) - np.repeat(start[rows] - rows - 1, counts)
+        bad = np.abs((cum[jj] - cum[ii]) - space.tau_array(pts, ii, jj)) > tol
         if bad.any():
-            # later rows change nothing: the line fails and row 0 settled
-            # the ray
-            ray_ok = i > 0
-            first_failure = (i, i + 1 + int(np.argmax(bad)))
-            break
-    return LineCheck(ray_ok, first_failure is None, first_failure, cum[-1])
+            # later pairs change nothing: the line fails, and a failure in
+            # row 0 comes first, so the first row settles the ray
+            f = int(np.argmax(bad))
+            i, j = int(ii[f]), int(jj[f])
+            return LineCheck(i > 0, False, (i, j), float(cum[-1]))
+    return LineCheck(True, True, None, float(cum[-1]))
 
 
 def reparametrize_tau_arclength(space: LorentzQuery, chain: CausalChain):

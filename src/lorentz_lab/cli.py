@@ -232,9 +232,9 @@ def parse_point(raw, space):
     if isinstance(space, FiniteLorentzSpace):
         return _point_index(raw, space.n)
     try:
-        parts = raw.split(",")
-        return (_cli_real(parts[0]), _cli_real(parts[1]))
-    except (argparse.ArgumentTypeError, IndexError):
+        t, x = raw.split(",")   # exactly two fields
+        return (_cli_real(t), _cli_real(x))
+    except (argparse.ArgumentTypeError, ValueError):
         raise InputError(f"cannot parse point {raw!r}") from None
 
 
@@ -355,6 +355,8 @@ def cmd_curvature(args):
     if isinstance(space, FiniteLorentzSpace):
         raise PreconditionError("monotonicity sampling needs an analytic space")
     hinges = sampling.product_hinges(space, args.samples, args.seed)
+    if not hinges:
+        raise PreconditionError("no hinges sampled")
     worst = 0.0
     ok = True
     for la, lb in hinges:

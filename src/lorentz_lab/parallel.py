@@ -10,6 +10,7 @@ residual parameter offset is the synchronization shift.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -68,18 +69,24 @@ class CFunctionTable:
         return out
 
 
-def _knot_pairs(space, alpha: LineDescriptor, beta: LineDescriptor):
-    """``leq`` and ``tau`` of each pair of an alpha and a beta knot, once:
-    entry [a, b, 0] relates alpha knot a to beta knot b, [a, b, 1] the
-    reverse.  A shift moves a line's parameters, not its points, so the
-    table serves every parametrization of the two lines."""
-    na, nb = len(alpha.params), len(beta.params)
+def _knot_pairs(space, alpha: LineDescriptor, *betas: LineDescriptor):
+    """``leq`` and ``tau`` of each pair of an alpha knot and a beta knot, for
+    every beta at once (one array call each), as one table per beta: entry
+    [a, b, 0] relates alpha knot a to beta knot b, [a, b, 1] the reverse.
+    A shift moves a line's parameters, not its points, so a table serves
+    every parametrization of its two lines."""
+    na = len(alpha.params)
+    sizes = [len(beta.params) for beta in betas]
+    nb = sum(sizes)
     a, b = np.divmod(np.arange(na * nb), nb)
     b += na
     i, j = np.stack([a, b], axis=-1).ravel(), np.stack([b, a], axis=-1).ravel()
-    points = alpha.chain.points + beta.chain.points
-    return (space.leq_array(points, i, j).reshape(na, nb, 2),
-            space.tau_array(points, i, j).reshape(na, nb, 2))
+    points = alpha.chain.points + tuple(
+        itertools.chain.from_iterable(beta.chain.points for beta in betas))
+    cuts = np.cumsum(sizes)[:-1]
+    return list(zip(
+        np.split(space.leq_array(points, i, j).reshape(na, nb, 2), cuts, axis=1),
+        np.split(space.tau_array(points, i, j).reshape(na, nb, 2), cuts, axis=1)))
 
 
 def _null_minima(src_params, dst_params, related_rows):
@@ -133,7 +140,7 @@ def c_functions(space, alpha: LineDescriptor,
     preceding knot (a lower bound) and whether it sat at the grid edge,
     where no bracket exists.
     """
-    return _c_table(alpha.params, beta.params, _knot_pairs(space, alpha, beta))
+    return _c_table(alpha.params, beta.params, _knot_pairs(space, alpha, beta)[0])
 
 
 @dataclass(frozen=True)
@@ -216,7 +223,12 @@ def test_parallel(space, alpha: LineDescriptor, beta: LineDescriptor,
     transfer to the flat model within tolerance, pairs within ``tolerance``
     of the null boundary excepted.
     """
-    pairs = _knot_pairs(space, alpha, beta)
+    return _verdict(alpha, beta, _knot_pairs(space, alpha, beta)[0], tolerance)
+
+
+def _verdict(alpha: LineDescriptor, beta: LineDescriptor, pairs,
+             tolerance) -> ParallelVerdict:
+    """``test_parallel`` over the ``_knot_pairs`` table of its two lines."""
     shift = _fit_shift(_c_table(alpha.params, beta.params, pairs))
 
     synced = beta.shifted(shift)

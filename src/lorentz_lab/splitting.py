@@ -21,7 +21,7 @@ from .core import EPS, PreconditionError, metric_defect
 from .models import product_image_defect
 from .asymptotics import (LineDescriptor, build_asymptotic_line,
                           busemann_value, in_timelike_envelope, line_point)
-from .parallel import test_parallel
+from .parallel import _knot_pairs, _verdict
 
 # image pairs checked by build_splitting_map; larger maps are sampled with
 # seed 0 so that reports stay reproducible
@@ -86,9 +86,11 @@ def extract_slice(space, line: LineDescriptor, seeds, horizons,
 
     n = len(members)
     d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            verdict = test_parallel(space, lines[i], lines[j], tolerance)
+    for i in range(n - 1):
+        # one knot-pair table of member i against all later members
+        tables = _knot_pairs(space, lines[i], *lines[i + 1:])
+        for j, pairs in enumerate(tables, i + 1):
+            verdict = _verdict(lines[i], lines[j], pairs, tolerance)
             if not verdict.parallel:
                 raise PreconditionError(
                     f"asymptotes through members {i} and {j} fail the "

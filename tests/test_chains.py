@@ -1,4 +1,4 @@
-"""Chain lengths, the longest-chain optimizer and its oracle, line checks."""
+"""The longest-chain optimizer and its oracle, line checks."""
 
 import math
 
@@ -6,33 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lorentz_lab.core import PreconditionError
-from lorentz_lab.chains import (CausalChain, chain_lengths,
-                                check_nonbranching, is_line, maximize_tau,
-                                reparametrize_tau_arclength)
+from lorentz_lab.chains import (CausalChain, check_nonbranching, is_line,
+                                maximize_tau, reparametrize_tau_arclength)
 from lorentz_lab.sampling import sprinkle_causal_set
 
 from conftest import brute_force_tau, three_chain, diamond_table
-
-
-class TestChainLengths:
-    def test_vertical_flat_chain(self, mink):
-        chain = CausalChain(((0.0, 0.0), (1.0, 0.0), (2.0, 0.0)))
-        lengths = chain_lengths(mink, chain)
-        assert lengths.tau_length == pytest.approx(2.0, abs=1e-15)
-        assert lengths.tau_length == pytest.approx(
-            mink.tau((0.0, 0.0), (2.0, 0.0)), abs=1e-15)
-
-    def test_kinked_chain_shorter(self, mink):
-        chain = CausalChain(((0.0, 0.0), (1.0, 0.9), (2.0, 0.0)))
-        lengths = chain_lengths(mink, chain)
-        assert lengths.tau_length == pytest.approx(2 * math.sqrt(0.19), abs=1e-12)
-        assert lengths.tau_length < 2.0
-
-    def test_single_pair(self):
-        space = three_chain()
-        lengths = chain_lengths(space, CausalChain((0, 1)))
-        assert lengths.tau_length == space.tau(0, 1)
-        assert lengths.d_length == space.d(0, 1)
 
 
 class TestMaximizeTau:

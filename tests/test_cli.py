@@ -135,6 +135,16 @@ def test_non_finite_point_exit_2(capsys):
     assert_one_line_exit_2(code, capsys)
 
 
+@pytest.mark.parametrize("src,dst", [
+    ("0,0.5,9", "2,0.5"), ("0,0.5", "2,0.5,"), ("0.5", "2,0.5"),
+    ("0,0.5", ""), ("0,0.5", ","),
+], ids=["three-fields", "trailing-comma", "one-field", "empty", "empty-fields"])
+def test_point_needs_two_fields_exit_2(src, dst, capsys):
+    code = main(["tau", golden("product_segment.json"),
+                 "--from", src, "--to", dst])
+    assert_one_line_exit_2(code, capsys)
+
+
 class TestValidateCommand:
     def test_golden_files_pass(self, capsys):
         for name in ("finite_diamond.json", "minkowski_strip.json",
@@ -233,6 +243,17 @@ class TestCurvatureCommand:
             capsys)
         assert code == 0
         assert report["verdicts"]["monotonicity"]
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    @pytest.mark.parametrize("bound", ["lower0", "upper0", "monotonicity"])
+    def test_empty_sample_exit_3(self, bound, samples, capsys):
+        code = main(["curvature", golden("minkowski_strip.json"),
+                     "--bound", bound, f"--samples={samples}"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "sampled" in captured.err
 
     def test_injected_violation_fails(self, tmp_path, capsys):
         sys.path.insert(0, os.path.dirname(__file__))

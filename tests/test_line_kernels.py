@@ -3,23 +3,26 @@ versions they replaced.
 
 The loops below are the former implementations of ``LineDescriptor.point_at``
 and ``has_param``, ``line_point``, ``is_line``, ``product_image_defect``,
-``build_splitting_map``, ``check_slice_alexandrov``, ``c_functions`` and
-``test_parallel``, kept as oracles: each bisection, array form and knot-pair
-table must give the same answers, the same first failures, the same
-witnesses in the same order and the same values, bit for bit.  The array
-forms of ``tau`` and ``leq`` are compared with the scalar forms on every
-factor kind and on finite tables.
+``build_splitting_map``, ``check_slice_alexandrov``, ``c_functions``,
+``test_parallel`` and the pairwise distance loop of ``extract_slice``, kept
+as oracles: each bisection, array form and knot-pair table must give the
+same answers, the same first failures, the same witnesses in the same order
+and the same values, bit for bit.  The array forms of ``tau`` and ``leq``
+are compared with the scalar forms on every factor kind and on finite
+tables.
 """
 
 import functools
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from lorentz_lab import chains
 from lorentz_lab.asymptotics import LineDescriptor, line_point, vertical_line
 from lorentz_lab.chains import CausalChain, LineCheck, is_line, validate_chain
 from lorentz_lab.core import EPS, FiniteLorentzSpace, PreconditionError
@@ -27,7 +30,8 @@ from lorentz_lab.models import (EuclideanSegment, ExplicitTable, PlaneSample,
                                 ProductSpace, TripodGraph, _product_tau,
                                 minkowski_space, product_image_defect)
 from lorentz_lab.parallel import (CFunctionTable, ParallelRealisation,
-                                  ParallelVerdict, _fit_shift, c_functions)
+                                  ParallelVerdict, _fit_shift, _knot_pairs,
+                                  _verdict, c_functions)
 from lorentz_lab.parallel import test_parallel as parallel_verdict
 from lorentz_lab.sampling import sprinkle_causal_set
 from lorentz_lab.splitting import (MAX_PAIRS, SliceCurvatureReport,
@@ -35,7 +39,7 @@ from lorentz_lab.splitting import (MAX_PAIRS, SliceCurvatureReport,
                                    check_slice_alexandrov, extract_slice,
                                    slice_from_table)
 
-from conftest import HORIZONS, column_lattice_table
+from conftest import BUSEMANN_TOL, HORIZONS, column_lattice_table
 
 # the oracles evaluate inf - inf and overflowing products on numpy scalars
 pytestmark = pytest.mark.filterwarnings(
@@ -522,6 +526,48 @@ class TestIsLineMatchesLoops:
         chain = CausalChain(tuple((float(t), 0.5) for t in range(-260, 261)))
         assert is_line(space, chain) == is_line_loops(space, chain)
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 7])
+    @settings(max_examples=40, deadline=None)
+    @given(chain=product_chains(), tol=st.sampled_from([0.0, EPS, 0.05, 0.5]))
+    def test_block_boundaries(self, block, chain, tol):
+        space = ProductSpace(EuclideanSegment(-5.0, 5.0, 41))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chains, "PAIR_BLOCK", block)
+            assert outcome(is_line, space, chain, tol) == \
+                outcome(is_line_loops, space, chain, tol)
+
+    def test_failure_past_the_first_block(self):
+        # in a product space any failure shows in row 0 first, so a doctored
+        # table places the first failures at rows 200 and 201 (row-major
+        # pair 59999 and later, in the second block), and one in the third
+        n = 400
+        k = np.arange(n)
+        tau = np.maximum(k[None, :] - k[:, None], 0).astype(float)
+        tau[200, 300] += 0.5
+        tau[201, 203] += 0.5
+        tau[390, 399] += 0.5
+        space = FiniteLorentzSpace(np.abs(k[None, :] - k[:, None]),
+                                   k[:, None] <= k[None, :],
+                                   k[:, None] < k[None, :], tau)
+        chain = CausalChain(tuple(range(n)))
+        check = is_line(space, chain)
+        assert check == is_line_loops(space, chain)
+        assert check == LineCheck(True, False, (200, 300), n - 1.0)
+
+    def test_memory_bounded_by_the_block(self):
+        # all 2001 * 2000 / 2 pairs at once would take about 16 MB per
+        # float64 array
+        space = ProductSpace(EuclideanSegment(0.0, 1.0, 21))
+        chain = CausalChain(tuple((float(t), 0.5) for t in range(2001)))
+        tracemalloc.start()
+        try:
+            check = is_line(space, chain)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert check == LineCheck(True, True, None, 2000.0)
+        assert peak < 8 * 2 ** 20
+
 
 # ---------------------------------------------------------------------------
 # product_image_defect
@@ -580,6 +626,18 @@ def product_slice():
     seeds = [(0.0, q) for q in space.factor.sample()]
     return space, extract_slice(space, gamma, seeds, HORIZONS, tolerance=tol,
                                 knot_extent=4.0), tol
+
+
+@functools.lru_cache(maxsize=None)
+def minkowski_slice():
+    """A flat strip, its slice through five seeds and the parallel
+    tolerance."""
+    space = minkowski_space(-6.0, 6.0, -6.0, 6.0, 0.25)
+    gamma = vertical_line(space, 0.0, range(-260, 261))
+    tol = 3.0 * (0.05 + BUSEMANN_TOL)
+    seeds = [(0.0, x) for x in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+    return space, extract_slice(space, gamma, seeds, HORIZONS, tolerance=tol,
+                                tol_null=1.0, knot_extent=4.0), tol
 
 
 def splitting_fields(result):
@@ -852,3 +910,56 @@ class TestParallelMatchesLoops:
             for b in sl.lines:
                 assert verdict_fields(parallel_verdict(space, a, b, tol)) == \
                     verdict_fields(parallel_verdict_loops(space, a, b, tol))
+
+
+# ---------------------------------------------------------------------------
+# extract_slice
+
+
+def slice_distances_loops(space, lines, tolerance):
+    """The distance table of ``extract_slice`` by one ``test_parallel`` per
+    member pair, with the verdicts."""
+    n = len(lines)
+    d = np.zeros((n, n))
+    verdicts = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            verdict = parallel_verdict(space, lines[i], lines[j], tolerance)
+            if not verdict.parallel:
+                raise PreconditionError(
+                    f"asymptotes through members {i} and {j} fail the "
+                    "parallelity test")
+            d[i, j] = d[j, i] = verdict.distance_c
+            verdicts[i, j] = verdict
+    return d, verdicts
+
+
+class TestExtractSliceMatchesLoops:
+    @pytest.mark.parametrize("make", [product_slice, minkowski_slice],
+                             ids=["segment", "minkowski"])
+    def test_distances_and_verdicts(self, make):
+        space, sl, tol = make()
+        d, verdicts = slice_distances_loops(space, sl.lines, tol)
+        assert sl.d_S.tobytes() == d.tobytes()
+        # the verdicts over one knot-pair table per member, as extract_slice
+        # takes them
+        for i, line in enumerate(sl.lines[:-1]):
+            tables = _knot_pairs(space, line, *sl.lines[i + 1:])
+            for j, pairs in enumerate(tables, i + 1):
+                assert verdict_fields(_verdict(line, sl.lines[j], pairs, tol)) \
+                    == verdict_fields(verdicts[i, j])
+        assert len(verdicts) == len(sl) * (len(sl) - 1) // 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(sorted(PARALLEL_SPACES)),
+           alpha=product_lines(),
+           betas=st.lists(product_lines(), min_size=1, max_size=4),
+           tolerance=st.sampled_from(TOLERANCES))
+    def test_tables_of_unequal_lines(self, kind, alpha, betas, tolerance):
+        # later members with differing knot counts share one table
+        space = PARALLEL_SPACES[kind]
+        for beta, pairs in zip(betas, _knot_pairs(space, alpha, *betas),
+                               strict=True):
+            assert verdict_fields(_verdict(alpha, beta, pairs, tolerance)) == \
+                verdict_fields(parallel_verdict_loops(space, alpha, beta,
+                                                      tolerance))
