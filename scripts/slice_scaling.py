@@ -1,0 +1,131 @@
+"""Growth of slice extraction with the member count.
+
+    PYTHONPATH=src python scripts/slice_scaling.py
+
+Extracts the slice of the canonical segment product (a vertical line at
+x = 0.5, one seed per factor point, knot extent 2.5 as the split command
+takes it, so every asymptotic line has 3 knots) at 21, 41 and 101 factor
+points, with time steps 0.05, 0.025 and 0.01, and times it, best of five:
+
+* ``extract_slice_s``: the whole extraction;
+* ``verdict_pass_s``: the extraction with its asymptotes replayed from an
+  earlier call, so that what remains is the parallel verdict of every
+  member pair, with the member dedupe and the metric check of the table,
+  the part that grows with the number of member pairs.
+
+The run goes into BENCH_slice.json at the repository root under the sha256
+of src/lorentz_lab, together with the machine and the Python and numpy
+versions.  An earlier run of the same source is replaced and runs of other
+sources are kept, so that two checkouts can be compared in one file.
+"""
+
+import hashlib
+import json
+import os
+import platform
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+from lorentz_lab import splitting
+from lorentz_lab.asymptotics import vertical_line
+from lorentz_lab.models import EuclideanSegment, ProductSpace
+
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_slice.json"
+HORIZONS = [2 ** k for k in range(1, 9)]
+SIZES = [(21, 0.05), (41, 0.025), (101, 0.01)]
+REPEATS = 5
+# what extract_slice builds per seed before it compares member pairs
+REPLAYED = ("in_timelike_envelope", "busemann_value", "build_asymptotic_line",
+            "line_point")
+
+
+def replaying(fn):
+    """fn, answering each argument list it has seen (by the identity of the
+    arguments) with its first result."""
+    seen = {}
+
+    def replay(*args, **kw):
+        key = tuple(map(id, args)) + tuple((k, id(v)) for k, v in kw.items())
+        if key not in seen:
+            seen[key] = (fn(*args, **kw), args, kw)   # keeps the ids alive
+        return seen[key][0]
+    return replay
+
+
+def best_time(fn):
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def measure(factor_points, t_step):
+    space = ProductSpace(EuclideanSegment(0.0, 1.0, factor_points), -2.0, 2.0,
+                         t_step)
+    line = vertical_line(space, 0.5, range(-260, 261))
+    tol = 3.0 * (space.mesh + 0.5 ** 2 / (2.0 * HORIZONS[-1]))
+    seeds = [(0.0, q) for q in space.factor.sample()]
+
+    def extract():
+        return splitting.extract_slice(space, line, seeds, HORIZONS,
+                                       tolerance=tol, knot_extent=2.5)
+
+    members = len(extract())
+    whole = best_time(extract)
+    saved = {name: getattr(splitting, name) for name in REPLAYED}
+    try:
+        for name, fn in saved.items():
+            setattr(splitting, name, replaying(fn))
+        extract()
+        verdicts = best_time(extract)
+    finally:
+        for name, fn in saved.items():
+            setattr(splitting, name, fn)
+    return {"factor_points": factor_points, "t_step": t_step,
+            "members": members, "member_pairs": members * (members - 1) // 2,
+            "extract_slice_s": whole, "verdict_pass_s": verdicts}
+
+
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo") as f:
+            for row in f:
+                if row.startswith("model name"):
+                    return row.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def src_sha256():
+    digest = hashlib.sha256()
+    for path in sorted((ROOT / "src" / "lorentz_lab").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
+def main():
+    run = {"src_sha256": src_sha256(),
+           "env": {"cpu": cpu_model(), "nproc": os.cpu_count(),
+                   "python": platform.python_version(),
+                   "numpy": np.__version__},
+           "repeats": REPEATS,
+           "sizes": [measure(*size) for size in SIZES]}
+    runs = json.loads(OUT.read_text())["runs"] if OUT.exists() else []
+    runs = [r for r in runs if r["src_sha256"] != run["src_sha256"]] + [run]
+    OUT.write_text(json.dumps({"runs": runs}, indent=2) + "\n")
+    for size in run["sizes"]:
+        print(f"{size['members']:4d} members  extract_slice "
+              f"{size['extract_slice_s']:.4f} s  verdict pass "
+              f"{size['verdict_pass_s']:.4f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

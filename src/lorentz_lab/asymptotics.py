@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from itertools import accumulate
 
+import numpy as np
+
 from .core import EPS, FiniteLorentzSpace, LorentzQuery, PreconditionError
 from .chains import CausalChain, is_line, maximize_tau, reparametrize_tau_arclength
 from .comparison import Leg
@@ -90,9 +92,14 @@ def vertical_line(space, x0, t_params) -> LineDescriptor:
 
 
 def in_timelike_envelope(space, line: LineDescriptor, p) -> bool:
-    """Whether p is timelike related to some line point in both directions."""
-    pts = line.chain.points
-    return any(space.ll(g, p) for g in pts) and any(space.ll(p, g) for g in pts)
+    """Whether p is timelike related to some line point in both directions,
+    decided by one ``ll_array`` call over both directions."""
+    pts = line.chain.points + (p,)
+    n = len(pts) - 1
+    knots, here = np.arange(n), np.full(n, n)
+    related = space.ll_array(pts, np.concatenate([knots, here]),
+                             np.concatenate([here, knots]))
+    return bool(related[:n].any() and related[n:].any())
 
 
 def line_point(space, line: LineDescriptor, param):

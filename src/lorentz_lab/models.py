@@ -209,6 +209,19 @@ def tau_minkowski(p, q) -> float:
     return _product_tau(q[0] - p[0], abs(q[1] - p[1]))
 
 
+def product_image_terms(tau, leq, dt, dx, null_band):
+    """The elementwise terms of ``product_image_defect``: |tau - product
+    tau|, whether a pair lies outside the null band, and whether it does
+    and its causal relation disagrees with ``dt >= dx``."""
+    dt, dx = np.asarray(dt, dtype=float), np.asarray(dx, dtype=float)
+    with np.errstate(invalid="ignore"):
+        # the square root amplifies grid noise inside the band and both
+        # separations vanish at its centre
+        kept = ~(np.abs(dt - dx) <= null_band)
+        defect = np.abs(tau - _product_tau_array(dt, dx))
+        return defect, kept, kept & (leq != (dt >= dx))
+
+
 def product_image_defect(tau, leq, dt, dx, null_band):
     """Compare a space against the product model it is claimed to realize.
 
@@ -218,13 +231,7 @@ def product_image_defect(tau, leq, dt, dx, null_band):
     are skipped.  Returns the largest |tau - product tau| (a NaN defect
     counts as none) and the indices k, in input order, of the pairs whose
     causal relation disagrees with ``dt >= dx``."""
-    dt, dx = np.asarray(dt, dtype=float), np.asarray(dx, dtype=float)
-    with np.errstate(invalid="ignore"):
-        # the square root amplifies grid noise inside the band and both
-        # separations vanish at its centre
-        kept = ~(np.abs(dt - dx) <= null_band)
-        defect = np.abs(tau - _product_tau_array(dt, dx))
-        mismatched = kept & (leq != (dt >= dx))
+    defect, kept, mismatched = product_image_terms(tau, leq, dt, dx, null_band)
     return (float(np.fmax.reduce(defect, where=kept, initial=0.0)),
             np.flatnonzero(mismatched).tolist())
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EPS, PreconditionError
-from .models import product_image_defect
+from . import chains
+from .models import product_image_terms
 from .comparison import UnrealizableError, _hinge
 from .asymptotics import (LineDescriptor, build_asymptotic_line,
                           busemann_value)
@@ -69,78 +70,31 @@ class CFunctionTable:
         return out
 
 
-def _knot_pairs(space, alpha: LineDescriptor, *betas: LineDescriptor):
-    """``leq`` and ``tau`` of each pair of an alpha knot and a beta knot, for
-    every beta at once (one array call each), as one table per beta: entry
-    [a, b, 0] relates alpha knot a to beta knot b, [a, b, 1] the reverse.
-    A shift moves a line's parameters, not its points, so a table serves
-    every parametrization of its two lines."""
-    na = len(alpha.params)
-    sizes = [len(beta.params) for beta in betas]
-    nb = sum(sizes)
-    a, b = np.divmod(np.arange(na * nb), nb)
-    b += na
-    i, j = np.stack([a, b], axis=-1).ravel(), np.stack([b, a], axis=-1).ravel()
-    points = alpha.chain.points + tuple(
-        itertools.chain.from_iterable(beta.chain.points for beta in betas))
-    cuts = np.cumsum(sizes)[:-1]
-    return list(zip(
-        np.split(space.leq_array(points, i, j).reshape(na, nb, 2), cuts, axis=1),
-        np.split(space.tau_array(points, i, j).reshape(na, nb, 2), cuts, axis=1)))
-
-
-def _null_minima(src_params, dst_params, related_rows):
-    """Per source parameter s: the gap to the first related destination
-    knot, whether that knot opens the grid, and the previous knot's gap."""
-    out = {}
-    for s, row in zip(src_params, related_rows):
-        qualifying = [t for t, related in zip(dst_params, row) if related]
-        if not qualifying:
-            continue
-        tmin = min(qualifying)
-        below = [t for t in dst_params if t < tmin]
-        prev_gap = (max(below) - s) if below else -math.inf
-        out[s] = (tmin - s, not below, prev_gap)
-    return out
-
-
-def _c_table(a_params, b_params, pairs) -> CFunctionTable:
-    """The four parallelity functions over a ``_knot_pairs`` table."""
-    leq, tau = pairs
-    c_ab, c_ba = {}, {}
-    flags = 0
-    for s, leq_row, tau_row in zip(a_params, leq.tolist(), tau.tolist()):
-        for t, (ab, ba), (tab, tba) in zip(b_params, leq_row, tau_row):
-            if ab:
-                rad = (t - s) ** 2 - tab ** 2
-                if rad < -EPS:
-                    flags += 1
-                else:
-                    c_ab[(s, t)] = math.sqrt(max(rad, 0.0))
-            if ba:
-                rad = (s - t) ** 2 - tba ** 2
-                if rad < -EPS:
-                    flags += 1
-                else:
-                    c_ba[(s, t)] = math.sqrt(max(rad, 0.0))
-    return CFunctionTable(c_ab, c_ba,
-                          _null_minima(a_params, b_params, leq[:, :, 0].tolist()),
-                          _null_minima(b_params, a_params, leq[:, :, 1].T.tolist()),
-                          flags)
-
-
-def c_functions(space, alpha: LineDescriptor,
-                beta: LineDescriptor) -> CFunctionTable:
-    """Evaluate the four parallelity functions on the knot grids.
-
-    Entries with a negative radicand (possible on tables violating the
-    reverse triangle inequality across the two lines) are counted as complex
-    flags and excluded.  The null-gap minima are knot-resolution upper
-    bounds on the true crossing gap; each entry records the gap of the
-    preceding knot (a lower bound) and whether it sat at the grid edge,
-    where no bracket exists.
-    """
-    return _c_table(alpha.params, beta.params, _knot_pairs(space, alpha, beta)[0])
+def _pair_tables(space, lines, first, second, na, nb):
+    """``leq`` and ``tau`` of every knot pair of the line pairs
+    (lines[first[k]], lines[second[k]]), with one ``leq_array`` and one
+    ``tau_array`` call: entry [k, 0, a, b] relates knot a of the first line
+    to knot b of the second, [k, 1, a, b] the reverse.  Tables are padded
+    to na x nb knots; ``valid`` marks the real entries, and ``leq`` is False
+    off them.  A shift moves a line's parameters, not its points, so a
+    table serves every parametrization of its two lines."""
+    knots = np.array([len(line.params) for line in lines], dtype=np.intp)
+    start = np.cumsum(knots) - knots
+    points = list(itertools.chain.from_iterable(line.chain.points
+                                                for line in lines))
+    ka, kb = knots[first][:, None, None], knots[second][:, None, None]
+    a, b = np.arange(na)[:, None], np.arange(nb)
+    # padding repeats a line's last knot
+    ia, ib = np.broadcast_arrays(start[first][:, None, None]
+                                 + np.minimum(a, ka - 1),
+                                 start[second][:, None, None]
+                                 + np.minimum(b, kb - 1))
+    i = np.stack([ia, ib], axis=1).ravel()
+    j = np.stack([ib, ia], axis=1).ravel()
+    shape = (len(first), 2, na, nb)
+    valid = ((a < ka) & (b < kb))[:, None]
+    leq = space.leq_array(points, i, j).reshape(shape) & valid
+    return leq, space.tau_array(points, i, j).reshape(shape), valid
 
 
 @dataclass(frozen=True)
@@ -170,22 +124,138 @@ class ParallelVerdict:
     complex_flags: int
 
 
-def _affine_slope(points):
-    if len(points) < 2:
-        return None
-    gs = [g for g, _ in points]
-    ys = [y for _, y in points]
-    n = len(points)
-    gbar = sum(gs) / n
-    ybar = sum(ys) / n
-    den = sum((g - gbar) ** 2 for g in gs)
-    if den <= EPS:
-        return None
-    return sum((g - gbar) * (y - ybar) for g, y in zip(gs, ys)) / den
+FUNCTIONS = ("c_ab", "c_ba", "n_ab", "n_ba")   # keys of per_function
 
 
-def _fit_shift(raw: CFunctionTable):
-    """Least-squares synchronization offset.
+@dataclass(frozen=True)
+class ParallelVerdicts:
+    """The verdicts of a batch of line pairs, one array entry per pair:
+    every ``ParallelVerdict`` field but the realisation, ``per_function``
+    as one column per name in ``FUNCTIONS``.  A pair whose shift would
+    merge knots of its second line is not parallel."""
+    parallel: np.ndarray
+    distance_c: np.ndarray
+    shift: np.ndarray
+    spread: np.ndarray
+    per_function: np.ndarray
+    tau_defect: np.ndarray
+    leq_mismatches: np.ndarray
+    complex_flags: np.ndarray
+
+    def verdict(self, k, alpha: LineDescriptor,
+                beta: LineDescriptor) -> ParallelVerdict:
+        """Pair k as a ``ParallelVerdict``; alpha and beta are its lines.
+        Shifting beta raises ``PreconditionError`` when the shift merges
+        knots."""
+        shift = float(self.shift[k])
+        synced = beta.shifted(shift)
+        ok, distance = bool(self.parallel[k]), float(self.distance_c[k])
+        return ParallelVerdict(
+            ok, distance, shift, float(self.spread[k]),
+            dict(zip(FUNCTIONS, self.per_function[k].tolist())),
+            float(self.tau_defect[k]), int(self.leq_mismatches[k]),
+            ParallelRealisation(alpha, synced, shift, distance) if ok else None,
+            int(self.complex_flags[k]))
+
+
+def _squares(x, mask):
+    """``v ** 2`` of the entries under mask (0 elsewhere), squared by
+    Python's ``**``: C ``pow`` can differ from ``v * v`` in the last bit."""
+    out = np.zeros(x.shape)
+    out[mask] = [v ** 2 for v in x[mask].tolist()]
+    return out
+
+
+def _sum(x, mask):
+    """Python's ``sum`` of each row's entries under mask: left to right,
+    from 0 (masked entries add 0.0, which changes no partial sum)."""
+    return np.add.accumulate(np.where(mask, x, 0.0), axis=-1)[..., -1] + 0.0
+
+
+def _rows(x):
+    """x with every axis but the first flattened, row-major."""
+    return x.reshape(len(x), math.prod(x.shape[1:]))
+
+
+def _spread(x, mask):
+    """Python's ``max(v) - min(v)`` over each row's entries v under mask:
+    ties keep the first entry, a NaN counts only as the first entry; NaN
+    for no entries."""
+    rows = np.arange(len(x))
+    first = x[rows, mask.argmax(axis=1)]
+    numbers = mask & ~np.isnan(x)
+    high, low = np.where(numbers, x, -np.inf), np.where(numbers, x, np.inf)
+    spread = high[rows, high.argmax(axis=1)] - low[rows, low.argmin(axis=1)]
+    return np.where(mask.any(axis=1),
+                    np.where(np.isnan(first), first - first, spread), np.nan)
+
+
+def _c_values(s, t, leq, tau_sq):
+    """The c-functions of the pairs with knot parameters s (first line) and
+    t (second): the gaps (t - s, s - t), the values
+    sqrt(gap^2 - tau^2) and where they are defined (related, radicand not
+    below -EPS), and the number of complex flags per pair."""
+    dt = np.stack([t[:, None, :] - s[:, :, None],
+                   s[:, :, None] - t[:, None, :]], axis=1)
+    rad = _squares(dt, leq) - tau_sq
+    flagged = leq & (rad < -EPS)
+    c = np.sqrt(np.where(0.0 > rad, 0.0, rad))
+    return dt, c, leq & ~flagged, flagged.sum(axis=(1, 2, 3))
+
+
+def _null_minima(s, t, leq):
+    """The null minima of the pairs, forward (per first-line knot) and
+    backward (per second-line knot): whether some knot of the other line is
+    related, the gap to the first one, whether that knot opens the grid,
+    and the low end of the bracket (the previous knot's gap, -inf at the
+    grid edge)."""
+    rows = np.arange(len(s))[:, None]
+    out = []
+    for src, dst, related in ((s, t, leq[:, 0]),
+                              (t, s, leq[:, 1].transpose(0, 2, 1))):
+        k = related.argmax(axis=2)
+        low = dst[rows, np.maximum(k - 1, 0)] - src
+        out.append((related.any(axis=2), dst[rows, k] - src, k == 0,
+                    np.where(k == 0, -np.inf, low)))
+    return out
+
+
+def c_functions(space, alpha: LineDescriptor,
+                beta: LineDescriptor) -> CFunctionTable:
+    """Evaluate the four parallelity functions on the knot grids.
+
+    Entries with a negative radicand (possible on tables violating the
+    reverse triangle inequality across the two lines) are counted as complex
+    flags and excluded.  The null-gap minima are knot-resolution upper
+    bounds on the true crossing gap; each entry records the gap of the
+    preceding knot (a lower bound) and whether it sat at the grid edge,
+    where no bracket exists.
+    """
+    a_params, b_params = alpha.params, beta.params
+    leq, tau, _ = _pair_tables(space, (alpha, beta), [0], [1],
+                               len(a_params), len(b_params))
+    s, t = np.array([a_params], dtype=float), np.array([b_params], dtype=float)
+    with np.errstate(all="ignore"):
+        _, c, live, flags = _c_values(s, t, leq, _squares(tau, leq))
+        n_ab, n_ba = _null_minima(s, t, leq)
+    keys = list(itertools.product(a_params, b_params))     # row-major
+
+    def values(family):
+        defined = live[0, family]
+        return dict(zip((keys[k] for k in np.flatnonzero(defined)),
+                        c[0, family][defined].tolist()))
+
+    def minima(params, has, gap, edge, low):
+        return {p: (v, e, prev) for p, related, v, e, prev in zip(
+            params, has[0].tolist(), gap[0].tolist(), edge[0].tolist(),
+            low[0].tolist()) if related}
+
+    return CFunctionTable(values(0), values(1), minima(a_params, *n_ab),
+                          minima(b_params, *n_ba), int(flags[0]))
+
+
+def _shifts(dt, c, live, nulls):
+    """Least-squares synchronization offset of each pair.
 
     For genuinely parallel lines whose second parameter runs ahead of
     synchronized time by b, the squared timelike gap functions are affine in
@@ -193,22 +263,95 @@ def _fit_shift(raw: CFunctionTable):
     family); each family is fit separately since their intercepts differ.
     Falls back to the null-minima midpoint difference when the lines never
     cross timelike."""
-    estimates = []
-    # forward family: value^2 = -2 b g - b^2 + c^2 over the gap g = t - s
-    s_ab = _affine_slope([((t - s), v * v) for (s, t), v in raw.c_ab.items()])
-    if s_ab is not None:
-        estimates.append(-s_ab / 2.0)
+    g, y, m = (v.reshape(len(v), 2, math.prod(v.shape[2:]))
+               for v in (dt, c * c, live))
+    n = m.sum(axis=2)
+    gbar = _sum(g, m) / n
+    ybar = _sum(y, m) / n
+    dg = g - gbar[..., None]
+    den = _sum(_squares(dg, m), m)
+    # forward family: value^2 = -2 b g - b^2 + c^2 over g = t - s;
     # backward family: value^2 = +2 b g' - b^2 + c^2 over g' = s - t
-    s_ba = _affine_slope([((s - t), v * v) for (s, t), v in raw.c_ba.items()])
-    if s_ba is not None:
-        estimates.append(s_ba / 2.0)
-    if estimates:
-        return sum(estimates) / len(estimates)
-    nab = [v for v, _, _ in raw.n_ab.values()]
-    nba = [v for v, _, _ in raw.n_ba.values()]
-    if nab and nba:
-        return (sum(nba) / len(nba) - sum(nab) / len(nab)) / 2.0
-    return 0.0
+    slope = _sum(dg * (y - ybar[..., None]), m) / den
+    estimates = np.stack([-slope[:, 0], slope[:, 1]], axis=1) / 2.0
+    fitted = (n >= 2) & ~(den <= EPS)
+    (has_ab, gap_ab, _, _), (has_ba, gap_ba, _, _) = nulls
+    midpoints = (_sum(gap_ba, has_ba) / has_ba.sum(axis=1)
+                 - _sum(gap_ab, has_ab) / has_ab.sum(axis=1)) / 2.0
+    return np.where(fitted.any(axis=1),
+                    _sum(estimates, fitted) / fitted.sum(axis=1),
+                    np.where(has_ab.any(axis=1) & has_ba.any(axis=1),
+                             midpoints, 0.0))
+
+
+def _decide(space, lines, params, first, second, na, nb, tolerance):
+    """``decide_parallel`` on one block of pairs: the field arrays."""
+    leq, tau, valid = _pair_tables(space, lines, first, second, na, nb)
+    s, t = params[first, :na], params[second, :nb]
+    tau_sq = _squares(tau, leq)
+    dt, c, live, _ = _c_values(s, t, leq, tau_sq)
+    shift = _shifts(dt, c, live, _null_minima(s, t, leq))
+
+    synced = t + shift[:, None]
+    merged = ((np.diff(synced, axis=1) <= 0) & valid[:, 0, 0, 1:]).any(axis=1)
+    dt, c, live, flags = _c_values(s, synced, leq, tau_sq)
+    n_ab, n_ba = _null_minima(s, synced, leq)
+    values, defined = _rows(c), _rows(live)
+    none = ~defined.any(axis=1)
+    c_mean = np.where(none, np.nan,
+                      _sum(values, defined) / defined.sum(axis=1))
+    spread = _spread(values, defined)
+    ok = spread <= tolerance
+    # the quantized null minima must stay consistent with the distance
+    mean = c_mean[:, None]
+    for has, gap, _, low in (n_ab, n_ba):
+        ok &= ~(has & ((mean < low - tolerance)
+                       | (mean > gap + tolerance))).any(axis=1)
+
+    # re-verify the realization: alpha(s) -> (s, 0), synced beta(t) -> (t, c)
+    defect, kept, mismatched = product_image_terms(
+        tau, leq, dt, c_mean[:, None, None, None], tolerance)
+    kept &= valid
+    tau_defect = np.where(ok, np.fmax.reduce(_rows(defect), axis=1,
+                                             where=_rows(kept), initial=0.0),
+                          0.0)
+    mismatches = np.where(ok, (mismatched & valid).sum(axis=(1, 2, 3)), 0)
+    ok &= (tau_defect <= tolerance) & (mismatches == 0)
+
+    per_function = np.stack([_spread(_rows(c[:, 0]), _rows(live[:, 0])),
+                             _spread(_rows(c[:, 1]), _rows(live[:, 1])),
+                             _spread(n_ab[1], n_ab[0]),
+                             _spread(n_ba[1], n_ba[0])], axis=1)
+    return (ok & ~merged, c_mean, shift, spread, per_function,
+            np.where(none, np.nan, tau_defect), mismatches, flags)
+
+
+def decide_parallel(space, lines, first, second,
+                    tolerance) -> ParallelVerdicts:
+    """``test_parallel`` for every line pair (lines[first[k]],
+    lines[second[k]]) at once, in array passes over blocks of pairs whose
+    padded knot-pair tables hold at most ``chains.PAIR_BLOCK`` entries per
+    direction (a single pair may exceed it).
+
+    The values equal the pairwise verdicts bit for bit, up to the sign of a
+    NaN made of two NaNs: squares are taken with Python's ``**`` and sums
+    run left to right in the order of the pairwise dictionaries, ``c_ab``
+    before ``c_ba``, row-major."""
+    first = np.asarray(first, dtype=np.intp)
+    second = np.asarray(second, dtype=np.intp)
+    knots = np.array([len(line.params) for line in lines], dtype=np.intp)
+    params = np.zeros((len(lines), knots.max(initial=1)))
+    for row, line in zip(params, lines):
+        row[:len(line.params)] = line.params
+    na, nb = knots[first].max(initial=1), knots[second].max(initial=1)
+    step = max(1, chains.PAIR_BLOCK // (na * nb))
+    # at least one block, so that an empty batch gives empty arrays; the
+    # pairwise loop met inf - inf and overflow in silence
+    with np.errstate(all="ignore"):
+        blocks = [_decide(space, lines, params, first[k:k + step],
+                          second[k:k + step], na, nb, tolerance)
+                  for k in range(0, max(len(first), 1), step)]
+    return ParallelVerdicts(*map(np.concatenate, zip(*blocks)))
 
 
 def test_parallel(space, alpha: LineDescriptor, beta: LineDescriptor,
@@ -223,47 +366,8 @@ def test_parallel(space, alpha: LineDescriptor, beta: LineDescriptor,
     transfer to the flat model within tolerance, pairs within ``tolerance``
     of the null boundary excepted.
     """
-    return _verdict(alpha, beta, _knot_pairs(space, alpha, beta)[0], tolerance)
-
-
-def _verdict(alpha: LineDescriptor, beta: LineDescriptor, pairs,
-             tolerance) -> ParallelVerdict:
-    """``test_parallel`` over the ``_knot_pairs`` table of its two lines."""
-    shift = _fit_shift(_c_table(alpha.params, beta.params, pairs))
-
-    synced = beta.shifted(shift)
-    table = _c_table(alpha.params, synced.params, pairs)
-    values = table.timelike_values()
-    if not values:
-        return ParallelVerdict(False, math.nan, shift, math.nan,
-                               table.per_function_spreads(), math.nan, 0,
-                               None, table.complex_flags)
-    spread = max(values) - min(values)
-    c_mean = sum(values) / len(values)
-    ok = spread <= tolerance
-    # the quantized null minima must stay consistent with the distance
-    for low, high in table.null_brackets():
-        if c_mean < low - tolerance or c_mean > high + tolerance:
-            ok = False
-
-    # re-verify the realization: alpha(s) -> (s, 0), synced beta(t) -> (t, c)
-    tau_defect = 0.0
-    mismatches = 0
-    if ok:
-        # each (alpha(s), synced beta(t)) pair in both orders, as in the table
-        leq, tau = pairs
-        s = np.array(alpha.params)[:, None]
-        t = np.array(synced.params)[None, :]
-        dt = np.stack([t - s, s - t], axis=-1).ravel()
-        tau_defect, mismatched = product_image_defect(
-            tau.ravel(), leq.ravel(), dt, np.full(dt.shape, c_mean), tolerance)
-        mismatches = len(mismatched)
-        ok = tau_defect <= tolerance and mismatches == 0
-
-    realisation = ParallelRealisation(alpha, synced, shift, c_mean) if ok else None
-    return ParallelVerdict(ok, c_mean, shift, spread,
-                           table.per_function_spreads(), tau_defect,
-                           mismatches, realisation, table.complex_flags)
+    return decide_parallel(space, (alpha, beta), [0], [1],
+                           tolerance).verdict(0, alpha, beta)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .core import EPS, PreconditionError, metric_defect
 from .models import product_image_defect
 from .asymptotics import (LineDescriptor, build_asymptotic_line,
                           busemann_value, in_timelike_envelope, line_point)
-from .parallel import _knot_pairs, _verdict
+from .parallel import decide_parallel
 
 # image pairs checked by build_splitting_map; larger maps are sampled with
 # seed 0 so that reports stay reproducible
@@ -85,17 +85,19 @@ def extract_slice(space, line: LineDescriptor, seeds, horizons,
         lines.append(asym)
 
     n = len(members)
+    first, second = np.triu_indices(n, 1)
+    verdicts = decide_parallel(space, lines, first, second, tolerance)
+    failed = np.flatnonzero(~verdicts.parallel)
+    if len(failed):
+        # the row-major first failure, as a pairwise loop meets it (its
+        # verdict raises first when the shift merges knots)
+        k = failed[0]
+        i, j = int(first[k]), int(second[k])
+        verdicts.verdict(k, lines[i], lines[j])
+        raise PreconditionError(f"asymptotes through members {i} and {j} "
+                                "fail the parallelity test")
     d = np.zeros((n, n))
-    for i in range(n - 1):
-        # one knot-pair table of member i against all later members
-        tables = _knot_pairs(space, lines[i], *lines[i + 1:])
-        for j, pairs in enumerate(tables, i + 1):
-            verdict = _verdict(lines[i], lines[j], pairs, tolerance)
-            if not verdict.parallel:
-                raise PreconditionError(
-                    f"asymptotes through members {i} and {j} fail the "
-                    "parallelity test")
-            d[i, j] = d[j, i] = verdict.distance_c
+    d[first, second] = d[second, first] = verdicts.distance_c
     out = SpacelikeSlice(tuple(members), d, tuple(lines), line, tuple(horizons))
     ok, worst = out.validate_metric(tolerance)
     if not ok:

@@ -4,7 +4,8 @@ versions they replaced.
 The loops below are the former implementations of ``LineDescriptor.point_at``
 and ``has_param``, ``line_point``, ``is_line``, ``product_image_defect``,
 ``build_splitting_map``, ``check_slice_alexandrov``, ``c_functions``,
-``test_parallel`` and the pairwise distance loop of ``extract_slice``, kept
+``test_parallel`` (with its least-squares shift), the pairwise distance
+loop of ``extract_slice`` and ``in_timelike_envelope``, kept
 as oracles: each bisection, array form and knot-pair table must give the
 same answers, the same first failures, the same witnesses in the same order
 and the same values, bit for bit.  The array forms of ``tau`` and ``leq``
@@ -22,16 +23,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lorentz_lab import chains
-from lorentz_lab.asymptotics import LineDescriptor, line_point, vertical_line
+from lorentz_lab import chains, splitting
+from lorentz_lab.asymptotics import (LineDescriptor, build_asymptotic_line,
+                                     in_timelike_envelope, line_point,
+                                     vertical_line)
 from lorentz_lab.chains import CausalChain, LineCheck, is_line, validate_chain
 from lorentz_lab.core import EPS, FiniteLorentzSpace, PreconditionError
 from lorentz_lab.models import (EuclideanSegment, ExplicitTable, PlaneSample,
                                 ProductSpace, TripodGraph, _product_tau,
                                 minkowski_space, product_image_defect)
 from lorentz_lab.parallel import (CFunctionTable, ParallelRealisation,
-                                  ParallelVerdict, _fit_shift, _knot_pairs,
-                                  _verdict, c_functions)
+                                  ParallelVerdict, c_functions, decide_parallel)
 from lorentz_lab.parallel import test_parallel as parallel_verdict
 from lorentz_lab.sampling import sprinkle_causal_set
 from lorentz_lab.splitting import (MAX_PAIRS, SliceCurvatureReport,
@@ -112,6 +114,11 @@ def is_line_loops(space, chain, tol=EPS):
                 if first_failure is None:
                     first_failure = (i, j)
     return LineCheck(ray_ok, line_ok, first_failure, cum[-1])
+
+
+def in_timelike_envelope_loops(space, line, p):
+    pts = line.chain.points
+    return any(space.ll(g, p) for g in pts) and any(space.ll(p, g) for g in pts)
 
 
 def product_image_defect_loops(space, pairs, null_band):
@@ -249,9 +256,43 @@ def c_functions_loops(space, alpha, beta):
     return CFunctionTable(c_ab, c_ba, n_ab, n_ba, flags)
 
 
+def affine_slope_loops(points):
+    if len(points) < 2:
+        return None
+    gs = [g for g, _ in points]
+    ys = [y for _, y in points]
+    n = len(points)
+    gbar = sum(gs) / n
+    ybar = sum(ys) / n
+    den = sum((g - gbar) ** 2 for g in gs)
+    if den <= EPS:
+        return None
+    return sum((g - gbar) * (y - ybar) for g, y in zip(gs, ys)) / den
+
+
+def fit_shift_loops(raw):
+    """The least-squares shift, and which branch gave it: "fit" (some
+    family of timelike gaps), "nulls" (the null-minima midpoints) or
+    "none"."""
+    estimates = []
+    s_ab = affine_slope_loops([((t - s), v * v) for (s, t), v in raw.c_ab.items()])
+    if s_ab is not None:
+        estimates.append(-s_ab / 2.0)
+    s_ba = affine_slope_loops([((s - t), v * v) for (s, t), v in raw.c_ba.items()])
+    if s_ba is not None:
+        estimates.append(s_ba / 2.0)
+    if estimates:
+        return sum(estimates) / len(estimates), "fit"
+    nab = [v for v, _, _ in raw.n_ab.values()]
+    nba = [v for v, _, _ in raw.n_ba.values()]
+    if nab and nba:
+        return (sum(nba) / len(nba) - sum(nab) / len(nab)) / 2.0, "nulls"
+    return 0.0, "none"
+
+
 def parallel_verdict_loops(space, alpha, beta, tolerance):
     raw = c_functions_loops(space, alpha, beta)
-    shift = _fit_shift(raw)
+    shift, _ = fit_shift_loops(raw)
 
     synced = beta.shifted(shift)
     table = c_functions_loops(space, alpha, synced)
@@ -569,6 +610,41 @@ class TestIsLineMatchesLoops:
         assert peak < 8 * 2 ** 20
 
 
+class TestEnvelopeMatchesLoops:
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(sorted(FACTORS)), data=st.data())
+    def test_product_points(self, kind, data):
+        # the line's knots need not be related to each other
+        space = ProductSpace(FACTORS[kind])
+        p, *knots = data.draw(product_points(kind))
+        assume(len(knots) >= 2)
+        line = LineDescriptor(CausalChain(tuple(knots)), range(len(knots)))
+        assert in_timelike_envelope(space, line, p) is \
+            in_timelike_envelope_loops(space, line, p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(2, 8), seed=SEEDS, data=st.data())
+    def test_finite_tables(self, n, seed, data):
+        space = finite_space(n, seed)
+        p = data.draw(st.integers(0, n - 1))
+        knots = data.draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                   max_size=6))
+        line = LineDescriptor(CausalChain(tuple(knots)), range(len(knots)))
+        assert in_timelike_envelope(space, line, p) is \
+            in_timelike_envelope_loops(space, line, p)
+
+    def test_golden_line(self):
+        # seeds on both sides of the line and past its ends
+        space = ProductSpace(EuclideanSegment(0.0, 1.0, 21), -2.0, 2.0, 0.05)
+        line = vertical_line(space, 0.5, range(-260, 261))
+        probes = [(t, q) for t in (-300.0, -260.0, -259.5, 0.0, 259.5, 260.0)
+                  for q in space.factor.sample()]
+        got = [in_timelike_envelope(space, line, p) for p in probes]
+        assert got == [in_timelike_envelope_loops(space, line, p)
+                       for p in probes]
+        assert True in got and False in got
+
+
 # ---------------------------------------------------------------------------
 # product_image_defect
 
@@ -618,9 +694,11 @@ def assert_defects_match(space, points, i, j, dt, dx, band):
 # build_splitting_map
 
 @functools.lru_cache(maxsize=None)
-def product_slice():
-    """The canonical product, its slice and the parallel tolerance."""
-    space = ProductSpace(EuclideanSegment(0.0, 1.0, 21), -2.0, 2.0, 0.05)
+def product_slice(factor_points=21, t_step=0.05):
+    """The canonical product (or a finer one), its slice and the parallel
+    tolerance."""
+    space = ProductSpace(EuclideanSegment(0.0, 1.0, factor_points), -2.0, 2.0,
+                         t_step)
     gamma = vertical_line(space, 0.5, range(-260, 261))
     tol = 3.0 * (space.mesh + 0.5 ** 2 / (2.0 * HORIZONS[-1]))
     seeds = [(0.0, q) for q in space.factor.sample()]
@@ -792,7 +870,7 @@ def table_fields(table):
             + [table.complex_flags])
 
 
-def verdict_fields(v):
+def verdict_fields(v, bits=bits):
     """Every field of a parallel verdict; the realisation by its lines,
     synced parameters and distance."""
     real = v.realisation
@@ -802,6 +880,14 @@ def verdict_fields(v):
             None if real is None else
             (real.line_a, real.line_b.chain, bits(real.line_b.params),
              bits([real.shift_b, real.distance_c])))
+
+
+def nan_blind_bits(values):
+    """``bits`` with every NaN read as one: when both operands are NaN,
+    Python's float arithmetic returns the second and numpy the first, so
+    the sign of a NaN made from two NaNs is not pinned."""
+    values = np.asarray(values, dtype=float).reshape(-1)
+    return bits(np.where(np.isnan(values), np.nan, values))
 
 
 def assert_parallel_matches(space, alpha, beta, tolerance):
@@ -917,14 +1003,15 @@ class TestParallelMatchesLoops:
 
 
 def slice_distances_loops(space, lines, tolerance):
-    """The distance table of ``extract_slice`` by one ``test_parallel`` per
+    """The distance table of ``extract_slice`` by one pairwise verdict per
     member pair, with the verdicts."""
     n = len(lines)
     d = np.zeros((n, n))
     verdicts = {}
     for i in range(n):
         for j in range(i + 1, n):
-            verdict = parallel_verdict(space, lines[i], lines[j], tolerance)
+            verdict = parallel_verdict_loops(space, lines[i], lines[j],
+                                             tolerance)
             if not verdict.parallel:
                 raise PreconditionError(
                     f"asymptotes through members {i} and {j} fail the "
@@ -934,32 +1021,215 @@ def slice_distances_loops(space, lines, tolerance):
     return d, verdicts
 
 
+def batch_verdicts(space, lines, pairs, tolerance):
+    """The verdicts of the (i, j) pairs of lines from one
+    ``decide_parallel`` call."""
+    first, second = zip(*pairs)
+    verdicts = decide_parallel(space, lines, first, second, tolerance)
+    return [verdicts.verdict(k, lines[i], lines[j])
+            for k, (i, j) in enumerate(pairs)]
+
+
+def assert_batch_matches(space, lines, pairs, tolerance, bits=bits):
+    got = batch_verdicts(space, lines, pairs, tolerance)
+    assert [verdict_fields(v, bits) for v in got] == [
+        verdict_fields(parallel_verdict_loops(space, lines[i], lines[j],
+                                              tolerance), bits)
+        for i, j in pairs]
+
+
+@st.composite
+def line_batches(draw, lines):
+    """One to five lines and one to twelve pairs of them, in any order,
+    repeats and a line against itself included."""
+    batch = draw(st.lists(lines, min_size=1, max_size=5))
+    index = st.integers(0, len(batch) - 1)
+    return batch, draw(st.lists(st.tuples(index, index), min_size=1,
+                                max_size=12))
+
+
+PARAMS = [-2.0, -1.0, -0.5, -0.0, 0.0, 0.25, 0.5, 1.0, 2.0, 3.5]
+
+
+@st.composite
+def table_lines(draw, n, extra=()):
+    """Any two to five points of an n-point table, at increasing
+    parameters that need not match their separations."""
+    points = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=5))
+    params = sorted(draw(st.lists(
+        st.sampled_from(PARAMS + list(extra)),
+        min_size=len(points), max_size=len(points), unique=True)))
+    return LineDescriptor(CausalChain(tuple(points)), params)
+
+
+# blocks of one pair, of a few pairs and of all pairs at once
+BLOCKS = [1, 9, 40, chains.PAIR_BLOCK]
+
+
+class TestBatchedVerdictsMatchLoops:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(PARALLEL_SPACES)),
+           batch=line_batches(product_lines()),
+           tolerance=st.sampled_from(TOLERANCES),
+           block=st.sampled_from(BLOCKS))
+    def test_product_lines(self, kind, batch, tolerance, block):
+        # knot counts from 2 to 9 in one batch: padded tables
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chains, "PAIR_BLOCK", block)
+            assert_batch_matches(PARALLEL_SPACES[kind], *batch, tolerance)
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=line_batches(lattice_lines()),
+           tolerance=st.sampled_from(TOLERANCES),
+           block=st.sampled_from(BLOCKS))
+    def test_lattice_lines(self, batch, tolerance, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chains, "PAIR_BLOCK", block)
+            assert_batch_matches(lattice_chains()[0], *batch, tolerance)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 6), seed=SEEDS, data=st.data(),
+           tolerance=st.sampled_from(TOLERANCES),
+           block=st.sampled_from(BLOCKS))
+    def test_unstructured_tables(self, n, seed, data, tolerance, block):
+        # random relations and inf separations: complex flags, unrelated
+        # lines and null minima anywhere
+        space = finite_space(n, seed)
+        batch = data.draw(line_batches(table_lines(n)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chains, "PAIR_BLOCK", block)
+            assert_batch_matches(space, *batch, tolerance)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 6), seed=SEEDS, data=st.data(),
+           tolerance=st.sampled_from(TOLERANCES))
+    def test_infinite_parameters(self, n, seed, data, tolerance):
+        # infinite parameters against infinite separations: NaN c-values,
+        # gaps, shifts and means, equal up to the sign of a NaN
+        space = finite_space(n, seed)
+        batch = data.draw(line_batches(table_lines(n, [-math.inf,
+                                                       math.inf])))
+        assert_batch_matches(space, *batch, tolerance, bits=nan_blind_bits)
+
+    def test_zero_slope_on_one_family(self):
+        # verticals 0.75 apart with exact c-values 0.75 (a 3-4-5 triangle):
+        # two forward entries fit a slope of +0.0, one backward entry fits
+        # none, and the shift is Python's sum of [-0.0], which is +0.0
+        space = PARALLEL_SPACES["minkowski"]
+        alpha = LineDescriptor(CausalChain(((0.0, 0.0), (1.5, 0.0))), (0.0, 1.5))
+        beta = LineDescriptor(CausalChain(((0.75, 0.75), (1.25, 0.75))),
+                              (0.75, 1.25))
+        assert_batch_matches(space, [alpha, beta], [(0, 1)], 1e-9)
+        assert bits(parallel_verdict(space, alpha, beta, 1e-9).shift) == \
+            bits(0.0)
+
+    def test_shift_merging_knots(self):
+        # only alpha(0) <= beta(1) and beta(1 + 2^-52) <= alpha(10) relate
+        # across the lines, so the null minima give a shift near 4, which
+        # merges beta's knots: not parallel, and its verdict raises as the
+        # pairwise shift did
+        leq = np.eye(4, dtype=bool)
+        leq[0, 1] = leq[2, 3] = leq[0, 2] = leq[3, 1] = True
+        space = FiniteLorentzSpace(1.0 - np.eye(4), leq,
+                                   np.zeros((4, 4), dtype=bool),
+                                   np.zeros((4, 4)))
+        alpha = LineDescriptor(CausalChain((0, 1)), (0.0, 10.0))
+        beta = LineDescriptor(CausalChain((2, 3)), (1.0, 1.0 + 2.0 ** -52))
+        got = outcome(parallel_verdict, space, alpha, beta, 0.1)
+        assert got == outcome(parallel_verdict_loops, space, alpha, beta, 0.1)
+        assert got == (PreconditionError,
+                       "parameters must be strictly increasing")
+        assert not decide_parallel(space, (alpha, beta), [0], [1],
+                                   0.1).parallel[0]
+
+    def test_lattice_grid_reaches_every_branch(self):
+        # every ordered pair of the lattice grid in one batch of small
+        # blocks: shifts fitted to timelike gaps, taken from the null
+        # minima and left at zero, with complex flags
+        space, chains_ = lattice_chains()
+        lines = [LineDescriptor(CausalChain(chain[:n]),
+                                [scale * k for k in range(n)])
+                 for chain in chains_ for scale in (0.5, 1.0) for n in (2, 5)]
+        pairs = list(itertools.product(range(len(lines)), repeat=2))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chains, "PAIR_BLOCK", 9)
+            assert_batch_matches(space, lines, pairs, 1e-9)
+        branches = {fit_shift_loops(c_functions_loops(space, lines[i],
+                                                      lines[j]))[1]
+                    for i, j in pairs}
+        assert branches == {"fit", "nulls", "none"}
+        verdicts = batch_verdicts(space, lines, pairs, 1e-9)
+        assert any(v.complex_flags for v in verdicts)
+
+
 class TestExtractSliceMatchesLoops:
-    @pytest.mark.parametrize("make", [product_slice, minkowski_slice],
-                             ids=["segment", "minkowski"])
+    @pytest.mark.parametrize("make", [
+        product_slice, minkowski_slice,
+        functools.partial(product_slice, 41, 0.025),
+        functools.partial(product_slice, 101, 0.01)],
+        ids=["segment", "minkowski", "segment-41", "segment-101"])
     def test_distances_and_verdicts(self, make):
         space, sl, tol = make()
         d, verdicts = slice_distances_loops(space, sl.lines, tol)
         assert sl.d_S.tobytes() == d.tobytes()
-        # the verdicts over one knot-pair table per member, as extract_slice
-        # takes them
-        for i, line in enumerate(sl.lines[:-1]):
-            tables = _knot_pairs(space, line, *sl.lines[i + 1:])
-            for j, pairs in enumerate(tables, i + 1):
-                assert verdict_fields(_verdict(line, sl.lines[j], pairs, tol)) \
-                    == verdict_fields(verdicts[i, j])
-        assert len(verdicts) == len(sl) * (len(sl) - 1) // 2
+        # every pair's verdict from one batch, as extract_slice takes them
+        pairs = list(verdicts)
+        assert len(pairs) == len(sl) * (len(sl) - 1) // 2
+        assert [verdict_fields(v)
+                for v in batch_verdicts(space, sl.lines, pairs, tol)] == \
+            [verdict_fields(verdicts[p]) for p in pairs]
 
-    @settings(max_examples=40, deadline=None)
-    @given(kind=st.sampled_from(sorted(PARALLEL_SPACES)),
-           alpha=product_lines(),
-           betas=st.lists(product_lines(), min_size=1, max_size=4),
-           tolerance=st.sampled_from(TOLERANCES))
-    def test_tables_of_unequal_lines(self, kind, alpha, betas, tolerance):
-        # later members with differing knot counts share one table
-        space = PARALLEL_SPACES[kind]
-        for beta, pairs in zip(betas, _knot_pairs(space, alpha, *betas),
-                               strict=True):
-            assert verdict_fields(_verdict(alpha, beta, pairs, tolerance)) == \
-                verdict_fields(parallel_verdict_loops(space, alpha, beta,
-                                                      tolerance))
+    def test_first_failure_in_row_major_order(self):
+        # the asymptote through the middle seed of the flat strip's five
+        # swapped for a boosted line through that seed: the pairs (0, 2),
+        # (1, 2), (2, 3) and (2, 4) fail, and the first of them in
+        # row-major order is named
+        space, sl, tol = minkowski_slice()
+        seeds = [(0.0, x) for x in (-1.0, -0.5, 0.0, 0.5, 1.0)]
+        params = (-4.0, -2.0, 0.0, 2.0, 4.0)
+        boosted = LineDescriptor(CausalChain(tuple(
+            (s * math.cosh(0.3), s * math.sinh(0.3)) for s in params)), params)
+        lines = sl.lines[:2] + (boosted,) + sl.lines[3:]
+        first, second = np.triu_indices(len(lines), 1)
+        failed = ~decide_parallel(space, lines, first, second, tol).parallel
+        assert list(zip(first[failed].tolist(), second[failed].tolist())) \
+            == [(0, 2), (1, 2), (2, 3), (2, 4)]
+
+        def build(space_, line, p, horizons, **kw):
+            if p == seeds[2]:
+                return boosted
+            return build_asymptotic_line(space_, line, p, horizons, **kw)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(splitting, "build_asymptotic_line", build)
+            got = outcome(lambda: extract_slice(
+                space, sl.reference_line, seeds, sl.horizons, tol,
+                tol_null=1.0, knot_extent=4.0))
+        assert got == (PreconditionError, "asymptotes through members 0 and "
+                       "2 fail the parallelity test")
+        assert got == outcome(slice_distances_loops, space, lines, tol)
+
+    def test_memory_bounded_by_the_block(self):
+        # 301 three-knot verticals a unit apart: 45150 pairs of 9 knot pairs
+        # each, one block for all of them would hold 0.8M entries per
+        # array; only lines up to 2 apart are related, so few entries are
+        # squared
+        space = ProductSpace(EuclideanSegment(0.0, 300.0, 301))
+        lines = [vertical_line(space, q, (-1.0, 0.0, 1.0))
+                 for q in space.factor.sample()]
+        first, second = np.triu_indices(len(lines), 1)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                verdicts = decide_parallel(space, lines, first, second, 1e-9)
+                return tracemalloc.get_traced_memory()[1], verdicts
+            finally:
+                tracemalloc.stop()
+
+        blocked, verdicts = peak()
+        assert verdicts.parallel.sum() == 300 + 299
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chains, "PAIR_BLOCK", 9 * len(first))
+            unblocked, _ = peak()
+        assert blocked < 16 * 2 ** 20 < unblocked
