@@ -1,0 +1,144 @@
+"""Growth of the causal-set kernels with the number of sprinkled points.
+
+    PYTHONPATH=src python scripts/causal_scaling.py
+
+At n = 400, 1000, 2000 and 4000 points (seed 1) it times, best of three:
+
+* ``weighted_sprinkle_s`` and ``flat_sprinkle_s``: ``sprinkle_causal_set``
+  with drawn weights and with flat separations;
+* ``causal_order_s``: the causality check, topological order and packed
+  successor lists that the first ``maximize_tau`` on a space builds;
+* ``maximize_tau_s``: ``maximize_tau`` on the widest pair (the related
+  pair with the most points between it, first in index order) once that
+  order is built, so ``causal_order_s + maximize_tau_s`` is the cost of a
+  first maximization.
+
+It also records the longest-chain value, length and tie count of that
+pair, and the traced-heap peaks (``tracemalloc``) of one weighted sprinkle
+and of one first maximization.  A run needs about 40 n² bytes at its peak:
+0.6 GB at n = 4000.
+
+The run goes into BENCH_causal_chains.json at the repository root under
+the sha256 of src/lorentz_lab, together with the machine and the Python
+and numpy versions.  An earlier run of the same source is replaced and runs
+of other sources are kept, so that two checkouts can be compared in one
+file.
+"""
+
+import hashlib
+import json
+import os
+import platform
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+
+from lorentz_lab import chains
+from lorentz_lab.sampling import sprinkle_causal_set
+
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "BENCH_causal_chains.json"
+SIZES = [400, 1000, 2000, 4000]
+SEED = 1
+REPEATS = 3
+
+
+def best_time(fn, reset=lambda: None):
+    best = float("inf")
+    for _ in range(REPEATS):
+        reset()
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+
+
+def widest_pair(space):
+    """The related pair with the most points between it, first in index
+    order (float32 counts are exact up to 2^24 points)."""
+    leq = space.leq_table()
+    between = leq.astype(np.float32) @ leq.astype(np.float32)
+    between[~leq] = -1.0
+    np.fill_diagonal(between, -1.0)
+    i, j = np.unravel_index(int(np.argmax(between)), between.shape)
+    return int(i), int(j)
+
+
+def measure(n):
+    weighted = best_time(lambda: sprinkle_causal_set(n, SEED))
+    flat = best_time(lambda: sprinkle_causal_set(n, SEED, weighted=False))
+    space, sprinkle_peak = traced_peak_mb(lambda: sprinkle_causal_set(n, SEED))
+    i, j = widest_pair(space)
+
+    def forget():
+        space._causal_order = None
+
+    order = best_time(lambda: chains._causal_order(space), forget)
+    maximize = best_time(lambda: chains.maximize_tau(space, i, j))
+    forget()
+    result, maximize_peak = traced_peak_mb(
+        lambda: chains.maximize_tau(space, i, j))
+    return {"n": n, "seed": SEED, "pair": [i, j],
+            "relations": int(np.count_nonzero(space.leq_table())) - n,
+            "weighted_sprinkle_s": weighted, "flat_sprinkle_s": flat,
+            "causal_order_s": order, "maximize_tau_s": maximize,
+            "value": result.value, "chain_points": len(result.chain),
+            "tie_count": result.tie_count,
+            "sprinkle_peak_mb": sprinkle_peak,
+            "first_maximize_peak_mb": maximize_peak}
+
+
+def cpu_model():
+    try:
+        with open("/proc/cpuinfo") as f:
+            for row in f:
+                if row.startswith("model name"):
+                    return row.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def src_sha256():
+    digest = hashlib.sha256()
+    for path in sorted((ROOT / "src" / "lorentz_lab").glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
+def main():
+    run = {"src_sha256": src_sha256(),
+           "env": {"cpu": cpu_model(), "nproc": os.cpu_count(),
+                   "python": platform.python_version(),
+                   "numpy": np.__version__},
+           "repeats": REPEATS,
+           "sizes": []}
+    for n in SIZES:
+        size = measure(n)
+        run["sizes"].append(size)
+        print(f"n {n:5d}  sprinkle {size['weighted_sprinkle_s']:.3f} s "
+              f"(flat {size['flat_sprinkle_s']:.3f} s)  order "
+              f"{size['causal_order_s']:.3f} s  maximize_tau "
+              f"{size['maximize_tau_s']:.3f} s  peaks "
+              f"{size['sprinkle_peak_mb']:.1f} / "
+              f"{size['first_maximize_peak_mb']:.1f} MB")
+    runs = json.loads(OUT.read_text())["runs"] if OUT.exists() else []
+    runs = [r for r in runs if r["src_sha256"] != run["src_sha256"]] + [run]
+    OUT.write_text(json.dumps({"runs": runs}, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

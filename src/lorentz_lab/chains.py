@@ -10,7 +10,6 @@ table by dynamic programming.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from itertools import accumulate
@@ -66,36 +65,40 @@ def _check_causal(space: FiniteLorentzSpace):
 
 
 def _topological_order(space: FiniteLorentzSpace):
-    """Kahn's order of the strict relation (a DAG once antisymmetry holds),
-    always taking the smallest ready vertex, with the successor lists packed
-    into one array (4 bytes per relation): the successors of v, in
+    """A topological order of the strict relation (a DAG once antisymmetry
+    holds), by Kahn's algorithm one level at a time: each round takes every
+    vertex left without predecessors, in increasing index order, and
+    removes their relations with one array pass.  The successor lists are
+    packed into one array (4 bytes per relation): the successors of v, in
     increasing order, are ``targets[start[v]:start[v + 1]]``."""
     strict = space.leq_table() & ~np.eye(space.n, dtype=bool)
     rows, targets = np.nonzero(strict)
     start = np.searchsorted(rows, np.arange(space.n + 1)).tolist()
     targets = targets.astype(np.int32)
-    indeg = strict.sum(axis=0).tolist()
-    ready = [i for i in range(space.n) if indeg[i] == 0]  # sorted, so a heap
+    indeg = strict.sum(axis=0)
     order = []
-    while ready:
-        i = heapq.heappop(ready)
-        order.append(i)
-        for j in targets[start[i]:start[i + 1]].tolist():
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(ready, j)
+    ready = np.flatnonzero(indeg == 0)
+    while ready.size:
+        order += ready.tolist()
+        indeg -= strict[ready].sum(axis=0)
+        indeg[ready] = -1
+        ready = np.flatnonzero(indeg == 0)
     if len(order) != space.n:
         raise PreconditionError("non-causal space: leq is cyclic")
     return order, start, targets
 
 
 def _causal_order(space: FiniteLorentzSpace):
-    """``_check_causal`` and ``_topological_order`` of a finite space, run
-    on its first maximization and kept on the instance: its tables are
-    read-only, so the order never changes."""
+    """``_check_causal`` and ``_topological_order`` of a finite space, with
+    the weight ``tau[v, u]`` of every packed relation (8 bytes each), run on
+    its first maximization and kept on the instance: its tables are
+    read-only, so none of this changes."""
     if space._causal_order is None:
         _check_causal(space)
-        space._causal_order = _topological_order(space)
+        order, start, targets = _topological_order(space)
+        rows = np.repeat(np.arange(space.n, dtype=np.int32), np.diff(start))
+        space._causal_order = (order, start, targets,
+                               space.tau_table()[rows, targets])
     return space._causal_order
 
 
@@ -106,28 +109,42 @@ def maximize_tau(space: FiniteLorentzSpace, source: int, target: int) -> Maximiz
     Ties are broken toward the lexicographically smallest chain and the
     number of optimal chains is reported.  Requires an antisymmetric causal
     relation (a causal space); raises when the endpoints are unrelated.
+
+    Only relations within the target's causal past are read: a few array
+    passes cut them, with their weights, from the packed successor lists,
+    and the relaxation runs over them in reverse topological order, each
+    vertex's successors in increasing order, with plain Python numbers and
+    no per-relation method or numpy call.
     """
     if source == target:
         raise PreconditionError("endpoints must be distinct")
     if not space.leq(source, target):
         raise PreconditionError(f"points {source} and {target} are not related")
-    order, start, targets = _causal_order(space)
-
-    def successors(v):
-        return targets[start[v]:start[v + 1]].tolist()
+    order, start, targets, weights = _causal_order(space)
+    # the vertices whose best value is read: the target and its past
+    past = space.leq_table()[:, target].copy()
+    past[target] = True
+    kept = np.flatnonzero(past[targets])
+    # the successors of v in the past are heads[bounds[v]:bounds[v + 1]];
+    # a memoryview yields Python numbers one at a time, so that no list of
+    # every relation is built
+    bounds = np.searchsorted(kept, start).tolist()
+    heads = memoryview(targets[kept])
+    weights = memoryview(weights[kept])
+    past = past.tolist()
 
     # best[v]: longest chain value from v to target, counting chains
-    best = {target: 0.0}
-    ways = {target: 1}
+    best = [0.0] * space.n
+    ways = [0] * space.n
+    ways[target] = 1
     for v in reversed(order):
-        if v == target or not space.leq(v, target):
+        if v == target or not past[v]:
             continue
         b = -math.inf
         w = 0
-        for u in successors(v):
-            if u not in best:
-                continue
-            cand = space.tau(v, u) + best[u]
+        lo, hi = bounds[v], bounds[v + 1]
+        for u, tv in zip(heads[lo:hi], weights[lo:hi]):
+            cand = tv + best[u]
             if cand > b + EPS:
                 b, w = cand, ways[u]
             elif abs(cand - b) <= EPS:
@@ -141,10 +158,11 @@ def maximize_tau(space: FiniteLorentzSpace, source: int, target: int) -> Maximiz
     v = source
     remaining = value
     while v != target:
-        for u in successors(v):
-            if u in best and abs(space.tau(v, u) + best[u] - remaining) <= EPS * (1 + len(chain)):
+        lo, hi = bounds[v], bounds[v + 1]
+        for u, tv in zip(heads[lo:hi], weights[lo:hi]):
+            if abs(tv + best[u] - remaining) <= EPS * (1 + len(chain)):
                 chain.append(u)
-                remaining -= space.tau(v, u)
+                remaining -= tv
                 v = u
                 break
         else:

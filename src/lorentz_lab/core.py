@@ -103,8 +103,8 @@ class FiniteLorentzSpace(LorentzQuery):
             raise StructuralError("NaN entries are not permitted")
         for a in (self._d, self._leq, self._ll, self._tau):
             a.setflags(write=False)
-        # topological order and successors of leq, filled in by the chain
-        # optimizer on first use
+        # topological order, successors of leq and their tau weights,
+        # filled in by the chain optimizer on first use
         self._causal_order = None
 
     def sample_points(self):

@@ -417,18 +417,16 @@ class GlobalHyperbolicityReport:
     worst_excess: float
 
 
-def _grid_diamond(space: ProductSpace, knots, sample, p, q, strict=False):
+def _grid_diamond(space: ProductSpace, knots, sample, p, q):
     """Mask over the grid ``knots x sample`` (row-major, as
-    ``sample_points`` lists it) of the points r with p <= r <= q, or
-    p << r << q when ``strict``, together with the factor distances from p's
-    point to each sample point.  Distances are taken in the scalar argument
-    order, once per sample point, so the mask holds len(knots) x len(sample)
-    entries."""
+    ``sample_points`` lists it) of the points r with p <= r <= q, together
+    with the factor distances from p's point to each sample point.
+    Distances are taken in the scalar argument order, once per sample
+    point, so the mask holds len(knots) x len(sample) entries."""
     dp = _factor_distances(space.factor, p[1], sample)
     dq = _factor_distances(space.factor, q[1], sample, to_point=True)
-    cmp = np.greater if strict else np.greater_equal
     s = knots[:, None]
-    return cmp(s - p[0], dp) & cmp(q[0] - s, dq), dp
+    return (s - p[0] >= dp) & (q[0] - s >= dq), dp
 
 
 def _factor_distances(factor: MetricFactor, a, sample, to_point=False):
@@ -475,12 +473,33 @@ def check_product_glob_hyp(space: ProductSpace, diamond_pairs) -> GlobalHyperbol
     return GlobalHyperbolicityReport(proper, bounded, proper == bounded, worst)
 
 
+def _diamond_within(space: ProductSpace, p, q, t_lo, t_hi, center, radius) -> bool:
+    """Whether every grid point of the timelike diamond of (p, q) lies in the
+    open set (t_lo, t_hi) x B_radius(center), checked as one mask over the
+    grid time knots x factor sample.  A grid point within EPS of both the
+    diamond's rim and the set's rim is a boundary point, not a violation:
+    rounding decides on which side of either rim it falls."""
+    knots = np.array(space.time_knots())[:, None]
+    sample = space.factor.sample()
+    dp = _factor_distances(space.factor, p[1], sample)
+    dq = _factor_distances(space.factor, q[1], sample, to_point=True)
+    dc = _factor_distances(space.factor, center, sample)
+    after, before = knots - p[0], q[0] - knots
+    inside = (after > dp) & (before > dq)
+    outside = ~((t_lo < knots) & (knots < t_hi) & (dc < radius))
+    on_rims = ((np.minimum(after - dp, before - dq) <= EPS)
+               & (np.maximum(np.maximum(t_lo - knots, knots - t_hi),
+                             dc - radius) <= EPS))
+    return not (inside & outside & ~on_rims).any()
+
+
 def check_diamond_basis(space: ProductSpace, t_lo, t_hi, center, radius, witness) -> bool:
     """Reconstruct the defining construction of the diamond basis: around a
     witness (b, y) inside (t_lo, t_hi) x B_radius(center), the timelike
     diamond of (b-eps, y), (b+eps, y) with eps = min(b-t_lo, t_hi-b,
     radius - d(center, y)) must stay inside the open set, checked on the
-    sample grid."""
+    sample grid.  The diamond's rim then touches the set's rim, so grid
+    points within EPS of both count as boundary (``_diamond_within``)."""
     b, y = witness
     dxy = space.factor.distance(center, y)
     if not (t_lo < b < t_hi) or not (dxy < radius):
@@ -488,10 +507,5 @@ def check_diamond_basis(space: ProductSpace, t_lo, t_hi, center, radius, witness
     eps = min(b - t_lo, t_hi - b, radius - dxy)
     if eps <= EPS:
         raise PreconditionError("degenerate construction: empty diamond")
-    knots = np.array(space.time_knots())
-    sample = space.factor.sample()
-    inside, _ = _grid_diamond(space, knots, sample, (b - eps, y), (b + eps, y),
-                              strict=True)
-    in_set = (((t_lo < knots) & (knots < t_hi))[:, None]
-              & (_factor_distances(space.factor, center, sample) < radius))
-    return not (inside & ~in_set).any()
+    return _diamond_within(space, (b - eps, y), (b + eps, y), t_lo, t_hi,
+                           center, radius)

@@ -445,10 +445,14 @@ def test_parallel_uniqueness(space, alpha: LineDescriptor, p, candidates,
                              tolerance, radius) -> UniquenessReport:
     """Count pointwise-distinct lines among candidates that are parallel to
     the reference line and pass through p.  Under a lower curvature bound
-    the count must be one."""
+    the count must be one.  The candidates are decided in one
+    ``decide_parallel`` batch and checked in order."""
+    candidates = tuple(candidates)
+    batch = decide_parallel(space, (alpha, *candidates), [0] * len(candidates),
+                            range(1, len(candidates) + 1), tolerance)
     verified = []
-    for cand in candidates:
-        verdict = test_parallel(space, alpha, cand, tolerance)
+    for k, cand in enumerate(candidates):
+        verdict = batch.verdict(k, alpha, cand)
         if not verdict.parallel:
             raise PreconditionError("candidate fails the parallelity test")
         if not _passes_through(space, cand, p, radius):
@@ -493,17 +497,20 @@ def test_weak_transitivity(space, alpha: LineDescriptor, beta: LineDescriptor,
                            tolerance, radius) -> bool:
     """Given alpha parallel to beta and beta parallel to gamma, a line through
     p on gamma that is parallel to alpha must be gamma itself (up to a
-    parameter shift)."""
-    if not test_parallel(space, alpha, beta, tolerance).parallel:
+    parameter shift).  The four pairs are decided in one
+    ``decide_parallel`` batch and checked in order."""
+    lines = (alpha, beta, gamma, candidate)
+    batch = decide_parallel(space, lines, [0, 1, 0, 3], [1, 2, 3, 2], tolerance)
+    if not batch.verdict(0, alpha, beta).parallel:
         raise PreconditionError("alpha and beta are not parallel")
-    if not test_parallel(space, beta, gamma, tolerance).parallel:
+    if not batch.verdict(1, beta, gamma).parallel:
         raise PreconditionError("beta and gamma are not parallel")
     if not _passes_through(space, gamma, p, radius):
         raise PreconditionError("p does not lie on gamma")
-    cand_verdict = test_parallel(space, alpha, candidate, tolerance)
+    cand_verdict = batch.verdict(2, alpha, candidate)
     if not cand_verdict.parallel or not _passes_through(space, candidate, p, radius):
         raise PreconditionError("candidate is not a parallel to alpha through p")
-    verdict = test_parallel(space, candidate, gamma, tolerance)
+    verdict = batch.verdict(3, candidate, gamma)
     if not verdict.parallel or verdict.distance_c > radius:
         return False
     synced = gamma.shifted(verdict.shift)

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import numpy as np
 
 from .core import FiniteLorentzSpace
+from . import chains
 from .chains import CausalChain
 from .comparison import Leg, SpaceTriangle
 from .models import ProductSpace, _product_tau_array
@@ -23,6 +25,112 @@ def sprinkle_points(n, seed):
     return [(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(n)]
 
 
+# Dekker's splitting constant 2^27 + 1 (CPython's ``T27``)
+_SPLIT = 134217729.0
+
+
+def _square(x):
+    """x * x and its rounding error, exactly (Dekker's ``mul12``, as
+    CPython's ``dl_mul``).  Overwrites x."""
+    z = x * x
+    hi = x * _SPLIT
+    hi -= hi - x
+    x -= hi                 # the low half
+    cross = hi * x          # hi * lo, which equals lo * hi
+    hi *= hi
+    hi -= z
+    hi += cross
+    hi += cross
+    x *= x
+    hi += x
+    return z, hi
+
+
+def _hypot(a, b):
+    """``math.hypot(a, b)`` elementwise, bit for bit, for float arrays a
+    and b of one shape, which it overwrites: CPython's two-argument
+    ``vector_norm`` transcribed to arrays.  Both magnitudes are scaled by
+    the power of two that brings the larger into [0.5, 1), their exact
+    squares are added into ``csum = 1`` with compensated sums, and the
+    square root gets one differential correction.  Entries whose larger
+    magnitude is zero, subnormal or not finite (where the scaling would
+    overflow) are left to ``math.hypot``, one at a time.
+
+    The steps are CPython's, in its order, run in place: a call holds at
+    most seven arrays of the input's size besides a and b."""
+    np.abs(a, out=a)
+    np.abs(b, out=b)
+    scale = np.maximum(a, b)
+    odd = np.flatnonzero(~((scale >= sys.float_info.min) & (scale < math.inf)))
+    slow = list(map(math.hypot, a.flat[odd].tolist(), b.flat[odd].tolist()))
+    with np.errstate(all="ignore"):
+        np.ldexp(1.0, -np.frexp(scale)[1], out=scale)
+        a *= scale
+        b *= scale
+        # csum = 1 + a², with the rounding error of the square in frac1 and
+        # that of the sum in frac2 (CPython adds each to 0.0 first, which
+        # changes at most the sign of a zero)
+        sq, frac1 = _square(a)
+        csum = np.add(1.0, sq, out=a)
+        sq += 1.0 - csum
+        frac2 = sq
+        # csum += b²
+        sq, err = _square(b)
+        total = np.add(csum, sq, out=b)
+        err += frac1
+        frac1 = err
+        csum -= total
+        csum += sq
+        frac2 += csum
+        h = np.subtract(total, 1.0, out=csum)
+        h += np.add(frac1, frac2, out=sq)
+        np.sqrt(h, out=h)
+        # csum -= h², then h += (csum - 1) / (2 h)
+        np.copyto(sq, h)
+        sq, err = _square(sq)
+        frac1 -= err
+        csum = total
+        total = np.subtract(csum, sq, out=err)
+        csum -= total
+        csum -= sq
+        frac2 += csum
+        frac1 += frac2
+        total -= 1.0
+        total += frac1
+        total /= 2.0 * h
+        h += total
+        h /= scale
+    h.flat[odd] = slow
+    return h
+
+
+def _random_stream(rng: random.Random):
+    """A numpy generator that continues ``rng``'s Mersenne Twister stream:
+    ``.random(k)`` returns the next k values of ``rng.random()`` bit for bit,
+    since both build a double as (a >> 5 · 2^26 + b >> 6) / 2^53 from two
+    32-bit outputs.  ``rng`` itself does not advance."""
+    *key, pos = rng.getstate()[1]
+    bits = np.random.MT19937(0)
+    bits.state = {"bit_generator": "MT19937",
+                  "state": {"key": np.array(key, dtype=np.uint32), "pos": pos}}
+    return np.random.Generator(bits)
+
+
+def _causal_rows(t, x, rows, draws):
+    """The ``leq``, ``ll`` and ``tau`` rows of the sprinkled points ``rows``
+    (diagonal left False): weights from ``draws`` in row-major order, or
+    the flat separations when ``draws`` is None."""
+    dt, dx = t - t[rows, None], np.abs(x - x[rows, None])
+    leq = (dt >= dx) & ~((dt == 0) & (dx == 0))
+    ll = leq & (dt > dx)
+    tau = np.zeros(dt.shape)
+    if draws is None:
+        tau[ll] = _product_tau_array(dt[ll], dx[ll])
+    else:
+        tau[ll] = 0.05 + (2.0 - 0.05) * draws.random(np.count_nonzero(ll))
+    return leq, ll, tau
+
+
 def sprinkle_causal_set(n, seed, weighted=True) -> FiniteLorentzSpace:
     """Random causal set: points sprinkled into a flat box with the induced
     order.  With ``weighted`` the separations of related pairs are drawn
@@ -30,33 +138,33 @@ def sprinkle_causal_set(n, seed, weighted=True) -> FiniteLorentzSpace:
     reverse triangle inequality); otherwise the flat separations are kept
     and every axiom holds.
 
-    The tables are built one row at a time, so no temporary exceeds one
-    n x n table.  Distances use ``math.hypot`` (``np.hypot`` can differ in
-    the last bit) on the upper triangle only, as ``hypot(-a, -b)`` equals
-    ``hypot(a, b)``; weights are drawn one per timelike pair in row-major
-    order, as ``rng.uniform(0.05, 2.0)`` would draw them."""
+    The tables are built in blocks of whole rows, at most
+    ``chains.PAIR_BLOCK`` entries and at most a quarter of the rows at a
+    time, so that a block's temporaries stay below the tables' own size and
+    the peak memory is the construction's copy of the tables.  Distances
+    use ``_hypot`` (``math.hypot`` bit for bit; ``np.hypot`` can differ in
+    the last bit), on the columns after each block's first row only, as
+    ``hypot(-a, -b)`` equals ``hypot(a, b)``.  The weights of a weighted
+    sprinkle are the values ``rng.uniform(0.05, 2.0)`` would draw one per
+    timelike pair in row-major order, drawn a block at a time from
+    ``_random_stream``."""
     pts = np.array(sprinkle_points(n, seed), dtype=float).reshape(n, 2)
     t, x = pts[:, 0], pts[:, 1]
-    rng = random.Random(seed + 10_000)
+    draws = _random_stream(random.Random(seed + 10_000)) if weighted else None
     d = np.zeros((n, n))
     leq = np.zeros((n, n), dtype=bool)
     ll = np.zeros((n, n), dtype=bool)
     tau = np.zeros((n, n))
-    for i in range(n):
-        dt, dxs = t - t[i], x - x[i]
-        dx = np.abs(dxs)
-        leq[i] = (dt >= dx) & ~((dt == 0) & (dxs == 0))
-        ll[i] = leq[i] & (dt > dx)
-        d[i, i + 1:] = list(map(math.hypot, dt[i + 1:].tolist(),
-                                dxs[i + 1:].tolist()))
-        hits = ll[i]
-        if weighted:
-            r = np.array([rng.random() for _ in range(np.count_nonzero(hits))])
-            tau[i, hits] = 0.05 + (2.0 - 0.05) * r
-        else:
-            tau[i, hits] = _product_tau_array(dt[hits], dx[hits])
+    step = max(1, min(chains.PAIR_BLOCK // max(n, 1), n // 4))
+    for i in range(0, n, step):
+        rows = slice(i, i + step)
+        leq[rows], ll[rows], tau[rows] = _causal_rows(t, x, rows, draws)
+        d[rows, i + 1:] = _hypot(t[i + 1:] - t[rows, None],
+                                 x[i + 1:] - x[rows, None])
     np.fill_diagonal(leq, True)
-    d = d + d.T
+    # every entry above the diagonal is set, and those set below it hold
+    # the same value as their mirror image
+    d = np.maximum(d, d.T)
     np.maximum(d, 1e-6, out=d)
     np.fill_diagonal(d, 0.0)
     return FiniteLorentzSpace(d, leq, ll, tau)

@@ -30,7 +30,8 @@ from lorentz_lab.core import (EPS, FiniteLorentzSpace, PreconditionError,
                               PushupReport, check_pushup)
 from lorentz_lab.models import (EuclideanSegment, ExplicitTable,
                                 GlobalHyperbolicityReport, PlaneSample,
-                                ProductSpace, TripodGraph, check_diamond_basis,
+                                ProductSpace, TripodGraph, _diamond_within,
+                                check_diamond_basis,
                                 check_product_glob_hyp,
                                 factor_properness_scan, minkowski_space,
                                 tau_minkowski)
@@ -101,10 +102,21 @@ def check_diamond_basis_loops(space, t_lo, t_hi, center, radius, witness):
     eps = min(b - t_lo, t_hi - b, radius - dxy)
     if eps <= EPS:
         raise PreconditionError("degenerate construction: empty diamond")
-    p, q = (b - eps, y), (b + eps, y)
+    return diamond_within_loops(space, (b - eps, y), (b + eps, y), t_lo, t_hi,
+                                center, radius)
+
+
+def diamond_within_loops(space, p, q, t_lo, t_hi, center, radius):
+    dist = space.factor.distance
     for (s, z) in space.sample_points():
         if space.ll(p, (s, z)) and space.ll((s, z), q):
-            if not (t_lo < s < t_hi and space.factor.distance(center, z) < radius):
+            if not (t_lo < s < t_hi and dist(center, z) < radius):
+                # within EPS of both rims: a boundary point
+                margin = min((s - p[0]) - dist(p[1], z),
+                             (q[0] - s) - dist(z, q[1]))
+                excess = max(t_lo - s, s - t_hi, dist(center, z) - radius)
+                if margin <= EPS and excess <= EPS:
+                    continue
                 return False
     return True
 
@@ -497,15 +509,25 @@ class TestDiamondBasisMatchesLoop:
                         rng.uniform(0.0, 1.2), witness)
                 assert outcome(check_diamond_basis, *args) == \
                     outcome(check_diamond_basis_loops, *args)
+            # diamonds of any grid pairs, most of them leaving the set
+            for p, q in random_pairs(space, rng, 4):
+                args = (space, p, q, rng.uniform(-1.2, 0.0),
+                        rng.uniform(0.0, 1.2), rng.choice(sample),
+                        rng.uniform(0.0, 1.2))
+                assert _diamond_within(*args) is diamond_within_loops(*args)
 
     def test_both_verdicts(self):
         space = ProductSpace(EuclideanSegment(0.0, 1.0, 21), -2.0, 2.0, 0.05)
-        # at radius 0.3 grid points of the diamond round onto the rim of
-        # the ball, so the construction leaves the open set
-        for radius, want in ((0.4, True), (0.3, False)):
+        # at radius 0.3 grid points such as (1.0, 0.2) round onto the rims
+        # of both the diamond and the ball: boundary points, not violations
+        for radius in (0.4, 0.3):
             args = (space, 0.0, 2.0, 0.5, radius, (1.0, 0.5))
-            assert check_diamond_basis(*args) is want
-            assert check_diamond_basis_loops(*args) is want
+            assert check_diamond_basis(*args) is True
+            assert check_diamond_basis_loops(*args) is True
+        # the same diamond widened by one mesh leaves the ball
+        args = (space, (0.65, 0.5), (1.35, 0.5), 0.0, 2.0, 0.5, 0.3)
+        assert _diamond_within(*args) is False
+        assert diamond_within_loops(*args) is False
         # the diamond's rim touches the ball's rim at the grid point (0, 0):
         # only the strict (timelike) diamond stays inside
         coarse = ProductSpace(EuclideanSegment(0.0, 1.0, 5), -1.0, 1.0, 0.25)

@@ -946,6 +946,26 @@ def lattice_lines(draw):
 TOLERANCES = [1e-9, 0.05, 0.2, 1.0]
 
 
+@functools.lru_cache(maxsize=None)
+def lattice_grid():
+    """The lattice grid, built once per module: the first two or all five
+    knots of each lattice chain, at the matching parameters or squeezed to
+    half of them (complex flags), and for every ordered pair (i, j) the
+    loop oracle's c-function table fields, verdict fields at tolerance
+    1e-9 and shift branch."""
+    space, chains_ = lattice_chains()
+    lines = [LineDescriptor(CausalChain(chain[:n]),
+                            [scale * k for k in range(n)])
+             for chain in chains_ for scale in (0.5, 1.0) for n in (2, 5)]
+    loops = {}
+    for (i, a), (j, b) in itertools.product(enumerate(lines), repeat=2):
+        raw = c_functions_loops(space, a, b)
+        loops[i, j] = (table_fields(raw),
+                       verdict_fields(parallel_verdict_loops(space, a, b, 1e-9)),
+                       fit_shift_loops(raw)[1])
+    return space, lines, loops
+
+
 def outcome_of(verdict):
     if verdict.realisation is not None:
         return "parallel"
@@ -971,19 +991,15 @@ class TestParallelMatchesLoops:
         assert_parallel_matches(lattice_chains()[0], alpha, beta, tolerance)
 
     def test_lattice_grid_reaches_every_outcome(self):
-        # the first two or all five knots of each chain, at the matching
-        # parameters or squeezed to half of them (complex flags)
-        space, chains = lattice_chains()
-        lines = [LineDescriptor(CausalChain(chain[:n]),
-                                [scale * k for k in range(n)])
-                 for chain in chains for scale in (0.5, 1.0) for n in (2, 5)]
+        space, lines, loops = lattice_grid()
         outcomes, flagged = set(), False
-        for a in lines:
-            for b in lines:
-                assert_parallel_matches(space, a, b, 1e-9)
-                verdict = parallel_verdict(space, a, b, 1e-9)
-                outcomes.add(outcome_of(verdict))
-                flagged = flagged or verdict.complex_flags > 0
+        for (i, j), (table, fields, _) in loops.items():
+            a, b = lines[i], lines[j]
+            assert table_fields(c_functions(space, a, b)) == table
+            verdict = parallel_verdict(space, a, b, 1e-9)
+            assert verdict_fields(verdict) == fields
+            outcomes.add(outcome_of(verdict))
+            flagged = flagged or verdict.complex_flags > 0
         assert flagged and outcomes == {"parallel", "no timelike pair",
                                         "realisation refuted",
                                         "spread or null bracket"}
@@ -1143,22 +1159,18 @@ class TestBatchedVerdictsMatchLoops:
                                    0.1).parallel[0]
 
     def test_lattice_grid_reaches_every_branch(self):
-        # every ordered pair of the lattice grid in one batch of small
-        # blocks: shifts fitted to timelike gaps, taken from the null
-        # minima and left at zero, with complex flags
-        space, chains_ = lattice_chains()
-        lines = [LineDescriptor(CausalChain(chain[:n]),
-                                [scale * k for k in range(n)])
-                 for chain in chains_ for scale in (0.5, 1.0) for n in (2, 5)]
-        pairs = list(itertools.product(range(len(lines)), repeat=2))
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(chains, "PAIR_BLOCK", 9)
-            assert_batch_matches(space, lines, pairs, 1e-9)
-        branches = {fit_shift_loops(c_functions_loops(space, lines[i],
-                                                      lines[j]))[1]
-                    for i, j in pairs}
-        assert branches == {"fit", "nulls", "none"}
-        verdicts = batch_verdicts(space, lines, pairs, 1e-9)
+        # every ordered pair of the lattice grid in one batch, of small
+        # blocks and of one block: shifts fitted to timelike gaps, taken
+        # from the null minima and left at zero, with complex flags
+        space, lines, loops = lattice_grid()
+        pairs = list(loops)
+        for block in (9, chains.PAIR_BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(chains, "PAIR_BLOCK", block)
+                verdicts = batch_verdicts(space, lines, pairs, 1e-9)
+            assert [verdict_fields(v) for v in verdicts] == \
+                [loops[p][1] for p in pairs]
+        assert {loops[p][2] for p in pairs} == {"fit", "nulls", "none"}
         assert any(v.complex_flags for v in verdicts)
 
 

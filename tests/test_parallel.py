@@ -3,12 +3,15 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lorentz_lab.core import PreconditionError
 from lorentz_lab.chains import CausalChain
 from lorentz_lab.asymptotics import LineDescriptor, line_from_chain, vertical_line
+from lorentz_lab.models import EuclideanSegment, ProductSpace
 from lorentz_lab.parallel import (c_functions, strong_causality_trick_check,
-                                  ParallelRealisation)
+                                  ParallelRealisation, UniquenessReport,
+                                  _coincide, _passes_through)
 from lorentz_lab.parallel import test_parallel as parallel_verdict
 from lorentz_lab.parallel import test_parallel_uniqueness as uniqueness_count
 from lorentz_lab.parallel import test_two_asymptotes_synchronized as \
@@ -261,3 +264,146 @@ class TestWeakTransitivity:
         assert not weak_transitivity(space, alpha, beta, gamma, 12,
                                      candidate=fake, tolerance=1e-9,
                                      radius=0.1)
+
+
+# ---------------------------------------------------------------------------
+# the lemma checks against their former pairwise loops
+
+
+def uniqueness_loops(space, alpha, p, candidates, tolerance, radius):
+    """``test_parallel_uniqueness`` as it was: one ``test_parallel`` per
+    candidate, in order."""
+    verified = []
+    for cand in candidates:
+        verdict = parallel_verdict(space, alpha, cand, tolerance)
+        if not verdict.parallel:
+            raise PreconditionError("candidate fails the parallelity test")
+        if not _passes_through(space, cand, p, radius):
+            raise PreconditionError("candidate does not pass through p")
+        verified.append(cand.shifted(verdict.shift))
+    groups = []
+    for cand in verified:
+        for g in groups:
+            if _coincide(space, g[0], cand, radius):
+                g.append(cand)
+                break
+        else:
+            groups.append([cand])
+    return UniquenessReport(len(groups), tuple(tuple(g) for g in groups))
+
+
+def weak_transitivity_loops(space, alpha, beta, gamma, p, candidate,
+                            tolerance, radius):
+    """``test_weak_transitivity`` as it was: one ``test_parallel`` per
+    pair, in order."""
+    if not parallel_verdict(space, alpha, beta, tolerance).parallel:
+        raise PreconditionError("alpha and beta are not parallel")
+    if not parallel_verdict(space, beta, gamma, tolerance).parallel:
+        raise PreconditionError("beta and gamma are not parallel")
+    if not _passes_through(space, gamma, p, radius):
+        raise PreconditionError("p does not lie on gamma")
+    cand_verdict = parallel_verdict(space, alpha, candidate, tolerance)
+    if not cand_verdict.parallel or not _passes_through(space, candidate, p,
+                                                        radius):
+        raise PreconditionError("candidate is not a parallel to alpha through p")
+    verdict = parallel_verdict(space, candidate, gamma, tolerance)
+    if not verdict.parallel or verdict.distance_c > radius:
+        return False
+    synced = gamma.shifted(verdict.shift)
+    return _coincide(space, candidate, synced, max(radius, tolerance))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except PreconditionError as exc:
+        return PreconditionError, str(exc)
+
+
+SEGMENT = ProductSpace(EuclideanSegment(0.0, 1.0, 21), -2.0, 2.0, 0.05)
+COLUMNS = [0.0, 0.3, 0.6, 1.0]
+LATTICE, DOCTORED = column_lattice_table()
+
+
+@st.composite
+def segment_lines(draw):
+    """Verticals of two to nine knots, some with shifted parameters."""
+    x = draw(st.sampled_from(COLUMNS))
+    line = vertical_line(SEGMENT, x, range(-4, -4 + draw(st.integers(2, 9))))
+    shift = draw(st.sampled_from([0.0, 0.0, -1.0, 0.5, 2.0]))
+    return line.shifted(shift) if shift else line
+
+
+@st.composite
+def lattice_lines(draw):
+    """Parts of the lattice columns or of the doctored chain, at their own
+    levels or at squeezed parameters (complex flags)."""
+    chain = draw(st.sampled_from([tuple(range(5 * c, 5 * c + 5))
+                                  for c in range(4)] + [DOCTORED]))
+    levels = sorted(draw(st.lists(st.integers(0, 4), min_size=2, max_size=5,
+                                  unique=True)))
+    scale = draw(st.sampled_from([0.5, 1.0, 1.0]))
+    return LineDescriptor(CausalChain(tuple(chain[k] for k in levels)),
+                          [scale * k for k in levels])
+
+
+LEMMA_CASES = {
+    "segment": (SEGMENT, segment_lines(),
+                st.tuples(st.sampled_from([-2.0, 0.0, 1.0]),
+                          st.sampled_from(COLUMNS + [0.45]))),
+    "lattice": (LATTICE, lattice_lines(), st.integers(0, 19)),
+}
+
+
+class TestLemmasMatchPairwiseLoops:
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(LEMMA_CASES)), data=st.data(),
+           tolerance=st.sampled_from([1e-9, 0.05, 0.5]),
+           radius=st.sampled_from([0.01, 0.1, 1.0]))
+    def test_uniqueness(self, kind, data, tolerance, radius):
+        space, lines, points = LEMMA_CASES[kind]
+        alpha, p = data.draw(lines), data.draw(points)
+        candidates = data.draw(st.lists(lines, max_size=4))
+        args = (space, alpha, p, candidates, tolerance, radius)
+        assert outcome(uniqueness_count, *args) == \
+            outcome(uniqueness_loops, *args)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(sorted(LEMMA_CASES)), data=st.data(),
+           tolerance=st.sampled_from([1e-9, 0.05, 0.5]),
+           radius=st.sampled_from([0.01, 0.1, 1.0]))
+    def test_weak_transitivity(self, kind, data, tolerance, radius):
+        space, lines, points = LEMMA_CASES[kind]
+        alpha, beta, gamma, candidate = (data.draw(lines) for _ in range(4))
+        args = (space, alpha, beta, gamma, data.draw(points), candidate,
+                tolerance, radius)
+        assert outcome(weak_transitivity, *args) == \
+            outcome(weak_transitivity_loops, *args)
+
+    def test_first_failure_in_candidate_order(self):
+        # a candidate off p comes before one that is not parallel: the
+        # pass-through failure is raised, as the pairwise loop raised it
+        alpha = vertical_line(SEGMENT, 0.0, range(-4, 5))
+        off_p = vertical_line(SEGMENT, 0.3, range(-4, 5))
+        on_p = vertical_line(SEGMENT, 0.6, range(-4, 5))
+        # on the lattice, a column at squeezed parameters is not parallel
+        column = LineDescriptor(CausalChain(tuple(range(5))), range(5))
+        squeezed = LineDescriptor(CausalChain(tuple(range(10, 15))),
+                                  [0.5 * k for k in range(5)])
+        fake = LineDescriptor(CausalChain(DOCTORED), range(5))
+        cases = [
+            (SEGMENT, alpha, (0.0, 0.6), [on_p, off_p, alpha.shifted(0.5)],
+             "candidate does not pass through p"),
+            (LATTICE, column, 12, [fake, squeezed, column],
+             "candidate fails the parallelity test"),
+            (LATTICE, column, 12, [fake, column, squeezed],
+             "candidate does not pass through p"),
+        ]
+        for space, a, p, candidates, message in cases:
+            args = (space, a, p, candidates, 1e-9, 0.01)
+            got = outcome(uniqueness_count, *args)
+            assert got == outcome(uniqueness_loops, *args)
+            assert got == (PreconditionError, message)
+        assert uniqueness_count(SEGMENT, alpha, (0.0, 0.6), [], 1e-9, 0.01) \
+            == uniqueness_loops(SEGMENT, alpha, (0.0, 0.6), [], 1e-9, 0.01) \
+            == UniquenessReport(0, ())

@@ -5,12 +5,19 @@ The loops below are the former implementations of ``validate_axioms``,
 ``_check_causal``, ``_topological_order``, ``finite_triangles``,
 ``SpacelikeSlice.validate_metric`` and ``sprinkle_causal_set``, kept as
 oracles: each array scan must give the same verdicts, the same first
-witnesses, the same errors and the same values, bit for bit.
+witnesses, the same errors and the same values, bit for bit.  The level
+order of ``_topological_order`` has its own loop, ``level_order_loops``;
+the former smallest-vertex-first loop stays as a second order that the
+maximizers must not notice, and the former ``maximize_tau`` as the
+maximizers' oracle.  The sprinkle's array hypot and bulk draws are
+pinned to ``math.hypot`` and ``random.Random.random``.
 """
 
 import itertools
 import math
 import random
+import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -18,7 +25,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lorentz_lab import chains, sampling
-from lorentz_lab.chains import maximize_tau
+from lorentz_lab.chains import CausalChain, MaximizerResult, maximize_tau
 from lorentz_lab.comparison import SpaceTriangle
 from lorentz_lab.core import (EPS, AxiomCheck, FiniteLorentzSpace,
                               PreconditionError, ValidationReport,
@@ -203,9 +210,80 @@ def topological_order_loops(space):
     return order, succ
 
 
+def maximize_tau_loops(space, source, target):
+    """The former ``maximize_tau``: dictionaries keyed by the vertices
+    relaxed so far, one ``space.tau`` call per relation, in the
+    smallest-vertex-first order of ``topological_order_loops``."""
+    if source == target:
+        raise PreconditionError("endpoints must be distinct")
+    if not space.leq(source, target):
+        raise PreconditionError(f"points {source} and {target} are not related")
+    check_causal_loops(space)
+    order, succ = topological_order_loops(space)
+    best = {target: 0.0}
+    ways = {target: 1}
+    for v in reversed(order):
+        if v == target or not space.leq(v, target):
+            continue
+        b = -math.inf
+        w = 0
+        for u in succ[v]:
+            if u not in best:
+                continue
+            cand = space.tau(v, u) + best[u]
+            if cand > b + EPS:
+                b, w = cand, ways[u]
+            elif abs(cand - b) <= EPS:
+                w += ways[u]
+        best[v] = b
+        ways[v] = w
+    value = best[source]
+    chain = [source]
+    v = source
+    remaining = value
+    while v != target:
+        for u in succ[v]:
+            if u in best and abs(space.tau(v, u) + best[u] - remaining) \
+                    <= EPS * (1 + len(chain)):
+                chain.append(u)
+                remaining -= space.tau(v, u)
+                v = u
+                break
+        else:
+            raise AssertionError("optimal chain reconstruction failed")
+    return MaximizerResult(value, CausalChain(tuple(chain)), ways[source])
+
+
+def level_order_loops(space):
+    """Kahn's algorithm by levels: each round takes every vertex left
+    without predecessors, in increasing index order, then removes their
+    relations (the order ``chains._topological_order`` returns)."""
+    n = space.n
+    succ = [[j for j in range(n) if j != i and space.leq(i, j)] for i in range(n)]
+    indeg = [0] * n
+    for i in range(n):
+        for j in succ[i]:
+            indeg[j] += 1
+    placed = [False] * n
+    order = []
+    ready = [i for i in range(n) if indeg[i] == 0]
+    while ready:
+        order.extend(ready)
+        for i in ready:
+            placed[i] = True
+            for j in succ[i]:
+                indeg[j] -= 1
+        ready = [i for i in range(n) if not placed[i] and indeg[i] == 0]
+    if len(order) != n:
+        raise PreconditionError("non-causal space: leq is cyclic")
+    return order, succ
+
+
 def packed_order_loops(space):
-    """``topological_order_loops`` in the packed form of
-    ``chains._topological_order``."""
+    """``topological_order_loops`` (smallest ready vertex first) in the
+    packed form of ``chains._topological_order``: a different order, so a
+    space maximized with it checks that the maximizers do not depend on
+    which topological order they run in."""
     order, succ = topological_order_loops(space)
     start = [0, *itertools.accumulate(map(len, succ))]
     return order, start, np.array([j for row in succ for j in row], dtype=np.int32)
@@ -395,22 +473,33 @@ class TestValidateAxiomsMatchesLoops:
 # chains: _check_causal, _topological_order, maximize_tau
 
 
-def maximize_all(space):
+def maximize_all(space, maximize=maximize_tau):
     """Every related pair's maximizer result, or its error."""
-    return [outcome(maximize_tau, space, p, q)
+    return [outcome(maximize, space, p, q)
             for p in range(space.n) for q in range(space.n)
             if p != q and space.leq(p, q)]
 
 
+def irreflexive_dag(n, seed):
+    """``random_dag`` with leq False on the diagonal."""
+    space = random_dag(n, seed)
+    return FiniteLorentzSpace(space._d, space._leq & ~np.eye(n, dtype=bool),
+                              space._ll, space._tau)
+
+
 class TestChainScansMatchLoops:
     @settings(max_examples=40, deadline=None)
-    @given(n=SIZES, seed=SEEDS, kind=st.sampled_from(["flat", "weighted", "dag"]))
+    @given(n=SIZES, seed=SEEDS,
+           kind=st.sampled_from(["flat", "weighted", "dag", "irreflexive"]))
     def test_order_and_maximizers(self, n, seed, kind):
-        space = random_dag(n, seed) if kind == "dag" else \
-            sprinkle_causal_set(n, seed, kind == "weighted")
+        if kind in ("flat", "weighted"):
+            space = sprinkle_causal_set(n, seed, kind == "weighted")
+        else:
+            space = (random_dag if kind == "dag" else irreflexive_dag)(n, seed)
         assert unpacked(*chains._topological_order(space)) == \
-            topological_order_loops(space)
+            level_order_loops(space)
         got = maximize_all(space)
+        assert got == maximize_all(space, maximize_tau_loops)
         # a fresh instance, since a space keeps the order of its first
         # maximization
         twin = FiniteLorentzSpace(space._d, space._leq, space._ll, space._tau)
@@ -435,7 +524,7 @@ class TestChainScansMatchLoops:
         assert got[0] is PreconditionError
         assert got[1].startswith("non-causal space: leq has a 2-cycle between")
         assert outcome(chains._topological_order, cyclic) == \
-            outcome(topological_order_loops, cyclic)
+            outcome(level_order_loops, cyclic)
 
 
 # ---------------------------------------------------------------------------
@@ -520,15 +609,20 @@ GRID = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.1, 0.2, 0.3, 0.5, 1.0])
 
 class TestSprinkleMatchesLoop:
     @settings(max_examples=60, deadline=None)
-    @given(n=st.integers(0, 40), seed=SEEDS, weighted=st.booleans())
-    def test_sprinkles(self, n, seed, weighted):
-        assert table_bytes(sprinkle_causal_set(n, seed, weighted)) == \
+    @given(n=st.integers(0, 40), seed=SEEDS, weighted=st.booleans(),
+           block=st.sampled_from([1, 7, chains.PAIR_BLOCK]))
+    def test_sprinkles(self, n, seed, weighted, block):
+        with mock.patch.object(chains, "PAIR_BLOCK", block):
+            got = sprinkle_causal_set(n, seed, weighted)
+        assert table_bytes(got) == \
             table_bytes(sprinkle_causal_set_loops(n, seed, weighted))
 
     @pytest.mark.parametrize("weighted", [True, False])
     def test_two_hundred_points(self, weighted):
-        assert table_bytes(sprinkle_causal_set(200, 5, weighted)) == \
-            table_bytes(sprinkle_causal_set_loops(200, 5, weighted))
+        want = table_bytes(sprinkle_causal_set_loops(200, 5, weighted))
+        for block in (1, 7, chains.PAIR_BLOCK):
+            with mock.patch.object(chains, "PAIR_BLOCK", block):
+                assert table_bytes(sprinkle_causal_set(200, 5, weighted)) == want
 
     def test_flat_finite_space(self):
         assert table_bytes(flat_finite_space(60, 11)) == \
@@ -536,10 +630,98 @@ class TestSprinkleMatchesLoop:
 
     @settings(max_examples=80, deadline=None)
     @given(pts=st.lists(st.tuples(GRID, GRID), max_size=14), seed=SEEDS,
-           weighted=st.booleans())
-    def test_planted_ties(self, pts, seed, weighted):
+           weighted=st.booleans(), block=st.sampled_from([1, 7, 40]))
+    def test_planted_ties(self, pts, seed, weighted, block):
         with mock.patch.object(sampling, "sprinkle_points",
-                               lambda n, seed: pts):
+                               lambda n, seed: pts), \
+                mock.patch.object(chains, "PAIR_BLOCK", block):
             got = sprinkle_causal_set(len(pts), seed, weighted)
             want = sprinkle_causal_set_loops(len(pts), seed, weighted)
         assert table_bytes(got) == table_bytes(want)
+
+    @pytest.mark.parametrize("n", [400, 800])
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_peak_memory(self, n, weighted):
+        """The row blocks hold less than the constructor's copies of the
+        tables, so the peak is the construction's: the four tables, the
+        constructor's own peak on them and at most 64 KiB for the points
+        and the draw generator, a quarter of one block-sized float64 array.
+        (The former one-row-at-a-time build peaked at 5 944 514 and
+        23 736 578 bytes, weighted, at n = 400 and 800; the blocks at
+        5 934 850 and 23 701 250, each measured in a fresh process.)"""
+        space = sprinkle_causal_set(n, 1, weighted)
+        tables = [np.array(a) for a in
+                  (space._d, space._leq, space._ll, space._tau)]
+        tracemalloc.start()
+        try:
+            FiniteLorentzSpace(*tables)
+            construction = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            sprinkle_causal_set(n, 1, weighted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= sum(a.nbytes for a in tables) + construction + 65536
+
+
+TINY = sys.float_info.min
+MAGNITUDES = st.floats() | st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, TINY / 3, TINY, -TINY, 1.5 * TINY,
+    sys.float_info.max, -sys.float_info.max, 1e300, math.inf, -math.inf,
+    math.nan, 0.1, 0.3 - 0.1, 0.2])
+
+
+def hypot_loops(a, b):
+    return np.array(list(map(math.hypot, a.ravel().tolist(),
+                             b.ravel().tolist()))).reshape(a.shape)
+
+
+class TestArrayHypotMatchesMath:
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=st.lists(st.tuples(MAGNITUDES, MAGNITUDES), min_size=1,
+                          max_size=30))
+    def test_pairs(self, pairs):
+        a, b = (np.array(c, dtype=float) for c in zip(*pairs))
+        assert sampling._hypot(a.copy(), b.copy()).tobytes() == \
+            hypot_loops(a, b).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(x=MAGNITUDES, power=st.integers(-1100, 60),
+           ratio=st.floats(1e-20, 1.0), signs=st.sampled_from([1.0, -1.0]))
+    def test_equal_and_proportional(self, x, power, ratio, signs):
+        """Equal magnitudes, opposite signs, ratios down to 1e-20 and
+        powers of two reaching the subnormal range."""
+        with np.errstate(over="ignore"):
+            a = np.array([x, x, x, x * ratio, np.ldexp(1.0, power), -0.0])
+            b = np.array([x, -x, x * ratio, x, signs * np.ldexp(x, power), x])
+        assert sampling._hypot(a.copy(), b.copy()).tobytes() == \
+            hypot_loops(a, b).tobytes()
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=SEEDS, rows=st.integers(1, 9), cols=st.integers(0, 50))
+    def test_blocks_of_differences(self, seed, rows, cols):
+        """Two-dimensional blocks of coordinate differences, as the
+        sprinkle passes them."""
+        rng = np.random.default_rng(seed)
+        t, x = rng.uniform(-2.0, 2.0, (2, cols))
+        a, b = t - t[:rows, None], x - x[:rows, None]
+        got = sampling._hypot(a.copy(), b.copy())
+        assert got.shape == a.shape
+        assert got.tobytes() == hypot_loops(a, b).tobytes()
+
+
+class TestRandomStreamMatchesRandom:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=SEEDS, skip=st.integers(0, 1500),
+           blocks=st.lists(st.integers(0, 700), max_size=8))
+    def test_blocks(self, seed, skip, blocks):
+        """Blocks of draws, from states part-way through the 624-word
+        buffer, continue ``rng.random()`` across every refill, and
+        ``rng`` itself does not advance."""
+        rng = random.Random(seed)
+        for _ in range(skip):
+            rng.random()
+        stream = sampling._random_stream(rng)
+        got = np.concatenate([np.zeros(0)] + [stream.random(k) for k in blocks])
+        want = np.array([rng.random() for _ in range(sum(blocks))], dtype=float)
+        assert got.tobytes() == want.tobytes()
