@@ -25,35 +25,19 @@ of other sources are kept, so that two checkouts can be compared in one
 file.
 """
 
-import hashlib
-import json
-import os
-import platform
 import sys
-import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 
+from bench_record import ROOT, best_time, new_run, save_run
 from lorentz_lab import chains
 from lorentz_lab.sampling import sprinkle_causal_set
 
-ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_causal_chains.json"
 SIZES = [400, 1000, 2000, 4000]
 SEED = 1
 REPEATS = 3
-
-
-def best_time(fn, reset=lambda: None):
-    best = float("inf")
-    for _ in range(REPEATS):
-        reset()
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def traced_peak_mb(fn):
@@ -77,16 +61,17 @@ def widest_pair(space):
 
 
 def measure(n):
-    weighted = best_time(lambda: sprinkle_causal_set(n, SEED))
-    flat = best_time(lambda: sprinkle_causal_set(n, SEED, weighted=False))
+    weighted = best_time(lambda: sprinkle_causal_set(n, SEED), REPEATS)
+    flat = best_time(lambda: sprinkle_causal_set(n, SEED, weighted=False),
+                     REPEATS)
     space, sprinkle_peak = traced_peak_mb(lambda: sprinkle_causal_set(n, SEED))
     i, j = widest_pair(space)
 
     def forget():
         space._causal_order = None
 
-    order = best_time(lambda: chains._causal_order(space), forget)
-    maximize = best_time(lambda: chains.maximize_tau(space, i, j))
+    order = best_time(lambda: chains._causal_order(space), REPEATS, forget)
+    maximize = best_time(lambda: chains.maximize_tau(space, i, j), REPEATS)
     forget()
     result, maximize_peak = traced_peak_mb(
         lambda: chains.maximize_tau(space, i, j))
@@ -100,31 +85,9 @@ def measure(n):
             "first_maximize_peak_mb": maximize_peak}
 
 
-def cpu_model():
-    try:
-        with open("/proc/cpuinfo") as f:
-            for row in f:
-                if row.startswith("model name"):
-                    return row.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor()
-
-
-def src_sha256():
-    digest = hashlib.sha256()
-    for path in sorted((ROOT / "src" / "lorentz_lab").glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    return digest.hexdigest()[:16]
-
-
 def main():
-    run = {"src_sha256": src_sha256(),
-           "env": {"cpu": cpu_model(), "nproc": os.cpu_count(),
-                   "python": platform.python_version(),
-                   "numpy": np.__version__},
-           "repeats": REPEATS,
-           "sizes": []}
+    run = new_run(REPEATS)
+    run["sizes"] = []
     for n in SIZES:
         size = measure(n)
         run["sizes"].append(size)
@@ -134,9 +97,7 @@ def main():
               f"{size['maximize_tau_s']:.3f} s  peaks "
               f"{size['sprinkle_peak_mb']:.1f} / "
               f"{size['first_maximize_peak_mb']:.1f} MB")
-    runs = json.loads(OUT.read_text())["runs"] if OUT.exists() else []
-    runs = [r for r in runs if r["src_sha256"] != run["src_sha256"]] + [run]
-    OUT.write_text(json.dumps({"runs": runs}, indent=2) + "\n")
+    save_run(OUT, run)
     return 0
 
 

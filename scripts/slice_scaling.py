@@ -19,21 +19,13 @@ versions.  An earlier run of the same source is replaced and runs of other
 sources are kept, so that two checkouts can be compared in one file.
 """
 
-import hashlib
-import json
-import os
-import platform
 import sys
-import time
-from pathlib import Path
 
-import numpy as np
-
+from bench_record import ROOT, best_time, new_run, save_run
 from lorentz_lab import splitting
 from lorentz_lab.asymptotics import vertical_line
 from lorentz_lab.models import EuclideanSegment, ProductSpace
 
-ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "BENCH_slice.json"
 HORIZONS = [2 ** k for k in range(1, 9)]
 SIZES = [(21, 0.05), (41, 0.025), (101, 0.01)]
@@ -56,15 +48,6 @@ def replaying(fn):
     return replay
 
 
-def best_time(fn):
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def measure(factor_points, t_step):
     space = ProductSpace(EuclideanSegment(0.0, 1.0, factor_points), -2.0, 2.0,
                          t_step)
@@ -77,13 +60,13 @@ def measure(factor_points, t_step):
                                        tolerance=tol, knot_extent=2.5)
 
     members = len(extract())
-    whole = best_time(extract)
+    whole = best_time(extract, REPEATS)
     saved = {name: getattr(splitting, name) for name in REPLAYED}
     try:
         for name, fn in saved.items():
             setattr(splitting, name, replaying(fn))
         extract()
-        verdicts = best_time(extract)
+        verdicts = best_time(extract, REPEATS)
     finally:
         for name, fn in saved.items():
             setattr(splitting, name, fn)
@@ -92,34 +75,10 @@ def measure(factor_points, t_step):
             "extract_slice_s": whole, "verdict_pass_s": verdicts}
 
 
-def cpu_model():
-    try:
-        with open("/proc/cpuinfo") as f:
-            for row in f:
-                if row.startswith("model name"):
-                    return row.split(":", 1)[1].strip()
-    except OSError:
-        pass
-    return platform.processor()
-
-
-def src_sha256():
-    digest = hashlib.sha256()
-    for path in sorted((ROOT / "src" / "lorentz_lab").glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
-    return digest.hexdigest()[:16]
-
-
 def main():
-    run = {"src_sha256": src_sha256(),
-           "env": {"cpu": cpu_model(), "nproc": os.cpu_count(),
-                   "python": platform.python_version(),
-                   "numpy": np.__version__},
-           "repeats": REPEATS,
-           "sizes": [measure(*size) for size in SIZES]}
-    runs = json.loads(OUT.read_text())["runs"] if OUT.exists() else []
-    runs = [r for r in runs if r["src_sha256"] != run["src_sha256"]] + [run]
-    OUT.write_text(json.dumps({"runs": runs}, indent=2) + "\n")
+    run = new_run(REPEATS)
+    run["sizes"] = [measure(*size) for size in SIZES]
+    save_run(OUT, run)
     for size in run["sizes"]:
         print(f"{size['members']:4d} members  extract_slice "
               f"{size['extract_slice_s']:.4f} s  verdict pass "

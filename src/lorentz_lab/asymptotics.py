@@ -159,39 +159,37 @@ def _analytic_limit(space, p, targets, direction, knot_step, knot_extent):
     return knots, params, stabilized
 
 
-def _finite_limit(chains, direction):
+def _finite_limit(space, p, targets, direction):
     """Stabilized prefix (suffix for past direction) common to the two
     largest-horizon maximizers in a finite table (one chain when there is
-    a single horizon)."""
-    a = list(chains[-1].points)
-    b = list(chains[0].points)
-    if direction == "past":
-        a, b = a[::-1], b[::-1]
-    common = []
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        common.append(x)
-    if len(common) < 2:
-        common = a[:2]
-    if direction == "past":
-        common.reverse()
-    return common
+    a single horizon), parametrized by cumulative separation from p."""
+    step = 1 if direction == "future" else -1
+    ends = [(p, g) if direction == "future" else (g, p) for g in targets]
+    walks = [maximize_tau(space, *e).chain.points[::step] for e in ends]
+    a, b = walks[-1], walks[0]
+    n = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y),
+             min(len(a), len(b)))
+    common = a[:max(n, 2)][::step]
+    cum = list(accumulate((space.tau(x, y) for x, y in zip(common, common[1:])),
+                          initial=0.0))
+    params = [c - cum[-1] for c in cum] if step < 0 else cum
+    return common, params, True
 
 
 def build_asymptote(space: LorentzQuery, line: LineDescriptor, p, direction,
-                    horizons, knot_extent=None,
-                    tol_null=None) -> AsymptoteResult:
+                    horizons, knot_extent=None) -> AsymptoteResult:
     """Pointwise-stabilized limit of the maximizers from p to line points at
     increasing horizons.
 
     Horizons are parameter magnitudes along the line (targets sit at -t for
     the past direction); every horizon must name a knot timelike related to
     p, but only the maximizers toward the two largest are built, since the
-    limit and its certificate read no others.  ``tol_null`` separates
-    genuinely timelike limit steps from discretization noise; it defaults
-    to ten grid meshes, and the knot step is twice that threshold (at least
-    2) so a genuinely timelike limit is never misread as null.
+    limit and its certificate read no others.  A limit step of separation
+    10 EPS or less is null.  In a model space every limit knot lies on the
+    largest-horizon maximizer, so each step's separation is its parameter
+    spacing, at least one mesh, and is never null.  Knots sit max(2, 20
+    mesh) apart up to ``knot_extent`` (default: the smallest horizon, at
+    least one knot step).
 
     This is the fixed-footpoint construction.  The general notion also
     allows the footpoints to converge from the side (z_n -> z) rather than
@@ -206,9 +204,7 @@ def build_asymptote(space: LorentzQuery, line: LineDescriptor, p, direction,
     if not in_timelike_envelope(space, line, p):
         raise PreconditionError("footpoint is not timelike related to the line "
                                 "in both directions")
-    if tol_null is None:
-        tol_null = 10.0 * space.mesh
-    knot_step = max(2.0, 2.0 * tol_null)
+    knot_step = max(2.0, 20.0 * space.mesh)
     if knot_extent is None:
         knot_extent = max(horizons[0], knot_step)
 
@@ -227,23 +223,15 @@ def build_asymptote(space: LorentzQuery, line: LineDescriptor, p, direction,
     targets = targets[-2:]
 
     if isinstance(space, FiniteLorentzSpace):
-        ends = [(p, g) if direction == "future" else (g, p) for g in targets]
-        pts = _finite_limit([maximize_tau(space, *e).chain for e in ends],
-                            direction)
-        params = None
-        stabilized = True
+        pts, params, stabilized = _finite_limit(space, p, targets, direction)
     else:
         pts, params, stabilized = _analytic_limit(
             space, p, targets, direction, knot_step, knot_extent)
 
     limit = CausalChain(tuple(pts))
-    steps = [space.tau(a, b) for a, b in limit.pairs()]
-    min_step = min(steps)
-    if params is None:
-        cum = list(accumulate(steps, initial=0.0))
-        params = [c - cum[-1] for c in cum] if direction == "past" else cum
+    min_step = min(space.tau(a, b) for a, b in limit.pairs())
     return AsymptoteResult(p, direction, limit, tuple(params),
-                           min_step > tol_null, min_step, stabilized)
+                           min_step > 10.0 * EPS, min_step, stabilized)
 
 
 @dataclass(frozen=True)
@@ -254,7 +242,8 @@ class TimelikeCoRayReport:
 
 
 def check_tcrc(space, line: LineDescriptor, probes, horizons,
-               directions=("future", "past"), **kw) -> TimelikeCoRayReport:
+               directions=("future", "past"),
+               knot_extent=None) -> TimelikeCoRayReport:
     """Build asymptotes at every probe point and flag any whose limit chain
     contains a null-leaning step."""
     witnesses = []
@@ -262,7 +251,8 @@ def check_tcrc(space, line: LineDescriptor, probes, horizons,
     for p in probes:
         for direction in directions:
             n += 1
-            result = build_asymptote(space, line, p, direction, horizons, **kw)
+            result = build_asymptote(space, line, p, direction, horizons,
+                                     knot_extent)
             if not result.is_timelike:
                 witnesses.append((p, direction, result.min_step))
     return TimelikeCoRayReport(not witnesses, tuple(witnesses), n)
@@ -280,9 +270,8 @@ def check_asymptote_complete(result: AsymptoteResult, growth_horizon) -> bool:
     return (l_2h - l_h) >= 0.9 * growth_horizon
 
 
-def join_asymptotic_line(space, line: LineDescriptor, p,
-                         future: AsymptoteResult, past: AsymptoteResult,
-                         tol=EPS) -> LineDescriptor:
+def join_asymptotic_line(space, p, future: AsymptoteResult,
+                         past: AsymptoteResult, tol=EPS) -> LineDescriptor:
     """Concatenate a past and a future asymptote from the same footpoint and
     verify the result is a line; the check pinpoints the first cross pair
     violating additivity."""
@@ -305,16 +294,16 @@ def join_asymptotic_line(space, line: LineDescriptor, p,
 
 
 def build_asymptotic_line(space, line: LineDescriptor, p, horizons,
-                          busemann_shift=0.0, **kw) -> LineDescriptor:
+                          busemann_shift=0.0,
+                          knot_extent=None) -> LineDescriptor:
     """Both-direction asymptote through p as a single verified line, its
     additivity checked to ten grid meshes.  The parameters are cumulative
     separation from p shifted by ``busemann_shift`` (pass the
     synchronization value of p to put the line into synchronized
     parametrization)."""
-    fut = build_asymptote(space, line, p, "future", horizons, **kw)
-    pst = build_asymptote(space, line, p, "past", horizons, **kw)
-    tol = 10.0 * space.mesh
-    joined = join_asymptotic_line(space, line, p, fut, pst, tol)
+    fut = build_asymptote(space, line, p, "future", horizons, knot_extent)
+    pst = build_asymptote(space, line, p, "past", horizons, knot_extent)
+    joined = join_asymptotic_line(space, p, fut, pst, 10.0 * space.mesh)
     return joined.shifted(busemann_shift) if busemann_shift else joined
 
 

@@ -49,6 +49,16 @@ def _parse_real(s) -> float:
         raise StructuralError(f"not a real number: {s!r}") from None
 
 
+def _parse_setting(s, name, positive=False) -> float:
+    """A finite real setting of a space file: at least 0, or above 0 when
+    ``positive``."""
+    value = _parse_real(s)
+    if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+        raise StructuralError(f"{name} must be a finite real "
+                              f"{'>' if positive else '>='} 0, got {s!r}")
+    return value
+
+
 def _parse_int(s) -> int:
     try:
         return int(s)
@@ -65,44 +75,20 @@ def _table_in(rows):
 
 
 def save_space(space, path, mesh=None):
-    if isinstance(space, FiniteLorentzSpace):
-        payload = {
-            "n": space.n,
-            "d": _table_out(space._d),
-            "leq": [[bool(v) for v in row] for row in space._leq],
-            "ll": [[bool(v) for v in row] for row in space._ll],
-            "tau": _table_out(space._tau),
-        }
-        kind = "finite"
-    elif isinstance(space, ProductSpace):
-        payload = {
-            "factor": _factor_out(space.factor),
-            "time_grid": {"t_min": _real(space.t_min), "t_max": _real(space.t_max),
-                          "t_step": _real(space.t_step)},
-        }
-        kind = "product"
-    else:
+    """Write a finite table space as a space file."""
+    if not isinstance(space, FiniteLorentzSpace):
         raise StructuralError(f"cannot serialize {type(space).__name__}")
-    doc = {"format_version": FORMAT_VERSION, "kind": kind, "payload": payload}
+    payload = {
+        "n": space.n,
+        "d": _table_out(space._d),
+        "leq": [[bool(v) for v in row] for row in space._leq],
+        "ll": [[bool(v) for v in row] for row in space._ll],
+        "tau": _table_out(space._tau),
+    }
+    doc = {"format_version": FORMAT_VERSION, "kind": "finite", "payload": payload}
     if mesh is not None:
         doc["mesh"] = _real(mesh)
     _atomic_write(path, json.dumps(doc, indent=1))
-
-
-def _factor_out(factor):
-    if isinstance(factor, EuclideanSegment):
-        return {"kind": factor.kind, "lo": _real(factor.lo), "hi": _real(factor.hi),
-                "points": factor.n_points}
-    if isinstance(factor, TripodGraph):
-        return {"kind": factor.kind, "leg_length": _real(factor.leg_length),
-                "points_per_leg": factor.n_per_leg}
-    if isinstance(factor, PlaneSample):
-        return {"kind": factor.kind, "mesh": _real(factor.mesh),
-                "points": [[_real(a), _real(b)] for a, b in factor.points]}
-    if isinstance(factor, ExplicitTable):
-        return {"kind": factor.kind, "mesh": _real(factor.mesh),
-                "table": _table_out(factor.table)}
-    raise StructuralError(f"cannot serialize factor {type(factor).__name__}")
 
 
 def _factor_in(doc):
@@ -135,8 +121,9 @@ def load_space(path):
     except KeyError as exc:
         raise StructuralError(f"missing key {exc}") from None
     meta = {"kind": kind,
-            "mesh": _parse_real(doc["mesh"]) if "mesh" in doc else None,
-            "tolerances": {k: _parse_real(v)
+            "mesh": _parse_setting(doc["mesh"], "mesh", positive=True)
+            if "mesh" in doc else None,
+            "tolerances": {k: _parse_setting(v, f"tolerance {k!r}")
                            for k, v in doc.get("tolerances", {}).items()}}
     return space, meta
 
@@ -231,11 +218,20 @@ def parse_point(raw, space):
     space."""
     if isinstance(space, FiniteLorentzSpace):
         return _point_index(raw, space.n)
+    _require_segment(space)
     try:
         t, x = raw.split(",")   # exactly two fields
         return (_cli_real(t), _cli_real(x))
     except (argparse.ArgumentTypeError, ValueError):
         raise InputError(f"cannot parse point {raw!r}") from None
+
+
+def _require_segment(space):
+    """Coordinate points ``t,x`` name points of a product over a segment
+    only."""
+    if not isinstance(space.factor, EuclideanSegment):
+        raise InputError("t,x points need a segment factor, not "
+                         f"{space.factor.kind!r}")
 
 
 def _parse_horizons(raw):
@@ -320,7 +316,7 @@ def cmd_tau(args):
 def _curvature_tolerance(space, meta, args):
     if args.tol is not None:
         return args.tol
-    if meta["tolerances"].get("curvature"):
+    if "curvature" in meta["tolerances"]:
         return meta["tolerances"]["curvature"]
     # a finite table's mesh comes from its file alone
     mesh = meta["mesh"] or (isinstance(space, ProductSpace) and space.mesh)
@@ -372,6 +368,8 @@ def cmd_curvature(args):
 
 
 def _load_line(space, meta, path, tol):
+    if meta["kind"] != "finite":
+        _require_segment(space)
     chain = load_chain(path, meta["kind"], getattr(space, "n", None))
     return line_from_chain(space, chain,
                            anchor=min(range(len(chain.points)),

@@ -284,12 +284,6 @@ class DiamondSet:
     kind: str  # "causal" or "timelike"
     members: tuple
 
-    def __contains__(self, r):
-        return r in self.members
-
-    def __len__(self):
-        return len(self.members)
-
 
 def diamond(space: LorentzQuery, p, q, kind="causal") -> DiamondSet:
     """Points between p and q: causal kind collects every r with p<=r<=q,

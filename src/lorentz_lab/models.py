@@ -61,6 +61,9 @@ class EuclideanSegment(MetricFactor):
     kind = "euclidean-segment"
 
     def __post_init__(self):
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)
+                and self.lo < self.hi):
+            raise StructuralError("a segment needs finite ends with lo < hi")
         if self.n_points < 2:
             raise StructuralError("a segment sample needs at least two points")
 
@@ -92,6 +95,11 @@ class PlaneSample(MetricFactor):
 
     kind = "euclidean-plane-sample"
 
+    def __post_init__(self):
+        coords = [c for pt in self.points for c in pt]
+        if not all(map(math.isfinite, [self.mesh] + coords)):
+            raise StructuralError("a plane sample needs finite points and mesh")
+
     @property
     def eta(self):
         return self.mesh
@@ -121,6 +129,8 @@ class TripodGraph(MetricFactor):
     kind = "metric-graph"
 
     def __post_init__(self):
+        if not (math.isfinite(self.leg_length) and self.leg_length > 0):
+            raise StructuralError("a tripod needs a finite leg length > 0")
         if self.n_per_leg < 2:
             raise StructuralError("a tripod sample needs at least two points per leg")
 
@@ -346,6 +356,8 @@ class ProductSpace(LorentzQuery):
 def minkowski_space(t_min=-2.0, t_max=2.0, x_min=-1.0, x_max=1.0, step=0.25):
     """The flat model as a product over a Euclidean segment: identical
     formula path as any other product, so the two agree bit for bit."""
+    if not (all(map(math.isfinite, (x_min, x_max, step))) and step > 0):
+        raise StructuralError("a flat window needs finite x bounds and step > 0")
     n = int(round((x_max - x_min) / step)) + 1
     return ProductSpace(EuclideanSegment(x_min, x_max, n), t_min, t_max, step)
 

@@ -478,15 +478,15 @@ class SynchronizedReport:
 
 def test_two_asymptotes_synchronized(space, line: LineDescriptor, p, q,
                                      horizons, tolerance,
-                                     **asymptote_kw) -> SynchronizedReport:
+                                     knot_extent=None) -> SynchronizedReport:
     """Build the asymptotes through p and q in synchronized-time
     parametrization and test that they are parallel with no residual shift."""
     bp = busemann_value(space, line, p, horizons)
     bq = busemann_value(space, line, q, horizons)
-    alpha = build_asymptotic_line(space, line, p, horizons,
-                                  busemann_shift=bp.value, **asymptote_kw)
-    beta = build_asymptotic_line(space, line, q, horizons,
-                                 busemann_shift=bq.value, **asymptote_kw)
+    alpha = build_asymptotic_line(space, line, p, horizons, bp.value,
+                                  knot_extent)
+    beta = build_asymptotic_line(space, line, q, horizons, bq.value,
+                                 knot_extent)
     verdict = test_parallel(space, alpha, beta, tolerance)
     sync = verdict.parallel and abs(verdict.shift) <= tolerance
     return SynchronizedReport(sync, verdict.distance_c, verdict.shift)

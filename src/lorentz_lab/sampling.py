@@ -12,11 +12,11 @@ import sys
 
 import numpy as np
 
-from .core import FiniteLorentzSpace
+from .core import FiniteLorentzSpace, PreconditionError
 from . import chains
 from .chains import CausalChain
 from .comparison import Leg, SpaceTriangle
-from .models import ProductSpace, _product_tau_array
+from .models import EuclideanSegment, ProductSpace, _product_tau_array
 
 
 def sprinkle_points(n, seed):
@@ -181,15 +181,20 @@ def _random_future_step(rng):
     return a * math.cosh(phi), a * math.sinh(phi)
 
 
+def _segment_ends(space):
+    """The ends of a product's segment factor, the only factor the
+    coordinate samplers below draw from."""
+    if not isinstance(space.factor, EuclideanSegment):
+        raise PreconditionError("triangle sampler needs a segment-like factor")
+    return space.factor.lo, space.factor.hi
+
+
 def minkowski_triangles(space, count, seed):
     """Random timelike triangles in a flat product: two independent future
     steps from a random base point, factor coordinates folded into the
     segment."""
-    if not hasattr(space.factor, "lo"):
-        raise ValueError("triangle sampler needs a segment-like factor")
+    lo, hi = _segment_ends(space)
     rng = random.Random(seed)
-    lo = space.factor.lo
-    hi = space.factor.hi
     out = []
     while len(out) < count:
         t0 = rng.uniform(space.t_min, 0.0)
@@ -210,7 +215,7 @@ def product_hinges(space, count, seed):
     """Random hinges: a base point with two timelike legs, alternating
     between mixed time orientation and both future."""
     rng = random.Random(seed)
-    lo, hi = space.factor.lo, space.factor.hi
+    lo, hi = _segment_ends(space)
     out = []
     while len(out) < count:
         x = (rng.uniform(-1.0, 1.0), rng.uniform(lo, hi))
@@ -233,7 +238,7 @@ def random_realizer_chain(space: ProductSpace, seed):
     """Random timelike maximizer chain of seven knots inside the product
     window."""
     rng = random.Random(seed)
-    lo, hi = space.factor.lo, space.factor.hi
+    lo, hi = _segment_ends(space)
     while True:
         a = rng.uniform(lo, hi)
         b = rng.uniform(lo, hi)
@@ -251,7 +256,7 @@ def perturb_chain(space: ProductSpace, chain: CausalChain, seed):
     min_defect = 3.0 * space.mesh
     rng = random.Random(seed)
     p, q = chain.points[0], chain.points[-1]
-    lo, hi = space.factor.lo, space.factor.hi
+    lo, hi = _segment_ends(space)
     dt = q[0] - p[0]
     total = space.tau(p, q)
     signs = [1, -1] if rng.random() < 0.5 else [-1, 1]
@@ -285,7 +290,7 @@ def spanning_timelike_chains(space: ProductSpace, count, seed):
     about 0.5."""
     rng = random.Random(seed)
     t_lo, t_hi, step = space.t_min, space.t_max, 0.5
-    lo, hi = space.factor.lo, space.factor.hi
+    lo, hi = _segment_ends(space)
     chains = []
     for c in range(count):
         t = t_lo - step
@@ -316,12 +321,12 @@ def finite_triangles(space: FiniteLorentzSpace, count, seed):
     for (i, j, k) in triples:
         try:
             out.append(SpaceTriangle(space, i, j, k))
-        except Exception:
+        except PreconditionError:
             continue
         if len(out) >= count:
             break
     if not out:
-        raise ValueError("space contains no usable timelike triangles")
+        raise PreconditionError("space contains no usable timelike triangles")
     return out
 
 
@@ -329,7 +334,7 @@ def random_causal_chain(space: ProductSpace, seed):
     """Random future-directed causal chain (not necessarily maximizing) of
     two to nine steps."""
     rng = random.Random(seed)
-    lo, hi = space.factor.lo, space.factor.hi
+    lo, hi = _segment_ends(space)
     t = rng.uniform(space.t_min, 0.0)
     x = rng.uniform(lo, hi)
     pts = [(t, x)]

@@ -61,7 +61,7 @@ def slice_from_table(members, d_S) -> SpacelikeSlice:
 
 
 def extract_slice(space, line: LineDescriptor, seeds, horizons,
-                  tolerance, **asymptote_kw) -> SpacelikeSlice:
+                  tolerance, knot_extent=None) -> SpacelikeSlice:
     """One synchronized asymptote per seed, deduplicated by footpoint, with
     the parallel-line distance table over the surviving members.
 
@@ -76,8 +76,8 @@ def extract_slice(space, line: LineDescriptor, seeds, horizons,
         if not in_timelike_envelope(space, line, seed):
             raise PreconditionError(f"seed {seed} outside the timelike envelope")
         b = busemann_value(space, line, seed, horizons)
-        asym = build_asymptotic_line(space, line, seed, horizons,
-                                     busemann_shift=b.value, **asymptote_kw)
+        asym = build_asymptotic_line(space, line, seed, horizons, b.value,
+                                     knot_extent)
         foot = line_point(space, asym, 0.0)
         if any(space.d(foot, m) < dedupe_radius for m in members):
             continue

@@ -18,7 +18,7 @@ from lorentz_lab.asymptotics import (build_asymptote, build_asymptotic_line,
 
 from conftest import HORIZONS, null_coray_table
 
-KW = dict(knot_extent=4.0, tol_null=1.0)
+KW = dict(knot_extent=4.0)
 
 
 def flat_line_table():
@@ -159,7 +159,7 @@ class TestCompleteness:
 
     def test_flat_asymptote_passes(self, mink, mink_gamma):
         result = build_asymptote(mink, mink_gamma, (0.0, 1.0), "future",
-                                 HORIZONS, knot_extent=64.0, tol_null=1.0)
+                                 HORIZONS, knot_extent=64.0)
         assert check_asymptote_complete(result, 16.0)
 
 
@@ -170,8 +170,8 @@ class TestJoin:
                               HORIZONS, **KW)
         pst = build_asymptote(segment_product, product_gamma, p, "past",
                               HORIZONS, **KW)
-        line = join_asymptotic_line(segment_product, product_gamma, p, fut,
-                                    pst, tol=10 * segment_product.mesh)
+        line = join_asymptotic_line(segment_product, p, fut, pst,
+                                    tol=10 * segment_product.mesh)
         assert line.footpoint() == p
         assert line.params[0] == -4.0 and line.params[-1] == 4.0
 
@@ -188,8 +188,7 @@ class TestJoin:
         pst = build_asymptote(segment_product, product_gamma, (0.0, 0.4),
                               "past", HORIZONS, **KW)
         with pytest.raises(PreconditionError, match="footpoint"):
-            join_asymptotic_line(segment_product, product_gamma, (0.0, 0.2),
-                                 fut, pst)
+            join_asymptotic_line(segment_product, (0.0, 0.2), fut, pst)
 
 
 class TestBusemann:

@@ -13,7 +13,7 @@ import pytest
 
 from lorentz_lab.cli import (FORMAT_VERSION, _curvature_tolerance, _real,
                              load_space, main, save_space)
-from lorentz_lab.core import EPS, FiniteLorentzSpace
+from lorentz_lab.core import EPS, FiniteLorentzSpace, StructuralError
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 GOLDEN = os.path.join(ROOT, "docs", "golden")
@@ -56,7 +56,6 @@ class TestSpaceFiles:
     def test_unknown_version_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format_version": 99, "kind": "finite"}))
-        from lorentz_lab.core import StructuralError
         with pytest.raises(StructuralError):
             load_space(str(path))
 
@@ -98,6 +97,112 @@ def test_malformed_space_or_grid_exit_2(edit, argv, tmp_path, capsys):
         if argv[0] == "split" else []
     code = main([argv[0], str(path), *argv[1:], *extra])
     assert_one_line_exit_2(code, capsys)
+
+
+def edited(name, edit):
+    """A golden space file with one edit applied to the whole document."""
+    with open(golden(name)) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    return doc
+
+
+def set_factor(**fields):
+    return lambda doc: doc["payload"]["factor"].update(fields)
+
+
+TRIPOD = {"kind": "metric-graph", "leg_length": "1.0", "points_per_leg": 5}
+PLANE = {"kind": "euclidean-plane-sample", "mesh": "0.5",
+         "points": [["0.0", "0.0"], ["1.0", "0.0"], ["0.0", "1.0"]]}
+NO_TRIANGLE = {"format_version": 1, "kind": "finite", "payload": {
+    "n": 3, "d": [["0", "1", "1"], ["1", "0", "1"], ["1", "1", "0"]],
+    "leq": [[True, True, False], [False, True, False], [False, False, True]],
+    "ll": [[False, True, False], [False, False, False], [False] * 3],
+    "tau": [["0", "1", "0"], ["0"] * 3, ["0"] * 3]}}
+CURVATURE = ["curvature", "--samples", "5"]
+LINE = ["--line", golden("product_vertical_line.json")]
+# (golden file, edit, command after the path, exit code).  A segment with
+# inverted or non-finite ends once sent the samplers' rejection loops into
+# an endless loop, so those files are run through validate only.
+CONTRACT = {
+    "segment-lo-above-hi": ("product_segment.json", set_factor(lo="5.0"),
+                            ["validate"], 2),
+    "segment-hi-nan": ("product_segment.json", set_factor(hi="nan"),
+                       ["validate"], 2),
+    "segment-hi-inf": ("product_segment.json", set_factor(hi="inf"),
+                       ["validate"], 2),
+    "segment-hi-minus-inf": ("product_segment.json", set_factor(hi="-inf"),
+                             ["validate"], 2),
+    "tripod-negative-leg": (
+        "product_segment.json",
+        lambda doc: doc["payload"].update(factor={**TRIPOD,
+                                                  "leg_length": "-1"}),
+        ["validate"], 2),
+    "plane-nan-point": (
+        "product_segment.json",
+        lambda doc: doc["payload"].update(factor={
+            **PLANE, "points": [["0.0", "nan"], ["1.0", "0.0"]]}),
+        ["validate"], 2),
+    "strip-step-nan": ("minkowski_strip.json",
+                       lambda doc: doc["payload"].update(step="nan"),
+                       ["validate"], 2),
+    "mesh-nan": ("minkowski_strip.json", lambda doc: doc.update(mesh="nan"),
+                 CURVATURE, 2),
+    "mesh-zero": ("minkowski_strip.json", lambda doc: doc.update(mesh="0"),
+                  CURVATURE, 2),
+    "tolerance-nan": ("minkowski_strip.json",
+                      lambda doc: doc.update(tolerances={"curvature": "nan"}),
+                      CURVATURE, 2),
+    "tolerance-negative": (
+        "minkowski_strip.json",
+        lambda doc: doc.update(tolerances={"curvature": "-1"}), CURVATURE, 2),
+    "no-timelike-triangle": ("finite_diamond.json",
+                             lambda doc: doc.update(NO_TRIANGLE), CURVATURE, 3),
+}
+for kind, factor in (("tripod", TRIPOD), ("plane", PLANE)):
+    for label, argv, code in (
+            ("curvature", CURVATURE, 3),
+            ("monotonicity", CURVATURE + ["--bound", "monotonicity"], 3),
+            ("tau", ["tau", "--from", "0,0.5", "--to", "1,0.5"], 2),
+            ("asymptote", ["asymptote", "--from", "0,0.5"] + LINE, 2),
+            ("split", ["split"] + LINE, 2)):
+        CONTRACT[f"{kind}-{label}"] = (
+            "product_segment.json",
+            lambda doc, factor=factor: doc["payload"].update(factor=factor),
+            argv, code)
+
+
+@pytest.mark.parametrize("name", list(CONTRACT))
+def test_malformed_or_unsupported_space_exit_code(name, tmp_path, capsys):
+    base, edit, argv, want = CONTRACT[name]
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(edited(base, edit)))
+    code = main([argv[0], str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == want
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_stated_zero_tolerance_is_used(tmp_path, capsys):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(edited(
+        "minkowski_strip.json",
+        lambda doc: doc.update(tolerances={"curvature": "0"}))))
+    stated = run_cli([*CURVATURE[:1], str(path), *CURVATURE[1:]], capsys)
+    flag = run_cli([*CURVATURE[:1], golden("minkowski_strip.json"),
+                    *CURVATURE[1:], "--tol-curvature", "0"], capsys)
+    for _, report in (stated, flag):
+        report.pop("wall_time_s")
+        report.pop("command")
+    assert stated == flag
+
+
+def test_only_finite_tables_are_saved(tmp_path):
+    product, _ = load_space(golden("product_segment.json"))
+    with pytest.raises(StructuralError, match="cannot serialize"):
+        save_space(product, str(tmp_path / "product.json"))
 
 
 ASYMPTOTE_ARGV = ["asymptote", golden("product_segment.json"), "--line",
@@ -516,6 +621,33 @@ class TestReproducibility:
         # distance table and the nine time knots
         assert hashlib.sha256(out.read_bytes()).hexdigest() == \
             "c2842d0fe59d0e158e02f11112b7ff9e900861f9ac1ee28e4e8145b305e985fa"
+
+    def test_golden_strip_splits_with_defaults(self, capsys):
+        code, report = run_cli(["split", golden("minkowski_strip.json"),
+                                "--line",
+                                golden("minkowski_vertical_line.json")],
+                               capsys)
+        report.pop("wall_time_s")
+        assert code == 0
+        assert report == {"command": ["split", golden("minkowski_strip.json")],
+                          "verdicts": {"bijective": True,
+                                       "order_preserving": True},
+                          "defects": {"tau_defect": 0.00199566674902929,
+                                      "members": 9},
+                          "witnesses": [], "seed": None}
+
+    @pytest.mark.parametrize("direction", ["future", "past"])
+    def test_golden_strip_asymptote_at_short_horizons(self, direction,
+                                                       capsys):
+        # a single knot, 1.94 from the footpoint: timelike on mesh 0.5
+        code, report = run_cli(["asymptote", golden("minkowski_strip.json"),
+                                "--line",
+                                golden("minkowski_vertical_line.json"),
+                                "--from", "0,0.5", "--direction", direction,
+                                "--horizons", "2,4"], capsys)
+        assert code == 0
+        assert report["verdicts"] == {"timelike": True, "stabilized": True}
+        assert report["defects"]["min_step"] == 1.9364916731037085
 
     def test_entry_point_runs(self):
         proc = subprocess.run(

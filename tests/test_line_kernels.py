@@ -715,7 +715,7 @@ def minkowski_slice():
     tol = 3.0 * (0.05 + BUSEMANN_TOL)
     seeds = [(0.0, x) for x in (-1.0, -0.5, 0.0, 0.5, 1.0)]
     return space, extract_slice(space, gamma, seeds, HORIZONS, tolerance=tol,
-                                tol_null=1.0, knot_extent=4.0), tol
+                                knot_extent=4.0), tol
 
 
 def splitting_fields(result):
@@ -1207,16 +1207,17 @@ class TestExtractSliceMatchesLoops:
         assert list(zip(first[failed].tolist(), second[failed].tolist())) \
             == [(0, 2), (1, 2), (2, 3), (2, 4)]
 
-        def build(space_, line, p, horizons, **kw):
+        def build(space_, line, p, horizons, busemann_shift, knot_extent):
             if p == seeds[2]:
                 return boosted
-            return build_asymptotic_line(space_, line, p, horizons, **kw)
+            return build_asymptotic_line(space_, line, p, horizons,
+                                         busemann_shift, knot_extent)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(splitting, "build_asymptotic_line", build)
             got = outcome(lambda: extract_slice(
                 space, sl.reference_line, seeds, sl.horizons, tol,
-                tol_null=1.0, knot_extent=4.0))
+                knot_extent=4.0))
         assert got == (PreconditionError, "asymptotes through members 0 and "
                        "2 fail the parallelity test")
         assert got == outcome(slice_distances_loops, space, lines, tol)

@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from lorentz_lab.core import PreconditionError, StructuralError
 from lorentz_lab.chains import CausalChain
-from lorentz_lab.models import (EuclideanSegment, ExplicitTable, ProductSpace,
-                                TripodGraph, check_diamond_basis,
+from lorentz_lab import sampling
+from lorentz_lab.models import (EuclideanSegment, ExplicitTable, PlaneSample,
+                                ProductSpace, TripodGraph, check_diamond_basis,
                                 check_product_glob_hyp,
                                 check_realizer_characterization,
                                 factor_properness_scan, minkowski_space,
@@ -248,3 +249,51 @@ class TestDegenerateGrids:
     def test_factor_with_fewer_than_two_points_refused(self, make):
         with pytest.raises(StructuralError):
             make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: EuclideanSegment(5.0, 1.0, 21),
+        lambda: EuclideanSegment(1.0, 1.0, 21),
+        lambda: EuclideanSegment(0.0, math.nan, 21),
+        lambda: EuclideanSegment(0.0, math.inf, 21),
+        lambda: EuclideanSegment(-math.inf, 1.0, 21),
+        lambda: TripodGraph(-1.0, 5),
+        lambda: TripodGraph(0.0, 5),
+        lambda: TripodGraph(math.nan, 5),
+        lambda: TripodGraph(math.inf, 5),
+        lambda: PlaneSample(((0.0, 0.0), (math.nan, 1.0)), 0.5),
+        lambda: PlaneSample(((0.0, 0.0), (1.0, -math.inf)), 0.5),
+        lambda: PlaneSample(((0.0, 0.0), (1.0, 0.0)), math.inf),
+        lambda: minkowski_space(step=math.nan),
+        lambda: minkowski_space(step=0.0),
+        lambda: minkowski_space(x_max=math.inf),
+    ], ids=["segment-inverted", "segment-empty", "segment-hi-nan",
+            "segment-hi-inf", "segment-lo-inf", "tripod-negative",
+            "tripod-zero", "tripod-nan", "tripod-inf", "plane-nan",
+            "plane-inf", "plane-mesh-inf", "flat-step-nan", "flat-step-zero",
+            "flat-x-max-inf"])
+    def test_non_finite_or_inverted_factor_refused(self, make):
+        with pytest.raises(StructuralError):
+            make()
+
+
+NON_SEGMENT_PRODUCTS = [
+    ProductSpace(TripodGraph(1.0, 5)),
+    ProductSpace(PlaneSample(((0.0, 0.0), (1.0, 0.0)), 0.5)),
+]
+TWO_POINT_CHAIN = CausalChain(((0.0, (0, 0.0)), (1.0, (0, 0.0))))
+
+
+@pytest.mark.parametrize("space", NON_SEGMENT_PRODUCTS,
+                         ids=["tripod", "plane"])
+@pytest.mark.parametrize("sample", [
+    lambda space: sampling.minkowski_triangles(space, 3, 0),
+    lambda space: sampling.product_hinges(space, 3, 0),
+    lambda space: sampling.random_realizer_chain(space, 0),
+    lambda space: sampling.perturb_chain(space, TWO_POINT_CHAIN, 0),
+    lambda space: sampling.spanning_timelike_chains(space, 3, 0),
+    lambda space: sampling.random_causal_chain(space, 0),
+], ids=["triangles", "hinges", "realizer-chain", "perturb-chain",
+        "spanning-chains", "causal-chain"])
+def test_coordinate_samplers_need_a_segment(space, sample):
+    with pytest.raises(PreconditionError, match="needs a segment-like factor"):
+        sample(space)

@@ -62,7 +62,7 @@ class TestExtractSlice:
                                          parallel_tolerance):
         seeds = [(0.0, x) for x in (-1.0, -0.5, 0.0, 0.5, 1.0)]
         sl = extract_slice(mink, mink_gamma, seeds, HORIZONS,
-                           tolerance=parallel_tolerance, tol_null=1.0, **KW)
+                           tolerance=parallel_tolerance, **KW)
         assert len(sl) == 5
         for i in range(5):
             for j in range(5):

@@ -309,7 +309,7 @@ def finite_triangles_loops(space, count, seed):
         if len(out) >= count:
             break
     if not out:
-        raise ValueError("space contains no usable timelike triangles")
+        raise PreconditionError("space contains no usable timelike triangles")
     return out
 
 
@@ -552,6 +552,26 @@ class TestFiniteTrianglesMatchLoops:
         space = planted(flat_finite_space(n, seed), axiom, pick)
         assert vertex_lists(finite_triangles, space, 4, seed) == \
             vertex_lists(finite_triangles_loops, space, 4, seed)
+
+
+    def test_no_triangle_is_a_precondition(self):
+        # three points, one timelike pair: no timelike triple
+        space = FiniteLorentzSpace(
+            [[0.0, 1.0, 1.0], [1.0, 0.0, 1.0], [1.0, 1.0, 0.0]],
+            [[True, True, False], [False, True, False], [False, False, True]],
+            [[False, True, False], [False, False, False], [False] * 3],
+            [[0.0, 1.0, 0.0], [0.0] * 3, [0.0] * 3])
+        with pytest.raises(PreconditionError,
+                           match="no usable timelike triangles"):
+            finite_triangles(space, 5, 0)
+
+    def test_only_preconditions_are_skipped(self):
+        def broken(*vertices):
+            raise RuntimeError("not a precondition")
+
+        with mock.patch.object(sampling, "SpaceTriangle", broken):
+            with pytest.raises(RuntimeError, match="not a precondition"):
+                finite_triangles(flat_finite_space(8, 0), 3, 0)
 
 
 # ---------------------------------------------------------------------------
