@@ -66,12 +66,30 @@ def _parse_int(s) -> int:
         raise StructuralError(f"not an integer: {s!r}") from None
 
 
+def _parse_bool(s) -> bool:
+    if not isinstance(s, bool):
+        raise StructuralError(f"not a JSON boolean: {s!r}")
+    return s
+
+
+def _object_in(doc, name) -> dict:
+    if not isinstance(doc, dict):
+        raise StructuralError(f"{name} must be a JSON object, got "
+                              f"{type(doc).__name__}")
+    return doc
+
+
 def _table_out(arr):
     return [[_real(v) for v in row] for row in np.asarray(arr, dtype=float)]
 
 
-def _table_in(rows):
-    return np.array([[_parse_real(v) for v in row] for row in rows], dtype=float)
+def _table_in(rows, name, parse=_parse_real, dtype=float):
+    """A row-major table of a space file: a list of equally long lists, each
+    entry read by ``parse``."""
+    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)
+            and len({len(r) for r in rows}) <= 1):
+        raise StructuralError(f"{name} must be a list of equally long rows")
+    return np.array([[parse(v) for v in row] for row in rows], dtype=dtype)
 
 
 def save_space(space, path, mesh=None):
@@ -92,7 +110,7 @@ def save_space(space, path, mesh=None):
 
 
 def _factor_in(doc):
-    kind = doc["kind"]
+    kind = _object_in(doc, "factor")["kind"]
     if kind == "euclidean-segment":
         return EuclideanSegment(_parse_real(doc["lo"]), _parse_real(doc["hi"]),
                                 _parse_int(doc["points"]))
@@ -100,22 +118,28 @@ def _factor_in(doc):
         return TripodGraph(_parse_real(doc["leg_length"]),
                            _parse_int(doc["points_per_leg"]))
     if kind == "euclidean-plane-sample":
-        pts = tuple((_parse_real(a), _parse_real(b)) for a, b in doc["points"])
-        return PlaneSample(pts, _parse_real(doc["mesh"]))
+        pts = _table_in(doc["points"], "plane points")
+        if len(pts) and pts.shape[1:] != (2,):
+            raise StructuralError("plane points must be [x, y] pairs")
+        return PlaneSample(tuple(map(tuple, pts.tolist())),
+                           _parse_real(doc["mesh"]))
     if kind == "explicit-table":
-        table = tuple(tuple(_parse_real(v) for v in row) for row in doc["table"])
-        return ExplicitTable(table, _parse_real(doc["mesh"]))
+        table = _table_in(doc["table"], "factor table")
+        if len(table) and table.shape[1:] != (len(table),):
+            raise StructuralError("a factor table must be square")
+        return ExplicitTable(tuple(map(tuple, table.tolist())),
+                             _parse_real(doc["mesh"]))
     raise StructuralError(f"unknown factor kind {kind!r}")
 
 
 def load_space(path):
     """Parse a space file; returns (space, metadata dict)."""
     with open(path) as fh:
-        doc = json.load(fh)
+        doc = _object_in(json.load(fh), "space file")
     if doc.get("format_version") != FORMAT_VERSION:
         raise StructuralError(f"unsupported format_version {doc.get('format_version')}")
     kind = doc.get("kind")
-    payload = doc.get("payload", {})
+    payload = _object_in(doc.get("payload", {}), "payload")
     try:
         space = _space_in(kind, payload)
     except KeyError as exc:
@@ -124,17 +148,19 @@ def load_space(path):
             "mesh": _parse_setting(doc["mesh"], "mesh", positive=True)
             if "mesh" in doc else None,
             "tolerances": {k: _parse_setting(v, f"tolerance {k!r}")
-                           for k, v in doc.get("tolerances", {}).items()}}
+                           for k, v in _object_in(doc.get("tolerances", {}),
+                                                  "tolerances").items()}}
     return space, meta
 
 
 def _space_in(kind, payload):
     if kind == "finite":
-        tau = _table_in(payload["tau"])
-        return FiniteLorentzSpace(_table_in(payload["d"]), payload["leq"],
-                                  payload["ll"], tau)
+        tau, d = _table_in(payload["tau"], "tau"), _table_in(payload["d"], "d")
+        leq, ll = (_table_in(payload[k], k, _parse_bool, bool)
+                   for k in ("leq", "ll"))
+        return FiniteLorentzSpace(d, leq, ll, tau)
     if kind == "product":
-        grid = payload["time_grid"]
+        grid = _object_in(payload["time_grid"], "time_grid")
         return ProductSpace(_factor_in(payload["factor"]),
                             _parse_real(grid["t_min"]), _parse_real(grid["t_max"]),
                             _parse_real(grid["t_step"]))

@@ -71,7 +71,8 @@ class LorentzQuery:
     def d_array(self, points, i, j):
         """Array form of ``d``; unlike the others it may differ from the
         scalar form in the last bit (``np.hypot`` is not ``math.hypot``), so
-        a threshold decision on it settles near-ties with ``d``."""
+        threshold decisions go through ``splitting._screened_d``, which
+        settles near-ties with ``d``."""
         raise NotImplementedError
 
 

@@ -79,7 +79,9 @@ def extract_slice(space, line: LineDescriptor, seeds, horizons,
         asym = build_asymptotic_line(space, line, seed, horizons, b.value,
                                      knot_extent)
         foot = line_point(space, asym, 0.0)
-        if any(space.d(foot, m) < dedupe_radius for m in members):
+        n = len(members)
+        if (_screened_d(space, members + [foot], np.full(n, n), np.arange(n),
+                        dedupe_radius) < dedupe_radius).any():
             continue
         members.append(foot)
         lines.append(asym)
@@ -134,28 +136,22 @@ def build_splitting_map(space, sl: SpacelikeSlice, time_knots,
     random sample of them is checked."""
     if any(l is None for l in sl.lines):
         raise PreconditionError("slice carries no asymptote lines")
-    if cover_radius is None:
-        cover_radius = 2.0 * space.mesh
     time_knots = tuple(time_knots)
-    images = {}
-    for ki, t in enumerate(time_knots):
-        for mi, line in enumerate(sl.lines):
-            images[(ki, mi)] = line_point(space, line, t)
-
-    # injectivity per time knot (cross-knot duplicates would break the
-    # separation check anyway)
+    images = {(ki, mi): line_point(space, line, t)
+              for ki, t in enumerate(time_knots)
+              for mi, line in enumerate(sl.lines)}
+    keys, image_list = list(images), list(images.values())
+    # injectivity per time knot (cross-knot duplicates fail the product test)
     witnesses = []
-    bijective = True
-    dedupe = space.mesh * 0.25
+    m, dedupe = len(sl.members), space.mesh * 0.25
+    mi, mj = np.triu_indices(m, 1)
     for ki in range(len(time_knots)):
-        for mi in range(len(sl.members)):
-            for mj in range(mi + 1, len(sl.members)):
-                if space.d(images[(ki, mi)], images[(ki, mj)]) < dedupe:
-                    bijective = False
-                    witnesses.append(("duplicate-image", ki, mi, mj))
+        dup = _screened_d(space, image_list[ki * m:(ki + 1) * m], mi, mj,
+                          dedupe) < dedupe
+        witnesses.extend(("duplicate-image", ki, i, j)
+                         for i, j in zip(mi[dup].tolist(), mj[dup].tolist()))
+    bijective = not witnesses
 
-    keys = list(images)
-    image_list = list(images.values())
     # pair number k of itertools.combinations(range(n), 2), drawn as a
     # number so that the pairs are never listed: row a holds the pairs
     # (a, b > a) from number first[a] on
@@ -182,24 +178,40 @@ def build_splitting_map(space, sl: SpacelikeSlice, time_knots,
         (ka, ma), (kb, mb) = keys[src[k]], keys[dst[k]]
         witnesses.append(("leq-mismatch", (ma, time_knots[ka]),
                           (mb, time_knots[kb])))
-    mismatches = len(mismatched)
 
     if cover_sample is not None:
         uncovered = _uncovered(space, list(cover_sample), image_list,
-                               cover_radius)
+                               2.0 * space.mesh if cover_radius is None
+                               else cover_radius)
         bijective = bijective and not uncovered
         witnesses.extend(("uncovered", z) for z in uncovered)
 
-    return SplittingResult(sl, time_knots, images, tau_defect, mismatches,
+    return SplittingResult(sl, time_knots, images, tau_defect, len(mismatched),
                            bijective, tuple(witnesses), len(src))
+
+
+def _screened_d(space, points, i, j, threshold):
+    """``space.d_array(points, i, j)`` in calls of at most 2 * MAX_PAIRS pairs,
+    with entries within a relative 1e-12 of ``threshold`` (or NaN) re-taken
+    from ``space.d``: compared with ``threshold``, it decides as ``d`` does."""
+    i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
+    blocks = [space.d_array(points, i[k:k + 2 * MAX_PAIRS],
+                            j[k:k + 2 * MAX_PAIRS])
+              for k in range(0, len(i), 2 * MAX_PAIRS)]
+    # one block is used as it is: a copy of it would cost page faults
+    dist = blocks[0] if len(blocks) == 1 else np.concatenate([[]] + blocks)
+    with np.errstate(invalid="ignore"):
+        near = ~(np.abs(dist - threshold)
+                 > 1e-12 * np.maximum(dist, abs(threshold)))
+    for k in np.flatnonzero(near).tolist():
+        dist[k] = space.d(points[i[k]], points[j[k]])
+    return dist
 
 
 def _uncovered(space, sample, images, radius):
     """The sample points farther than ``radius`` from every image, in sample
-    order.  Distances are screened as arrays, at most 2 * MAX_PAIRS at a
-    time.  ``d_array`` may differ from ``d`` in the last bit, so a point
-    with no screened distance clearly below the radius but one within a
-    relative 1e-12 of it (or NaN) is settled by ``min`` over ``space.d``."""
+    order: ``min(space.d(z, w) for w in images) > radius``, so a NaN distance
+    to the first image covers z and any later NaN is passed over."""
     if sample and not images:
         raise PreconditionError("no images to cover the sample with")
     out = []
@@ -210,15 +222,10 @@ def _uncovered(space, sample, images, radius):
         zi = np.repeat(np.arange(len(images), len(images) + len(zs)),
                        len(images))
         wi = np.tile(np.arange(len(images)), len(zs))
-        dist = space.d_array(images + zs, zi, wi).reshape(len(zs), len(images))
-        with np.errstate(invalid="ignore"):
-            near = ~(np.abs(dist - radius)
-                     > 1e-12 * np.maximum(dist, abs(radius)))
-        below = (dist < radius) & ~near
-        for z, far, tie in zip(zs, ~below.any(axis=1), near.any(axis=1)):
-            if far and (not tie
-                        or min(space.d(z, w) for w in images) > radius):
-                out.append(z)
+        dist = _screened_d(space, images + zs, zi, wi, radius).reshape(
+            len(zs), len(images))
+        far = ((dist > radius) | np.isnan(dist)).all(axis=1)
+        out.extend(z for z, u in zip(zs, far & ~np.isnan(dist[:, 0])) if u)
     return out
 
 
@@ -254,9 +261,7 @@ def check_cauchy_slices(space, result: SplittingResult, test_chains,
         levels = ts[1:-1] if len(ts) > 2 else ts
     on_slice_tol = space.mesh
 
-    statuses = []
-    all_ok = True
-    n_spanning = 0
+    statuses, all_ok, n_spanning = [], True, 0
     for ci, chain in enumerate(test_chains):
         times = [synchronized_time(space, sl.reference_line, p, sl.horizons)
                  for p in chain.points]
@@ -265,24 +270,19 @@ def check_cauchy_slices(space, result: SplittingResult, test_chains,
             statuses.append((ci, None, "not-spanning"))
             continue
         n_spanning += 1
-        for level in levels:
-            vals = [b - level for b in times]
-            crossings = 0
-            k = 0
-            while k < len(vals):
-                if abs(vals[k]) <= on_slice_tol:
-                    crossings += 1
-                    while k + 1 < len(vals) and abs(vals[k + 1]) <= on_slice_tol:
-                        k += 1
-                elif k + 1 < len(vals) and vals[k] < 0 < vals[k + 1] \
-                        and abs(vals[k + 1]) > on_slice_tol:
-                    crossings += 1
-                k += 1
-            status = "ok" if crossings == 1 else f"crossings={crossings}"
-            if crossings != 1:
-                all_ok = False
-            statuses.append((ci, level, status))
+        counts = _crossings(np.subtract.outer(times, levels).T, on_slice_tol)
+        statuses.extend((ci, level, "ok" if c == 1 else f"crossings={c}")
+                        for level, c in zip(levels, counts.tolist()))
+        all_ok = all_ok and bool((counts == 1).all())
     return CauchyReport(all_ok, tuple(statuses), n_spanning)
+
+
+def _crossings(v, tol):
+    """Crossings of zero along each row of v: the starts of runs with
+    ``|v| <= tol``, plus the steps from ``v < -tol`` to ``v > tol``."""
+    on = np.abs(v) <= tol
+    return (on.sum(axis=1) - (on[:, 1:] & on[:, :-1]).sum(axis=1)
+            + ((v[:, :-1] < -tol) & (v[:, 1:] > tol)).sum(axis=1))
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,19 @@
 """Command dispatch, exit codes, file round trips, reproducibility."""
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lorentz_lab.cli import (FORMAT_VERSION, _curvature_tolerance, _real,
                              load_space, main, save_space)
@@ -100,15 +104,30 @@ def test_malformed_space_or_grid_exit_2(edit, argv, tmp_path, capsys):
 
 
 def edited(name, edit):
-    """A golden space file with one edit applied to the whole document."""
+    """A golden space file with one edit applied to the whole document; an
+    edit that returns a value replaces the document by it."""
     with open(golden(name)) as fh:
         doc = json.load(fh)
-    edit(doc)
-    return doc
+    out = edit(doc)
+    return doc if out is None else out
 
 
 def set_factor(**fields):
     return lambda doc: doc["payload"]["factor"].update(fields)
+
+
+def set_payload(**fields):
+    return lambda doc: doc["payload"].update(fields)
+
+
+def short_first_d_row(doc):
+    del doc["payload"]["d"][0][-1]
+
+
+def leq_strings(doc):
+    # relation entries must be JSON booleans, not strings such as "yes"
+    leq = doc["payload"]["leq"]
+    doc["payload"]["leq"] = [["yes"] * len(row) for row in leq]
 
 
 TRIPOD = {"kind": "metric-graph", "leg_length": "1.0", "points_per_leg": 5}
@@ -158,6 +177,29 @@ CONTRACT = {
         lambda doc: doc.update(tolerances={"curvature": "-1"}), CURVATURE, 2),
     "no-timelike-triangle": ("finite_diamond.json",
                              lambda doc: doc.update(NO_TRIANGLE), CURVATURE, 3),
+    "top-level-list": ("minkowski_strip.json", lambda doc: [1, 2],
+                       ["validate"], 2),
+    "tolerances-list": ("minkowski_strip.json",
+                        lambda doc: doc.update(tolerances=["1e-9"]),
+                        ["validate"], 2),
+    "factor-string": ("product_segment.json", set_payload(factor="segment"),
+                      ["validate"], 2),
+    "payload-list": ("product_segment.json",
+                     lambda doc: doc.update(payload=[1]), ["validate"], 2),
+    "time-grid-number": ("product_segment.json", set_payload(time_grid=3),
+                         ["validate"], 2),
+    "short-d-row": ("finite_diamond.json", short_first_d_row, ["validate"], 2),
+    "leq-strings": ("finite_diamond.json", leq_strings, ["validate"], 2),
+    "plane-point-triples": (
+        "product_segment.json",
+        set_payload(factor={**PLANE, "points": [["0", "0", "0"]] * 2}),
+        ["validate"], 2),
+    "table-ragged": ("product_segment.json", set_payload(factor={
+        "kind": "explicit-table", "mesh": "0.5",
+        "table": [["0", "1"], ["1"]]}), ["validate"], 2),
+    "table-not-square": ("product_segment.json", set_payload(factor={
+        "kind": "explicit-table", "mesh": "0.5", "table": [["0", "1"]]}),
+        ["validate"], 2),
 }
 for kind, factor in (("tripod", TRIPOD), ("plane", PLANE)):
     for label, argv, code in (
@@ -183,6 +225,56 @@ def test_malformed_or_unsupported_space_exit_code(name, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+def node_paths(doc, path=()):
+    """The key path of every node of a JSON document, the root's first."""
+    yield path
+    if isinstance(doc, (dict, list)):
+        for key, value in (doc.items() if isinstance(doc, dict)
+                           else enumerate(doc)):
+            yield from node_paths(value, path + (key,))
+
+
+def replaced(doc, path, value):
+    """A copy of doc with the node at path replaced by value."""
+    if not path:
+        return value
+    doc = json.loads(json.dumps(doc))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+SPACE_FILES = ("finite_diamond.json", "minkowski_strip.json",
+               "product_segment.json")
+NODES = [(name, path) for name in SPACE_FILES
+         for path in node_paths(edited(name, lambda doc: None))]
+# small values only: a large number can ask for a huge grid
+FUZZ_VALUES = [None, True, 0, -1, "x", [], {}, [1, 2]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(node=st.sampled_from(NODES), value=st.sampled_from(FUZZ_VALUES))
+def test_fuzzed_space_document(node, value):
+    # one node of a golden space file, at any depth, replaced: validate
+    # keeps to the exit-code contract and never prints a traceback
+    name, path = node
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        space = os.path.join(tmp, "space.json")
+        with open(space, "w") as fh:
+            json.dump(replaced(edited(name, lambda doc: None), path, value),
+                      fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["validate", space])
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1
 
 
 def test_stated_zero_tolerance_is_used(tmp_path, capsys):

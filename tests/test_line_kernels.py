@@ -5,7 +5,8 @@ The loops below are the former implementations of ``LineDescriptor.point_at``
 and ``has_param``, ``line_point``, ``is_line``, ``product_image_defect``,
 ``build_splitting_map``, ``check_slice_alexandrov``, ``c_functions``,
 ``test_parallel`` (with its least-squares shift), the pairwise distance
-loop of ``extract_slice`` and ``in_timelike_envelope``, kept
+loop and the footpoint dedupe of ``extract_slice``, the crossing count of
+``check_cauchy_slices`` and ``in_timelike_envelope``, kept
 as oracles: each bisection, array form and knot-pair table must give the
 same answers, the same first failures, the same witnesses in the same order
 and the same values, bit for bit.  The array forms of ``tau`` and ``leq``
@@ -735,6 +736,29 @@ def distorted(sl, factor, seed):
                           sl.horizons)
 
 
+def tie_point(space, p, target):
+    """A point q with ``space.d(p, q) == target`` exactly, whose ``d_array``
+    distance from p rounds otherwise (np.hypot against math.hypot), so
+    that only the scalar d puts the pair on its side of the threshold."""
+    rng = random.Random(3)
+    while True:
+        dx = (p[1] + rng.uniform(0.2, 0.8) * target) - p[1]
+        dt = math.sqrt(target * target - dx * dx)
+        for _ in range(16):
+            q = (p[0] + dt, p[1] + dx)
+            d = space.d(p, q)
+            if d == target:
+                break
+            dt = math.nextafter(dt, math.inf if d < target else 0.0)
+        if d == target and space.d_array([p, q], [0], [1])[0] != target:
+            return q
+
+
+def nudged(x, nudge):
+    """x moved by one float up (nudge 1) or down (nudge -1)."""
+    return x if nudge == 0 else math.nextafter(x, nudge * math.inf)
+
+
 class TestBuildSplittingMapMatchesLoops:
     @settings(max_examples=30, deadline=None)
     @given(seed=SEEDS, nudge=st.sampled_from([-1, 0, 1]),
@@ -802,6 +826,95 @@ class TestBuildSplittingMapMatchesLoops:
         assert got.leq_mismatches > 0
         assert splitting_fields(got) == want
         assert bits(got.tau_defect) == bits(want[1])
+
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_nan_distances_as_min_takes_them(self, position):
+        # a member whose image has a NaN factor point: a NaN distance to the
+        # first image covers every sample point, as min() then returns NaN,
+        # and one to a later image is passed over
+        space, sl, tol = product_slice()
+        nan_line = LineDescriptor(CausalChain(((0.0, math.nan),
+                                               (1.0, math.nan))), (0.0, 1.0))
+        lines = list(sl.lines[:3])
+        lines.insert(position, nan_line)
+        members = tuple(line.chain.points[0] for line in lines)
+        sl = SpacelikeSlice(members, sl.d_S[:4, :4], tuple(lines), None, ())
+        cover = [(0.0, 0.0), (0.5, 0.5), (1.9, 1.0), (-1.0, 0.25)]
+        got = build_splitting_map(space, sl, [0.0], tol, cover_sample=cover,
+                                  cover_radius=0.3)
+        want = build_splitting_map_loops(space, sl, [0.0], tol,
+                                         cover_sample=cover, cover_radius=0.3)
+        assert splitting_fields(got) == want
+        assert got.bijective == (position == 0)
+
+    @pytest.mark.parametrize("nudge", [-1, 0, 1])
+    def test_planted_duplicate_images(self, nudge):
+        # at knot 0.0 the images of members 1 and 3 lie at 0.25 * mesh from
+        # those of members 0 and 2, or one float nearer or farther, where
+        # np.hypot rounds the distance otherwise than math.hypot; exact
+        # duplicates at every knot surround them
+        space, _, tol = product_slice()
+        p = (0.0, 0.5)
+        q = tie_point(space, p, nudged(0.25 * space.mesh, nudge))
+        knots = (-1.0, 0.0, 1.0)
+        columns = [[(-1.0, 0.5), p, (1.0, 0.5)],
+                   [(-1.0, 0.5), q, (1.0, 0.9)],
+                   [(-1.0, 0.1), p, (1.0, 0.5)],
+                   [(-1.0, 0.3), q, (1.0, 0.7)]]
+        lines = tuple(LineDescriptor(CausalChain(tuple(c)), knots)
+                      for c in columns)
+        members = tuple(c[1] for c in columns)
+        d = np.abs(np.subtract.outer([0.5, 0.6, 0.1, 0.3],
+                                     [0.5, 0.6, 0.1, 0.3]))
+        sl = SpacelikeSlice(members, d, lines, None, ())
+        got = build_splitting_map(space, sl, knots, tol)
+        want = build_splitting_map_loops(space, sl, knots, tol)
+        assert splitting_fields(got) == want
+        duplicates = [w for w in got.witnesses if w[0] == "duplicate-image"]
+        ties = [(1, 0, 1), (1, 0, 3), (1, 1, 2), (1, 2, 3)]
+        assert duplicates == [("duplicate-image",) + w for w in sorted(
+            [(0, 0, 1), (1, 0, 2), (1, 1, 3), (2, 0, 2)]
+            + (ties if nudge < 0 else []))]
+
+
+# ---------------------------------------------------------------------------
+# check_cauchy_slices
+
+
+def crossings_loops(vals, tol):
+    """Crossings of zero along vals: each run of on-level values (within
+    tol) once, and each step from below to above the band."""
+    crossings = 0
+    k = 0
+    while k < len(vals):
+        if abs(vals[k]) <= tol:
+            crossings += 1
+            while k + 1 < len(vals) and abs(vals[k + 1]) <= tol:
+                k += 1
+        elif k + 1 < len(vals) and vals[k] < 0 < vals[k + 1] \
+                and abs(vals[k + 1]) > tol:
+            crossings += 1
+        k += 1
+    return crossings
+
+
+class TestCauchyCrossingsMatchLoops:
+    @settings(max_examples=200, deadline=None)
+    @given(tol=st.sampled_from([0.0, 1e-9, 0.1, 0.5]), data=st.data())
+    def test_rows(self, tol, data):
+        # values on, just inside and just outside the band, signed zeros,
+        # infinities and NaN among arbitrary ones
+        edges = [0.0, -0.0, tol, -tol, math.nextafter(tol, math.inf),
+                 -math.nextafter(tol, math.inf), math.inf, -math.inf,
+                 math.nan]
+        value = st.sampled_from(edges) | st.floats(-1.0, 1.0)
+        length = data.draw(st.integers(1, 12))
+        rows = data.draw(st.lists(st.lists(value, min_size=length,
+                                           max_size=length),
+                                  min_size=1, max_size=4))
+        got = splitting._crossings(np.array(rows, dtype=float), tol)
+        assert got.tolist() == [crossings_loops(r, tol) for r in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -1037,6 +1150,16 @@ def slice_distances_loops(space, lines, tolerance):
     return d, verdicts
 
 
+def dedupe_loops(space, feet, radius):
+    """Indices of the footpoints that ``extract_slice`` keeps: each one
+    farther than ``radius`` from every footpoint kept before it."""
+    kept = []
+    for k, foot in enumerate(feet):
+        if not any(space.d(foot, feet[m]) < radius for m in kept):
+            kept.append(k)
+    return kept
+
+
 def batch_verdicts(space, lines, pairs, tolerance):
     """The verdicts of the (i, j) pairs of lines from one
     ``decide_parallel`` call."""
@@ -1221,6 +1344,40 @@ class TestExtractSliceMatchesLoops:
         assert got == (PreconditionError, "asymptotes through members 0 and "
                        "2 fail the parallelity test")
         assert got == outcome(slice_distances_loops, space, lines, tol)
+
+    @pytest.mark.parametrize("nudge", [-1, 0, 1])
+    def test_footpoint_at_the_dedupe_radius(self, nudge):
+        # five seeds of the canonical product with their footpoints planted:
+        # the third lies at dedupe_radius from the second, or one float
+        # nearer or farther, where np.hypot rounds the distance otherwise
+        # than math.hypot; the fifth repeats the first
+        space, sl, tol = product_slice()
+        seeds = [(0.0, x) for x in (0.0, 0.5, 0.25, 0.75, 1.0)]
+        feet = [(0.0, 0.0), (0.0, 0.5), None, (0.0, 0.75), (0.0, 0.0)]
+        feet[2] = tie_point(space, feet[1], nudged(0.25 * space.mesh, nudge))
+        planted = {}
+
+        def build(space_, line, p, horizons, busemann_shift, knot_extent):
+            out = build_asymptotic_line(space_, line, p, horizons,
+                                        busemann_shift, knot_extent)
+            planted[id(out)] = feet[seeds.index(p)]
+            return out
+
+        def foot(space_, line, t):
+            if t == 0.0:
+                return planted[id(line)]
+            return line_point(space_, line, t)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(splitting, "build_asymptotic_line", build)
+            mp.setattr(splitting, "line_point", foot)
+            got = extract_slice(space, sl.reference_line, seeds, sl.horizons,
+                                tol, knot_extent=4.0)
+        kept = dedupe_loops(space, feet, 0.25 * space.mesh)
+        assert kept == ([0, 1, 3] if nudge < 0 else [0, 1, 2, 3])
+        assert got.members == tuple(feet[k] for k in kept)
+        d, _ = slice_distances_loops(space, got.lines, tol)
+        assert got.d_S.tobytes() == d.tobytes()
 
     def test_memory_bounded_by_the_block(self):
         # 301 three-knot verticals a unit apart: 45150 pairs of 9 knot pairs
