@@ -16,7 +16,18 @@ times it, best of five:
 * ``build_splitting_map_s``: the map of that slice on the 41 time knots
   -2, -1.9, ..., 2 without a cover sample, as ``splitting_demo.py`` builds
   it.  Its tau defect, causal-order mismatches and bijectivity verdict are
-  recorded with it, so that runs of two sources can be checked to agree.
+  recorded with it, so that runs of two sources can be checked to agree;
+* ``check_cauchy_slices_s``: the Cauchy check of that map at the levels
+  -1, 0 and 1 along one spanning timelike chain (seed 0) per member, with
+  its verdict and its number of spanning chains;
+* ``check_slice_alexandrov_s``: the quadruple test of the slice at
+  ``tol=1e-6`` and ``metric_tol`` the parallel tolerance, with its verdict,
+  worst excess and quadruple count, up to 101 members only: the scan is
+  quartic (2.6e8 quadruples at 201 members).
+
+Beside the sizes, ``is_line`` is timed on the vertical line at x = 0.5 of
+the canonical product, first call on a fresh chain as the split command
+makes it, with 521 knots (the reference line above) and 2001 knots.
 
 The run goes into BENCH_slice.json at the repository root under the sha256
 of src/lorentz_lab, together with the machine and the Python and numpy
@@ -24,10 +35,11 @@ versions.  An earlier run of the same source is replaced and runs of other
 sources are kept, so that two checkouts can be compared in one file.
 """
 
+import math
 import sys
 
 from bench_record import ROOT, best_time, new_run, save_run
-from lorentz_lab import splitting
+from lorentz_lab import chains, sampling, splitting
 from lorentz_lab.asymptotics import vertical_line
 from lorentz_lab.models import EuclideanSegment, ProductSpace
 
@@ -35,6 +47,9 @@ OUT = ROOT / "BENCH_slice.json"
 HORIZONS = [2 ** k for k in range(1, 9)]
 SIZES = [(21, 0.05), (41, 0.025), (101, 0.01), (201, 0.005), (401, 0.0025)]
 KNOTS = [round(-2 + 0.1 * k, 10) for k in range(41)]
+LEVELS = [-1.0, 0.0, 1.0]
+ALEXANDROV_MAX_MEMBERS = 101
+LINE_KNOTS = (521, 2001)
 REPEATS = 5
 # what extract_slice builds per seed before it compares member pairs
 REPLAYED = ("in_timelike_envelope", "busemann_value", "build_asymptotic_line",
@@ -83,24 +98,68 @@ def measure(factor_points, t_step):
         for name, fn in saved.items():
             setattr(splitting, name, fn)
     members = len(sl)
-    return {"factor_points": factor_points, "t_step": t_step,
-            "members": members, "member_pairs": members * (members - 1) // 2,
-            "extract_slice_s": whole, "verdict_pass_s": verdicts,
-            "build_splitting_map_s": mapped, "tau_defect": result.tau_defect,
-            "leq_mismatches": result.leq_mismatches,
-            "bijective": result.bijective}
+    probes = sampling.spanning_timelike_chains(space, members, 0)
+
+    def cauchy():
+        return splitting.check_cauchy_slices(space, result, probes, LEVELS)
+
+    report = cauchy()
+    out = {"factor_points": factor_points, "t_step": t_step,
+           "members": members, "member_pairs": members * (members - 1) // 2,
+           "extract_slice_s": whole, "verdict_pass_s": verdicts,
+           "build_splitting_map_s": mapped, "tau_defect": result.tau_defect,
+           "leq_mismatches": result.leq_mismatches,
+           "bijective": result.bijective,
+           "check_cauchy_slices_s": best_time(cauchy, REPEATS),
+           "chain_points": sum(len(chain) for chain in probes),
+           "cauchy_ok": report.each_chain_hits_each_slice_once,
+           "n_spanning": report.n_spanning}
+    if members <= ALEXANDROV_MAX_MEMBERS:
+        def alexandrov():
+            return splitting.check_slice_alexandrov(sl, tol=1e-6,
+                                                    metric_tol=tol)
+
+        curvature = alexandrov()
+        out.update(check_slice_alexandrov_s=best_time(alexandrov, REPEATS),
+                   nonneg_curvature=curvature.nonneg_curvature,
+                   worst_excess=curvature.worst_excess,
+                   n_quadruples=curvature.n_quadruples)
+    return out
+
+
+def measure_is_line(knots):
+    space = ProductSpace(EuclideanSegment(0.0, 1.0, 21), -2.0, 2.0, 0.05)
+    lines = []
+
+    def fresh():
+        lines[:] = [vertical_line(space, 0.5, range(-(knots // 2),
+                                                    knots // 2 + 1))]
+
+    fresh()
+    check = chains.is_line(space, lines[0].chain)
+    return {"knots": knots,
+            "is_line_s": best_time(lambda: chains.is_line(space,
+                                                          lines[0].chain),
+                                   REPEATS, fresh),
+            "is_line": check.is_line, "tau_length": check.tau_length}
 
 
 def main():
     run = new_run(REPEATS)
+    run["is_line"] = [measure_is_line(knots) for knots in LINE_KNOTS]
     run["sizes"] = [measure(*size) for size in SIZES]
     save_run(OUT, run)
+    for line in run["is_line"]:
+        print(f"{line['knots']:4d} knots    is_line {line['is_line_s']:.4f} s")
     for size in run["sizes"]:
         print(f"{size['members']:4d} members  extract_slice "
               f"{size['extract_slice_s']:.4f} s  verdict pass "
               f"{size['verdict_pass_s']:.4f} s  build_splitting_map "
-              f"{size['build_splitting_map_s']:.4f} s  tau defect "
-              f"{size['tau_defect']!r}")
+              f"{size['build_splitting_map_s']:.4f} s  check_cauchy_slices "
+              f"{size['check_cauchy_slices_s']:.4f} s  "
+              f"check_slice_alexandrov "
+              f"{size.get('check_slice_alexandrov_s', math.nan):.4f} s  "
+              f"tau defect {size['tau_defect']!r}")
     return 0
 
 

@@ -45,10 +45,18 @@ class LineDescriptor:
     def _knot_index(self, t):
         """Index of the first knot p with |p - t| <= 1e-9 max(1, |t|), or
         None.  p - t rounds monotonically in p, so over the increasing
-        parameters the matching knots are one run, found by bisection."""
+        parameters the matching knots are one run, starting at the first p
+        with p - t >= -tol.  Bisecting for t - tol lands next to it (t - tol
+        rounds otherwise than p - t, and is NaN at t = inf), and the
+        predicate itself walks the last steps."""
+        ps = self.params
         tol = 1e-9 * max(1.0, abs(t))
-        i = bisect.bisect_left(self.params, -tol, key=lambda p: p - t)
-        if i < len(self.params) and abs(self.params[i] - t) <= tol:
+        i = bisect.bisect_left(ps, t - tol)
+        while i > 0 and ps[i - 1] - t >= -tol:
+            i -= 1
+        while i < len(ps) and not ps[i] - t >= -tol:
+            i += 1
+        if i < len(ps) and abs(ps[i] - t) <= tol:
             return i
         return None
 
@@ -93,13 +101,15 @@ def vertical_line(space, x0, t_params) -> LineDescriptor:
 
 def in_timelike_envelope(space, line: LineDescriptor, p) -> bool:
     """Whether p is timelike related to some line point in both directions,
-    decided by one ``ll_array`` call over both directions."""
-    pts = line.chain.points + (p,)
-    n = len(pts) - 1
-    knots, here = np.arange(n), np.full(n, n)
-    related = space.ll_array(pts, np.concatenate([knots, here]),
-                             np.concatenate([here, knots]))
-    return bool(related[:n].any() and related[n:].any())
+    decided by one ``ll_array`` call over both directions on the line's
+    kept knot arrays."""
+    n = len(line.chain.points)
+    # row 0 pairs each knot with p, row 1 p with each knot
+    pairs = np.full((2, n), n)
+    pairs[0] = np.arange(n)
+    related = space.ll_array(line.chain.points.joined((p,)), pairs,
+                             pairs[::-1])
+    return bool(related[0].any() and related[1].any())
 
 
 def line_point(space, line: LineDescriptor, param):

@@ -16,16 +16,19 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import (EPS, FiniteLorentzSpace, LorentzQuery, PreconditionError,
-                   _first)
+from .core import (EPS, FiniteLorentzSpace, LorentzQuery, PointTuple,
+                   PreconditionError, _first)
 
 
 @dataclass(frozen=True)
 class CausalChain:
+    """The points, as a PointTuple: the chain keeps their coordinate arrays
+    for the array forms."""
     points: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
+        if not isinstance(self.points, PointTuple):
+            object.__setattr__(self, "points", PointTuple(self.points))
         if len(self.points) < 2:
             raise PreconditionError("a chain needs at least two points")
 
@@ -170,7 +173,9 @@ def maximize_tau(space: FiniteLorentzSpace, source: int, target: int) -> Maximiz
     return MaximizerResult(value, CausalChain(tuple(chain)), ways[source])
 
 
-PAIR_BLOCK = 1 << 15   # knot pairs per array call of ``is_line``
+# entries per array pass of the blocked kernels (is_line, the sprinkle, the
+# parallel verdicts and the distance screen of the split path)
+PAIR_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -187,33 +192,31 @@ def is_line(space: LorentzQuery, chain: CausalChain, tol: float = EPS) -> LineCh
     The first failing pair (if any) is reported; total tau-length is returned
     so callers can compare against their completeness horizon.
 
-    The pairs (i, j > i) are scanned in row-major order, ``PAIR_BLOCK`` at a
-    time, so memory stays bounded however long the chain; the scan stops at
-    the first block holding a failure."""
+    The pairs (i, j > i) are scanned in bands of whole rows, rows[:, None]
+    against the columns after the band's first row, of at most
+    ``max(PAIR_BLOCK, one row)`` entries, so memory stays bounded however
+    long the chain; the scan stops at the first band holding a failure,
+    and the band's row-major first failure is the first."""
     validate_chain(space, chain)
     pts = chain.points
-    cum = np.array(list(accumulate((space.tau(a, b) for a, b in chain.pairs()),
-                                   initial=0.0)))
-    # row i holds the pairs (i, i + 1) .. (i, n - 1); start[i] is the
-    # row-major index of its first pair
     n = len(pts)
-    start = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
-    total = int(start[-1])
-    for k0 in range(0, total, PAIR_BLOCK):
-        k1 = min(k0 + PAIR_BLOCK, total)
-        # the rows the block [k0, k1) meets, and its pairs in each
-        rows = np.arange(np.searchsorted(start, k0, side="right") - 1,
-                         np.searchsorted(start, k1))
-        counts = np.diff(np.clip(start[rows[0]:rows[-1] + 2], k0, k1))
-        ii = np.repeat(rows, counts)
-        jj = np.arange(k0, k1) - np.repeat(start[rows] - rows - 1, counts)
-        bad = np.abs((cum[jj] - cum[ii]) - space.tau_array(pts, ii, jj)) > tol
+    k = np.arange(n)
+    cum = np.array(list(accumulate(
+        space.tau_array(pts, k[:-1], k[1:]).tolist(), initial=0.0)))
+    i0 = 0
+    while i0 < n - 1:
+        cols = k[i0 + 1:]
+        rows = k[i0:min(n - 1, i0 + max(1, PAIR_BLOCK // len(cols)))]
+        ii, jj = rows[:, None], cols[None, :]
+        bad = ((np.abs((cum[jj] - cum[ii]) - space.tau_array(pts, ii, jj))
+                > tol) & (jj > ii))
         if bad.any():
             # later pairs change nothing: the line fails, and a failure in
             # row 0 comes first, so the first row settles the ray
-            f = int(np.argmax(bad))
-            i, j = int(ii[f]), int(jj[f])
+            r, c = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            i, j = int(rows[r]), int(cols[c])
             return LineCheck(i > 0, False, (i, j), float(cum[-1]))
+        i0 += len(rows)
     return LineCheck(True, True, None, float(cum[-1]))
 
 

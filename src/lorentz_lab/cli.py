@@ -43,6 +43,9 @@ def _real(x) -> str:
 
 
 def _parse_real(s) -> float:
+    # a JSON boolean is no number, though Python reads True as 1
+    if isinstance(s, bool):
+        raise StructuralError(f"not a real number: {s!r}")
     try:
         return float(s)
     except (TypeError, ValueError):
@@ -60,6 +63,8 @@ def _parse_setting(s, name, positive=False) -> float:
 
 
 def _parse_int(s) -> int:
+    if isinstance(s, bool):
+        raise StructuralError(f"not an integer: {s!r}")
     try:
         return int(s)
     except (TypeError, ValueError):
@@ -136,8 +141,9 @@ def load_space(path):
     """Parse a space file; returns (space, metadata dict)."""
     with open(path) as fh:
         doc = _object_in(json.load(fh), "space file")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise StructuralError(f"unsupported format_version {doc.get('format_version')}")
+    version = doc.get("format_version")
+    if isinstance(version, bool) or version != FORMAT_VERSION:
+        raise StructuralError(f"unsupported format_version {version}")
     kind = doc.get("kind")
     payload = _object_in(doc.get("payload", {}), "payload")
     try:

@@ -30,6 +30,37 @@ class PreconditionError(ValueError):
     """An operation was called outside its stated domain."""
 
 
+class PointTuple(tuple):
+    """A tuple of points that keeps the coordinate arrays the array forms
+    read it through, converted once per kind of space and freed with it.
+
+    ``joined(more)`` is this tuple with more points appended; its arrays
+    are the kept arrays of this tuple with those of the new points
+    appended, so a few points added to a long line cost only their own
+    conversion."""
+
+    def __new__(cls, points):
+        self = super().__new__(cls, points)
+        self._arrays = {}
+        self._head = None
+        return self
+
+    def joined(self, more):
+        out = PointTuple(self + tuple(more))
+        out._head = self
+        return out
+
+    def arrays(self, kind, convert):
+        """``convert(self)``, a tuple of arrays with one entry per point,
+        taken on the first call for ``kind`` and kept."""
+        if kind not in self._arrays:
+            head = self._head
+            self._arrays[kind] = convert(self) if head is None else tuple(
+                np.concatenate(pair) for pair in zip(
+                    head.arrays(kind, convert), convert(self[len(head):])))
+        return self._arrays[kind]
+
+
 class LorentzQuery:
     """Uniform read interface over any space kind.
 
@@ -56,8 +87,28 @@ class LorentzQuery:
     def tau(self, p, q) -> float:
         raise NotImplementedError
 
-    # Array forms: entry k is the scalar answer for the pair
-    # (points[i[k]], points[j[k]]), bit for bit, as a numpy array.
+    # Array forms: i and j are index arrays broadcast against each other,
+    # and each entry is the scalar answer for the pair (points[i],
+    # points[j]), bit for bit, in an array of the broadcast shape.  The
+    # points are converted to coordinate arrays on every call, or once
+    # when they come as a PointTuple.
+
+    def _convert(self, points):
+        """The coordinate arrays of points: a tuple of arrays, one entry
+        per point."""
+        raise NotImplementedError
+
+    def point_arrays(self, points):
+        """``_convert(points)``, kept on points when they are a
+        PointTuple, under ``_coordinate_kind()``: spaces that convert points
+        alike (products over factors of one class) share the kept
+        arrays."""
+        if isinstance(points, PointTuple):
+            return points.arrays(self._coordinate_kind(), self._convert)
+        return self._convert(points)
+
+    def _coordinate_kind(self):
+        return type(self)
 
     def tau_array(self, points, i, j):
         raise NotImplementedError
@@ -70,7 +121,7 @@ class LorentzQuery:
 
     def d_array(self, points, i, j):
         """Array form of ``d``; unlike the others it may differ from the
-        scalar form in the last bit (``np.hypot`` is not ``math.hypot``), so
+        scalar form in the last bit (a product's is not ``math.hypot``), so
         threshold decisions go through ``splitting._screened_d``, which
         settles near-ties with ``d``."""
         raise NotImplementedError
@@ -123,8 +174,11 @@ class FiniteLorentzSpace(LorentzQuery):
     def tau(self, p, q):
         return float(self._tau[p, q])
 
+    def _convert(self, points):
+        return (np.asarray(points, dtype=np.intp),)
+
     def _gather(self, table, points, i, j):
-        pts = np.asarray(points, dtype=np.intp)
+        pts, = self.point_arrays(points)
         return table[pts[np.asarray(i, dtype=np.intp)],
                      pts[np.asarray(j, dtype=np.intp)]]
 

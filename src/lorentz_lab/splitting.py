@@ -14,10 +14,12 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
-from .core import EPS, PreconditionError, metric_defect
+from . import chains
+from .core import EPS, PointTuple, PreconditionError, metric_defect
 from .models import product_image_defect
 from .asymptotics import (LineDescriptor, build_asymptotic_line,
                           busemann_value, in_timelike_envelope, line_point)
@@ -140,13 +142,13 @@ def build_splitting_map(space, sl: SpacelikeSlice, time_knots,
     images = {(ki, mi): line_point(space, line, t)
               for ki, t in enumerate(time_knots)
               for mi, line in enumerate(sl.lines)}
-    keys, image_list = list(images), list(images.values())
+    keys, image_list = list(images), PointTuple(images.values())
     # injectivity per time knot (cross-knot duplicates fail the product test)
     witnesses = []
     m, dedupe = len(sl.members), space.mesh * 0.25
     mi, mj = np.triu_indices(m, 1)
     for ki in range(len(time_knots)):
-        dup = _screened_d(space, image_list[ki * m:(ki + 1) * m], mi, mj,
+        dup = _screened_d(space, image_list, ki * m + mi, ki * m + mj,
                           dedupe) < dedupe
         witnesses.extend(("duplicate-image", ki, i, j)
                          for i, j in zip(mi[dup].tolist(), mj[dup].tolist()))
@@ -180,7 +182,7 @@ def build_splitting_map(space, sl: SpacelikeSlice, time_knots,
                           (mb, time_knots[kb])))
 
     if cover_sample is not None:
-        uncovered = _uncovered(space, list(cover_sample), image_list,
+        uncovered = _uncovered(space, tuple(cover_sample), image_list,
                                2.0 * space.mesh if cover_radius is None
                                else cover_radius)
         bijective = bijective and not uncovered
@@ -191,41 +193,49 @@ def build_splitting_map(space, sl: SpacelikeSlice, time_knots,
 
 
 def _screened_d(space, points, i, j, threshold):
-    """``space.d_array(points, i, j)`` in calls of at most 2 * MAX_PAIRS pairs,
-    with entries within a relative 1e-12 of ``threshold`` (or NaN) re-taken
-    from ``space.d``: compared with ``threshold``, it decides as ``d`` does."""
+    """``space.d_array(points, i, j)`` over the index arrays i and j (of
+    one number of axes) broadcast against each other, in bands of whole
+    rows (first axis) of at most ``max(chains.PAIR_BLOCK, one row)``
+    entries, with entries within a relative 1e-12 of ``threshold`` (or NaN)
+    re-taken from ``space.d``: compared with ``threshold``, it decides as
+    ``d`` does."""
     i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
-    blocks = [space.d_array(points, i[k:k + 2 * MAX_PAIRS],
-                            j[k:k + 2 * MAX_PAIRS])
-              for k in range(0, len(i), 2 * MAX_PAIRS)]
-    # one block is used as it is: a copy of it would cost page faults
-    dist = blocks[0] if len(blocks) == 1 else np.concatenate([[]] + blocks)
+    shape = np.broadcast_shapes(i.shape, j.shape)
+    rows = max(1, chains.PAIR_BLOCK // max(1, math.prod(shape[1:])))
+    # a band takes an axis of length one whole, so that d_array broadcasts
+    # the small index arrays
+    bands = [space.d_array(points, *(x if len(x) == 1 else x[k:k + rows]
+                                     for x in (i, j)))
+             for k in range(0, max(shape[0], 1), rows)]
+    # one band is used as it is: a copy of it would cost page faults
+    dist = bands[0] if len(bands) == 1 else np.concatenate(bands)
     with np.errstate(invalid="ignore"):
         near = ~(np.abs(dist - threshold)
                  > 1e-12 * np.maximum(dist, abs(threshold)))
+    i, j = np.broadcast_arrays(i, j)
     for k in np.flatnonzero(near).tolist():
-        dist[k] = space.d(points[i[k]], points[j[k]])
+        dist.flat[k] = space.d(points[i.flat[k]], points[j.flat[k]])
     return dist
 
 
 def _uncovered(space, sample, images, radius):
     """The sample points farther than ``radius`` from every image, in sample
     order: ``min(space.d(z, w) for w in images) > radius``, so a NaN distance
-    to the first image covers z and any later NaN is passed over."""
+    to the first image covers z and any later NaN is passed over.  The
+    sample is scanned in bands of rows, z against every image, of at most
+    ``max(chains.PAIR_BLOCK, one row)`` entries."""
     if sample and not images:
         raise PreconditionError("no images to cover the sample with")
+    n = len(images)
+    points = images.joined(sample)
+    columns = np.arange(n)[None, :]
+    rows = max(1, chains.PAIR_BLOCK // max(1, n))
     out = []
-    block = max(1, 2 * MAX_PAIRS // max(1, len(images)))
-    for start in range(0, len(sample), block):
-        zs = sample[start:start + block]
-        # row z, column w: d(z, w) over the points images + zs
-        zi = np.repeat(np.arange(len(images), len(images) + len(zs)),
-                       len(images))
-        wi = np.tile(np.arange(len(images)), len(zs))
-        dist = _screened_d(space, images + zs, zi, wi, radius).reshape(
-            len(zs), len(images))
+    for start in range(0, len(sample), rows):
+        zs = np.arange(n + start, n + min(start + rows, len(sample)))
+        dist = _screened_d(space, points, zs[:, None], columns, radius)
         far = ((dist > radius) | np.isnan(dist)).all(axis=1)
-        out.extend(z for z, u in zip(zs, far & ~np.isnan(dist[:, 0])) if u)
+        out.extend(points[z] for z in zs[far & ~np.isnan(dist[:, 0])].tolist())
     return out
 
 
@@ -239,12 +249,74 @@ class CauchyReport:
 def synchronized_time(space, line: LineDescriptor, p, horizons):
     """Synchronized-time value of p using only the horizons still timelike
     related to p (at least two are required)."""
-    usable = [t for t in horizons
-              if line.has_param(t) and space.ll(p, line.point_at(t))]
-    if len(usable) < 2:
+    return float(synchronized_times(space, line, [p], horizons)[0])
+
+
+def synchronized_times(space, line: LineDescriptor, points, horizons):
+    """``synchronized_time`` of every point, as an array, bit for bit.
+
+    The horizons with a knot on the line are looked up once and sorted;
+    one ``ll_array`` and one ``tau_array`` pass over points x horizon knots
+    (on the line's kept knot arrays) give every sample, and
+    ``busemann_value``'s two-sample extrapolation over each point's usable
+    horizons is taken elementwise.  The error raised is the one the
+    per-point loop meets first: of the first failing point, in order."""
+    points = tuple(points)
+    if not points:
+        return np.zeros(0)
+    found = sorted(((t, k) for t in horizons
+                    if (k := line._knot_index(t)) is not None),
+                   key=itemgetter(0))
+    hs = [t for t, _ in found]
+    knots = np.array([k for _, k in found], dtype=np.intp)[None, :]
+    n = len(line.chain.points)
+    pts = line.chain.points.joined(points)
+    here = np.arange(n, n + len(points))[:, None]
+    usable = space.ll_array(pts, here, knots)
+    sep = space.tau_array(pts, here, knots)
+    t = np.array(hs, dtype=float)[None, :]
+    rows = np.arange(len(points))
+    # the last usable horizon up to each column, and the one before it
+    last = np.maximum.accumulate(np.where(usable, np.arange(len(hs)), -1),
+                                 axis=1)
+    prev = np.full_like(last, -1)
+    prev[:, 1:] = last[:, :-1]
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        a = t - sep
+        rising = usable & (prev >= 0) & (
+            a > a[rows[:, None], np.maximum(prev, 0)] + EPS)
+        few = usable.sum(axis=1) < 2
+        if few.all():    # so also when no horizon has a knot
+            _raise_synchronized(points[0], usable[0], sep[0], rising[0], hs)
+        # the last two usable samples (any two on the failing rows)
+        i2 = last[:, -1]
+        i1 = prev[rows, i2]
+        t1, t2, a1, a2 = t[0, i1], t[0, i2], a[rows, i1], a[rows, i2]
+        close = np.abs(a1 - a2) <= 1e-15 * np.fmax(1.0, np.abs(a1))
+        failing = (few | (usable & (sep <= 0.0)).any(axis=1)
+                   | rising.any(axis=1) | (~close & (t2 - t1 == 0.0)))
+        if failing.any():
+            r = int(np.argmax(failing))
+            _raise_synchronized(points[r], usable[r], sep[r], rising[r], hs)
+        return np.where(close, a2, (2.0 * t2 * a2 - 2.0 * t1 * a1
+                                    - (a2 * a2 - a1 * a1)) / (2.0 * (t2 - t1)))
+
+
+def _raise_synchronized(p, usable, sep, rising, hs):
+    """The error of ``synchronized_time`` at p, given its row of the
+    ``synchronized_times`` pass."""
+    if usable.sum() < 2:
         raise PreconditionError(
             f"fewer than two horizons remain timelike related to {p}")
-    return busemann_value(space, line, p, usable).value
+    if (usable & (sep <= 0.0)).any():
+        raise PreconditionError(
+            "point is not timelike related to the line at parameter "
+            f"{hs[int(np.argmax(usable & (sep <= 0.0)))]}")
+    if rising.any():
+        raise PreconditionError(
+            "samples increase along the line: input is not a maximizing "
+            "line or the table is not intrinsic")
+    raise ZeroDivisionError("float division by zero")
 
 
 def check_cauchy_slices(space, result: SplittingResult, test_chains,
@@ -252,7 +324,8 @@ def check_cauchy_slices(space, result: SplittingResult, test_chains,
     """Every spanning causal chain must cross each synchronized-time level
     exactly once, detected as a sign change (or a single on-level knot) of
     the synchronized time along the chain.  Knots within one grid mesh of a
-    level count as lying on it."""
+    level count as lying on it.  The synchronized times of every chain
+    point come from one ``synchronized_times`` pass."""
     sl = result.slice
     if sl.reference_line is None:
         raise PreconditionError("splitting result carries no reference line")
@@ -261,10 +334,14 @@ def check_cauchy_slices(space, result: SplittingResult, test_chains,
         levels = ts[1:-1] if len(ts) > 2 else ts
     on_slice_tol = space.mesh
 
-    statuses, all_ok, n_spanning = [], True, 0
+    test_chains = list(test_chains)
+    all_times = synchronized_times(
+        space, sl.reference_line,
+        [p for chain in test_chains for p in chain.points], sl.horizons)
+    statuses, all_ok, n_spanning, start = [], True, 0, 0
     for ci, chain in enumerate(test_chains):
-        times = [synchronized_time(space, sl.reference_line, p, sl.horizons)
-                 for p in chain.points]
+        times = all_times[start:start + len(chain.points)]
+        start += len(chain.points)
         lo, hi = min(levels), max(levels)
         if not (times[0] < lo - on_slice_tol and times[-1] > hi + on_slice_tol):
             statuses.append((ci, None, "not-spanning"))

@@ -200,6 +200,16 @@ CONTRACT = {
     "table-not-square": ("product_segment.json", set_payload(factor={
         "kind": "explicit-table", "mesh": "0.5", "table": [["0", "1"]]}),
         ["validate"], 2),
+    # JSON booleans are not numbers, though Python reads true as 1
+    "mesh-true": ("minkowski_strip.json", lambda doc: doc.update(mesh=True),
+                  ["validate"], 2),
+    "format-version-true": ("minkowski_strip.json",
+                            lambda doc: doc.update(format_version=True),
+                            ["validate"], 2),
+    "strip-step-true": ("minkowski_strip.json", set_payload(step=True),
+                        ["validate"], 2),
+    "segment-hi-true": ("product_segment.json", set_factor(hi=True),
+                        ["validate"], 2),
 }
 for kind, factor in (("tripod", TRIPOD), ("plane", PLANE)):
     for label, argv, code in (

@@ -6,19 +6,21 @@ and ``has_param``, ``line_point``, ``is_line``, ``product_image_defect``,
 ``build_splitting_map``, ``check_slice_alexandrov``, ``c_functions``,
 ``test_parallel`` (with its least-squares shift), the pairwise distance
 loop and the footpoint dedupe of ``extract_slice``, the crossing count of
-``check_cauchy_slices`` and ``in_timelike_envelope``, kept
-as oracles: each bisection, array form and knot-pair table must give the
-same answers, the same first failures, the same witnesses in the same order
-and the same values, bit for bit.  The array forms of ``tau`` and ``leq``
+``check_cauchy_slices``, the per-point synchronized time and
+``in_timelike_envelope``, kept as oracles: each bisection, array form and
+knot-pair table must give the same answers, the same first failures, the
+same witnesses in the same order and the same values, bit for bit.  The array forms of ``tau`` and ``leq``
 are compared with the scalar forms on every factor kind and on finite
 tables.
 """
 
 import functools
+import gc
 import itertools
 import math
 import random
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -26,8 +28,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lorentz_lab import chains, splitting
 from lorentz_lab.asymptotics import (LineDescriptor, build_asymptotic_line,
-                                     in_timelike_envelope, line_point,
-                                     vertical_line)
+                                     busemann_value, in_timelike_envelope,
+                                     line_point, vertical_line)
 from lorentz_lab.chains import CausalChain, LineCheck, is_line, validate_chain
 from lorentz_lab.core import EPS, FiniteLorentzSpace, PreconditionError
 from lorentz_lab.models import (EuclideanSegment, ExplicitTable, PlaneSample,
@@ -40,7 +42,7 @@ from lorentz_lab.sampling import sprinkle_causal_set
 from lorentz_lab.splitting import (MAX_PAIRS, SliceCurvatureReport,
                                    SpacelikeSlice, build_splitting_map,
                                    check_slice_alexandrov, extract_slice,
-                                   slice_from_table)
+                                   slice_from_table, synchronized_times)
 
 from conftest import BUSEMANN_TOL, HORIZONS, column_lattice_table
 
@@ -120,6 +122,16 @@ def is_line_loops(space, chain, tol=EPS):
 def in_timelike_envelope_loops(space, line, p):
     pts = line.chain.points
     return any(space.ll(g, p) for g in pts) and any(space.ll(p, g) for g in pts)
+
+
+def synchronized_time_loops(space, line, p, horizons):
+    usable = [t for t in horizons
+              if has_param_loops(line, t)
+              and space.ll(p, point_at_loops(line, t))]
+    if len(usable) < 2:
+        raise PreconditionError(
+            f"fewer than two horizons remain timelike related to {p}")
+    return busemann_value(space, line, p, usable).value
 
 
 def product_image_defect_loops(space, pairs, null_band):
@@ -596,6 +608,40 @@ class TestIsLineMatchesLoops:
         assert check == is_line_loops(space, chain)
         assert check == LineCheck(True, False, (200, 300), n - 1.0)
 
+    @pytest.mark.parametrize("block", [1, 5, 16, 100])
+    def test_rows_longer_than_the_band(self, block):
+        # 60 knots of a doctored table, the band a few entries: every band
+        # holds one row, cut to the columns after it, and no call exceeds
+        # max(block, one row); failures planted late and in two rows
+        n = 60
+        k = np.arange(n)
+        tau = np.maximum(k[None, :] - k[:, None], 0).astype(float)
+        tau[40, 59] += 0.5
+        tau[41, 43] += 0.5
+        space = FiniteLorentzSpace(np.abs(k[None, :] - k[:, None]),
+                                   k[:, None] <= k[None, :],
+                                   k[:, None] < k[None, :], tau)
+        sizes = []
+
+        def tau_array(points, i, j):
+            sizes.append(math.prod(np.broadcast_shapes(np.shape(i),
+                                                       np.shape(j))))
+            return FiniteLorentzSpace.tau_array(space, points, i, j)
+
+        chain = CausalChain(tuple(range(n)))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chains, "PAIR_BLOCK", block)
+            mp.setattr(space, "tau_array", tau_array)
+            check = is_line(space, chain)
+        assert check == is_line_loops(space, chain)
+        assert check == LineCheck(True, False, (40, 59), n - 1.0)
+        # the steps, then the bands up to the one holding row 40: one row
+        # each while a row is longer than the band
+        assert sizes[0] == n - 1
+        assert max(sizes[1:]) <= max(block, n - 1)
+        if block < 19:
+            assert sizes[1:] == list(range(n - 1, n - 42, -1))
+
     def test_memory_bounded_by_the_block(self):
         # all 2001 * 2000 / 2 pairs at once would take about 16 MB per
         # float64 array
@@ -915,6 +961,165 @@ class TestCauchyCrossingsMatchLoops:
                                   min_size=1, max_size=4))
         got = splitting._crossings(np.array(rows, dtype=float), tol)
         assert got.tolist() == [crossings_loops(r, tol) for r in rows]
+
+
+# ---------------------------------------------------------------------------
+# synchronized_times
+
+
+def any_outcome(fn, *args):
+    """Bit patterns of the values, or the type and message of whatever
+    exception is raised (a division by zero included)."""
+    try:
+        return bits(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def synchronized_times_loops(space, line, points, horizons):
+    return [synchronized_time_loops(space, line, p, horizons) for p in points]
+
+
+def assert_times_match(space, line, points, horizons):
+    got = any_outcome(synchronized_times, space, line, points, horizons)
+    assert got == any_outcome(synchronized_times_loops, space, line, points,
+                              horizons)
+    return got
+
+
+# horizon values: knots of the lines below, ints and floats alike, with
+# repeats, values off the knots and non-numbers
+SYNC_HORIZONS = [1, 2, 3, 4, 6, 8, 2.0, 2.5, 16, -1, 0.0, math.inf, math.nan]
+
+
+class TestSynchronizedTimesMatchLoops:
+    @settings(max_examples=150, deadline=None)
+    @given(x0=st.sampled_from([0.0, 0.25]),
+           stretch=st.sampled_from([0.5, 1.0, 2.0]),
+           horizons=st.lists(st.sampled_from(SYNC_HORIZONS), max_size=7),
+           points=st.lists(st.tuples(
+               st.sampled_from([-3.0, -1.0, 0.0, 0.5, 2.0, 5.0, 12.0,
+                                math.nan]),
+               st.sampled_from([-2.0, -0.5, 0.0, 0.25, 1.0, math.inf])),
+               max_size=8))
+    def test_product_lines(self, x0, stretch, horizons, points):
+        # stretch 2 puts knot k at parameter 2k, so the samples increase
+        space = ProductSpace(EuclideanSegment(-5.0, 5.0, 41))
+        line = LineDescriptor(
+            CausalChain(tuple((float(k), x0) for k in range(-8, 17))),
+            [stretch * k for k in range(-8, 17)])
+        assert_times_match(space, line, points, horizons)
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 8), seed=SEEDS, data=st.data())
+    def test_finite_tables(self, n, seed, data):
+        # unstructured tables with infinite separations: samples rise, tie
+        # and meet inf - inf, and a repeated horizon divides by zero
+        space = finite_space(n, seed)
+        knots = data.draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                   max_size=6))
+        line = LineDescriptor(CausalChain(tuple(knots)), range(len(knots)))
+        horizons = data.draw(st.lists(st.sampled_from(
+            [0, 1, 2, 3, 4, 5, 1.0, 1.5]), max_size=6))
+        points = data.draw(st.lists(st.integers(0, n - 1), max_size=6))
+        assert_times_match(space, line, points, horizons)
+
+    def test_first_failing_point_in_order(self):
+        # the second point lies above every horizon but one, the fourth
+        # above all of them: the second's error is raised
+        space = ProductSpace(EuclideanSegment(-5.0, 5.0, 41))
+        line = vertical_line(space, 0.0, range(-8, 17))
+        points = [(0.0, 0.5), (5.0, 0.0), (1.0, 0.0), (20.0, 0.0)]
+        got = assert_times_match(space, line, points, [2, 4, 8])
+        assert got == (PreconditionError, "fewer than two horizons remain "
+                       "timelike related to (5.0, 0.0)")
+        got = assert_times_match(space, line, points[:1] + points[2:3],
+                                 [2, 4, 8, 16])
+        assert len(got) == 2
+
+    def test_increasing_samples(self):
+        # a line parametrized at twice its separation: t - tau(p, line(t))
+        # grows with t
+        space = ProductSpace(EuclideanSegment(-5.0, 5.0, 41))
+        line = LineDescriptor(
+            CausalChain(tuple((float(k), 0.0) for k in range(0, 17))),
+            [2.0 * k for k in range(0, 17)])
+        got = assert_times_match(space, line, [(-1.0, 0.0)], [4, 8, 16])
+        assert got[0] is PreconditionError
+        assert got[1].startswith("samples increase along the line")
+
+    def test_timelike_without_separation(self):
+        # knots 1e-200 apart in time: related to p, but the squared
+        # separation underflows, so tau is 0 at the first usable horizon
+        space = ProductSpace(EuclideanSegment(-5.0, 5.0, 41))
+        line = LineDescriptor(
+            CausalChain(tuple((k * 1e-200, 0.0) for k in range(-4, 9))),
+            range(-4, 9))
+        got = assert_times_match(space, line, [(0.0, 0.0)], [8, 2, 4])
+        assert got == (PreconditionError, "point is not timelike related to "
+                       "the line at parameter 2")
+
+    @pytest.mark.parametrize("knots, outcome_", [
+        # tau 0 at the first usable horizon, the samples falling after it
+        ([(1e-200, 0.0), (3.0, 0.0), (7.0, 0.0), (15.0, 0.0)],
+         "point is not timelike related to the line at parameter 1"),
+        # the third horizon spacelike: the last two usable are 2 and 8
+        ([(2.0, 0.0), (3.0, 0.0), (1.0, 5.0), (10.0, 0.0)], None),
+        # the second sample above the first by less than EPS
+        ([(2.0, 0.0), (3.0 - 1e-10, 0.0), (5.0, 0.0), (9.5, 0.0)], None)],
+        ids=["untimelike", "gap", "within-eps"])
+    def test_planted_samples(self, knots, outcome_):
+        # knots of a chain offered as a line at parameters 1, 2, 4 and 8
+        space = ProductSpace(EuclideanSegment(-5.0, 5.0, 41))
+        line = LineDescriptor(CausalChain(tuple(knots)), (1, 2, 4, 8))
+        got = assert_times_match(space, line, [(0.0, 0.0)], [1, 2, 4, 8])
+        if outcome_ is None:
+            assert len(got) == 1
+        else:
+            assert got == (PreconditionError, outcome_)
+
+    def test_golden_cauchy_points(self):
+        space, sl, _ = product_slice()
+        rng = random.Random(0)
+        points = [(rng.uniform(-2.0, 2.0), rng.uniform(0.0, 1.0))
+                  for _ in range(200)]
+        got = assert_times_match(space, sl.reference_line, points,
+                                 sl.horizons)
+        assert len(got) == 200
+
+
+# ---------------------------------------------------------------------------
+# kept coordinate arrays
+
+
+class TestKeptPointArrays:
+    def test_freed_with_the_line(self):
+        space = ProductSpace(EuclideanSegment(0.0, 1.0, 21))
+        line = vertical_line(space, 0.5, range(-260, 261))
+        assert in_timelike_envelope(space, line, (0.0, 0.25))
+        arrays = space.point_arrays(line.chain.points)
+        # converted once: the envelope's arrays are the ones kept
+        assert all(a is b for a, b in
+                   zip(arrays, space.point_arrays(line.chain.points)))
+        refs = [weakref.ref(a) for a in arrays]
+        del line, arrays
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(sorted(FACTORS)), data=st.data())
+    def test_joined_arrays(self, kind, data):
+        # kept arrays with the appended points' arrays appended equal a
+        # conversion of the whole
+        space = ProductSpace(FACTORS[kind])
+        points = data.draw(product_points(kind))
+        head = CausalChain(tuple(points) * 2).points
+        space.point_arrays(head)
+        whole = head.joined(points)
+        got, want = space.point_arrays(whole), space._convert(tuple(whole))
+        assert [a.dtype for a in got] == [a.dtype for a in want]
+        assert [bits(a) if a.dtype == float else a.tolist() for a in got] \
+            == [bits(a) if a.dtype == float else a.tolist() for a in want]
 
 
 # ---------------------------------------------------------------------------
