@@ -42,7 +42,7 @@ class LineDescriptor:
         if not (0 <= self.anchor < len(self.params)):
             raise PreconditionError("anchor index out of range")
 
-    def _knot_index(self, t):
+    def knot_index(self, t):
         """Index of the first knot p with |p - t| <= 1e-9 max(1, |t|), or
         None.  p - t rounds monotonically in p, so over the increasing
         parameters the matching knots are one run, starting at the first p
@@ -61,13 +61,13 @@ class LineDescriptor:
         return None
 
     def point_at(self, t):
-        i = self._knot_index(t)
+        i = self.knot_index(t)
         if i is None:
             raise PreconditionError(f"parameter {t} is not a knot of this line")
         return self.chain.points[i]
 
     def has_param(self, t):
-        return self._knot_index(t) is not None
+        return self.knot_index(t) is not None
 
     def footpoint(self):
         return self.chain.points[self.anchor]
@@ -116,9 +116,10 @@ def line_point(space, line: LineDescriptor, param):
     """Line point at an arbitrary parameter: the knot when one exists, the
     point of the connecting maximizer between the bracketing knots otherwise
     (model spaces only)."""
-    if line.has_param(param):
-        return line.point_at(param)
     ps, pts = line.params, line.chain.points
+    i = line.knot_index(param)
+    if i is not None:
+        return pts[i]
     i = bisect.bisect_left(ps, param) - 1   # ps[i] < param <= ps[i + 1]
     if 0 <= i < len(ps) - 1 and param < ps[i + 1]:
         if hasattr(space, "realizer_point"):
@@ -221,10 +222,11 @@ def build_asymptote(space: LorentzQuery, line: LineDescriptor, p, direction,
     targets = []
     for t in horizons:
         param = t if direction == "future" else -t
-        if not line.has_param(param):
+        i = line.knot_index(param)
+        if i is None:
             raise PreconditionError(
                 f"horizon {t} exhausts the line sample (no knot at {param})")
-        g = line.point_at(param)
+        g = line.chain.points[i]
         related = space.ll(p, g) if direction == "future" else space.ll(g, p)
         if not related:
             raise PreconditionError(f"footpoint not timelike related to the "
@@ -345,9 +347,10 @@ def busemann_value(space, line: LineDescriptor, p, horizons,
     horizons = sorted(horizons)
     samples = []
     for t in horizons:
-        if not line.has_param(t):
+        i = line.knot_index(t)
+        if i is None:
             raise PreconditionError(f"no line knot at parameter {t}")
-        g = line.point_at(t)
+        g = line.chain.points[i]
         sep = space.tau(p, g)
         if sep <= 0.0:
             raise PreconditionError(

@@ -39,16 +39,23 @@ class CausalChain:
         return zip(self.points, self.points[1:])
 
 
+def _steps(chain: CausalChain):
+    """Index arrays of the chain's consecutive knot pairs."""
+    k = np.arange(len(chain.points))
+    return k[:-1], k[1:]
+
+
 def validate_chain(space: LorentzQuery, chain: CausalChain):
     """Raise unless consecutive points are causally related (future
-    directed) and the chain is non-constant."""
-    nonconstant = False
-    for a, b in chain.pairs():
-        if not space.leq(a, b):
-            raise PreconditionError(f"chain step {a} -> {b} is not causal")
-        if a != b:
-            nonconstant = True
-    if not nonconstant:
+    directed) and the chain is non-constant.  The steps are checked by one
+    ``leq_array`` pass; the first non-causal one is reported."""
+    pts = chain.points
+    causal = space.leq_array(pts, *_steps(chain))
+    if not causal.all():
+        i = int(np.argmin(causal))
+        raise PreconditionError(
+            f"chain step {pts[i]} -> {pts[i + 1]} is not causal")
+    if all(a == b for a, b in chain.pairs()):
         raise PreconditionError("chain is constant")
 
 
@@ -228,11 +235,12 @@ def reparametrize_tau_arclength(space: LorentzQuery, chain: CausalChain):
     the parametrization would degenerate there.
     """
     validate_chain(space, chain)
-    steps = [space.tau(a, b) for a, b in chain.pairs()]
-    for (a, b), step in zip(chain.pairs(), steps):
-        if step <= 0.0:
-            raise PreconditionError(f"null step {a} -> {b}: cannot parametrize")
-    return list(accumulate(steps, initial=0.0))
+    steps = space.tau_array(chain.points, *_steps(chain))
+    if (steps <= 0.0).any():
+        i = int(np.argmax(steps <= 0.0))
+        a, b = chain.points[i], chain.points[i + 1]
+        raise PreconditionError(f"null step {a} -> {b}: cannot parametrize")
+    return list(accumulate(steps.tolist(), initial=0.0))
 
 
 def check_nonbranching(space: LorentzQuery, chains, tol: float = EPS):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS, FiniteLorentzSpace, PreconditionError
-from .models import _product_tau_array, tau_minkowski
+from .core import EPS, FiniteLorentzSpace, PointTuple, PreconditionError
+from .models import _clip_unit, _product_tau_array, tau_minkowski
 from . import chains as _chains
 
 
@@ -41,11 +41,16 @@ def _acosh1p(u: float) -> float:
     return math.log1p(u + math.sqrt(u * (u + 2.0)))
 
 
-def _ordered(config):
-    order = [int(c) for c in config]
-    if order[0] > order[2]:
-        order.reverse()
-    return tuple(order)
+# The vertex labels of each of the six configurations bottom to top in the
+# causal order, canonicalizing time reversal; the rank in that order of
+# vertex 1, 2 and 3; and the SideTriple field of each side, either way round.
+_ORDERS = {"123": (1, 2, 3), "321": (1, 2, 3), "213": (2, 1, 3),
+           "312": (2, 1, 3), "132": (1, 3, 2), "231": (1, 3, 2)}
+_RANKS = {config: tuple(order.index(v) for v in (1, 2, 3))
+          for config, order in _ORDERS.items()}
+_SIDE_FIELD = {(1, 2): "a12", (2, 1): "a12", (2, 3): "a23", (3, 2): "a23",
+               (1, 3): "a13", (3, 1): "a13"}
+_SIDES = ((1, 2), (2, 3), (1, 3))
 
 
 @dataclass(frozen=True)
@@ -69,7 +74,7 @@ class SideTriple:
             # x2 a time endpoint; the long side is the one away from x2
             object.__setattr__(self, "config",
                                "213" if self.a23 >= self.a12 else "132")
-        if sorted(self.config) != ["1", "2", "3"]:
+        if not (isinstance(self.config, str) and self.config in _ORDERS):
             raise PreconditionError(f"bad configuration {self.config!r}")
 
     @property
@@ -77,16 +82,15 @@ class SideTriple:
         return 1 if self.config[1] == "2" else -1
 
     def side(self, i: int, j: int) -> float:
-        key = {(1, 2): self.a12, (2, 3): self.a23, (1, 3): self.a13}
-        return key[(min(i, j), max(i, j))]
+        return getattr(self, _SIDE_FIELD[i, j])
 
     def ordered(self):
         """Vertex labels bottom-to-top in the causal order, canonicalizing
         time reversal."""
-        return _ordered(self.config)
+        return _ORDERS[self.config]
 
     def check_size_bounds(self):
-        b, m, t = self.ordered()
+        b, m, t = _ORDERS[self.config]
         lng, s1, s2 = self.side(b, t), self.side(b, m), self.side(m, t)
         if lng + EPS < s1 + s2:
             raise UnrealizableError(
@@ -138,14 +142,20 @@ def solve_angles(a12, a23, a13, config):
     ``solve_angle(...).omega`` bit for bit: the same expressions evaluated
     elementwise, then ``math.log1p`` on each element, since ``np.log1p``
     can round differently."""
-    if sorted(config) != ["1", "2", "3"]:
+    if not (isinstance(config, str) and config in _ORDERS):
         raise PreconditionError(f"bad configuration {config!r}")
     a, b, c = (np.asarray(v, dtype=float) for v in (a12, a23, a13))
-    side = {(1, 2): a, (2, 3): b, (1, 3): c}
-    lo, mid, hi = _ordered(config)
-    lng, s1, s2 = (side[min(e), max(e)] for e in ((lo, hi), (lo, mid), (mid, hi)))
+    return _omegas(a, b, c, config[1] == "2", _long_and_short(config, a, b, c))
+
+
+def _omegas(a, b, c, middle, bound):
+    """``solve_angles`` of the side arrays a, b and c (broadcast against
+    each other) with x2 between the others when ``middle``, and with the
+    long side and the two short sides of the size bound given as
+    ``bound``."""
+    lng, s1, s2 = bound
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        if config[1] == "2":
+        if middle:
             u = (c - (a + b)) * (c + a + b) / (2.0 * a * b)
         else:
             gap = np.abs(a - b)
@@ -178,8 +188,8 @@ class ComparisonTriangle:
         return self.coords[label - 1]
 
     def _side_endpoints(self, i, j):
-        order = self.sides.ordered()
-        if order.index(i) > order.index(j):
+        rank = _RANKS[self.sides.config]
+        if rank[i - 1] > rank[j - 1]:
             i, j = j, i
         return self.vertex(i), self.vertex(j)
 
@@ -194,21 +204,29 @@ class ComparisonTriangle:
         return (a[0] + lam * (b[0] - a[0]), a[1] + lam * (b[1] - a[1]))
 
 
+def _long_and_short(config, a12, a23, a13):
+    """The long side of a configuration (bottom to top) and its two short
+    sides (bottom to middle, middle to top)."""
+    b, m, t = _ORDERS[config]
+    side = {"a12": a12, "a23": a23, "a13": a13}
+    return (side[_SIDE_FIELD[b, t]], side[_SIDE_FIELD[b, m]],
+            side[_SIDE_FIELD[m, t]])
+
+
 def realize_triangle(sides: SideTriple) -> ComparisonTriangle:
     sides.check_size_bounds()
-    b, m, t = sides.ordered()
+    b, m, t = _ORDERS[sides.config]
     lng = sides.side(b, t)
     s1 = sides.side(b, m)
     s2 = sides.side(m, t)
     tm = (lng * lng + s1 * s1 - s2 * s2) / (2.0 * lng)
     rad = tm * tm - s1 * s1
     xm = math.sqrt(rad) if rad > 0.0 else 0.0
-    coords = [None, None, None]
-    coords[b - 1] = (0.0, 0.0)
-    coords[t - 1] = (lng, 0.0)
-    coords[m - 1] = (tm, xm)
-    tri = ComparisonTriangle(sides, tuple(coords))
-    for (i, j) in ((1, 2), (2, 3), (1, 3)):
+    # the vertices by rank: bottom, middle, top
+    slots = ((0.0, 0.0), (tm, xm), (lng, 0.0))
+    r1, r2, r3 = _RANKS[sides.config]
+    tri = ComparisonTriangle(sides, (slots[r1], slots[r2], slots[r3]))
+    for (i, j) in _SIDES:
         want = sides.side(i, j)
         a, c = tri._side_endpoints(i, j)
         got = tau_minkowski(a, c)
@@ -216,6 +234,33 @@ def realize_triangle(sides: SideTriple) -> ComparisonTriangle:
             raise UnrealizableError(
                 f"sides do not close up: side {i}{j} reproduces {got}, want {want}")
     return tri
+
+
+def _realize_triangles(a12, a23, a13, config):
+    """Array form of ``realize_triangle`` for one configuration: the
+    planted vertices 1, 2 and 3 of each side triple (a12[k], a23[k],
+    a13[k]) as ``(t, x)`` pairs of arrays, bit for bit, and the mask of the
+    triples ``realize_triangle`` refuses (a side not positive, the size
+    bound, a side that does not close up)."""
+    sides = tuple(np.asarray(v, dtype=float) for v in (a12, a23, a13))
+    lng, s1, s2 = _long_and_short(config, *sides)
+    rank = _RANKS[config]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tm = (lng * lng + s1 * s1 - s2 * s2) / (2.0 * lng)
+        rad = tm * tm - s1 * s1
+        xm = np.sqrt(np.where(rad > 0.0, rad, 0.0))
+        zero = np.zeros_like(lng)
+        slots = ((zero, zero), (tm, xm), (lng, zero))
+        verts = tuple(slots[r] for r in rank)
+        refused = ((sides[0] <= 0.0) | (sides[1] <= 0.0) | (sides[2] <= 0.0)
+                   | (lng + EPS < s1 + s2))
+        for (i, j), want in zip(_SIDES, sides):
+            if rank[i - 1] > rank[j - 1]:
+                i, j = j, i
+            (a0, a1), (c0, c1) = verts[i - 1], verts[j - 1]
+            got = _product_tau_array(c0 - a0, np.abs(c1 - a1))
+            refused |= np.abs(got - want) > 1e-9 * np.maximum(1.0, want)
+    return verts, refused
 
 
 def triangle_angle(sides: SideTriple, vertex: int) -> SignedAngle:
@@ -245,6 +290,34 @@ def _knot_at(params, points, s, what):
     raise PreconditionError(f"parameter {s} is not a knot{what}")
 
 
+def _knots_at(params, points, rows, ss, what):
+    """``_knot_at(params[r], points[r], s, what)`` for each pair (r, s) of
+    ``rows`` and ``ss``, from one array pass over the knots of every row,
+    as a PointTuple.  Raises for the first s that names no knot."""
+    table = np.full((len(params), max([1, *map(len, params)])), np.nan)
+    for r, ps in enumerate(params):
+        table[r, :len(ps)] = ps
+    hit = np.abs(table[rows] - np.asarray(ss, dtype=float)[:, None]) <= EPS
+    found = hit.any(axis=1)
+    if not found.all():
+        raise PreconditionError(
+            f"parameter {ss[int(np.argmin(found))]} is not a knot{what}")
+    return PointTuple(points[r][k] for r, k in
+                      zip(np.asarray(rows).tolist(), hit.argmax(axis=1).tolist()))
+
+
+def _side_points(space, sides, rows, ss):
+    """``sides[r].point_at(s)`` for each pair (r, s) of ``rows`` and ``ss``,
+    the sides being TriangleSides of ``space``, from one array call, as a
+    PointTuple; raises the error of the first failing pair."""
+    if isinstance(space, FiniteLorentzSpace):
+        return _knots_at([side.params for side in sides],
+                         [side.knots for side in sides], rows, ss,
+                         " of this side")
+    return space.realizer_points([sides[r].start for r in rows],
+                                 [sides[r].end for r in rows], ss)
+
+
 class TriangleSide:
     """Maximizer between two triangle vertices, walked by cumulative time
     separation from the causally earlier vertex: along the knots of a
@@ -271,6 +344,10 @@ class TriangleSide:
             return self.space.realizer_point(self.start, self.end, s)
         return _knot_at(self.params, self.knots, s, " of this side")
 
+    def points_at(self, ss):
+        """``point_at`` of each parameter, from one array call."""
+        return _side_points(self.space, [self], [0] * len(ss), ss)
+
     def sample_params(self, rng: random.Random):
         if self.params is None:
             return rng.uniform(0.0, self.length)
@@ -280,7 +357,7 @@ class TriangleSide:
 class SpaceTriangle:
     """Three timelike related vertices x << y << z with maximizing sides."""
 
-    SIDES = ((1, 2), (2, 3), (1, 3))
+    SIDES = _SIDES
 
     def __init__(self, space, x, y, z):
         if not (space.ll(x, y) and space.ll(y, z) and space.ll(x, z)):
@@ -318,6 +395,12 @@ class CurvatureReport:
     max_defect: float
 
 
+# the index, in a SpaceTriangle's vertices, of each side's causally earlier
+# and later end; the side index of each side label pair
+_SIDE_START, _SIDE_END = np.array(_SIDES).T - 1
+_SIDE_INDEX = {side: k for k, side in enumerate(_SIDES)}
+
+
 def test_curvature_lower0(space, triangles, pairs_per_triangle=8, mode="lower",
                           tol=EPS, seed=0, pair_sampler=None) -> CurvatureReport:
     """Triangle comparison against the flat model.
@@ -325,50 +408,84 @@ def test_curvature_lower0(space, triangles, pairs_per_triangle=8, mode="lower",
     For every sampled on-triangle pair (p, q) the lower-bound mode demands
     tau(p, q) <= taubar(pbar, qbar) + tol; the upper-bound mode reverses the
     inequality.  The worst signed defect tau - taubar and its witness are
-    reported.  Every triangle must lie in ``space``: the separations of all
-    pairs, in both directions, come from one ``space.tau_array`` call.
+    reported.  Every triangle must lie in ``space``.
+
+    The loop over the triangles only draws the pairs, with the random calls
+    of a per-pair loop in the same order.  The sampled points (one
+    ``realizer_points`` call, or one knot lookup on a finite table), the
+    planted triangles with their checks, the planted images and the
+    separations of all pairs in both directions (one ``tau_array`` call)
+    are array passes.  The error raised is the one a per-pair loop meets
+    first: an error met while drawing (a triangle in another space, a
+    failing pair sampler, a malformed pair) is raised only once the planted
+    triangles and the points drawn before it pass.
     """
     if mode not in ("lower", "upper"):
         raise PreconditionError(f"unknown mode {mode!r}")
     rng = random.Random(seed)
-    points = []
-    ends = []        # per point: planted side endpoints, side length, parameter
+    tris = []
+    firsts = []      # per triangle: the index of its first point
+    rows = []        # per point: 3 * triangle index + side index
+    params = []      # per point: its parameter on the side
     witnesses = []   # per sampled pair
-    n_tris = 0
-    for tidx, tri in enumerate(triangles):
-        if tri.space is not space:
-            raise PreconditionError(f"triangle {tidx} lies in another space")
-        n_tris += 1
-        planted = realize_triangle(tri.side_triple())
-        planted_sides = {}
-        for side in SpaceTriangle.SIDES:
-            (a0, a1), (b0, b1) = planted._side_endpoints(*side)
-            planted_sides[side] = (a0, a1, b0, b1, planted.sides.side(*side))
-        if pair_sampler is not None:
-            pair_list = pair_sampler(rng, tri)
-        else:
-            pair_list = []
-            for _ in range(pairs_per_triangle):
-                sa = rng.choice(SpaceTriangle.SIDES)
-                sb = rng.choice(SpaceTriangle.SIDES)
-                pair_list.append(((sa, tri.sides[sa].sample_params(rng)),
-                                  (sb, tri.sides[sb].sample_params(rng))))
-        for (sa, pa), (sb, pb) in pair_list:
-            points += (tri.point_at(sa, pa), tri.point_at(sb, pb))
-            ends += (planted_sides[sa] + (pa,), planted_sides[sb] + (pb,))
-            witnesses.append((tidx, (sa, pa), (sb, pb)))
+    # the triangles and the sampler are the caller's code: what they raise,
+    # like a malformed pair, is raised below once the entries drawn before
+    # it pass, where a per-pair loop would meet it
+    try:
+        for tidx, tri in enumerate(triangles):
+            if tri.space is not space:
+                raise PreconditionError(f"triangle {tidx} lies in another space")
+            tris.append(tri)
+            firsts.append(len(params))
+            if pair_sampler is not None:
+                pair_list = pair_sampler(rng, tri)
+            else:
+                pair_list = []
+                for _ in range(pairs_per_triangle):
+                    sa = rng.choice(_SIDES)
+                    sb = rng.choice(_SIDES)
+                    pair_list.append(((sa, tri.sides[sa].sample_params(rng)),
+                                      (sb, tri.sides[sb].sample_params(rng))))
+            for (sa, pa), (sb, pb) in pair_list:
+                rows.append(3 * tidx + _SIDE_INDEX[sa])
+                params.append(pa)
+                rows.append(3 * tidx + _SIDE_INDEX[sb])
+                params.append(pb)
+                witnesses.append((tidx, (sa, pa), (sb, pb)))
+        drawing_error = None
+    except Exception as exc:
+        drawing_error = exc
+
+    lengths = np.array([[tri.sides[side].length for side in _SIDES]
+                        for tri in tris], dtype=float).reshape(-1, 3)
+    (v1, v2, v3), refused = _realize_triangles(*lengths.T, "123")
+    refused = np.flatnonzero(refused)
+    stop = firsts[refused[0]] if refused.size else len(params)
+    sides = [tri.sides[side] for tri in tris for side in _SIDES]
+    points = _side_points(space, sides, rows[:stop], params[:stop])
+    if refused.size:
+        # raises the error the mask found
+        realize_triangle(tris[refused[0]].side_triple())
+    if drawing_error is not None:
+        raise drawing_error
     n_pairs = len(points)   # each sampled pair in both directions
     if n_pairs == 0:
         raise PreconditionError("no on-triangle pairs sampled")
 
     # planted images as ComparisonTriangle.point_on_side computes them
-    a0, a1, b0, b1, total, param = np.array(ends, dtype=float).T
+    tri_of, side_of = np.divmod(np.array(rows), 3)
+    param = np.array(params, dtype=float)
+    total = lengths[tri_of, side_of]
     outside = (param < -EPS) | (param > total + EPS)
     if outside.any():
         k = int(np.argmax(outside))
         raise PreconditionError(
-            f"parameter {ends[k][5]} outside side of length {ends[k][4]}")
-    lam = np.minimum(np.maximum(param / total, 0.0), 1.0)
+            f"parameter {params[k]} outside side of length {float(total[k])}")
+    vt = np.stack((v1[0], v2[0], v3[0]), axis=1)
+    vx = np.stack((v1[1], v2[1], v3[1]), axis=1)
+    a0, a1 = vt[tri_of, _SIDE_START[side_of]], vx[tri_of, _SIDE_START[side_of]]
+    b0, b1 = vt[tri_of, _SIDE_END[side_of]], vx[tri_of, _SIDE_END[side_of]]
+    lam = _clip_unit(param / total)
     bar_t = a0 + lam * (b0 - a0)
     bar_x = a1 + lam * (b1 - a1)
     # entry 2k is (p, q) of pair k, entry 2k + 1 is (q, p)
@@ -379,6 +496,7 @@ def test_curvature_lower0(space, triangles, pairs_per_triangle=8, mode="lower",
     # the first extreme, as a strict comparison in a loop picks it
     k_lo, k_hi = int(np.argmin(defect)), int(np.argmax(defect))
     lo, hi = float(defect[k_lo]), float(defect[k_hi])
+    n_tris = len(tris)
     if mode == "lower":
         return CurvatureReport("lower", hi <= tol, hi, witnesses[k_hi // 2],
                                n_tris, n_pairs, lo, hi)
@@ -412,6 +530,16 @@ class Leg:
         return self._side.point_at(s if self.direction == "future"
                                    else self.total - s)
 
+    def points_at(self, ss):
+        """``point_at`` of each parameter, from one array call."""
+        s = np.asarray(ss, dtype=float)
+        outside = (s <= 0) | (s > self.total + EPS)
+        if outside.any():
+            raise PreconditionError(f"leg parameter {ss[int(np.argmax(outside))]} "
+                                    f"outside (0, {self.total}]")
+        return self._side.points_at(ss if self.direction == "future"
+                                    else (self.total - s).tolist())
+
     def param_grid(self, n):
         ps = self._side.params
         if ps is None:
@@ -432,6 +560,10 @@ class KnotLeg:
 
     def point_at(self, s):
         return _knot_at(self.params, self.points, s, "")
+
+    def points_at(self, ss):
+        """``point_at`` of each parameter, from one array pass."""
+        return _knots_at([self.params], [self.points], [0] * len(ss), ss, "")
 
     def param_grid(self, n=None):
         return [p for p in self.params if p > EPS]
@@ -484,91 +616,132 @@ def test_monotonicity_comparison(space, leg_a, leg_b, sense="lower",
 
     In the upper sense, parameter pairs that lose timelike relatedness while
     their comparison images keep it are counted as warnings, not failures.
+
+    Each leg's points come from one call, and the angles, the scans (down
+    each column of the s x t grid, then along each row; the first strict
+    maximum is the witness) and the warnings are array passes over the
+    grid.  A parameter repeated on a leg names the same point, so its
+    entries agree and it counts once among the defined pairs.
     """
     if sense not in ("lower", "upper"):
         raise PreconditionError(f"unknown sense {sense!r}")
     svals = leg_a.param_grid(8)
     tvals = leg_b.param_grid(8)
     ns, nt = len(svals), len(tvals)
-    # each leg point once; entry [k, m] pairs leg-a point k with leg-b point m
-    points = [leg_a.point_at(s) for s in svals] + [leg_b.point_at(t) for t in tvals]
-    i, j = np.divmod(np.arange(ns * nt), nt)
-    j += ns
-    tpq = space.tau_array(points, i, j).reshape(ns, nt)
-    cross = np.maximum(tpq, space.tau_array(points, j, i).reshape(ns, nt))
-    s_grid = np.broadcast_to(np.array(svals, dtype=float)[:, None], (ns, nt))
-    t_grid = np.broadcast_to(np.array(tvals, dtype=float)[None, :], (ns, nt))
+    # each leg point once; entry [k, m] pairs leg-a point k with leg-b
+    # point m, in both directions
+    points = leg_a.points_at(svals).joined(leg_b.points_at(tvals))
+    pairs = np.indices((ns, nt))
+    pairs[1] += ns
+    tpq, tqp = space.tau_array(points, pairs, pairs[::-1])
+    cross = np.maximum(tpq, tqp)
     # hinge_angle per pair: undefined unless timelike related, NaN where
-    # solve_angle raises (such pairs are left out like undefined ones)
-    signed = np.full((ns, nt), np.nan)
-    for a_first in (True, False):
-        config = _hinge_config(leg_a.direction, leg_b.direction, a_first)
-        sigma = 1 if config[1] == "2" else -1
-        on = (cross > 0.0) & ((tpq > 0.0) == a_first)
-        signed[on] = sigma * solve_angles(s_grid[on], t_grid[on], cross[on],
-                                          config)
-    theta = {(s, t): val
-             for s, row in zip(svals, signed.tolist())
-             for t, val in zip(tvals, row) if not math.isnan(val)}
-    if not theta:
+    # solve_angle raises (such pairs are left out like undefined ones).
+    # x2 is the base; it lies between the leg points exactly when the legs
+    # point to opposite time directions, and the size bound's sides depend
+    # on which leg point comes first
+    mixed = leg_a.direction != leg_b.direction
+    sv = np.array(svals, dtype=float)[:, None]
+    tv = np.array(tvals, dtype=float)[None, :]
+    a_first = tpq > 0.0
+    when_first, when_second = (
+        _long_and_short(_hinge_config(leg_a.direction, leg_b.direction, f),
+                        sv, tv, cross) for f in (True, False))
+    bound = [np.where(a_first, x, y) for x, y in zip(when_first, when_second)]
+    signed = (1 if mixed else -1) * _omegas(sv, tv, cross, mixed, bound)
+    defined = ~np.isnan(signed)
+    rows = list({s: k for k, s in enumerate(svals)}.values())
+    cols = list({t: m for m, t in enumerate(tvals)}.values())
+    n_defined = int(np.count_nonzero(defined[rows][:, cols]))
+    if n_defined == 0:
         raise PreconditionError("no timelike related parameter pairs on the grid")
 
     direction = 1.0 if sense == "lower" else -1.0
-    worst = 0.0
+    # the scans in their order, as one sequence: down each column (s
+    # rising, entries of signed.T), then along each row (t rising, entries
+    # of signed); a step joins two consecutive defined entries of one line
+    seq = np.concatenate((signed.T.ravel(), signed.ravel()))
+    line = np.concatenate((np.repeat(np.arange(nt), ns),
+                           np.repeat(np.arange(nt, nt + ns), nt)))
+    flat = np.flatnonzero(~np.isnan(seq))
+    vals, line = seq[flat], line[flat]
+    same = line[1:] == line[:-1]
+    steps = (direction * (vals[:-1] - vals[1:]))[same]
+    top = float(np.fmax.reduce(steps, initial=-math.inf))
+    worst = top if top > 0.0 else 0.0
     witness = None
+    if worst > 0.0:
+        k = int(np.argmax(steps == worst))
 
-    def scan(pairs):
-        nonlocal worst, witness
-        prev_key, prev_val = None, None
-        for key in pairs:
-            if key not in theta:
-                continue
-            val = theta[key]
-            if prev_val is not None:
-                viol = direction * (prev_val - val)
-                if viol > worst:
-                    worst, witness = viol, (prev_key, key)
-            prev_key, prev_val = key, val
-
-    for t in tvals:
-        scan([(s, t) for s in svals])
-    for s in svals:
-        scan([(s, t) for t in tvals])
+        def key(f):
+            # the (s, t) pair of an entry of seq
+            if f < ns * nt:
+                m, r = divmod(f, ns)
+            else:
+                r, m = divmod(f - ns * nt, nt)
+            return svals[r], tvals[m]
+        witness = (key(int(flat[:-1][same][k])), key(int(flat[1:][same][k])))
 
     warnings = 0
     if sense == "upper":
-        row = {s: k for k, s in enumerate(svals)}
-        col = {t: m for m, t in enumerate(tvals)}
-        tpq, cross = tpq.tolist(), cross.tolist()
-        for s2 in svals:
-            for t2 in tvals:
-                if (s2, t2) in theta:
-                    continue
-                # undefined pair dominated by a defined one
-                dominating = sorted((s, t) for (s, t) in theta
-                                    if s >= s2 and t >= t2)
-                if not dominating:
-                    continue
-                s, t = dominating[0]
-                k, m = row[s], col[t]
-                tri = realize_triangle(SideTriple(
-                    s, t, cross[k][m],
-                    _hinge_config(leg_a.direction, leg_b.direction,
-                                  tpq[k][m] > 0.0)))
-                if _planted_pair_related(tri, leg_a.direction,
-                                         leg_b.direction, s2, t2):
-                    warnings += 1
-    return MonotonicityReport(worst <= tol, worst, witness, len(theta),
+        warnings = _upper_warnings(svals, tvals, defined, tpq, cross,
+                                   leg_a.direction, leg_b.direction)
+    return MonotonicityReport(worst <= tol, worst, witness, n_defined,
                               sense, warnings)
 
 
-def _planted_pair_related(tri: ComparisonTriangle, dir_a, dir_b, s2, t2) -> bool:
-    """Whether the comparison points at leg parameters (s2, t2) of a planted
-    hinge triangle are timelike related.  Side parameters run from the
-    causally earlier endpoint, so a past-directed leg measures backwards."""
-    pa = tri.point_on_side(1, 2, s2 if dir_a == "future" else tri.sides.a12 - s2)
-    pb = tri.point_on_side(2, 3, t2 if dir_b == "future" else tri.sides.a23 - t2)
-    return tau_minkowski(pa, pb) > 0 or tau_minkowski(pb, pa) > 0
+def _upper_warnings(svals, tvals, defined, tpq, cross, dir_a, dir_b):
+    """The undefined grid pairs (s2, t2) whose comparison points are
+    timelike related in the planted hinge triangle of the lexicographically
+    first defined pair (s, t) with s >= s2 and t >= t2: that triangle's
+    points at leg parameters s2 and t2 (side parameters run from the
+    causally earlier end, so a past-directed leg measures backwards).
+    Raises ``realize_triangle``'s error for the first such triangle, in
+    row-major order of (s2, t2), that does not close up."""
+    sv, tv = np.array(svals, dtype=float), np.array(tvals, dtype=float)
+    dk, dm = np.nonzero(defined)
+    by_key = np.lexsort((tv[dm], sv[dk]))
+    dk, dm = dk[by_key], dm[by_key]
+    uk, um = np.nonzero(~defined)
+    dominated = ((sv[dk][None, :] >= sv[uk][:, None])
+                 & (tv[dm][None, :] >= tv[um][:, None]))
+    has = dominated.any(axis=1)
+    if not has.any():
+        return 0
+    pick = dominated.argmax(axis=1)[has]
+    s2, t2 = sv[uk[has]], tv[um[has]]
+    k, m = dk[pick], dm[pick]
+    s, t, c = sv[k], tv[m], cross[k, m]
+    a_first = tpq[k, m] > 0.0
+    related = np.zeros(len(k), dtype=bool)
+    refused = np.zeros(len(k), dtype=bool)
+    for first in (True, False):
+        on = a_first == first
+        if not on.any():
+            continue
+        config = _hinge_config(dir_a, dir_b, first)
+        verts, refused[on] = _realize_triangles(s[on], t[on], c[on], config)
+        rank = _RANKS[config]
+        # s2 <= s and t2 <= t, so every parameter lies on its side
+        ends = []
+        for (i, j), length, u, forward in (
+                ((1, 2), s[on], s2[on], dir_a == "future"),
+                ((2, 3), t[on], t2[on], dir_b == "future")):
+            if rank[i - 1] > rank[j - 1]:
+                i, j = j, i
+            (a0, a1), (b0, b1) = verts[i - 1], verts[j - 1]
+            lam = _clip_unit((u if forward else length - u) / length)
+            ends.append((a0 + lam * (b0 - a0), a1 + lam * (b1 - a1)))
+        (pt, px), (qt, qx) = ends
+        related[on] = ((_product_tau_array(qt - pt, np.abs(qx - px)) > 0)
+                       | (_product_tau_array(pt - qt, np.abs(px - qx)) > 0))
+    if refused.any():
+        # raises the error the mask found
+        b = int(np.argmax(refused))
+        realize_triangle(SideTriple(
+            svals[k[b]], tvals[m[b]], float(c[b]),
+            _hinge_config(dir_a, dir_b, bool(a_first[b]))))
+    return int(related.sum())
 
 
 def upper_angle(space, leg_a, leg_b):

@@ -14,7 +14,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .core import EPS, LorentzQuery, PreconditionError, StructuralError
+from .core import EPS, LorentzQuery, PointTuple, PreconditionError, StructuralError
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +56,13 @@ class MetricFactor:
         when the factor carries no minimizer structure."""
         return None
 
+    def interpolate_array(self, a, b, frac):
+        """``interpolate(a[k], b[k], frac[k])`` for each k, as the array
+        ``point_array`` gives; a and b come in that form.  An entry is None
+        where ``interpolate`` gives None."""
+        return self.point_array([self.interpolate(x, y, f) for x, y, f in
+                                 zip(a, b, np.asarray(frac).tolist())])
+
 
 @dataclass(frozen=True)
 class EuclideanSegment(MetricFactor):
@@ -94,6 +101,11 @@ class EuclideanSegment(MetricFactor):
 
     def interpolate(self, a, b, frac):
         return a + frac * (b - a)
+
+    def interpolate_array(self, a, b, frac):
+        # silent on inf * 0, as the scalar form is
+        with np.errstate(invalid="ignore", over="ignore"):
+            return a + frac * (b - a)
 
 
 @dataclass(frozen=True)
@@ -221,6 +233,16 @@ def _product_tau_array(dt, dist):
     with np.errstate(invalid="ignore", over="ignore"):
         rad = dt * dt - dist * dist
         return np.where((dt < dist) | ~(rad > 0.0), 0.0, np.sqrt(rad))
+
+
+def _clip_unit(lam):
+    """``min(max(lam, 0.0), 1.0)`` elementwise, bit for bit, as a new array:
+    Python keeps the first argument on ties, so -0.0 and NaN pass
+    through."""
+    lam = np.array(lam, dtype=float)
+    lam[0.0 > lam] = 0.0
+    lam[1.0 < lam] = 1.0
+    return lam
 
 
 def tau_minkowski(p, q) -> float:
@@ -375,6 +397,40 @@ class ProductSpace(LorentzQuery):
             if a is None:
                 raise PreconditionError("factor has no minimizer structure")
         return (p[0] + lam * (q[0] - p[0]), a)
+
+    def realizer_points(self, starts, ends, params):
+        """``realizer_point(starts[k], ends[k], params[k])`` for each k, bit
+        for bit, as a PointTuple that keeps its coordinate arrays.  Raises
+        the error ``realizer_point`` raises for the first failing entry, in
+        input order; the factor interpolates, through
+        ``interpolate_array``, only the entries before it."""
+        t0, x0 = self.point_arrays(starts)
+        t1, x1 = self.point_arrays(ends)
+        n = len(t0)
+        k = np.arange(n)
+        dist = self.factor.distance_array(np.concatenate((x0, x1)), k, k + n)
+        total = _product_tau_array(t1 - t0, dist)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            lam = np.asarray(params, dtype=float) / total
+        failed = (total <= 0.0) | (lam < -EPS) | (lam > 1.0 + EPS)
+        stop = int(failed.argmax()) if failed.any() else n
+        lam = _clip_unit(lam[:stop])
+        moving = dist[:stop] != 0.0
+        x = x0[:stop].copy()
+        moved = self.factor.interpolate_array(x0[:stop][moving],
+                                              x1[:stop][moving], lam[moving])
+        if moved.dtype == object and any(a is None for a in moved.tolist()):
+            raise PreconditionError("factor has no minimizer structure")
+        x[moving] = moved
+        if stop < n:
+            if total[stop] <= 0.0:
+                raise PreconditionError(
+                    "maximizer parametrization needs a timelike pair")
+            raise PreconditionError("parameter outside the maximizer")
+        t = t0 + lam * (t1 - t0)
+        out = PointTuple(zip(t.tolist(), x.tolist()))
+        out.arrays(self._coordinate_kind(), lambda _: (t, x))
+        return out
 
 
 def minkowski_space(t_min=-2.0, t_max=2.0, x_min=-1.0, x_max=1.0, step=0.25):

@@ -415,8 +415,10 @@ def strong_causality_trick_check(space, alpha: LineDescriptor,
             "hypothesis fails")
     max_gap = 0.0
     for s in sv:
-        if beta.has_param(s):
-            max_gap = max(max_gap, space.d(alpha.point_at(s), beta.point_at(s)))
+        k = beta.knot_index(s)
+        if k is not None:
+            max_gap = max(max_gap, space.d(alpha.point_at(s),
+                                           beta.chain.points[k]))
     return StrongCausalityReport(max_gap <= coincidence_radius, max_gap,
                                  max_angle, n_pairs)
 
@@ -428,9 +430,10 @@ def _passes_through(space, line: LineDescriptor, p, radius) -> bool:
 def _coincide(space, a: LineDescriptor, b: LineDescriptor, radius) -> bool:
     matched = 0
     for s in a.params:
-        if b.has_param(s):
+        k = b.knot_index(s)
+        if k is not None:
             matched += 1
-            if space.d(a.point_at(s), b.point_at(s)) > radius:
+            if space.d(a.point_at(s), b.chain.points[k]) > radius:
                 return False
     return matched > 0
 

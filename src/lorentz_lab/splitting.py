@@ -265,7 +265,7 @@ def synchronized_times(space, line: LineDescriptor, points, horizons):
     if not points:
         return np.zeros(0)
     found = sorted(((t, k) for t in horizons
-                    if (k := line._knot_index(t)) is not None),
+                    if (k := line.knot_index(t)) is not None),
                    key=itemgetter(0))
     hs = [t for t, _ in found]
     knots = np.array([k for _, k in found], dtype=np.intp)[None, :]

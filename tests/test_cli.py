@@ -287,6 +287,41 @@ def test_fuzzed_space_document(node, value):
         assert err.getvalue().count("\n") == 1
 
 
+LINE_FILES = {"product_vertical_line.json": "product_segment.json",
+              "minkowski_vertical_line.json": "minkowski_strip.json"}
+LINE_NODES = [(name, path) for name in LINE_FILES
+              for path in node_paths(edited(name, lambda doc: None))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(node=st.sampled_from(LINE_NODES), value=st.sampled_from(FUZZ_VALUES))
+def test_fuzzed_chain_document(node, value):
+    # one node of a golden chain file, at any depth, replaced: asymptote
+    # keeps to the exit-code contract, never prints a traceback, and exits
+    # 1 only with a verdict: a failure line or a report with a false one
+    name, path = node
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        line = os.path.join(tmp, "line.json")
+        with open(line, "w") as fh:
+            json.dump(replaced(edited(name, lambda doc: None), path, value),
+                      fh)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["asymptote", golden(LINE_FILES[name]), "--line",
+                         line, "--from", "0,0.5"])
+    assert code in {0, 1, 2, 3}
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        if out.getvalue():
+            assert False in json.loads(out.getvalue())["verdicts"].values()
+        else:
+            assert err.getvalue().startswith("failure: ")
+            assert err.getvalue().count("\n") == 1
+    if code in {2, 3}:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1
+
+
 def test_stated_zero_tolerance_is_used(tmp_path, capsys):
     path = tmp_path / "space.json"
     path.write_text(json.dumps(edited(

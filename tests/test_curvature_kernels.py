@@ -19,8 +19,8 @@ from hypothesis import given, settings, strategies as st
 from lorentz_lab.comparison import (CurvatureReport, KnotLeg, Leg,
                                     MonotonicityReport, SideTriple,
                                     SpaceTriangle, UnrealizableError,
-                                    _hinge_config,
-                                    _planted_pair_related, hinge_angle,
+                                    _hinge_config, _realize_triangles,
+                                    hinge_angle,
                                     realize_triangle, solve_angle,
                                     solve_angles)
 from lorentz_lab.comparison import test_curvature_lower0 as curvature_bound
@@ -119,6 +119,15 @@ def diamond_within_loops(space, p, q, t_lo, t_hi, center, radius):
                     continue
                 return False
     return True
+
+
+def _planted_pair_related(tri, dir_a, dir_b, s2, t2):
+    """Whether the comparison points at leg parameters (s2, t2) of a planted
+    hinge triangle are timelike related.  Side parameters run from the
+    causally earlier endpoint, so a past-directed leg measures backwards."""
+    pa = tri.point_on_side(1, 2, s2 if dir_a == "future" else tri.sides.a12 - s2)
+    pb = tri.point_on_side(2, 3, t2 if dir_b == "future" else tri.sides.a23 - t2)
+    return tau_minkowski(pa, pb) > 0 or tau_minkowski(pb, pa) > 0
 
 
 def monotonicity_loops(space, leg_a, leg_b, sense="lower", tol=EPS):
@@ -676,3 +685,239 @@ class TestCurvatureMatchesLoop:
             PreconditionError,
             f"parameter {length * (1.0 + 0.9 * EPS)} outside side of length {length}")
         assert outcome(curvature_bound, MINK, [], 8)[0] is PreconditionError
+
+
+def any_outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestCurvatureErrorsInLoopOrder:
+    """The drawing loop defers its errors (a triangle in another space, a
+    failing sampler, a malformed pair) behind the planted-triangle and
+    point errors a per-pair loop meets before them."""
+
+    def cases(self):
+        good = minkowski_triangles(MINK, 2, 0)
+        bad = minkowski_triangles(MINK, 1, 1)[0]
+        bad.sides[(1, 3)].length = 0.1     # fails the size bound
+        other = minkowski_triangles(SEGMENT, 1, 0)[0]
+        far = lambda rng, tri: [(((1, 2), 3.0 * tri.sides[(1, 2)].length),
+                                 ((1, 3), 0.1))]
+
+        def failing_at(k, inner=far):
+            def sampler(rng, tri):
+                if tri is triangles[k]:
+                    raise RuntimeError(f"sampler fails at {k}")
+                return inner(rng, tri)
+            return sampler
+
+        def reversed_side(rng, tri):
+            return [(((1, 2), 0.1), ((2, 1), 0.1))]
+
+        ok = lambda rng, tri: [(((1, 2), 0.1), ((2, 3), 0.1))]
+        for triangles, sampler in (
+                ([good[0], bad, other], ok),        # unrealizable first
+                ([good[0], other, bad], ok),        # other space first
+                ([good[0], bad, good[1]], failing_at(2, ok)),
+                # a point failing after an unrealizable triangle
+                ([good[0], bad, good[1]],
+                 lambda rng, tri: (far if tri is good[1] else ok)(rng, tri)),
+                ([good[0], good[1], bad], failing_at(1, ok)),
+                ([good[0], good[1]], failing_at(1)),   # the point fails first
+                ([good[0], good[1]], failing_at(0)),
+                ([good[0], good[1]], reversed_side),
+                # the first point of the pair fails before its second side
+                ([good[0]], lambda rng, tri: [
+                    (((1, 2), 3.0 * tri.sides[(1, 2)].length), ((2, 1), 0.1))])):
+            yield triangles, sampler
+
+    def test_first_error_of_a_loop(self):
+        def in_space(triangles):
+            # the tester's space check, met where the loop reaches a triangle
+            for tidx, tri in enumerate(triangles):
+                if tri.space is not MINK:
+                    raise PreconditionError(
+                        f"triangle {tidx} lies in another space")
+                yield tri
+
+        seen = set()
+        for triangles, sampler in self.cases():
+            got = any_outcome(curvature_bound, MINK, triangles,
+                              pair_sampler=sampler)
+            want = any_outcome(curvature_loops, MINK, in_space(triangles),
+                               pair_sampler=sampler)
+            assert repr(got) == repr(want)
+            seen.add(got[0])
+        assert {UnrealizableError, PreconditionError, RuntimeError,
+                KeyError} <= seen
+
+
+class TestPlantedTrianglesMatchScalar:
+    @pytest.mark.parametrize("config", CONFIGS)
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_bit_for_bit(self, config, data):
+        # side triples at the size bound, generic ones and sides so long
+        # that the planted coordinates overflow and the sides do not close
+        triples = data.draw(st.lists(st.one_of(
+            side_triples(config),
+            st.tuples(*[st.sampled_from([1e200, 2.5e200, 1.0]) for _ in "abc"])),
+            min_size=1, max_size=6))
+        a12, a23, a13 = (np.array(v) for v in zip(*triples))
+        verts, refused = _realize_triangles(a12, a23, a13, config)
+        for k, sides in enumerate(triples):
+            want = outcome(realize_triangle, SideTriple(*sides, config)) \
+                if min(sides) > 0.0 else (UnrealizableError, "")
+            assert refused[k] == isinstance(want, tuple)
+            if not refused[k]:
+                got = [(float(t[k]), float(x[k])) for t, x in verts]
+                assert bits([c for v in got for c in v]) == \
+                    bits([c for v in want.coords for c in v])
+
+    def test_sides_that_do_not_close_up(self):
+        sides = SideTriple(1e200, 1e200, 2.5e200, "123")
+        with pytest.raises(UnrealizableError, match="do not close up"):
+            realize_triangle(sides)
+        _, refused = _realize_triangles([1e200], [1e200], [2.5e200], "123")
+        assert refused.tolist() == [True]
+
+
+# ---------------------------------------------------------------------------
+# realizer_points and interpolate_array
+
+
+def realizer_points_loops(space, starts, ends, params):
+    return [space.realizer_point(p, q, s)
+            for p, q, s in zip(starts, ends, params)]
+
+
+def point_bits(value):
+    """Bit patterns of the floats of a point, nested tuples flattened and
+    other values kept: equal only when the points agree bit for bit,
+    signed zeros and NaN included."""
+    if isinstance(value, tuple):
+        return [b for v in value for b in point_bits(v)]
+    if isinstance(value, float):
+        return [("float", np.float64(value).view(np.uint64).item())]
+    return [value]
+
+
+REALIZER_FACTORS = {
+    "segment": EuclideanSegment(0.0, 1.0, 5),
+    "plane": PlaneSample(((0.0, 0.0), (1.0, 0.5), (0.25, 1.0), (0.0, -0.0)),
+                         0.5),
+    "tripod": TripodGraph(1.0, 5),
+    "table": ExplicitTable(((0.0, 0.5, 1.0), (0.5, 0.0, 0.5),
+                            (1.0, 0.5, 0.0)), 0.5),
+}
+# fractions of a pair's separation: inside, at the ends, within and beyond
+# EPS past them, and non-finite ones
+FRACTIONS = [0.0, -0.0, 0.3, 0.5, 1.0, 1.0 + 0.5 * EPS, 1.0 + 2.0 * EPS,
+             -0.5 * EPS, -2.0 * EPS, -1.0, 2.0, math.nan, math.inf]
+
+
+@st.composite
+def realizer_entries(draw, space):
+    """Pairs (p, q) of a product and parameters along them: timelike pairs,
+    pairs with one factor point (vertical), null and unrelated pairs."""
+    sample = space.factor.sample()
+    entries = []
+    for _ in range(draw(st.integers(0, 8))):
+        p = (draw(st.sampled_from([-1.0, -0.0, 0.0, 0.5])),
+             draw(st.sampled_from(sample)))
+        q = (p[0] + draw(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, -0.5])),
+             draw(st.sampled_from(sample)))
+        total = space.tau(p, q)
+        if draw(st.integers(0, 3)):
+            s = total * draw(st.sampled_from([0.0, -0.0, 0.3, 0.5, 1.0]))
+        else:
+            frac = draw(st.sampled_from(FRACTIONS))
+            s = draw(st.sampled_from([total * frac, frac,
+                                      draw(st.floats(-1.0, 3.0))]))
+        entries.append((p, q, s))
+    return entries
+
+
+class TestRealizerPointsMatchScalar:
+    @pytest.mark.parametrize("kind", sorted(REALIZER_FACTORS))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_entries(self, kind, data):
+        space = ProductSpace(REALIZER_FACTORS[kind])
+        entries = data.draw(realizer_entries(space))
+        starts, ends, params = (list(col) for col in zip(*entries)) \
+            if entries else ([], [], [])
+        got = outcome(space.realizer_points, starts, ends, params)
+        want = outcome(realizer_points_loops, space, starts, ends, params)
+        if isinstance(want, list):
+            assert [point_bits(p) for p in got] == \
+                [point_bits(p) for p in want]
+            # the kept arrays are the ones a conversion gives
+            t, x = space.point_arrays(got)
+            t_want, x_want = space._convert(want)
+            assert bits(t.tolist()) == bits(t_want.tolist())
+            assert [point_bits(v) for v in x.tolist()] == \
+                [point_bits(v) for v in x_want.tolist()]
+        else:
+            assert got == want
+
+    def test_first_failing_entry_in_order(self):
+        seg = ProductSpace(REALIZER_FACTORS["segment"])
+        ok = ((0.0, 0.0), (1.0, 0.5), 0.5)
+        null = ((0.0, 0.0), (0.5, 0.5), 0.1)
+        outside = ((0.0, 0.0), (1.0, 0.5), 2.0)
+        for entries, message in (
+                ([ok, outside, null],
+                 "parameter outside the maximizer"),
+                ([ok, null, outside],
+                 "maximizer parametrization needs a timelike pair")):
+            args = [list(col) for col in zip(*entries)]
+            assert outcome(seg.realizer_points, *args) == \
+                outcome(realizer_points_loops, seg, *args) == \
+                (PreconditionError, message)
+        # a table factor interpolates nothing: its first pair with two
+        # factor points fails, unless an earlier entry does
+        table = ProductSpace(REALIZER_FACTORS["table"])
+        vertical = ((0.0, 1), (1.0, 1), 0.5)
+        moving = ((0.0, 0), (2.0, 2), 0.5)
+        beyond = ((0.0, 0), (2.0, 2), 5.0)
+        for entries, message in (
+                ([vertical, moving, beyond],
+                 "factor has no minimizer structure"),
+                ([vertical, beyond, moving],
+                 "parameter outside the maximizer")):
+            args = [list(col) for col in zip(*entries)]
+            assert outcome(table.realizer_points, *args) == \
+                outcome(realizer_points_loops, table, *args) == \
+                (PreconditionError, message)
+        assert list(table.realizer_points(*[list(col) for col in
+                                            zip(vertical, vertical)])) == \
+            realizer_points_loops(table, *[list(col) for col in
+                                           zip(vertical, vertical)])
+        # a parameter of -0.0 stays -0.0, as min and max keep it
+        args = [[(-0.0, 0.0)], [(1.0, 0.5)], [-0.0]]
+        got = seg.realizer_points(*args)
+        assert point_bits(got[0]) == point_bits(
+            realizer_points_loops(seg, *args)[0])
+        assert math.copysign(1.0, got[0][0]) == -1.0
+
+
+class TestInterpolateArrayMatchesScalar:
+    @pytest.mark.parametrize("kind", sorted(REALIZER_FACTORS))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_pairs(self, kind, data):
+        factor = REALIZER_FACTORS[kind]
+        pts = st.sampled_from(factor.sample())
+        n = data.draw(st.integers(0, 8))
+        a = [data.draw(pts) for _ in range(n)]
+        b = [data.draw(pts) for _ in range(n)]
+        frac = [data.draw(st.sampled_from(FRACTIONS)) for _ in range(n)]
+        got = factor.interpolate_array(factor.point_array(a),
+                                       factor.point_array(b), np.array(frac))
+        want = [factor.interpolate(x, y, f) for x, y, f in zip(a, b, frac)]
+        assert [point_bits(v) for v in got.tolist()] == \
+            [point_bits(v) for v in want]

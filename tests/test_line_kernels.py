@@ -2,7 +2,8 @@
 versions they replaced.
 
 The loops below are the former implementations of ``LineDescriptor.point_at``
-and ``has_param``, ``line_point``, ``is_line``, ``product_image_defect``,
+and ``has_param``, ``line_point``, ``validate_chain``,
+``reparametrize_tau_arclength``, ``is_line``, ``product_image_defect``,
 ``build_splitting_map``, ``check_slice_alexandrov``, ``c_functions``,
 ``test_parallel`` (with its least-squares shift), the pairwise distance
 loop and the footpoint dedupe of ``extract_slice``, the crossing count of
@@ -30,7 +31,8 @@ from lorentz_lab import chains, splitting
 from lorentz_lab.asymptotics import (LineDescriptor, build_asymptotic_line,
                                      busemann_value, in_timelike_envelope,
                                      line_point, vertical_line)
-from lorentz_lab.chains import CausalChain, LineCheck, is_line, validate_chain
+from lorentz_lab.chains import (CausalChain, LineCheck, is_line,
+                                reparametrize_tau_arclength, validate_chain)
 from lorentz_lab.core import EPS, FiniteLorentzSpace, PreconditionError
 from lorentz_lab.models import (EuclideanSegment, ExplicitTable, PlaneSample,
                                 ProductSpace, TripodGraph, _product_tau,
@@ -96,8 +98,28 @@ def line_point_loops(space, line, param):
     raise PreconditionError(f"parameter {param} outside the line extent")
 
 
+def validate_chain_loops(space, chain):
+    nonconstant = False
+    for a, b in chain.pairs():
+        if not space.leq(a, b):
+            raise PreconditionError(f"chain step {a} -> {b} is not causal")
+        if a != b:
+            nonconstant = True
+    if not nonconstant:
+        raise PreconditionError("chain is constant")
+
+
+def reparametrize_loops(space, chain):
+    validate_chain_loops(space, chain)
+    steps = [space.tau(a, b) for a, b in chain.pairs()]
+    for (a, b), step in zip(chain.pairs(), steps):
+        if step <= 0.0:
+            raise PreconditionError(f"null step {a} -> {b}: cannot parametrize")
+    return list(itertools.accumulate(steps, initial=0.0))
+
+
 def is_line_loops(space, chain, tol=EPS):
-    validate_chain(space, chain)
+    validate_chain_loops(space, chain)
     pts = chain.points
     steps = [space.tau(a, b) for a, b in chain.pairs()]
     cum = [0.0]
@@ -547,6 +569,50 @@ def finite_chain(space, seed):
         v = rng.choice(nxt)
         chain.append(v)
     return chain
+
+
+def chain_outcomes(space, chain):
+    """validate_chain and reparametrize_tau_arclength against their loops:
+    the same parameters bit for bit, or the same error."""
+    assert outcome(validate_chain, space, chain) == \
+        outcome(validate_chain_loops, space, chain)
+    got = outcome(reparametrize_tau_arclength, space, chain)
+    want = outcome(reparametrize_loops, space, chain)
+    if isinstance(want, list):
+        assert bits(got) == bits(want)
+    else:
+        assert got == want
+    return want
+
+
+class TestChainChecksMatchLoops:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(sorted(FACTORS)), data=st.data())
+    def test_product_points(self, kind, data):
+        # any points: non-causal, null and repeated steps, inf and NaN
+        points = data.draw(product_points(kind))
+        assume(len(points) >= 2)
+        chain_outcomes(ProductSpace(FACTORS[kind]), CausalChain(tuple(points)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 8), seed=SEEDS, data=st.data())
+    def test_finite_tables(self, n, seed, data):
+        points = data.draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                    max_size=10))
+        chain_outcomes(finite_space(n, seed), CausalChain(tuple(points)))
+
+    def test_first_failure_in_order(self):
+        space = ProductSpace(EuclideanSegment(-5.0, 5.0, 41))
+        for points, message in (
+                # two non-causal steps: the first is reported
+                ([(0.0, 0.0), (1.0, 0.0), (1.5, 2.0), (1.6, -3.0)],
+                 "chain step (1.0, 0.0) -> (1.5, 2.0) is not causal"),
+                ([(1.0, 0.5), (1.0, 0.5), (1.0, 0.5)], "chain is constant"),
+                # a null step after a timelike one
+                ([(0.0, 0.0), (1.0, 0.0), (1.5, 0.5), (2.0, 0.0)],
+                 "null step (1.0, 0.0) -> (1.5, 0.5): cannot parametrize")):
+            chain = CausalChain(tuple(points))
+            assert chain_outcomes(space, chain) == (PreconditionError, message)
 
 
 class TestIsLineMatchesLoops:
