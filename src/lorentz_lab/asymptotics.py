@@ -44,11 +44,14 @@ class LineDescriptor:
 
     def knot_index(self, t):
         """Index of the first knot p with |p - t| <= 1e-9 max(1, |t|), or
-        None.  p - t rounds monotonically in p, so over the increasing
-        parameters the matching knots are one run, starting at the first p
-        with p - t >= -tol.  Bisecting for t - tol lands next to it (t - tol
-        rounds otherwise than p - t, and is NaN at t = inf), and the
+        None; a parameter that is not finite names no knot (at t = inf the
+        tolerance would be infinite).  p - t rounds monotonically in p, so
+        over the increasing parameters the matching knots are one run,
+        starting at the first p with p - t >= -tol.  Bisecting for t - tol
+        lands next to it (t - tol rounds otherwise than p - t), and the
         predicate itself walks the last steps."""
+        if not math.isfinite(t):
+            return None
         ps = self.params
         tol = 1e-9 * max(1.0, abs(t))
         i = bisect.bisect_left(ps, t - tol)
@@ -345,6 +348,8 @@ def busemann_value(space, line: LineDescriptor, p, horizons,
     transverse^2 / (2 (t_max - value)).
     """
     horizons = sorted(horizons)
+    if not horizons:
+        raise PreconditionError("need at least one horizon")
     samples = []
     for t in horizons:
         i = line.knot_index(t)

@@ -235,6 +235,19 @@ def _product_tau_array(dt, dist):
         return np.where((dt < dist) | ~(rad > 0.0), 0.0, np.sqrt(rad))
 
 
+def _product_d_array(dt, dist):
+    """``sqrt(dt * dt + dist * dist)`` elementwise, within 2.2e-16 relative
+    of ``math.hypot``; ``np.hypot`` where that leaves [1e-150, 1e150], where
+    the squares may overflow or underflow.  The distances of a product's
+    ``d_array`` and of a sprinkled causal set."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.sqrt(dt * dt + dist * dist)
+        wide = ~((out >= 1e-150) & (out <= 1e150))
+    if wide.any():
+        out[wide] = np.hypot(dt[wide], dist[wide])
+    return out
+
+
 def _clip_unit(lam):
     """``min(max(lam, 0.0), 1.0)`` elementwise, bit for bit, as a new array:
     Python keeps the first argument on ties, so -0.0 and NaN pass
@@ -334,16 +347,7 @@ class ProductSpace(LorentzQuery):
         return t[j] - t[i], self.factor.distance_array(x, i, j)
 
     def d_array(self, points, i, j):
-        """``sqrt(dt * dt + dist * dist)``, within 2.2e-16 relative of
-        ``d``; ``np.hypot`` where that leaves [1e-150, 1e150], where the
-        squares may overflow or underflow."""
-        dt, dist = self._dt_dist(points, i, j)
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = np.sqrt(dt * dt + dist * dist)
-            wide = ~((out >= 1e-150) & (out <= 1e150))
-        if wide.any():
-            out[wide] = np.hypot(dt[wide], dist[wide])
-        return out
+        return _product_d_array(*self._dt_dist(points, i, j))
 
     def leq_array(self, points, i, j):
         dt, dist = self._dt_dist(points, i, j)
@@ -387,7 +391,7 @@ class ProductSpace(LorentzQuery):
         if total <= 0.0:
             raise PreconditionError("maximizer parametrization needs a timelike pair")
         lam = tau_param / total
-        if lam < -EPS or lam > 1.0 + EPS:
+        if not -EPS <= lam <= 1.0 + EPS:
             raise PreconditionError("parameter outside the maximizer")
         lam = min(max(lam, 0.0), 1.0)
         if self.factor.distance(p[1], q[1]) == 0.0:
@@ -412,7 +416,7 @@ class ProductSpace(LorentzQuery):
         total = _product_tau_array(t1 - t0, dist)
         with np.errstate(divide="ignore", invalid="ignore"):
             lam = np.asarray(params, dtype=float) / total
-        failed = (total <= 0.0) | (lam < -EPS) | (lam > 1.0 + EPS)
+        failed = (total <= 0.0) | ~((-EPS <= lam) & (lam <= 1.0 + EPS))
         stop = int(failed.argmax()) if failed.any() else n
         lam = _clip_unit(lam[:stop])
         moving = dist[:stop] != 0.0

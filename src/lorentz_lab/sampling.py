@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 
 import numpy as np
 
@@ -16,92 +15,14 @@ from .core import FiniteLorentzSpace, PreconditionError
 from . import chains
 from .chains import CausalChain
 from .comparison import Leg, SpaceTriangle
-from .models import EuclideanSegment, ProductSpace, _product_tau_array
+from .models import (EuclideanSegment, ProductSpace, _product_d_array,
+                     _product_tau_array)
 
 
 def sprinkle_points(n, seed):
     """n points drawn uniformly from the box [-2, 2] x [-2, 2]."""
     rng = random.Random(seed)
     return [(rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)) for _ in range(n)]
-
-
-# Dekker's splitting constant 2^27 + 1 (CPython's ``T27``)
-_SPLIT = 134217729.0
-
-
-def _square(x):
-    """x * x and its rounding error, exactly (Dekker's ``mul12``, as
-    CPython's ``dl_mul``).  Overwrites x."""
-    z = x * x
-    hi = x * _SPLIT
-    hi -= hi - x
-    x -= hi                 # the low half
-    cross = hi * x          # hi * lo, which equals lo * hi
-    hi *= hi
-    hi -= z
-    hi += cross
-    hi += cross
-    x *= x
-    hi += x
-    return z, hi
-
-
-def _hypot(a, b):
-    """``math.hypot(a, b)`` elementwise, bit for bit, for float arrays a
-    and b of one shape, which it overwrites: CPython's two-argument
-    ``vector_norm`` transcribed to arrays.  Both magnitudes are scaled by
-    the power of two that brings the larger into [0.5, 1), their exact
-    squares are added into ``csum = 1`` with compensated sums, and the
-    square root gets one differential correction.  Entries whose larger
-    magnitude is zero, subnormal or not finite (where the scaling would
-    overflow) are left to ``math.hypot``, one at a time.
-
-    The steps are CPython's, in its order, run in place: a call holds at
-    most seven arrays of the input's size besides a and b."""
-    np.abs(a, out=a)
-    np.abs(b, out=b)
-    scale = np.maximum(a, b)
-    odd = np.flatnonzero(~((scale >= sys.float_info.min) & (scale < math.inf)))
-    slow = list(map(math.hypot, a.flat[odd].tolist(), b.flat[odd].tolist()))
-    with np.errstate(all="ignore"):
-        np.ldexp(1.0, -np.frexp(scale)[1], out=scale)
-        a *= scale
-        b *= scale
-        # csum = 1 + a², with the rounding error of the square in frac1 and
-        # that of the sum in frac2 (CPython adds each to 0.0 first, which
-        # changes at most the sign of a zero)
-        sq, frac1 = _square(a)
-        csum = np.add(1.0, sq, out=a)
-        sq += 1.0 - csum
-        frac2 = sq
-        # csum += b²
-        sq, err = _square(b)
-        total = np.add(csum, sq, out=b)
-        err += frac1
-        frac1 = err
-        csum -= total
-        csum += sq
-        frac2 += csum
-        h = np.subtract(total, 1.0, out=csum)
-        h += np.add(frac1, frac2, out=sq)
-        np.sqrt(h, out=h)
-        # csum -= h², then h += (csum - 1) / (2 h)
-        np.copyto(sq, h)
-        sq, err = _square(sq)
-        frac1 -= err
-        csum = total
-        total = np.subtract(csum, sq, out=err)
-        csum -= total
-        csum -= sq
-        frac2 += csum
-        frac1 += frac2
-        total -= 1.0
-        total += frac1
-        total /= 2.0 * h
-        h += total
-        h /= scale
-    h.flat[odd] = slow
-    return h
 
 
 def _random_stream(rng: random.Random):
@@ -142,12 +63,11 @@ def sprinkle_causal_set(n, seed, weighted=True) -> FiniteLorentzSpace:
     ``chains.PAIR_BLOCK`` entries and at most a quarter of the rows at a
     time, so that a block's temporaries stay below the tables' own size and
     the peak memory is the construction's copy of the tables.  Distances
-    use ``_hypot`` (``math.hypot`` bit for bit; ``np.hypot`` can differ in
-    the last bit), on the columns after each block's first row only, as
-    ``hypot(-a, -b)`` equals ``hypot(a, b)``.  The weights of a weighted
-    sprinkle are the values ``rng.uniform(0.05, 2.0)`` would draw one per
-    timelike pair in row-major order, drawn a block at a time from
-    ``_random_stream``."""
+    are those of the flat product's ``d_array`` (``_product_d_array``), on
+    the columns after each block's first row only, as they are symmetric.
+    The weights of a weighted sprinkle are the values
+    ``rng.uniform(0.05, 2.0)`` would draw one per timelike pair in
+    row-major order, drawn a block at a time from ``_random_stream``."""
     pts = np.array(sprinkle_points(n, seed), dtype=float).reshape(n, 2)
     t, x = pts[:, 0], pts[:, 1]
     draws = _random_stream(random.Random(seed + 10_000)) if weighted else None
@@ -159,8 +79,8 @@ def sprinkle_causal_set(n, seed, weighted=True) -> FiniteLorentzSpace:
     for i in range(0, n, step):
         rows = slice(i, i + step)
         leq[rows], ll[rows], tau[rows] = _causal_rows(t, x, rows, draws)
-        d[rows, i + 1:] = _hypot(t[i + 1:] - t[rows, None],
-                                 x[i + 1:] - x[rows, None])
+        d[rows, i + 1:] = _product_d_array(t[i + 1:] - t[rows, None],
+                                           x[i + 1:] - x[rows, None])
     np.fill_diagonal(leq, True)
     # every entry above the diagonal is set, and those set below it hold
     # the same value as their mirror image

@@ -287,7 +287,7 @@ def synchronized_times(space, line: LineDescriptor, points, horizons):
             a > a[rows[:, None], np.maximum(prev, 0)] + EPS)
         few = usable.sum(axis=1) < 2
         if few.all():    # so also when no horizon has a knot
-            _raise_synchronized(points[0], usable[0], sep[0], rising[0], hs)
+            _raise_synchronized(space, line, points[0], usable[0], hs)
         # the last two usable samples (any two on the failing rows)
         i2 = last[:, -1]
         i1 = prev[rows, i2]
@@ -297,26 +297,19 @@ def synchronized_times(space, line: LineDescriptor, points, horizons):
                    | rising.any(axis=1) | (~close & (t2 - t1 == 0.0)))
         if failing.any():
             r = int(np.argmax(failing))
-            _raise_synchronized(points[r], usable[r], sep[r], rising[r], hs)
+            _raise_synchronized(space, line, points[r], usable[r], hs)
         return np.where(close, a2, (2.0 * t2 * a2 - 2.0 * t1 * a1
                                     - (a2 * a2 - a1 * a1)) / (2.0 * (t2 - t1)))
 
 
-def _raise_synchronized(p, usable, sep, rising, hs):
-    """The error of ``synchronized_time`` at p, given its row of the
-    ``synchronized_times`` pass."""
+def _raise_synchronized(space, line, p, usable, hs):
+    """The error of ``synchronized_time`` at p, given its row of usable
+    horizons in the ``synchronized_times`` pass: too few of them, or the
+    error ``busemann_value`` raises over them."""
     if usable.sum() < 2:
         raise PreconditionError(
             f"fewer than two horizons remain timelike related to {p}")
-    if (usable & (sep <= 0.0)).any():
-        raise PreconditionError(
-            "point is not timelike related to the line at parameter "
-            f"{hs[int(np.argmax(usable & (sep <= 0.0)))]}")
-    if rising.any():
-        raise PreconditionError(
-            "samples increase along the line: input is not a maximizing "
-            "line or the table is not intrinsic")
-    raise ZeroDivisionError("float division by zero")
+    busemann_value(space, line, p, [hs[k] for k in np.flatnonzero(usable)])
 
 
 def check_cauchy_slices(space, result: SplittingResult, test_chains,

@@ -240,6 +240,15 @@ class TestBusemann:
         with pytest.raises(PreconditionError, match="increase"):
             busemann_value(space, line, 3, [1.0, 2.0])
 
+    def test_no_horizons_rejected(self, segment_product, product_gamma):
+        with pytest.raises(PreconditionError,
+                           match="need at least one horizon"):
+            busemann_value(segment_product, product_gamma, (0.0, 0.5), [])
+        with pytest.raises(PreconditionError,
+                           match="need at least one horizon"):
+            verticality_report(segment_product, product_gamma, (0.0, 0.0),
+                               (1.5, 0.2), [])
+
 
 class TestAsymptoteInvariants:
     def test_shift_covariance(self, segment_product, product_gamma):
@@ -294,6 +303,22 @@ class TestLinePoint:
     def test_outside_extent_rejected(self, segment_product, product_gamma):
         with pytest.raises(PreconditionError):
             line_point(segment_product, product_gamma, 400.0)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf])
+    def test_infinite_parameter_names_no_knot(self, segment_product,
+                                              product_gamma, t):
+        # an infinite tolerance would match the first knot, (-260.0, 0.5)
+        assert product_gamma.knot_index(t) is None
+        assert not product_gamma.has_param(t)
+        with pytest.raises(PreconditionError,
+                           match=f"parameter {t} is not a knot"):
+            product_gamma.point_at(t)
+        with pytest.raises(PreconditionError,
+                           match=f"parameter {t} outside the line extent"):
+            line_point(segment_product, product_gamma, t)
+        with pytest.raises(PreconditionError,
+                           match=f"no line knot at parameter {t}"):
+            busemann_value(segment_product, product_gamma, (0.0, 0.5), [t])
 
     def test_line_from_chain_verifies(self, mink):
         chain = CausalChain(((0.0, 0.0), (1.0, 0.5), (2.0, 0.0)))

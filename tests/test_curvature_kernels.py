@@ -897,6 +897,11 @@ class TestRealizerPointsMatchScalar:
                                             zip(vertical, vertical)])) == \
             realizer_points_loops(table, *[list(col) for col in
                                            zip(vertical, vertical)])
+        # a NaN parameter lies on no maximizer
+        args = [[(0.0, 0.0)], [(1.0, 0.5)], [math.nan]]
+        assert outcome(seg.realizer_point, *(a[0] for a in args)) == \
+            outcome(seg.realizer_points, *args) == \
+            (PreconditionError, "parameter outside the maximizer")
         # a parameter of -0.0 stays -0.0, as min and max keep it
         args = [[(-0.0, 0.0)], [(1.0, 0.5)], [-0.0]]
         got = seg.realizer_points(*args)

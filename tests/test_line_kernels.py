@@ -77,13 +77,14 @@ def outcome(fn, *args):
 
 def point_at_loops(line, t):
     for p, pt in zip(line.params, line.chain.points):
-        if abs(p - t) <= 1e-9 * max(1.0, abs(t)):
+        if math.isfinite(t) and abs(p - t) <= 1e-9 * max(1.0, abs(t)):
             return pt
     raise PreconditionError(f"parameter {t} is not a knot of this line")
 
 
 def has_param_loops(line, t):
-    return any(abs(p - t) <= 1e-9 * max(1.0, abs(t)) for p in line.params)
+    return math.isfinite(t) and \
+        any(abs(p - t) <= 1e-9 * max(1.0, abs(t)) for p in line.params)
 
 
 def line_point_loops(space, line, param):

@@ -9,14 +9,14 @@ witnesses, the same errors and the same values, bit for bit.  The level
 order of ``_topological_order`` has its own loop, ``level_order_loops``;
 the former smallest-vertex-first loop stays as a second order that the
 maximizers must not notice, and the former ``maximize_tau`` as the
-maximizers' oracle.  The sprinkle's array hypot and bulk draws are
-pinned to ``math.hypot`` and ``random.Random.random``.
+maximizers' oracle.  The sprinkle's distances are pinned to the flat
+product's ``sqrt(dt * dt + dx * dx)`` and its bulk draws to
+``random.Random.random``.
 """
 
 import itertools
 import math
 import random
-import sys
 import tracemalloc
 from unittest import mock
 
@@ -30,7 +30,7 @@ from lorentz_lab.comparison import SpaceTriangle
 from lorentz_lab.core import (EPS, AxiomCheck, FiniteLorentzSpace,
                               PreconditionError, ValidationReport,
                               validate_axioms)
-from lorentz_lab.models import tau_minkowski
+from lorentz_lab.models import minkowski_space, tau_minkowski
 from lorentz_lab.sampling import (finite_triangles, flat_finite_space,
                                   sprinkle_causal_set)
 from lorentz_lab.splitting import slice_from_table
@@ -338,7 +338,8 @@ def sprinkle_causal_set_loops(n, seed, weighted=True):
         for j, q in enumerate(pts):
             if i == j:
                 continue
-            d[i, j] = max(math.hypot(q[0] - p[0], q[1] - p[1]), 1e-6)
+            dt, dx = q[0] - p[0], q[1] - p[1]
+            d[i, j] = max(math.sqrt(dt * dt + dx * dx), 1e-6)
             if q[0] - p[0] >= abs(q[1] - p[1]) and q != p:
                 leq[i, j] = True
                 ll[i, j] = q[0] - p[0] > abs(q[1] - p[1])
@@ -648,6 +649,18 @@ class TestSprinkleMatchesLoop:
         assert table_bytes(flat_finite_space(60, 11)) == \
             table_bytes(sprinkle_causal_set_loops(60, 11, weighted=False))
 
+    @pytest.mark.parametrize("n", [10, 50, 200])
+    def test_distances_are_the_flat_products(self, n):
+        """A sprinkle's distances are the flat product's ``d_array`` over
+        its points, bit for bit, clamped at 1e-6 off the diagonal."""
+        flat = minkowski_space(x_min=-2.0, x_max=2.0)
+        i, j = np.indices((n, n))
+        for seed in range(5):
+            want = flat.d_array(sampling.sprinkle_points(n, seed), i, j)
+            np.maximum(want, 1e-6, out=want)
+            np.fill_diagonal(want, 0.0)
+            assert flat_finite_space(n, seed)._d.tobytes() == want.tobytes()
+
     @settings(max_examples=80, deadline=None)
     @given(pts=st.lists(st.tuples(GRID, GRID), max_size=14), seed=SEEDS,
            weighted=st.booleans(), block=st.sampled_from([1, 7, 40]))
@@ -682,52 +695,6 @@ class TestSprinkleMatchesLoop:
         finally:
             tracemalloc.stop()
         assert peak <= sum(a.nbytes for a in tables) + construction + 65536
-
-
-TINY = sys.float_info.min
-MAGNITUDES = st.floats() | st.sampled_from([
-    0.0, -0.0, 5e-324, -5e-324, TINY / 3, TINY, -TINY, 1.5 * TINY,
-    sys.float_info.max, -sys.float_info.max, 1e300, math.inf, -math.inf,
-    math.nan, 0.1, 0.3 - 0.1, 0.2])
-
-
-def hypot_loops(a, b):
-    return np.array(list(map(math.hypot, a.ravel().tolist(),
-                             b.ravel().tolist()))).reshape(a.shape)
-
-
-class TestArrayHypotMatchesMath:
-    @settings(max_examples=200, deadline=None)
-    @given(pairs=st.lists(st.tuples(MAGNITUDES, MAGNITUDES), min_size=1,
-                          max_size=30))
-    def test_pairs(self, pairs):
-        a, b = (np.array(c, dtype=float) for c in zip(*pairs))
-        assert sampling._hypot(a.copy(), b.copy()).tobytes() == \
-            hypot_loops(a, b).tobytes()
-
-    @settings(max_examples=200, deadline=None)
-    @given(x=MAGNITUDES, power=st.integers(-1100, 60),
-           ratio=st.floats(1e-20, 1.0), signs=st.sampled_from([1.0, -1.0]))
-    def test_equal_and_proportional(self, x, power, ratio, signs):
-        """Equal magnitudes, opposite signs, ratios down to 1e-20 and
-        powers of two reaching the subnormal range."""
-        with np.errstate(over="ignore"):
-            a = np.array([x, x, x, x * ratio, np.ldexp(1.0, power), -0.0])
-            b = np.array([x, -x, x * ratio, x, signs * np.ldexp(x, power), x])
-        assert sampling._hypot(a.copy(), b.copy()).tobytes() == \
-            hypot_loops(a, b).tobytes()
-
-    @settings(max_examples=20, deadline=None)
-    @given(seed=SEEDS, rows=st.integers(1, 9), cols=st.integers(0, 50))
-    def test_blocks_of_differences(self, seed, rows, cols):
-        """Two-dimensional blocks of coordinate differences, as the
-        sprinkle passes them."""
-        rng = np.random.default_rng(seed)
-        t, x = rng.uniform(-2.0, 2.0, (2, cols))
-        a, b = t - t[:rows, None], x - x[:rows, None]
-        got = sampling._hypot(a.copy(), b.copy())
-        assert got.shape == a.shape
-        assert got.tobytes() == hypot_loops(a, b).tobytes()
 
 
 class TestRandomStreamMatchesRandom:
