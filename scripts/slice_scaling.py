@@ -9,10 +9,12 @@ factor points, with time steps 0.05, 0.025, 0.01, 0.005 and 0.0025, and
 times it, best of five:
 
 * ``extract_slice_s``: the whole extraction;
-* ``verdict_pass_s``: the extraction with its asymptotes replayed from an
-  earlier call, so that what remains is the parallel verdict of every
-  member pair, with the member dedupe and the metric check of the table,
-  the part that grows with the number of member pairs;
+* ``verdict_pass_s``: the extraction with its seed steps (the envelope
+  check, the synchronized times, the asymptotic lines and their
+  footpoints) replayed from an earlier call, so that what remains is the
+  parallel verdict of every member pair, with the member dedupe and the
+  metric check of the table, the part that grows with the number of
+  member pairs;
 * ``build_splitting_map_s``: the map of that slice on the 41 time knots
   -2, -1.9, ..., 2 without a cover sample, as ``splitting_demo.py`` builds
   it.  Its tau defect, causal-order mismatches and bijectivity verdict are
@@ -51,22 +53,25 @@ LEVELS = [-1.0, 0.0, 1.0]
 ALEXANDROV_MAX_MEMBERS = 101
 LINE_KNOTS = (521, 2001)
 REPEATS = 5
-# what extract_slice builds per seed before it compares member pairs
-REPLAYED = ("in_timelike_envelope", "busemann_value", "build_asymptotic_line",
-            "line_point")
+# what extract_slice builds for its seeds before it compares member pairs
+REPLAYED = ("in_timelike_envelopes", "_busemann_values", "_asymptotic_lines",
+            "_line_points")
 
 
-def replaying(fn):
-    """fn, answering each argument list it has seen (by the identity of the
-    arguments) with its first result."""
-    seen = {}
+class Replaying:
+    """fn, recording its results while ``recording``, then answering its
+    calls with the recorded results in turn: one extraction makes the same
+    calls in the same order every time."""
 
-    def replay(*args, **kw):
-        key = tuple(map(id, args)) + tuple((k, id(v)) for k, v in kw.items())
-        if key not in seen:
-            seen[key] = (fn(*args, **kw), args, kw)   # keeps the ids alive
-        return seen[key][0]
-    return replay
+    def __init__(self, fn):
+        self.fn, self.results, self.recording, self.turn = fn, [], True, 0
+
+    def __call__(self, *args, **kw):
+        if self.recording:
+            self.results.append(self.fn(*args, **kw))
+            return self.results[-1]
+        self.turn += 1
+        return self.results[(self.turn - 1) % len(self.results)]
 
 
 def measure(factor_points, t_step):
@@ -90,9 +95,12 @@ def measure(factor_points, t_step):
     mapped = best_time(split, REPEATS)
     saved = {name: getattr(splitting, name) for name in REPLAYED}
     try:
-        for name, fn in saved.items():
-            setattr(splitting, name, replaying(fn))
+        replays = [Replaying(fn) for fn in saved.values()]
+        for name, replay in zip(saved, replays):
+            setattr(splitting, name, replay)
         extract()
+        for replay in replays:
+            replay.recording = False
         verdicts = best_time(extract, REPEATS)
     finally:
         for name, fn in saved.items():

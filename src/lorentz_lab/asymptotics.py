@@ -16,7 +16,9 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import EPS, FiniteLorentzSpace, LorentzQuery, PreconditionError
+from . import chains
+from .core import (EPS, FiniteLorentzSpace, LorentzQuery, PointTuple,
+                   PreconditionError)
 from .chains import CausalChain, is_line, maximize_tau, reparametrize_tau_arclength
 from .comparison import Leg
 
@@ -103,32 +105,79 @@ def vertical_line(space, x0, t_params) -> LineDescriptor:
 
 
 def in_timelike_envelope(space, line: LineDescriptor, p) -> bool:
-    """Whether p is timelike related to some line point in both directions,
-    decided by one ``ll_array`` call over both directions on the line's
-    kept knot arrays."""
-    n = len(line.chain.points)
-    # row 0 pairs each knot with p, row 1 p with each knot
-    pairs = np.full((2, n), n)
+    """Whether p is timelike related to some line point in both
+    directions."""
+    return bool(in_timelike_envelopes(space, line, (p,))[0])
+
+
+def in_timelike_envelopes(space, line: LineDescriptor, points):
+    """``in_timelike_envelope`` of each point, as a boolean array, decided
+    by one ``ll_array`` call over both directions on the line's kept knot
+    arrays joined with the points."""
+    n, m = len(line.chain.points), len(points)
+    # [0, s] pairs each knot with point s, [1, s] point s with each knot
+    pairs = np.empty((2, m, n), dtype=np.intp)
     pairs[0] = np.arange(n)
-    related = space.ll_array(line.chain.points.joined((p,)), pairs,
+    pairs[1] = np.arange(n, n + m)[:, None]
+    related = space.ll_array(line.chain.points.joined(points), pairs,
                              pairs[::-1])
-    return bool(related[0].any() and related[1].any())
+    return related[0].any(axis=1) & related[1].any(axis=1)
 
 
 def line_point(space, line: LineDescriptor, param):
     """Line point at an arbitrary parameter: the knot when one exists, the
     point of the connecting maximizer between the bracketing knots otherwise
     (model spaces only)."""
+    found = _bracket(line, param)
+    if found is None:
+        raise PreconditionError(f"parameter {param} outside the line extent")
+    i, on_knot = found
     ps, pts = line.params, line.chain.points
+    if on_knot:
+        return pts[i]
+    if hasattr(space, "realizer_point"):
+        return space.realizer_point(pts[i], pts[i + 1], param - ps[i])
+    return pts[i] if param - ps[i] <= ps[i + 1] - param else pts[i + 1]
+
+
+def _bracket(line, param):
+    """``(i, True)`` for the knot i that param names, ``(i, False)`` for
+    the knots ``ps[i] < param < ps[i + 1]`` around it, or None outside the
+    line extent."""
+    ps = line.params
     i = line.knot_index(param)
     if i is not None:
-        return pts[i]
+        return i, True
     i = bisect.bisect_left(ps, param) - 1   # ps[i] < param <= ps[i + 1]
     if 0 <= i < len(ps) - 1 and param < ps[i + 1]:
-        if hasattr(space, "realizer_point"):
-            return space.realizer_point(pts[i], pts[i + 1], param - ps[i])
-        return pts[i] if param - ps[i] <= ps[i + 1] - param else pts[i + 1]
-    raise PreconditionError(f"parameter {param} outside the line extent")
+        return i, False
+    return None
+
+
+def _line_points(space, lines, param):
+    """``line_point(space, line, param)`` of each line, or None where it
+    raises; the points between knots of a model space come from one
+    ``realizer_points`` call."""
+    out = [None] * len(lines)
+    between = []
+    for k, line in enumerate(lines):
+        found = _bracket(line, param)
+        if found is None:
+            continue
+        i, on_knot = found
+        if not on_knot and hasattr(space, "realizer_point"):
+            between.append((k, line.chain.points[i], line.chain.points[i + 1],
+                            param - line.params[i]))
+        else:
+            out[k] = line_point(space, line, param)
+    if between:
+        ks, starts, ends, params = zip(*between)
+        pts, m = PointTuple(starts).joined(ends), len(ks)
+        got, good = _realized(space, pts, np.arange(m), np.arange(m, 2 * m),
+                              np.array(params, dtype=float))
+        for k, q in zip(np.array(ks)[good].tolist(), got):
+            out[k] = q
+    return out
 
 
 @dataclass(frozen=True)
@@ -261,6 +310,7 @@ def check_tcrc(space, line: LineDescriptor, probes, horizons,
                knot_extent=None) -> TimelikeCoRayReport:
     """Build asymptotes at every probe point and flag any whose limit chain
     contains a null-leaning step."""
+    horizons, directions = list(horizons), list(directions)
     witnesses = []
     n = 0
     for p in probes:
@@ -316,10 +366,231 @@ def build_asymptotic_line(space, line: LineDescriptor, p, horizons,
     separation from p shifted by ``busemann_shift`` (pass the
     synchronization value of p to put the line into synchronized
     parametrization)."""
+    return build_asymptotic_lines(space, line, (p,), horizons,
+                                  (busemann_shift,), knot_extent)[0]
+
+
+def build_asymptotic_lines(space, line: LineDescriptor, points, horizons,
+                           shifts, knot_extent=None):
+    """``build_asymptotic_line`` of each point at its shift, bit for bit, as
+    a list; the error raised is the one the per-point loop meets first.
+
+    The envelope, the horizon knots and the relatedness of every point to
+    them are decided in array passes, the limits of every point at once
+    (``_asymptotic_lines``); a point on which any step may fail is built
+    by the per-point steps, which raise its error."""
+    points, horizons = tuple(points), sorted(horizons)
+    lines = [None] * len(points)
+    inside = np.flatnonzero(in_timelike_envelopes(space, line, points))
+    built = _asymptotic_lines(space, line, [points[k] for k in inside],
+                              horizons, [shifts[k] for k in inside],
+                              knot_extent)
+    for k, out in zip(inside.tolist(), built):
+        lines[k] = out
+    return [_asymptotic_line(space, line, p, horizons, shift, knot_extent)
+            if out is None else out
+            for p, shift, out in zip(points, shifts, lines)]
+
+
+def _asymptotic_line(space, line, p, horizons, shift, knot_extent):
+    """``build_asymptotic_line`` by its per-point steps: both asymptotes,
+    their join and the shift."""
     fut = build_asymptote(space, line, p, "future", horizons, knot_extent)
     pst = build_asymptote(space, line, p, "past", horizons, knot_extent)
     joined = join_asymptotic_line(space, p, fut, pst, 10.0 * space.mesh)
-    return joined.shifted(busemann_shift) if busemann_shift else joined
+    return joined.shifted(shift) if shift else joined
+
+
+def _asymptotic_lines(space, line, points, horizons, shifts, knot_extent):
+    """``build_asymptotic_line`` of each point inside the timelike envelope
+    of the line, over the sorted horizons, or None where a step of it may
+    raise.
+
+    One ``ll_array`` pass per direction relates the points to the horizon
+    knots.  On a product the limit knots of every point come from one
+    ``realizer_points`` call over the legs toward the two largest
+    horizons (the second only for the failures it raises); a finite table
+    takes ``_finite_limit`` point by point.  The steps of every joined
+    chain and the additivity of its knot pairs to ten meshes are then
+    checked in array passes over all of them."""
+    n = len(points)
+    targets = [[line.knot_index(sign * t) for t in horizons]
+               for sign in (1, -1)]
+    if not (n and horizons) or None in targets[0] + targets[1]:
+        return [None] * n
+    m = len(line.chain.points)
+    pts = line.chain.points.joined(points)
+    here = np.arange(m, m + n)
+    fut, pst = (np.array(k[-2:], dtype=np.intp) for k in targets)
+    ok = (space.ll_array(pts, here[:, None], np.array(targets[0])).all(axis=1)
+          & space.ll_array(pts, np.array(targets[1]), here[:, None]).all(axis=1))
+    if isinstance(space, FiniteLorentzSpace):
+        limits = _finite_limits(space, pts, here, fut, pst, ok)
+    else:
+        knot_step = max(2.0, 20.0 * space.mesh)
+        if knot_extent is None:
+            knot_extent = max(horizons[0], knot_step)
+        limits = _analytic_limits(space, pts, here, fut, pst, ok, knot_step,
+                                  knot_extent)
+    ok, chain, params, past, lengths = limits
+    return _joined_lines(space, chain, params, past, lengths, ok, shifts)
+
+
+def _analytic_limits(space, pts, here, fut, pst, ok, knot_step,
+                     knot_extent):
+    """``_analytic_limit`` of every point pts[here[s]] in both directions,
+    toward the knots pts[fut] (future) and pts[pst] (past) of the two
+    largest horizons: the joined chains, their parameters before the
+    shift, the past knot counts and the chain lengths, as
+    ``_joined_lines`` reads them.
+
+    The leg totals and knot counts are array passes, and the knots of both
+    legs in both directions come from one ``realizer_points`` call (the
+    second largest horizon's leg only for the errors it raises).  Points on
+    which ``Leg.point_at`` or ``realizer_point`` would raise are taken out
+    of ``ok``."""
+    n = len(here)
+    directions = []
+    for sign, ends in ((-1, pst), (1, fut)):
+        # a future leg runs from the point to its target, a past one back
+        a, b = np.broadcast_arrays(*((here[:, None], ends) if sign > 0
+                                     else (ends, here[:, None])))
+        total = space.tau_array(pts, a, b)
+        # min(knot_extent, total) over the second largest horizon's leg
+        extent = np.where(total[:, 0] < knot_extent, total[:, 0], knot_extent)
+        with np.errstate(invalid="ignore", over="ignore"):
+            count = np.floor(extent / knot_step + 1e-12)
+        ok &= np.isfinite(count) & ((count >= 1) | (extent > space.mesh))
+        step = np.where(count >= 1, knot_step, extent)
+        count = np.where(ok, np.maximum(count, 1), 0).astype(np.intp)
+        first = np.cumsum(count) - count
+        owner = np.repeat(np.arange(n), count)
+        u = (np.arange(len(owner)) - first[owner] + 1) * step[owner]
+        # Leg.point_at and realizer_point refuse a knot beyond a leg's
+        # total (by EPS): such points take the per-point steps
+        tot = total[owner]
+        ok[owner[(u[:, None] > tot).any(axis=1)]] = False
+        legs = [(a[owner, c], b[owner, c], u if sign > 0 else tot[:, c] - u)
+                for c in range(total.shape[1] - 1, -1, -1)]   # the last first
+        directions.append((count, first, owner, u, legs))
+
+    (cp, sp, _, up, past_legs), (cf, sf, _, uf, fut_legs) = directions
+    starts, ends, params = map(np.concatenate, zip(*past_legs, *fut_legs))
+    owners = np.concatenate([d[2] for d in directions for _ in d[4]])
+    knots, good = _realized(space, pts, starts, ends, params)
+    ok[owners[~good]] = False
+    at = len(pts) + np.cumsum(good) - 1    # entry -> index in pts + knots
+    fut_at = at[len(up) * len(past_legs):]
+
+    # per point: its past knots from the farthest, itself, its future knots
+    cp, cf = np.where(ok, cp, 0), np.where(ok, cf, 0)
+    lengths = np.where(ok, cp + 1 + cf, 0)
+    owner = np.repeat(np.arange(n), lengths)
+    j = np.arange(len(owner)) - (np.cumsum(lengths) - lengths)[owner]
+    index = here[owner]
+    params = np.full(len(owner), -0.0)
+    before, after = j < cp[owner], j > cp[owner]
+    e = (sp + cp - 1)[owner[before]] - j[before]
+    index[before], params[before] = at[e], -up[e]
+    e = (sf - cp - 1)[owner[after]] + j[after]
+    index[after], params[after] = fut_at[e], uf[e]
+    joined = pts.joined(knots)
+    space.point_arrays(joined)
+    return ok, joined.take(index), params, cp, lengths
+
+
+def _finite_limits(space, pts, here, fut, pst, ok):
+    """``_finite_limit`` of every point pts[here[s]] in ``ok`` in both
+    directions, one point at a time (``maximize_tau`` works per pair), as
+    ``_analytic_limits`` returns them; a point on which it raises is taken
+    out of ``ok``."""
+    chain, params = [], []
+    past, lengths = np.zeros(len(here), np.intp), np.zeros(len(here), np.intp)
+    for s in np.flatnonzero(ok).tolist():
+        p = pts[here[s]]
+        try:
+            pknots, pparams, _ = _finite_limit(space, p, [pts[i] for i in pst],
+                                               "past")
+            fknots, fparams, _ = _finite_limit(space, p, [pts[i] for i in fut],
+                                               "future")
+        except Exception:    # the per-point steps raise it in turn
+            ok[s] = False
+            continue
+        chain += [*pknots, *fknots[1:]]
+        params += [*pparams, *fparams[1:]]
+        past[s], lengths[s] = len(pknots) - 1, len(pknots) + len(fknots) - 1
+    return ok, PointTuple(chain), np.array(params, dtype=float), past, lengths
+
+
+def _realized(space, pts, starts, ends, params):
+    """``realizer_point(pts[starts[k]], pts[ends[k]], params[k])`` of each
+    entry on which it does not raise, from one ``realizer_points`` call,
+    with the mask of those entries (none when the factor has no minimizer
+    structure, as the call then raises)."""
+    total = space.tau_array(pts, starts, ends)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = params / total
+    good = (total > 0.0) & (-EPS <= lam) & (lam <= 1.0 + EPS)
+    try:
+        return space.realizer_points(pts.take(starts[good]),
+                                     pts.take(ends[good]), params[good]), good
+    except PreconditionError:
+        return PointTuple(()), np.zeros_like(good)
+
+
+def _joined_lines(space, chain, params, past, lengths, ok, shifts):
+    """The lines of the joined chains, or None where ``build_asymptote``,
+    ``join_asymptotic_line`` or the shift would raise.  Point s in ``ok``
+    owns ``lengths[s]`` knots of ``chain``, one point after another, with
+    ``past[s]`` knots before its own; ``params`` are their parameters
+    before the shift.
+
+    Every step is checked in one pass: timelike beyond 10 EPS, with
+    increasing parameters.  ``validate_chain`` then passes: on a product
+    a timelike step is causal and joins distinct points, and a finite
+    table's steps are steps of maximizing chains.
+    The cumulative separations and the additivity of every knot pair of a
+    chain to ten meshes, as ``is_line`` decides it, are checked in bands
+    of whole chains of at most ``max(chains.PAIR_BLOCK, one chain)``
+    entries."""
+    n = len(ok)
+    start = np.cumsum(lengths) - lengths
+    owner = np.repeat(np.arange(n), lengths)
+    j = np.arange(len(owner)) - start[owner]
+    k = np.flatnonzero(owner[:-1] == owner[1:])
+    steps = space.tau_array(chain, k, k + 1)
+    bad = ~(steps > 10.0 * EPS) | (params[k + 1] - params[k] <= 0)
+    ok[owner[k[bad]]] = False
+
+    width = int(lengths.max(initial=0))
+    cum = np.zeros((n, width))
+    cum[owner[k], j[k] + 1] = steps
+    cum = np.cumsum(cum, axis=1)      # left to right, as is_line sums
+    a = np.arange(width)
+    pair = a[:, None] < a
+    live = np.flatnonzero(lengths)
+    rows = max(1, chains.PAIR_BLOCK // max(1, width * width))
+    for r in (live[i:i + rows] for i in range(0, len(live), rows)):
+        first, last = start[r, None, None], (start + lengths - 1)[r, None, None]
+        sep = space.tau_array(chain, np.minimum(first + a[:, None], last),
+                              np.minimum(first + a, last))
+        c = cum[r]
+        wrong = ((np.abs((c[:, None, :] - c[:, :, None]) - sep)
+                  > 10.0 * space.mesh) & pair & (a < lengths[r, None, None]))
+        ok[r[wrong.any(axis=(1, 2))]] = False
+
+    shifts = np.repeat(np.asarray(shifts, dtype=float), lengths)
+    with np.errstate(over="ignore", invalid="ignore"):
+        params = np.where(shifts != 0, params + shifts, params).tolist()
+    lines = [None] * n
+    for s in np.flatnonzero(ok).tolist():
+        span = slice(start[s], start[s] + lengths[s])
+        try:
+            lines[s] = LineDescriptor(CausalChain(chain[span]), params[span],
+                                      int(past[s]))
+        except PreconditionError:
+            pass
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +657,55 @@ def busemann_value(space, line: LineDescriptor, p, horizons,
                             math.sqrt(csq), converged)
 
 
+def _busemann_values(space, line: LineDescriptor, points, horizons):
+    """``busemann_value(space, line, p, horizons).value`` of each point, as
+    an array, with the mask of the points on which ``busemann_value``
+    raises (there the value is meaningless): no horizon, a horizon
+    without a knot, a separation <= 0, rising samples or a division by
+    zero.  One ``tau_array`` pass over points x horizon knots on the
+    line's kept knot arrays gives every sample."""
+    hs = sorted(horizons)
+    knots = [line.knot_index(t) for t in hs]
+    if not hs or None in knots:
+        return np.zeros(len(points)), np.ones(len(points), dtype=bool)
+    n = len(line.chain.points)
+    sep = space.tau_array(line.chain.points.joined(points),
+                          np.arange(n, n + len(points))[:, None],
+                          np.array(knots, dtype=np.intp))
+    return _extrapolated(np.array(hs, dtype=float)[None, :], sep,
+                        np.ones(sep.shape, dtype=bool))
+
+
+def _extrapolated(t, sep, usable):
+    """``busemann_value``'s samples and two-sample extrapolation over the
+    usable horizons of each row, elementwise: t holds the sorted horizons
+    in one row, ``sep[r, k]`` the separation of point r to the knot at
+    ``t[0, k]``.  Returns the values and the rows on which
+    ``busemann_value`` over their usable horizons raises: a separation
+    <= 0, rising samples or a division by zero (a row with one usable
+    horizon takes its sample)."""
+    rows = np.arange(len(sep))
+    # the last usable horizon up to each column, and the one before it
+    last = np.maximum.accumulate(
+        np.where(usable, np.arange(sep.shape[1]), -1), axis=1)
+    prev = np.full_like(last, -1)
+    prev[:, 1:] = last[:, :-1]
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        a = t - sep
+        rising = usable & (prev >= 0) & (
+            a > a[rows[:, None], np.maximum(prev, 0)] + EPS)
+        # the last two usable samples (the last one twice when it is alone)
+        i2 = last[:, -1]
+        i1 = np.where(prev[rows, i2] >= 0, prev[rows, i2], i2)
+        t1, t2, a1, a2 = t[0, i1], t[0, i2], a[rows, i1], a[rows, i2]
+        close = np.abs(a1 - a2) <= 1e-15 * np.fmax(1.0, np.abs(a1))
+        failing = ((usable & (sep <= 0.0)).any(axis=1) | rising.any(axis=1)
+                   | (~close & (t2 - t1 == 0.0)))
+        return np.where(close, a2, (2.0 * t2 * a2 - 2.0 * t1 * a1
+                                    - (a2 * a2 - a1 * a1))
+                        / (2.0 * (t2 - t1))), failing
+
+
 # ---------------------------------------------------------------------------
 # verticality of the comparison images
 
@@ -403,6 +723,7 @@ def verticality_report(space, line: LineDescriptor, a, b,
     """Plant the comparison triangles of (a, b, line(t)) over the fixed base
     realizing the synchronized-time offsets of a and b, and track how the
     apex direction approaches the vertical as the horizon grows."""
+    horizons = sorted(horizons)
     if not space.ll(a, b):
         raise PreconditionError("base points must satisfy a << b")
     s0 = busemann_value(space, line, a, horizons).value
@@ -415,7 +736,7 @@ def verticality_report(space, line: LineDescriptor, a, b,
     c0 = math.sqrt(max(csq, 0.0))
 
     deltas, ratios, angles = [], [], []
-    for t in sorted(horizons):
+    for t in horizons:
         g = line.point_at(t)
         ra, rb = space.tau(a, g), space.tau(b, g)
         if min(ra, rb) <= 0.0:
@@ -449,5 +770,5 @@ def verticality_report(space, line: LineDescriptor, a, b,
                 raise PreconditionError("no apex above the base line")
         ratios.append(abs(X) / T)
         angles.append(abs(math.atanh(min(abs(X) / T, 1.0 - 1e-15))))
-    return VerticalityReport(tuple(sorted(horizons)), tuple(deltas),
+    return VerticalityReport(tuple(horizons), tuple(deltas),
                              tuple(ratios), tuple(angles))

@@ -36,18 +36,27 @@ class PointTuple(tuple):
 
     ``joined(more)`` is this tuple with more points appended; its arrays
     are the kept arrays of this tuple with those of the new points
-    appended, so a few points added to a long line cost only their own
-    conversion."""
+    appended (kept ones when they come as a PointTuple), so a few points
+    added to a long line cost only their own conversion.  ``take(index)``
+    is the points at an index array, with the arrays kept so far taken at
+    it."""
 
     def __new__(cls, points):
         self = super().__new__(cls, points)
         self._arrays = {}
-        self._head = None
+        self._head = self._tail = None
         return self
 
     def joined(self, more):
-        out = PointTuple(self + tuple(more))
-        out._head = self
+        more = more if isinstance(more, PointTuple) else PointTuple(more)
+        out = PointTuple(self + more)
+        out._head, out._tail = self, more
+        return out
+
+    def take(self, index):
+        out = PointTuple(map(self.__getitem__, index.tolist()))
+        out._arrays = {kind: tuple(a[index] for a in arrays)
+                       for kind, arrays in self._arrays.items()}
         return out
 
     def arrays(self, kind, convert):
@@ -57,7 +66,8 @@ class PointTuple(tuple):
             head = self._head
             self._arrays[kind] = convert(self) if head is None else tuple(
                 np.concatenate(pair) for pair in zip(
-                    head.arrays(kind, convert), convert(self[len(head):])))
+                    head.arrays(kind, convert),
+                    self._tail.arrays(kind, convert)))
         return self._arrays[kind]
 
 

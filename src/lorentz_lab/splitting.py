@@ -10,7 +10,6 @@ order and one-to-one coverage.
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -21,8 +20,11 @@ import numpy as np
 from . import chains
 from .core import EPS, PointTuple, PreconditionError, metric_defect
 from .models import product_image_defect
-from .asymptotics import (LineDescriptor, build_asymptotic_line,
-                          busemann_value, in_timelike_envelope, line_point)
+from .asymptotics import (LineDescriptor, _asymptotic_lines,
+                          _busemann_values, _extrapolated, _line_points,
+                          build_asymptotic_line, busemann_value,
+                          in_timelike_envelope, in_timelike_envelopes,
+                          line_point)
 from .parallel import decide_parallel
 
 # image pairs checked by build_splitting_map; larger maps are sampled with
@@ -71,22 +73,47 @@ def extract_slice(space, line: LineDescriptor, seeds, horizons,
     magnitude among the seeds, or the zero-time footpoint falls off the
     sampled part of its line.  The distance table is checked to be a metric
     before it is returned; a violation beyond ``tolerance`` means the
-    asymptote family is broken and raises."""
-    dedupe_radius = 0.25 * space.mesh
-    members, lines = [], []
-    for seed in seeds:
-        if not in_timelike_envelope(space, line, seed):
-            raise PreconditionError(f"seed {seed} outside the timelike envelope")
-        b = busemann_value(space, line, seed, horizons)
-        asym = build_asymptotic_line(space, line, seed, horizons, b.value,
-                                     knot_extent)
-        foot = line_point(space, asym, 0.0)
-        n = len(members)
-        if (_screened_d(space, members + [foot], np.full(n, n), np.arange(n),
-                        dedupe_radius) < dedupe_radius).any():
-            continue
-        members.append(foot)
-        lines.append(asym)
+    asymptote family is broken and raises.
+
+    Each step runs over all seeds at once: the envelope check, the
+    synchronized times (``busemann_value``), the asymptotic lines and their
+    footpoints, each telling where it may raise.  The first seed flagged by
+    any of them goes through the per-seed steps, which raise the error of
+    the first failing seed as a loop over the seeds meets it (or give its
+    line and footpoint, and the next flagged seed follows).  A footpoint is
+    kept when it lies at ``space.d`` 0.25 mesh or more from every footpoint
+    kept before it, decided by one ``_screened_d`` pass over the seed
+    pairs."""
+    seeds, horizons = PointTuple(seeds), list(horizons)
+    n = len(seeds)
+    flagged = ~in_timelike_envelopes(space, line, seeds)
+    shifts, failing = _busemann_values(space, line, seeds, horizons)
+    flagged |= failing
+    lines, feet = [None] * n, [None] * n
+    built = np.flatnonzero(~flagged)
+    for k, asym in zip(built.tolist(), _asymptotic_lines(
+            space, line, seeds.take(built), sorted(horizons), shifts[built],
+            knot_extent)):
+        lines[k] = asym
+    built = [k for k in built.tolist() if lines[k] is not None]
+    for k, foot in zip(built, _line_points(space, [lines[k] for k in built],
+                                           0.0)):
+        feet[k] = foot
+    for k in range(n):
+        if feet[k] is None:
+            lines[k], feet[k] = _seed_steps(space, line, seeds[k], horizons,
+                                            knot_extent)
+
+    radius = 0.25 * space.mesh
+    later, earlier = np.tril_indices(n, -1)
+    near = np.zeros((n, n), dtype=bool)
+    near[later, earlier] = _screened_d(space, PointTuple(feet), later, earlier,
+                                       radius) < radius
+    kept = []
+    for k in range(n):
+        if not near[k, kept].any():
+            kept.append(k)
+    members, lines = [feet[k] for k in kept], [lines[k] for k in kept]
 
     n = len(members)
     first, second = np.triu_indices(n, 1)
@@ -108,6 +135,18 @@ def extract_slice(space, line: LineDescriptor, seeds, horizons,
         raise PreconditionError(f"slice distances violate the metric axioms "
                                 f"by {worst}")
     return out
+
+
+def _seed_steps(space, line, seed, horizons, knot_extent):
+    """The asymptotic line and footpoint of one seed by the per-seed steps
+    of ``extract_slice``, raising the error the first failing one
+    raises."""
+    if not in_timelike_envelope(space, line, seed):
+        raise PreconditionError(f"seed {seed} outside the timelike envelope")
+    b = busemann_value(space, line, seed, horizons)
+    asym = build_asymptotic_line(space, line, seed, horizons, b.value,
+                                 knot_extent)
+    return asym, line_point(space, asym, 0.0)
 
 
 @dataclass(frozen=True)
@@ -273,33 +312,16 @@ def synchronized_times(space, line: LineDescriptor, points, horizons):
     pts = line.chain.points.joined(points)
     here = np.arange(n, n + len(points))[:, None]
     usable = space.ll_array(pts, here, knots)
-    sep = space.tau_array(pts, here, knots)
-    t = np.array(hs, dtype=float)[None, :]
-    rows = np.arange(len(points))
-    # the last usable horizon up to each column, and the one before it
-    last = np.maximum.accumulate(np.where(usable, np.arange(len(hs)), -1),
-                                 axis=1)
-    prev = np.full_like(last, -1)
-    prev[:, 1:] = last[:, :-1]
-    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-        a = t - sep
-        rising = usable & (prev >= 0) & (
-            a > a[rows[:, None], np.maximum(prev, 0)] + EPS)
-        few = usable.sum(axis=1) < 2
-        if few.all():    # so also when no horizon has a knot
-            _raise_synchronized(space, line, points[0], usable[0], hs)
-        # the last two usable samples (any two on the failing rows)
-        i2 = last[:, -1]
-        i1 = prev[rows, i2]
-        t1, t2, a1, a2 = t[0, i1], t[0, i2], a[rows, i1], a[rows, i2]
-        close = np.abs(a1 - a2) <= 1e-15 * np.fmax(1.0, np.abs(a1))
-        failing = (few | (usable & (sep <= 0.0)).any(axis=1)
-                   | rising.any(axis=1) | (~close & (t2 - t1 == 0.0)))
-        if failing.any():
-            r = int(np.argmax(failing))
-            _raise_synchronized(space, line, points[r], usable[r], hs)
-        return np.where(close, a2, (2.0 * t2 * a2 - 2.0 * t1 * a1
-                                    - (a2 * a2 - a1 * a1)) / (2.0 * (t2 - t1)))
+    few = usable.sum(axis=1) < 2
+    if few.all():    # so also when no horizon has a knot
+        _raise_synchronized(space, line, points[0], usable[0], hs)
+    values, failing = _extrapolated(np.array(hs, dtype=float)[None, :],
+                                    space.tau_array(pts, here, knots), usable)
+    failing |= few
+    if failing.any():
+        r = int(np.argmax(failing))
+        _raise_synchronized(space, line, points[r], usable[r], hs)
+    return values
 
 
 def _raise_synchronized(space, line, p, usable, hs):
@@ -325,6 +347,7 @@ def check_cauchy_slices(space, result: SplittingResult, test_chains,
     if levels is None:
         ts = sorted(result.time_knots)
         levels = ts[1:-1] if len(ts) > 2 else ts
+    levels = list(levels)
     on_slice_tol = space.mesh
 
     test_chains = list(test_chains)
@@ -373,7 +396,13 @@ def check_slice_alexandrov(sl: SpacelikeSlice, tol=1e-6,
 
     ``metric_tol`` bounds how far the table may stray from the metric axioms
     before the test refuses to run (extracted tables carry grid-scale
-    noise)."""
+    noise).
+
+    The quadruples (x, a < b < c) are scanned in that order, in bands of at
+    most ``chains.PAIR_BLOCK`` entries, each band one array pass over the
+    comparison angles of its centres; the witness is the first quadruple of
+    the largest excess, as a loop keeping the first strict maximum meets
+    it."""
     n = len(sl.members)
     if n < 4:
         raise PreconditionError("need at least four slice members")
@@ -382,34 +411,63 @@ def check_slice_alexandrov(sl: SpacelikeSlice, tol=1e-6,
     if not ok:
         raise PreconditionError(f"slice table is not a metric (defect {worst_metric})")
     d = sl.d_S
-    worst = -math.inf
-    witness = None
-    count = 0
-    for x in range(n):
-        others = [i for i in range(n) if i != x]
-        # comparison angle at x over each pair a < b of the others, rounded
-        # as the scalar law of cosines rounds it (a degenerate row gives
-        # NaN or inf here, and its quadruples are skipped below)
-        da, dab = d[x, others], d[np.ix_(others, others)]
-        with np.errstate(all="ignore"):
-            cos = ((da[:, None] * da[:, None] + da[None, :] * da[None, :])
-                   - dab * dab) / (2.0 * da[:, None] * da[None, :])
-        cos = np.where(cos > -1.0, cos, -1.0)    # max(-1.0, c): NaN gives -1
-        ang = np.where(cos < 1.0, cos, 1.0).tolist()
-        for a, row in enumerate(ang):
-            row[a + 1:] = map(math.acos, row[a + 1:])
-        # a quadruple is degenerate when x nearly meets one of its points
-        live = [k for k in range(len(others)) if not da[k] <= EPS]
-        for a, b, c in itertools.combinations(live, 3):
-            excess = ((ang[a][b] + ang[b][c]) + ang[a][c]) - 2.0 * math.pi
-            if excess > worst:
-                worst = excess
-                witness = (x, others[a], others[b], others[c])
-        count += math.comb(len(live), 3)
-    skipped = n * math.comb(n - 1, 3) - count
+    # the others of centre x, in order, and which of them x does not
+    # nearly meet: a quadruple is degenerate when x nearly meets a point
+    others = np.array([[i for i in range(n) if i != x] for x in range(n)])
+    live = ~(d[np.arange(n)[:, None], others] <= EPS)
+    count = sum(math.comb(k, 3) for k in live.sum(axis=1).tolist())
     if count == 0:
         raise PreconditionError("all quadruples degenerate")
+    # every triple a < b < c of the others' positions, in order
+    m = n - 1
+    a, b, c = np.nonzero((np.arange(m)[:, None, None] < np.arange(m)[:, None])
+                         & (np.arange(m)[:, None] < np.arange(m)))
+    ab, bc, ac = a * m + b, b * m + c, a * m + c    # into a centre's angles
+    worst, witness = -math.inf, None
+    ang, centres = np.zeros((0, m, m)), np.zeros(0, dtype=np.intp)
+    for start in range(0, n * len(a), chains.PAIR_BLOCK):
+        x, t = np.divmod(np.arange(start, min(start + chains.PAIR_BLOCK,
+                                              n * len(a))), len(a))
+        # the angles of the band's centres, the previous band's last kept
+        kept = centres[-1:] == x[0]
+        centres = np.arange(x[0], x[-1] + 1)
+        ang = np.concatenate((ang[-1:][kept],
+                              _angles(d, others, centres[kept.sum():])))
+        flat, at = ang.ravel(), (x - x[0]) * (m * m)
+        excess = ((flat[at + ab[t]] + flat[at + bc[t]]) + flat[at + ac[t]]
+                  - 2.0 * math.pi)
+        if not live[centres].all():
+            dead = ~(live[x, a[t]] & live[x, b[t]] & live[x, c[t]])
+            excess[dead] = -math.inf
+        k = int(np.argmax(excess))
+        if excess[k] > worst:
+            worst = float(excess[k])
+            y = int(x[k])
+            witness = (y, *others[y, [a[t[k]], b[t[k]], c[t[k]]]].tolist())
+    skipped = n * math.comb(n - 1, 3) - count
     return SliceCurvatureReport(worst <= tol, worst, witness, count, skipped)
+
+
+def _angles(d, others, centres):
+    """The comparison angles at each centre x over each pair a < b of its
+    others, at [x, a, b] (zero elsewhere), rounded as the scalar law of
+    cosines rounds them: ``math.acos`` of each clamped cosine (a degenerate
+    row gives NaN or inf in the cosine, and its quadruples are
+    skipped)."""
+    o = others[centres]
+    da, dab = d[centres[:, None], o], d[o[:, :, None], o[:, None, :]]
+    with np.errstate(all="ignore"):
+        cos = ((da[:, :, None] * da[:, :, None]
+                + da[:, None, :] * da[:, None, :]) - dab * dab) \
+            / (2.0 * da[:, :, None] * da[:, None, :])
+    cos = np.where(cos > -1.0, cos, -1.0)    # max(-1.0, c): NaN gives -1
+    cos = np.where(cos < 1.0, cos, 1.0)
+    a, b = np.triu_indices(others.shape[1], 1)
+    out = np.zeros(cos.shape)
+    out[:, a, b] = np.reshape(
+        list(map(math.acos, cos[:, a, b].ravel().tolist())),
+        (len(centres), len(a)))
+    return out
 
 
 @dataclass(frozen=True)

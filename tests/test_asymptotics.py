@@ -135,6 +135,15 @@ class TestTimelikeCoRayCondition:
                             HORIZONS, **KW)
         assert report.all_timelike
 
+    def test_one_shot_horizons(self, segment_product, product_gamma):
+        # the horizons are read once per probe and direction
+        probes = [(0.0, 0.0), (0.3, 0.25)]
+        got = check_tcrc(segment_product, product_gamma, probes,
+                         iter(HORIZONS), iter(("future", "past")), **KW)
+        assert got == check_tcrc(segment_product, product_gamma, probes,
+                                 HORIZONS, **KW)
+        assert got.n_probes == 4
+
     def test_engineered_null_coray_witnessed(self):
         space = null_coray_table()
         line = LineDescriptor(CausalChain((0, 1, 2, 3)), (0.0, 1.0, 2.0, 3.0))
@@ -292,6 +301,14 @@ class TestAsymptoteInvariants:
         assert report.ratios[-1] < 0.01
         for angle, delta in zip(report.angles, report.deltas):
             assert math.cosh(angle) - 1.0 <= delta + 1e-12
+
+
+    def test_verticality_one_shot_horizons(self, segment_product,
+                                           product_gamma):
+        # two Busemann values and the horizon loop read the same horizons
+        args = (segment_product, product_gamma, (0.0, 0.0), (1.5, 0.2))
+        got = verticality_report(*args, iter(HORIZONS[2:]))
+        assert got == verticality_report(*args, HORIZONS[2:])
 
 
 class TestLinePoint:

@@ -5,14 +5,15 @@ The loops below are the former implementations of ``LineDescriptor.point_at``
 and ``has_param``, ``line_point``, ``validate_chain``,
 ``reparametrize_tau_arclength``, ``is_line``, ``product_image_defect``,
 ``build_splitting_map``, ``check_slice_alexandrov``, ``c_functions``,
-``test_parallel`` (with its least-squares shift), the pairwise distance
-loop and the footpoint dedupe of ``extract_slice``, the crossing count of
-``check_cauchy_slices``, the per-point synchronized time and
+``test_parallel`` (with its least-squares shift), ``extract_slice`` (its
+per-seed steps, the pairwise distance loop and the footpoint dedupe),
+``build_asymptotic_line`` (both asymptotes and their join), the crossing
+count of ``check_cauchy_slices``, the per-point synchronized time and
 ``in_timelike_envelope``, kept as oracles: each bisection, array form and
 knot-pair table must give the same answers, the same first failures, the
-same witnesses in the same order and the same values, bit for bit.  The array forms of ``tau`` and ``leq``
-are compared with the scalar forms on every factor kind and on finite
-tables.
+same witnesses in the same order and the same values, bit for bit.  The
+array forms of ``tau`` and ``leq`` are compared with the scalar forms on
+every factor kind and on finite tables.
 """
 
 import functools
@@ -28,9 +29,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from lorentz_lab import chains, splitting
-from lorentz_lab.asymptotics import (LineDescriptor, build_asymptotic_line,
-                                     busemann_value, in_timelike_envelope,
-                                     line_point, vertical_line)
+from lorentz_lab import asymptotics
+from lorentz_lab.asymptotics import (LineDescriptor, build_asymptote,
+                                     build_asymptotic_line,
+                                     build_asymptotic_lines, busemann_value,
+                                     in_timelike_envelope,
+                                     join_asymptotic_line, line_point,
+                                     vertical_line)
 from lorentz_lab.chains import (CausalChain, LineCheck, is_line,
                                 reparametrize_tau_arclength, validate_chain)
 from lorentz_lab.core import EPS, FiniteLorentzSpace, PreconditionError
@@ -145,6 +150,54 @@ def is_line_loops(space, chain, tol=EPS):
 def in_timelike_envelope_loops(space, line, p):
     pts = line.chain.points
     return any(space.ll(g, p) for g in pts) and any(space.ll(p, g) for g in pts)
+
+
+def build_asymptotic_line_loops(space, line, p, horizons, shift=0.0,
+                                knot_extent=None):
+    """The former ``build_asymptotic_line``: both asymptotes, their join
+    and the shift."""
+    fut = build_asymptote(space, line, p, "future", horizons, knot_extent)
+    pst = build_asymptote(space, line, p, "past", horizons, knot_extent)
+    joined = join_asymptotic_line(space, p, fut, pst, 10.0 * space.mesh)
+    return joined.shifted(shift) if shift else joined
+
+
+def extract_slice_loops(space, line, seeds, horizons, tolerance,
+                        knot_extent=None):
+    """The former ``extract_slice``: the per-seed steps in seed order, each
+    footpoint screened against the members kept so far."""
+    dedupe_radius = 0.25 * space.mesh
+    members, lines = [], []
+    for seed in seeds:
+        if not in_timelike_envelope_loops(space, line, seed):
+            raise PreconditionError(f"seed {seed} outside the timelike envelope")
+        b = busemann_value(space, line, seed, horizons)
+        asym = build_asymptotic_line_loops(space, line, seed, horizons,
+                                           b.value, knot_extent)
+        foot = line_point_loops(space, asym, 0.0)
+        if any(space.d(foot, m) < dedupe_radius for m in members):
+            continue
+        members.append(foot)
+        lines.append(asym)
+
+    n = len(members)
+    first, second = np.triu_indices(n, 1)
+    verdicts = decide_parallel(space, lines, first, second, tolerance)
+    failed = np.flatnonzero(~verdicts.parallel)
+    if len(failed):
+        k = failed[0]
+        i, j = int(first[k]), int(second[k])
+        verdicts.verdict(k, lines[i], lines[j])
+        raise PreconditionError(f"asymptotes through members {i} and {j} "
+                                "fail the parallelity test")
+    d = np.zeros((n, n))
+    d[first, second] = d[second, first] = verdicts.distance_c
+    out = SpacelikeSlice(tuple(members), d, tuple(lines), line, tuple(horizons))
+    ok, worst = out.validate_metric(tolerance)
+    if not ok:
+        raise PreconditionError(f"slice distances violate the metric axioms "
+                                f"by {worst}")
+    return out
 
 
 def synchronized_time_loops(space, line, p, horizons):
@@ -1233,6 +1286,21 @@ class TestSliceAlexandrovMatchesLoops:
         want = check_slice_alexandrov_loops(sl, metric_tol=tol)
         assert got == want and bits(got.worst_excess) == bits(want.worst_excess)
 
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(4, 12), seed=SEEDS, block=st.sampled_from([7, 37, 256]),
+           metric_tol=st.sampled_from([None, math.inf]))
+    def test_reports_across_bands(self, n, seed, block, metric_tol):
+        # bands of a few quadruples: the witness, the counts and the
+        # angles of a centre cross band boundaries
+        sl = slice_from_table(range(n), curvature_table(n, seed))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chains, "PAIR_BLOCK", block)
+            got = outcome(check_slice_alexandrov, sl, 1e-6, metric_tol)
+        want = outcome(check_slice_alexandrov_loops, sl, 1e-6, metric_tol)
+        assert got == want
+        if isinstance(got, SliceCurvatureReport):
+            assert bits(got.worst_excess) == bits(want.worst_excess)
+
     def test_all_degenerate(self):
         sl = slice_from_table(range(4), np.zeros((4, 4)))
         got = outcome(check_slice_alexandrov, sl)
@@ -1602,14 +1670,15 @@ class TestExtractSliceMatchesLoops:
         assert list(zip(first[failed].tolist(), second[failed].tolist())) \
             == [(0, 2), (1, 2), (2, 3), (2, 4)]
 
-        def build(space_, line, p, horizons, busemann_shift, knot_extent):
-            if p == seeds[2]:
-                return boosted
-            return build_asymptotic_line(space_, line, p, horizons,
-                                         busemann_shift, knot_extent)
+        built = splitting._asymptotic_lines
+
+        def build(space_, line, points, horizons, shifts, knot_extent):
+            return [boosted if p == seeds[2] else out for p, out in zip(
+                points, built(space_, line, points, horizons, shifts,
+                              knot_extent))]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(splitting, "build_asymptotic_line", build)
+            mp.setattr(splitting, "_asymptotic_lines", build)
             got = outcome(lambda: extract_slice(
                 space, sl.reference_line, seeds, sl.horizons, tol,
                 knot_extent=4.0))
@@ -1628,21 +1697,21 @@ class TestExtractSliceMatchesLoops:
         feet = [(0.0, 0.0), (0.0, 0.5), None, (0.0, 0.75), (0.0, 0.0)]
         feet[2] = tie_point(space, feet[1], nudged(0.25 * space.mesh, nudge))
         planted = {}
+        built = splitting._asymptotic_lines
 
-        def build(space_, line, p, horizons, busemann_shift, knot_extent):
-            out = build_asymptotic_line(space_, line, p, horizons,
-                                        busemann_shift, knot_extent)
-            planted[id(out)] = feet[seeds.index(p)]
-            return out
+        def build(space_, line, points, horizons, shifts, knot_extent):
+            lines = built(space_, line, points, horizons, shifts, knot_extent)
+            for p, out in zip(points, lines):
+                planted[id(out)] = feet[seeds.index(p)]
+            return lines
 
-        def foot(space_, line, t):
-            if t == 0.0:
-                return planted[id(line)]
-            return line_point(space_, line, t)
+        def foot(space_, lines, t):
+            assert t == 0.0
+            return [planted[id(line)] for line in lines]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(splitting, "build_asymptotic_line", build)
-            mp.setattr(splitting, "line_point", foot)
+            mp.setattr(splitting, "_asymptotic_lines", build)
+            mp.setattr(splitting, "_line_points", foot)
             got = extract_slice(space, sl.reference_line, seeds, sl.horizons,
                                 tol, knot_extent=4.0)
         kept = dedupe_loops(space, feet, 0.25 * space.mesh)
@@ -1650,6 +1719,22 @@ class TestExtractSliceMatchesLoops:
         assert got.members == tuple(feet[k] for k in kept)
         d, _ = slice_distances_loops(space, got.lines, tol)
         assert got.d_S.tobytes() == d.tobytes()
+
+    def test_dedupe_against_kept_members_only(self):
+        # footpoints 0.6 dedupe radius apart in a row: the second lies near
+        # the first and is dropped, the third lies near the dropped one
+        # only and is kept
+        space, sl, tol = product_slice()
+        radius = 0.25 * space.mesh
+        seeds = [(0.0, x) for x in (0.0, 0.5, 1.0)]
+        feet = [(0.0, 0.5 + k * 0.6 * radius) for k in range(3)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(splitting, "_line_points",
+                       lambda space_, lines, t: feet[:len(lines)])
+            got = extract_slice(space, sl.reference_line, seeds, sl.horizons,
+                                tol, knot_extent=4.0)
+        assert dedupe_loops(space, feet, radius) == [0, 2]
+        assert got.members == (feet[0], feet[2])
 
     def test_memory_bounded_by_the_block(self):
         # 301 three-knot verticals a unit apart: 45150 pairs of 9 knot pairs
@@ -1675,3 +1760,278 @@ class TestExtractSliceMatchesLoops:
             mp.setattr(chains, "PAIR_BLOCK", 9 * len(first))
             unblocked, _ = peak()
         assert blocked < 16 * 2 ** 20 < unblocked
+
+
+# ---------------------------------------------------------------------------
+# build_asymptotic_lines and the per-seed steps of extract_slice
+
+
+def line_fields(line):
+    """A line's knots by their repr, its parameters as bit patterns and its
+    anchor."""
+    return repr(tuple(line.chain.points)), bits(line.params), line.anchor
+
+
+def fields_outcome(fields, fn, *args):
+    """``fields`` of the return value, or the type and message of any
+    exception raised (a maximizer over infinite separations fails its
+    reconstruction with an AssertionError)."""
+    try:
+        return fields(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def lines_fields(lines):
+    return [line_fields(line) for line in lines]
+
+
+def slice_fields(sl):
+    return (repr(sl.members), sl.d_S.tobytes(), lines_fields(sl.lines),
+            sl.horizons)
+
+
+def asymptotic_lines_loops(space, line, points, horizons, shifts,
+                           knot_extent):
+    return [build_asymptotic_line_loops(space, line, p, horizons, shift,
+                                        knot_extent)
+            for p, shift in zip(points, shifts)]
+
+
+def assert_lines_match(space, line, points, horizons, shifts, knot_extent):
+    args = (space, line, points, horizons, shifts, knot_extent)
+    got = fields_outcome(lines_fields, build_asymptotic_lines, *args)
+    assert got == fields_outcome(lines_fields, asymptotic_lines_loops, *args)
+    return got
+
+
+LINE_AT = {"segment": 0.5, "plane": (0.5, 0.0), "tripod": (0, 0.5),
+           "table": 1}
+HORIZON_SETS = [(1, 2, 4, 8), (2, 4), (8,), (4, 4, 8), (3,), (8, 2),
+                (1, 16), ()]
+EXTENTS = [None, 0.01, 0.5, 2.5, 4.0, math.inf, math.nan, -1.0]
+SHIFTS = [0.0, -0.0, 0.3, -1.5, math.nan, 1e300]
+
+
+class TestAsymptoticLinesMatchLoops:
+    @settings(max_examples=80, deadline=None)
+    @given(kind=st.sampled_from(sorted(FACTORS)), data=st.data(),
+           horizons=st.sampled_from(HORIZON_SETS),
+           knot_extent=st.sampled_from(EXTENTS + ["mesh"]))
+    def test_product_points(self, kind, data, horizons, knot_extent):
+        # points anywhere, infinite and NaN coordinates included, on every
+        # factor kind (a table factor has no minimizers); a knot extent of
+        # one mesh is too short for a knot
+        space = ProductSpace(FACTORS[kind])
+        if knot_extent == "mesh":
+            knot_extent = space.mesh
+        line = vertical_line(space, LINE_AT[kind], range(-8, 9))
+        points = data.draw(product_points(kind))
+        shifts = data.draw(st.lists(st.sampled_from(SHIFTS),
+                                    min_size=len(points),
+                                    max_size=len(points)))
+        assert_lines_match(space, line, points, horizons, shifts, knot_extent)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(sorted(FACTORS)), data=st.data(),
+           horizons=st.sampled_from([(2, 4, 8), (4, 4, 8), (8,), (8, 2),
+                                     (3,)]),
+           knot_extent=st.sampled_from([None, 0.75, 4.0]),
+           block=st.sampled_from([1, 9, chains.PAIR_BLOCK]))
+    def test_points_near_the_line(self, kind, data, horizons, knot_extent,
+                                  block):
+        # points inside the envelope: every line is built, with one to four
+        # knots a side, its additivity checked in bands of one chain, of a
+        # few chains or of all
+        space = ProductSpace(FACTORS[kind])
+        line = vertical_line(space, LINE_AT[kind], range(-8, 9))
+        offsets = data.draw(st.lists(st.sampled_from(OFFSETS[:4]),
+                                     min_size=1, max_size=6))
+        size = dict(min_size=len(offsets), max_size=len(offsets))
+        times = data.draw(st.lists(st.sampled_from([-0.5, 0.0, 0.25]), **size))
+        shifts = data.draw(st.lists(st.sampled_from(SHIFTS[:4]), **size))
+        factor = {"segment": lambda x: x, "plane": lambda x: (x, 0.0),
+                  "tripod": lambda x: (1, x),
+                  "table": lambda x: LINE_AT["table"]}[kind]
+        points = [(t, factor(x)) for t, x in zip(times, offsets)]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chains, "PAIR_BLOCK", block)
+            got = assert_lines_match(space, line, points, horizons, shifts,
+                                     knot_extent)
+        assert isinstance(got, list)
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(2, 7), seed=SEEDS, data=st.data(),
+           horizons=st.sampled_from([(0.5, 1.0), (1.0, 2.0), (2.0,),
+                                     (0.25, 0.5, 1.0), (1.0, 1.0)]))
+    def test_finite_tables(self, n, seed, data, horizons):
+        # random relations and inf separations
+        space = finite_space(n, seed)
+        line = data.draw(table_lines(n))
+        points = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                    max_size=5))
+        shifts = data.draw(st.lists(st.sampled_from(SHIFTS),
+                                    min_size=len(points),
+                                    max_size=len(points)))
+        assert_lines_match(space, line, points, horizons, shifts, None)
+
+    @pytest.mark.parametrize("horizons", [(4, 8), (2, 8), (8,)])
+    def test_bent_line(self, horizons):
+        # knots at parameters 8 and -8 nearer the points than those at 4
+        # and -4: legs shorter than the knot extent, knots beyond a leg
+        space = ProductSpace(FACTORS["segment"])
+        params = (-8.0, -4.0, -2.0, 0.0, 2.0, 4.0, 8.0)
+        points = [(0.0, 0.5), (0.0, 0.25), (-0.5, 0.5), (0.25, 0.75)]
+        for top in (2.5, 2.0 - 1.5e-9):
+            # at 2 - 1.5e-9 the knot at 2 lies beyond the last leg by more
+            # than EPS (Leg.point_at refuses it) but within a relative EPS
+            # (realizer_point would take it)
+            times = (-2.5, -4.0, -2.0, 0.0, 2.0, 4.0, top)
+            line = LineDescriptor(CausalChain(tuple((t, 0.5) for t in times)),
+                                  params)
+            for p in points:
+                assert_lines_match(space, line, [p], horizons, [0.0], 4.0)
+            assert_lines_match(space, line, points, horizons, [0.0] * 4, 1.0)
+        assert "leg parameter 2.0 outside" in outcome(
+            build_asymptotic_line, space, line, points[0], (2, 8), 0.0,
+            4.0)[1]
+
+    def test_infinite_maximizer_after_an_earlier_refusal(self):
+        # the maximizer from point 3 to the line's knot 2 has an infinite
+        # separation, so its reconstruction fails with an AssertionError;
+        # point 4 before it is not timelike related to that knot, and its
+        # refusal is raised first
+        leq = np.eye(5, dtype=bool)
+        tau = np.zeros((5, 5))
+        for i, j, t in [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 2.0), (0, 3, 1.0),
+                        (3, 2, math.inf), (0, 4, 1.0), (4, 1, 0.5)]:
+            leq[i, j], tau[i, j] = True, t
+        space = FiniteLorentzSpace(np.zeros((5, 5)), leq, tau > 0, tau)
+        line = LineDescriptor(CausalChain((0, 1, 2)), (-1.0, 0.0, 1.0))
+        assert fields_outcome(lines_fields, build_asymptotic_lines, space,
+                              line, [3], (1.0,), [0.0], None)[0] \
+            is AssertionError
+        got = assert_lines_match(space, line, [4, 3], (1.0,), [0.0, 0.0],
+                                 None)
+        assert got[0] is PreconditionError
+
+    def test_lattice_columns(self):
+        # every lattice point against a column of the lattice, one at a
+        # time and all at once: lines built, and each kind of refusal
+        space, chains_ = lattice_chains()
+        line = LineDescriptor(CausalChain(chains_[1]), (-2.0, -1.0, 0.0, 1.0,
+                                                        2.0))
+        outcomes = set()
+        for horizons in [(1.0, 2.0), (2.0,), (1.0,), (2.0, 2.0)]:
+            for p in range(space.n):
+                got = assert_lines_match(space, line, [p], horizons, [0.5],
+                                         None)
+                outcomes.add(got[0] if isinstance(got, tuple) else list)
+            assert_lines_match(space, line, range(space.n), horizons,
+                               [0.0] * space.n, None)
+            assert_lines_match(space, line, [6, 7, 8, 11, 12, 13], horizons,
+                               [0.0, 1.0, -1.0, 2.0, 0.0, 0.5], None)
+        assert outcomes == {list, PreconditionError}
+
+    @pytest.mark.parametrize("make", [
+        product_slice, minkowski_slice,
+        functools.partial(product_slice, 41, 0.025)],
+        ids=["segment", "minkowski", "segment-41"])
+    def test_slice_lines(self, make):
+        # every seed of the split fixtures at its synchronized time
+        space, sl, _ = make()
+        seeds = [(0.0, q) for q in space.factor.sample()] \
+            if make is not minkowski_slice else list(sl.members)
+        shifts = [busemann_value(space, sl.reference_line, p,
+                                 sl.horizons).value for p in seeds]
+        for extent in (2.5, 4.0):
+            got = assert_lines_match(space, sl.reference_line, seeds,
+                                     sl.horizons, shifts, extent)
+            assert isinstance(got, list)
+
+
+SPLIT_SEEDS = {
+    # valid seeds, then one seed failing at each step of extract_slice with
+    # horizons (2, 4) and knot extent 0.75: outside the envelope, a sample
+    # not timelike related, a past horizon not timelike related, horizons
+    # too short for a knot and the footpoint outside its line
+    "segment": (product_slice, [(0.0, q) for q in
+                                (0.0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0)],
+                [(300.0, 0.5), (5.0, 0.5), (-5.0, 0.5), (1.95, 0.5),
+                 (1.0, 0.5)]),
+    "strip": (minkowski_slice, [(0.0, x) for x in (-1.0, -0.5, 0.0, 0.5,
+                                                   1.0)],
+              [(300.0, 0.0), (5.0, 0.0), (-5.0, 0.0), (1.6, 0.0),
+               (1.0, 0.0)]),
+}
+STAGE_ERRORS = ["outside the timelike envelope",
+                "not timelike related to the line at parameter 2",
+                "not timelike related to the horizon point at parameter -2",
+                "horizons too short for even one knot",
+                "parameter 0.0 outside the line extent"]
+
+
+def slices_match(kind, seeds, horizons, knot_extent):
+    make, _, _ = SPLIT_SEEDS[kind]
+    space, sl, tol = make()
+    args = (space, sl.reference_line, seeds, horizons, tol, knot_extent)
+    got = fields_outcome(slice_fields, extract_slice, *args)
+    assert got == fields_outcome(slice_fields, extract_slice_loops, *args)
+    return got
+
+
+class TestExtractSliceSeedSteps:
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(sorted(SPLIT_SEEDS)), data=st.data(),
+           horizons=st.sampled_from([tuple(HORIZONS), (2, 4)]),
+           knot_extent=st.sampled_from([4.0, 0.75]))
+    def test_seed_lists(self, kind, data, horizons, knot_extent):
+        # valid seeds, repeated ones (duplicate footpoints) and seeds
+        # failing at each step, in any order
+        _, valid, bad = SPLIT_SEEDS[kind]
+        seeds = data.draw(st.lists(st.sampled_from(valid + bad), min_size=1,
+                                   max_size=8))
+        slices_match(kind, seeds, horizons, knot_extent)
+
+    @pytest.mark.parametrize("kind", sorted(SPLIT_SEEDS))
+    @pytest.mark.parametrize("stage", range(len(STAGE_ERRORS)))
+    def test_each_step_fails(self, kind, stage):
+        _, valid, bad = SPLIT_SEEDS[kind]
+        got = slices_match(kind, valid[:2] + [bad[stage]] + valid[2:3],
+                           (2, 4), 0.75)
+        assert got[0] is PreconditionError and STAGE_ERRORS[stage] in got[1]
+
+    @pytest.mark.parametrize("kind", sorted(SPLIT_SEEDS))
+    def test_first_failing_seed_wins(self, kind):
+        # a footpoint error of seed 3 comes before a build error of seed 4,
+        # and the other way round
+        _, valid, bad = SPLIT_SEEDS[kind]
+        got = slices_match(kind, valid[:3] + [bad[4], bad[2]], (2, 4), 0.75)
+        assert STAGE_ERRORS[4] in got[1]
+        got = slices_match(kind, valid[:3] + [bad[2], bad[4]], (2, 4), 0.75)
+        assert STAGE_ERRORS[2] in got[1]
+
+    @pytest.mark.parametrize("kind", sorted(SPLIT_SEEDS))
+    def test_rising_samples(self, kind):
+        # a line whose knot at 4 sits at 3.5: every seed's samples rise, so
+        # busemann_value refuses seeds whose asymptotes and footpoints
+        # (at the extrapolated value) exist
+        make, valid, _ = SPLIT_SEEDS[kind]
+        space, sl, tol = make()
+        x = sl.reference_line.chain.points[0][1]
+        line = LineDescriptor(CausalChain(tuple(
+            (t, x) for t in (-4.0, -2.0, 0.0, 2.0, 3.5))),
+            (-4.0, -2.0, 0.0, 2.0, 4.0))
+        args = (space, line, valid[:3], (2, 4), tol, 4.0)
+        got = fields_outcome(slice_fields, extract_slice, *args)
+        assert got == fields_outcome(slice_fields, extract_slice_loops, *args)
+        assert "samples increase" in got[1]
+        lines = build_asymptotic_lines(space, line, valid[:3], (2, 4),
+                                       [0.9375] * 3, 4.0)
+        assert None not in asymptotics._line_points(space, lines, 0.0)
+
+    @pytest.mark.parametrize("kind", sorted(SPLIT_SEEDS))
+    def test_duplicate_footpoints(self, kind):
+        _, valid, _ = SPLIT_SEEDS[kind]
+        got = slices_match(kind, valid + valid[::-1], tuple(HORIZONS), 4.0)
+        assert list(eval(got[0])) == valid

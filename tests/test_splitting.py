@@ -80,6 +80,17 @@ class TestExtractSlice:
         assert sl.d_S[0, 0] == 0.0
 
 
+    def test_one_shot_seeds_and_horizons(self, segment_product,
+                                         product_gamma, parallel_tolerance,
+                                         product_slice):
+        seeds = [(0.0, q) for q in segment_product.factor.sample()]
+        sl = extract_slice(segment_product, product_gamma, iter(seeds),
+                           iter(HORIZONS), tolerance=parallel_tolerance, **KW)
+        assert sl.members == product_slice.members
+        assert sl.d_S.tobytes() == product_slice.d_S.tobytes()
+        assert sl.horizons == tuple(HORIZONS)
+
+
 class TestSplittingMap:
     def test_round_trip_bounds(self, segment_product, product_split):
         bound = 2 * (segment_product.mesh + 0.001)
@@ -133,6 +144,14 @@ class TestCauchySlices:
                                      levels=[-1.0, 0.0, 1.0])
         assert report.each_chain_hits_each_slice_once
         assert report.n_spanning == 8
+
+    def test_one_shot_levels(self, segment_product, product_split):
+        chains = spanning_timelike_chains(segment_product, 4, seed=11)
+        got = check_cauchy_slices(segment_product, product_split, chains,
+                                  levels=iter([-1.0, 0.0, 1.0]))
+        assert got == check_cauchy_slices(segment_product, product_split,
+                                          chains, levels=[-1.0, 0.0, 1.0])
+        assert got.n_spanning == 4
 
     def test_confined_chain_flagged_not_failed(self, segment_product,
                                                product_split):
