@@ -366,8 +366,10 @@ def build_asymptotic_line(space, line: LineDescriptor, p, horizons,
     separation from p shifted by ``busemann_shift`` (pass the
     synchronization value of p to put the line into synchronized
     parametrization)."""
-    return build_asymptotic_lines(space, line, (p,), horizons,
-                                  (busemann_shift,), knot_extent)[0]
+    fut = build_asymptote(space, line, p, "future", horizons, knot_extent)
+    pst = build_asymptote(space, line, p, "past", horizons, knot_extent)
+    joined = join_asymptotic_line(space, p, fut, pst, 10.0 * space.mesh)
+    return joined.shifted(busemann_shift) if busemann_shift else joined
 
 
 def build_asymptotic_lines(space, line: LineDescriptor, points, horizons,
@@ -377,8 +379,9 @@ def build_asymptotic_lines(space, line: LineDescriptor, points, horizons,
 
     The envelope, the horizon knots and the relatedness of every point to
     them are decided in array passes, the limits of every point at once
-    (``_asymptotic_lines``); a point on which any step may fail is built
-    by the per-point steps, which raise its error."""
+    (``_asymptotic_lines``); a point on which any step may fail, and every
+    point of a finite table, is built by ``build_asymptotic_line``, which
+    raises its error."""
     points, horizons = tuple(points), sorted(horizons)
     lines = [None] * len(points)
     inside = np.flatnonzero(in_timelike_envelopes(space, line, points))
@@ -387,36 +390,29 @@ def build_asymptotic_lines(space, line: LineDescriptor, points, horizons,
                               knot_extent)
     for k, out in zip(inside.tolist(), built):
         lines[k] = out
-    return [_asymptotic_line(space, line, p, horizons, shift, knot_extent)
+    return [build_asymptotic_line(space, line, p, horizons, shift,
+                                  knot_extent)
             if out is None else out
             for p, shift, out in zip(points, shifts, lines)]
-
-
-def _asymptotic_line(space, line, p, horizons, shift, knot_extent):
-    """``build_asymptotic_line`` by its per-point steps: both asymptotes,
-    their join and the shift."""
-    fut = build_asymptote(space, line, p, "future", horizons, knot_extent)
-    pst = build_asymptote(space, line, p, "past", horizons, knot_extent)
-    joined = join_asymptotic_line(space, p, fut, pst, 10.0 * space.mesh)
-    return joined.shifted(shift) if shift else joined
 
 
 def _asymptotic_lines(space, line, points, horizons, shifts, knot_extent):
     """``build_asymptotic_line`` of each point inside the timelike envelope
     of the line, over the sorted horizons, or None where a step of it may
-    raise.
+    raise.  On a finite table every entry is None: ``maximize_tau`` works
+    per pair, so its points take the per-point steps.
 
     One ``ll_array`` pass per direction relates the points to the horizon
-    knots.  On a product the limit knots of every point come from one
+    knots.  The limit knots of every point come from one
     ``realizer_points`` call over the legs toward the two largest
-    horizons (the second only for the failures it raises); a finite table
-    takes ``_finite_limit`` point by point.  The steps of every joined
-    chain and the additivity of its knot pairs to ten meshes are then
-    checked in array passes over all of them."""
+    horizons (the second only for the failures it raises).  The steps of
+    every joined chain and the additivity of its knot pairs to ten meshes
+    are then checked in array passes over all of them."""
     n = len(points)
     targets = [[line.knot_index(sign * t) for t in horizons]
                for sign in (1, -1)]
-    if not (n and horizons) or None in targets[0] + targets[1]:
+    if (not (n and horizons) or None in targets[0] + targets[1]
+            or isinstance(space, FiniteLorentzSpace)):
         return [None] * n
     m = len(line.chain.points)
     pts = line.chain.points.joined(points)
@@ -424,15 +420,11 @@ def _asymptotic_lines(space, line, points, horizons, shifts, knot_extent):
     fut, pst = (np.array(k[-2:], dtype=np.intp) for k in targets)
     ok = (space.ll_array(pts, here[:, None], np.array(targets[0])).all(axis=1)
           & space.ll_array(pts, np.array(targets[1]), here[:, None]).all(axis=1))
-    if isinstance(space, FiniteLorentzSpace):
-        limits = _finite_limits(space, pts, here, fut, pst, ok)
-    else:
-        knot_step = max(2.0, 20.0 * space.mesh)
-        if knot_extent is None:
-            knot_extent = max(horizons[0], knot_step)
-        limits = _analytic_limits(space, pts, here, fut, pst, ok, knot_step,
-                                  knot_extent)
-    ok, chain, params, past, lengths = limits
+    knot_step = max(2.0, 20.0 * space.mesh)
+    if knot_extent is None:
+        knot_extent = max(horizons[0], knot_step)
+    ok, chain, params, past, lengths = _analytic_limits(
+        space, pts, here, fut, pst, ok, knot_step, knot_extent)
     return _joined_lines(space, chain, params, past, lengths, ok, shifts)
 
 
@@ -499,29 +491,6 @@ def _analytic_limits(space, pts, here, fut, pst, ok, knot_step,
     return ok, joined.take(index), params, cp, lengths
 
 
-def _finite_limits(space, pts, here, fut, pst, ok):
-    """``_finite_limit`` of every point pts[here[s]] in ``ok`` in both
-    directions, one point at a time (``maximize_tau`` works per pair), as
-    ``_analytic_limits`` returns them; a point on which it raises is taken
-    out of ``ok``."""
-    chain, params = [], []
-    past, lengths = np.zeros(len(here), np.intp), np.zeros(len(here), np.intp)
-    for s in np.flatnonzero(ok).tolist():
-        p = pts[here[s]]
-        try:
-            pknots, pparams, _ = _finite_limit(space, p, [pts[i] for i in pst],
-                                               "past")
-            fknots, fparams, _ = _finite_limit(space, p, [pts[i] for i in fut],
-                                               "future")
-        except Exception:    # the per-point steps raise it in turn
-            ok[s] = False
-            continue
-        chain += [*pknots, *fknots[1:]]
-        params += [*pparams, *fparams[1:]]
-        past[s], lengths[s] = len(pknots) - 1, len(pknots) + len(fknots) - 1
-    return ok, PointTuple(chain), np.array(params, dtype=float), past, lengths
-
-
 def _realized(space, pts, starts, ends, params):
     """``realizer_point(pts[starts[k]], pts[ends[k]], params[k])`` of each
     entry on which it does not raise, from one ``realizer_points`` call,
@@ -547,8 +516,7 @@ def _joined_lines(space, chain, params, past, lengths, ok, shifts):
 
     Every step is checked in one pass: timelike beyond 10 EPS, with
     increasing parameters.  ``validate_chain`` then passes: on a product
-    a timelike step is causal and joins distinct points, and a finite
-    table's steps are steps of maximizing chains.
+    a timelike step is causal and joins distinct points.
     The cumulative separations and the additivity of every knot pair of a
     chain to ten meshes, as ``is_line`` decides it, are checked in bands
     of whole chains of at most ``max(chains.PAIR_BLOCK, one chain)``

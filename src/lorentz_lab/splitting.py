@@ -418,32 +418,39 @@ def check_slice_alexandrov(sl: SpacelikeSlice, tol=1e-6,
     count = sum(math.comb(k, 3) for k in live.sum(axis=1).tolist())
     if count == 0:
         raise PreconditionError("all quadruples degenerate")
-    # every triple a < b < c of the others' positions, in order
+    # the triples a < b < c of the others' positions, numbered in order,
+    # are drawn a band at a time from their numbers, never all listed: the
+    # triples with first index a run from number first[a] on, and their
+    # pairs (b, c) are the upper-triangle pairs from number row[a + 1] on
     m = n - 1
-    a, b, c = np.nonzero((np.arange(m)[:, None, None] < np.arange(m)[:, None])
-                         & (np.arange(m)[:, None] < np.arange(m)))
-    ab, bc, ac = a * m + b, b * m + c, a * m + c    # into a centre's angles
+    pb, pc = np.triu_indices(m, 1)
+    row = np.concatenate(([0], np.cumsum(np.arange(m - 1, -1, -1))))
+    first = np.concatenate(([0], np.cumsum(
+        [math.comb(m - 1 - i, 2) for i in range(m)])))
+    n_triples = int(first[-1])
+    # a band is whole centres times all their triples, or one centre times
+    # a run of its triples
+    per = max(1, chains.PAIR_BLOCK // n_triples)
+    span = min(n_triples, chains.PAIR_BLOCK)
     worst, witness = -math.inf, None
-    ang, centres = np.zeros((0, m, m)), np.zeros(0, dtype=np.intp)
-    for start in range(0, n * len(a), chains.PAIR_BLOCK):
-        x, t = np.divmod(np.arange(start, min(start + chains.PAIR_BLOCK,
-                                              n * len(a))), len(a))
-        # the angles of the band's centres, the previous band's last kept
-        kept = centres[-1:] == x[0]
-        centres = np.arange(x[0], x[-1] + 1)
-        ang = np.concatenate((ang[-1:][kept],
-                              _angles(d, others, centres[kept.sum():])))
-        flat, at = ang.ravel(), (x - x[0]) * (m * m)
-        excess = ((flat[at + ab[t]] + flat[at + bc[t]]) + flat[at + ac[t]]
-                  - 2.0 * math.pi)
-        if not live[centres].all():
-            dead = ~(live[x, a[t]] & live[x, b[t]] & live[x, c[t]])
-            excess[dead] = -math.inf
-        k = int(np.argmax(excess))
-        if excess[k] > worst:
-            worst = float(excess[k])
-            y = int(x[k])
-            witness = (y, *others[y, [a[t[k]], b[t[k]], c[t[k]]]].tolist())
+    for x0 in range(0, n, per):
+        centres = np.arange(x0, min(x0 + per, n))
+        flat = _angles(d, others, centres).reshape(len(centres), m * m)
+        for lo in range(0, n_triples, span):
+            hi = min(lo + span, n_triples)
+            a = np.repeat(np.arange(m), np.diff(np.clip(first, lo, hi)))
+            pair = row[a + 1] - first[a] + np.arange(lo, hi)
+            b, c = pb[pair], pc[pair]
+            excess = ((flat[:, a * m + b] + flat[:, b * m + c])
+                      + flat[:, a * m + c] - 2.0 * math.pi)
+            if not live[centres].all():
+                alive = live[centres]
+                excess[~(alive[:, a] & alive[:, b] & alive[:, c])] = -math.inf
+            i, k = divmod(int(np.argmax(excess)), hi - lo)
+            if excess[i, k] > worst:
+                worst = float(excess[i, k])
+                y = int(centres[i])
+                witness = (y, *others[y, [a[k], b[k], c[k]]].tolist())
     skipped = n * math.comb(n - 1, 3) - count
     return SliceCurvatureReport(worst <= tol, worst, witness, count, skipped)
 
