@@ -1,6 +1,6 @@
 """Growth of slice extraction and of the splitting map with the member count.
 
-    PYTHONPATH=src python scripts/slice_scaling.py
+    PYTHONPATH=src python scripts/slice_scaling.py [--cover-up-to MEMBERS]
 
 Extracts the slice of the canonical segment product (a vertical line at
 x = 0.5, one seed per factor point, knot extent 2.5 as the split command
@@ -19,6 +19,13 @@ times it, best of five:
   -2, -1.9, ..., 2 without a cover sample, as ``splitting_demo.py`` builds
   it.  Its tau defect, causal-order mismatches and bijectivity verdict are
   recorded with it, so that runs of two sources can be checked to agree;
+* ``cover_map_s``: the same map with the ``split`` command's cover check:
+  the grid points within half a knot step (0.05) of the knots, each to be
+  within ``0.5 * 0.1 + 2 * mesh`` of an image.  Its sample and image
+  counts, bijectivity verdict, number of witnesses and a sha256 of the
+  witness list are recorded with it.  With ``--cover-up-to MEMBERS`` it is
+  taken only up to that many members: an exhaustive cover scan, sample x
+  images, reaches about 1.7e8 distances at 101 members;
 * ``check_cauchy_slices_s``: the Cauchy check of that map at the levels
   -1, 0 and 1 along one spanning timelike chain (seed 0) per member, with
   its verdict and its number of spanning chains;
@@ -37,6 +44,8 @@ versions.  An earlier run of the same source is replaced and runs of other
 sources are kept, so that two checkouts can be compared in one file.
 """
 
+import argparse
+import hashlib
 import math
 import sys
 
@@ -48,7 +57,8 @@ from lorentz_lab.models import EuclideanSegment, ProductSpace
 OUT = ROOT / "BENCH_slice.json"
 HORIZONS = [2 ** k for k in range(1, 9)]
 SIZES = [(21, 0.05), (41, 0.025), (101, 0.01), (201, 0.005), (401, 0.0025)]
-KNOTS = [round(-2 + 0.1 * k, 10) for k in range(41)]
+KNOT_STEP = 0.1
+KNOTS = [round(-2 + KNOT_STEP * k, 10) for k in range(41)]
 LEVELS = [-1.0, 0.0, 1.0]
 ALEXANDROV_MAX_MEMBERS = 101
 LINE_KNOTS = (521, 2001)
@@ -74,7 +84,25 @@ class Replaying:
         return self.results[(self.turn - 1) % len(self.results)]
 
 
-def measure(factor_points, t_step):
+def measure_cover(space, sl, tol):
+    lo, hi = KNOTS[0] - 0.5 * KNOT_STEP, KNOTS[-1] + 0.5 * KNOT_STEP
+    cover = [z for z in space.sample_points() if lo <= z[0] <= hi]
+
+    def split():
+        return splitting.build_splitting_map(
+            space, sl, KNOTS, tolerance=tol, cover_sample=cover,
+            cover_radius=0.5 * KNOT_STEP + 2.0 * space.mesh)
+
+    result = split()
+    return {"cover_map_s": best_time(split, REPEATS),
+            "cover_sample": len(cover), "images": len(result.images),
+            "cover_bijective": result.bijective,
+            "cover_witnesses": len(result.witnesses),
+            "cover_witnesses_sha256": hashlib.sha256(
+                repr(result.witnesses).encode()).hexdigest()[:16]}
+
+
+def measure(factor_points, t_step, cover_up_to):
     space = ProductSpace(EuclideanSegment(0.0, 1.0, factor_points), -2.0, 2.0,
                          t_step)
     line = vertical_line(space, 0.5, range(-260, 261))
@@ -122,6 +150,8 @@ def measure(factor_points, t_step):
            "chain_points": sum(len(chain) for chain in probes),
            "cauchy_ok": report.each_chain_hits_each_slice_once,
            "n_spanning": report.n_spanning}
+    if members <= cover_up_to:
+        out.update(measure_cover(space, sl, tol))
     if members <= ALEXANDROV_MAX_MEMBERS:
         def alexandrov():
             return splitting.check_slice_alexandrov(sl, tol=1e-6,
@@ -153,9 +183,15 @@ def measure_is_line(knots):
 
 
 def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--cover-up-to", type=int, default=SIZES[-1][0],
+                        metavar="MEMBERS",
+                        help="time the map with a cover sample up to this "
+                        "many members (default: every size)")
+    args = parser.parse_args()
     run = new_run(REPEATS)
     run["is_line"] = [measure_is_line(knots) for knots in LINE_KNOTS]
-    run["sizes"] = [measure(*size) for size in SIZES]
+    run["sizes"] = [measure(*size, args.cover_up_to) for size in SIZES]
     save_run(OUT, run)
     for line in run["is_line"]:
         print(f"{line['knots']:4d} knots    is_line {line['is_line_s']:.4f} s")
@@ -167,6 +203,7 @@ def main():
               f"{size['check_cauchy_slices_s']:.4f} s  "
               f"check_slice_alexandrov "
               f"{size.get('check_slice_alexandrov_s', math.nan):.4f} s  "
+              f"with cover {size.get('cover_map_s', math.nan):.4f} s  "
               f"tau defect {size['tau_defect']!r}")
     return 0
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EPS, PreconditionError
+from .core import EPS, PointTuple, PreconditionError
 from . import chains
 from .models import product_image_terms
 from .comparison import UnrealizableError, _hinge
@@ -80,8 +80,9 @@ def _pair_tables(space, lines, first, second, na, nb):
     table serves every parametrization of its two lines."""
     knots = np.array([len(line.params) for line in lines], dtype=np.intp)
     start = np.cumsum(knots) - knots
-    points = list(itertools.chain.from_iterable(line.chain.points
-                                                for line in lines))
+    # converted once for both array forms
+    points = PointTuple(itertools.chain.from_iterable(line.chain.points
+                                                      for line in lines))
     ka, kb = knots[first][:, None, None], knots[second][:, None, None]
     a, b = np.arange(na)[:, None], np.arange(nb)
     # padding repeats a line's last knot
@@ -89,12 +90,11 @@ def _pair_tables(space, lines, first, second, na, nb):
                                  + np.minimum(a, ka - 1),
                                  start[second][:, None, None]
                                  + np.minimum(b, kb - 1))
-    i = np.stack([ia, ib], axis=1).ravel()
-    j = np.stack([ib, ia], axis=1).ravel()
-    shape = (len(first), 2, na, nb)
+    i = np.stack([ia, ib], axis=1)
+    j = i[:, ::-1]
     valid = ((a < ka) & (b < kb))[:, None]
-    leq = space.leq_array(points, i, j).reshape(shape) & valid
-    return leq, space.tau_array(points, i, j).reshape(shape), valid
+    leq = space.leq_array(points, i, j) & valid
+    return leq, space.tau_array(points, i, j), valid
 
 
 @dataclass(frozen=True)
@@ -177,10 +177,16 @@ def _rows(x):
     return x.reshape(len(x), math.prod(x.shape[1:]))
 
 
-def _spread(x, mask):
-    """Python's ``max(v) - min(v)`` over each row's entries v under mask:
-    ties keep the first entry, a NaN counts only as the first entry; NaN
-    for no entries."""
+def _spread(*pairs):
+    """Python's ``max(v) - min(v)`` over each row's entries v under its
+    mask, for the rows of the 2-D (x, mask) pairs in turn: ties keep the
+    first entry, a NaN counts only as the first entry; NaN for no entries.
+    Narrower pairs are padded with masked-off zeros."""
+    width = max(x.shape[1] for x, _ in pairs)
+    both = np.zeros((2, len(pairs), len(pairs[0][0]), width))
+    for k, (x, mask) in enumerate(pairs):
+        both[:, k, :, :x.shape[1]] = x, mask
+    x, mask = both[0].reshape(-1, width), both[1].reshape(-1, width) > 0
     rows = np.arange(len(x))
     first = x[rows, mask.argmax(axis=1)]
     numbers = mask & ~np.isnan(x)
@@ -266,13 +272,13 @@ def _shifts(dt, c, live, nulls):
     g, y, m = (v.reshape(len(v), 2, math.prod(v.shape[2:]))
                for v in (dt, c * c, live))
     n = m.sum(axis=2)
-    gbar = _sum(g, m) / n
-    ybar = _sum(y, m) / n
+    gbar, ybar = _sum(np.stack([g, y]), m) / n
     dg = g - gbar[..., None]
-    den = _sum(_squares(dg, m), m)
+    den, cross = _sum(np.stack([_squares(dg, m), dg * (y - ybar[..., None])]),
+                      m)
     # forward family: value^2 = -2 b g - b^2 + c^2 over g = t - s;
     # backward family: value^2 = +2 b g' - b^2 + c^2 over g' = s - t
-    slope = _sum(dg * (y - ybar[..., None]), m) / den
+    slope = cross / den
     estimates = np.stack([-slope[:, 0], slope[:, 1]], axis=1) / 2.0
     fitted = (n >= 2) & ~(den <= EPS)
     (has_ab, gap_ab, _, _), (has_ba, gap_ba, _, _) = nulls
@@ -300,7 +306,13 @@ def _decide(space, lines, params, first, second, na, nb, tolerance):
     none = ~defined.any(axis=1)
     c_mean = np.where(none, np.nan,
                       _sum(values, defined) / defined.sum(axis=1))
-    spread = _spread(values, defined)
+    half = values.shape[1] // 2    # c_ab's entries, then c_ba's
+    spreads = _spread((values, defined),
+                      (values[:, :half], defined[:, :half]),
+                      (values[:, half:], defined[:, half:]),
+                      (n_ab[1], n_ab[0]),
+                      (n_ba[1], n_ba[0])).reshape(5, len(values))
+    spread, per_function = spreads[0], spreads[1:].T
     ok = spread <= tolerance
     # the quantized null minima must stay consistent with the distance
     mean = c_mean[:, None]
@@ -318,10 +330,6 @@ def _decide(space, lines, params, first, second, na, nb, tolerance):
     mismatches = np.where(ok, (mismatched & valid).sum(axis=(1, 2, 3)), 0)
     ok &= (tau_defect <= tolerance) & (mismatches == 0)
 
-    per_function = np.stack([_spread(_rows(c[:, 0]), _rows(live[:, 0])),
-                             _spread(_rows(c[:, 1]), _rows(live[:, 1])),
-                             _spread(n_ab[1], n_ab[0]),
-                             _spread(n_ba[1], n_ba[0])], axis=1)
     return (ok & ~merged, c_mean, shift, spread, per_function,
             np.where(none, np.nan, tau_defect), mismatches, flags)
 

@@ -13,13 +13,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 
 import numpy as np
 
 from . import chains
 from .core import EPS, PointTuple, PreconditionError, metric_defect
-from .models import product_image_defect
+from .models import ProductSpace, product_image_defect
 from .asymptotics import (LineDescriptor, _asymptotic_lines,
                           _busemann_values, _extrapolated, _line_points,
                           build_asymptotic_line, busemann_value,
@@ -41,19 +42,25 @@ class SpacelikeSlice:
     horizons: tuple
 
     def __post_init__(self):
-        d = np.asarray(self.d_S, dtype=float)
+        # a read-only copy, so that the defect kept below cannot go stale
+        d = np.array(self.d_S, dtype=float)
         if d.shape != (len(self.members), len(self.members)):
             raise PreconditionError("distance table does not match member count")
+        d.flags.writeable = False
         object.__setattr__(self, "d_S", d)
 
     def __len__(self):
         return len(self.members)
 
+    @cached_property
+    def defect(self):
+        """``metric_defect(d_S)``, taken on first use and kept."""
+        return metric_defect(self.d_S)
+
     def validate_metric(self, tol=EPS):
         """Symmetry, vanishing diagonal and the triangle inequality of the
         distance table: ``(metric_defect(d_S) <= tol, metric_defect(d_S))``."""
-        worst = metric_defect(self.d_S)
-        return worst <= tol, worst
+        return self.defect <= tol, self.defect
 
 
 def slice_from_table(members, d_S) -> SpacelikeSlice:
@@ -173,8 +180,9 @@ def build_splitting_map(space, sl: SpacelikeSlice, time_knots,
     distances, causal order must transfer outside the null band of width
     ``tolerance``, images must be pairwise distinct, and (when a cover sample
     is supplied) every sampled point of the timelike envelope must be within
-    ``cover_radius`` of some image.  Above ``MAX_PAIRS`` image pairs a fixed
-    random sample of them is checked."""
+    ``cover_radius`` of some image (only those within it in time can be).
+    Above ``MAX_PAIRS`` image pairs a fixed random sample of them is
+    checked."""
     if any(l is None for l in sl.lines):
         raise PreconditionError("slice carries no asymptote lines")
     time_knots = tuple(time_knots)
@@ -198,8 +206,9 @@ def build_splitting_map(space, sl: SpacelikeSlice, time_knots,
     # (a, b > a) from number first[a] on
     n = len(keys)
     n_all = n * (n - 1) // 2
-    numbers = np.array(random.Random(0).sample(range(n_all), MAX_PAIRS)
-                       if n_all > MAX_PAIRS else range(n_all), dtype=np.intp)
+    numbers = (np.array(random.Random(0).sample(range(n_all), MAX_PAIRS),
+                        dtype=np.intp)
+               if n_all > MAX_PAIRS else np.arange(n_all))
     first = np.arange(n) * (2 * n - np.arange(n) - 1) // 2
     a = np.searchsorted(first, numbers, side="right") - 1
     b = numbers - first[a] + a + 1
@@ -260,21 +269,44 @@ def _screened_d(space, points, i, j, threshold):
 def _uncovered(space, sample, images, radius):
     """The sample points farther than ``radius`` from every image, in sample
     order: ``min(space.d(z, w) for w in images) > radius``, so a NaN distance
-    to the first image covers z and any later NaN is passed over.  The
-    sample is scanned in bands of rows, z against every image, of at most
-    ``max(chains.PAIR_BLOCK, one row)`` entries."""
-    if sample and not images:
+    to the first image covers z and any later NaN is passed over.  As
+    ``d >= |dt|`` on a product, z goes against image 0 and its window: the
+    images within the radius of it in time, widened by a relative 1e-12.  A
+    NaN time, or a space without time, makes every window whole.  A band of
+    windows is one ``_screened_d`` call (README, numerical conventions)."""
+    if not sample:
+        return []
+    if not images:
         raise PreconditionError("no images to cover the sample with")
     n = len(images)
     points = images.joined(sample)
-    columns = np.arange(n)[None, :]
-    rows = max(1, chains.PAIR_BLOCK // max(1, n))
+    if isinstance(space, ProductSpace):
+        times = space.point_arrays(points)[0]
+    else:
+        times = np.full(len(points), np.nan)
+    order = np.argsort(times[:n])
+    t, z = times[:n][order], times[n:]
+    reach = abs(radius) + 1e-12 * (np.abs(z) + abs(radius))
+    with np.errstate(invalid="ignore"):
+        lo = np.searchsorted(t, z - reach, side="left")
+        hi = np.maximum(np.searchsorted(t, z + reach, side="right"), lo)
+    whole = np.isnan(z) | np.isnan(t[-1])
+    lo[whole], hi[whole] = 0, n
+    # a row is image 0 then its window: run k of a band is row k's
+    width = hi - lo + 1
+    rows = max(1, chains.PAIR_BLOCK // int(width.max()))
     out = []
     for start in range(0, len(sample), rows):
-        zs = np.arange(n + start, n + min(start + rows, len(sample)))
-        dist = _screened_d(space, points, zs[:, None], columns, radius)
-        far = ((dist > radius) | np.isnan(dist)).all(axis=1)
-        out.extend(points[z] for z in zs[far & ~np.isnan(dist[:, 0])].tolist())
+        w = width[start:start + rows]
+        firsts = np.cumsum(w) - w
+        offset = np.arange(firsts[-1] + w[-1]) - np.repeat(firsts, w)
+        columns = order[np.repeat(lo[start:start + rows] - 1, w) + offset]
+        columns[firsts] = 0
+        zs = np.repeat(np.arange(n + start, n + start + len(w)), w)
+        dist = _screened_d(space, points, zs, columns, radius)
+        far = np.logical_and.reduceat((dist > radius) | np.isnan(dist), firsts)
+        far &= ~np.isnan(dist[firsts])
+        out.extend(points[n + start + k] for k in np.flatnonzero(far).tolist())
     return out
 
 

@@ -23,12 +23,13 @@ import math
 import random
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from lorentz_lab import chains, splitting
+from lorentz_lab import chains, cli, splitting
 from lorentz_lab import asymptotics
 from lorentz_lab.asymptotics import (LineDescriptor, build_asymptote,
                                      build_asymptotic_line,
@@ -38,7 +39,8 @@ from lorentz_lab.asymptotics import (LineDescriptor, build_asymptote,
                                      vertical_line)
 from lorentz_lab.chains import (CausalChain, LineCheck, is_line,
                                 reparametrize_tau_arclength, validate_chain)
-from lorentz_lab.core import EPS, FiniteLorentzSpace, PreconditionError
+from lorentz_lab.core import (EPS, FiniteLorentzSpace, PointTuple,
+                              PreconditionError)
 from lorentz_lab.models import (EuclideanSegment, ExplicitTable, PlaneSample,
                                 ProductSpace, TripodGraph, _product_tau,
                                 minkowski_space, product_image_defect)
@@ -60,6 +62,7 @@ pytestmark = pytest.mark.filterwarnings(
     "ignore:divide by zero encountered:RuntimeWarning")
 
 SEEDS = st.integers(0, 10_000)
+GOLDEN = Path(__file__).resolve().parent.parent / "docs" / "golden"
 
 
 def bits(values):
@@ -1042,6 +1045,166 @@ class TestBuildSplittingMapMatchesLoops:
         assert duplicates == [("duplicate-image",) + w for w in sorted(
             [(0, 0, 1), (1, 0, 2), (1, 1, 3), (2, 0, 2)]
             + (ties if nudge < 0 else []))]
+
+    @pytest.mark.parametrize("nudge", [-1, 0, 1])
+    def test_samples_at_the_window_edge(self, nudge):
+        # sample points at an image's factor point whose time differs from
+        # the image's by exactly the radius (so d == |dt| == radius), or by
+        # one float less or more, on both sides of every third image
+        space, sl, tol = product_slice()
+        knots = [-1.0, 0.0, 1.0]
+        w = line_point_loops(space, sl.lines[9], 0.0)
+        radius = (w[0] + 0.02) - w[0]    # below the member spacing
+        cover = []
+        for t in knots:
+            for line in sl.lines[::3]:
+                v = line_point_loops(space, line, t)
+                cover += [(nudged(v[0] + radius, nudge), v[1]),
+                          (nudged(v[0] - radius, -nudge), v[1])]
+        got = build_splitting_map(space, sl, knots, tol, cover_sample=cover,
+                                  cover_radius=radius)
+        want = build_splitting_map_loops(space, sl, knots, tol,
+                                         cover_sample=cover,
+                                         cover_radius=radius)
+        assert splitting_fields(got) == want
+        z = (nudged(w[0] + radius, nudge), w[1])
+        assert space.d(z, w) == nudged(radius, nudge)
+        assert (("uncovered", z) in got.witnesses) == (nudge > 0)
+
+    def test_window_bounds_round_apart(self):
+        # images at small times such as -1e-5 and 1e-5, each with a sample
+        # point at fl(w + r) or fl(w - r), exactly the radius from it: yet
+        # fl(z - r) lies above a negative image time and fl(z + r) below a
+        # positive one, so a window cut at z -+ r would miss the image
+        space, _, tol = product_slice()
+        radius, xs = 0.02, (0.1, 0.3, 0.5, 0.7)
+        times = (-1e-5, 1e-5, -3e-5, 2e-6)
+        lines = tuple(LineDescriptor(CausalChain(((-1.0, x), (t, x),
+                                                  (1.0, x))), (-1.0, 0.0, 1.0))
+                      for t, x in zip(times, xs))
+        sl = SpacelikeSlice(tuple(line.chain.points[1] for line in lines),
+                            np.abs(np.subtract.outer(xs, xs)), lines, None, ())
+        cover = [(t + radius, x) if t < 0 else (t - radius, x)
+                 for t, x in zip(times, xs)]
+        for (t, x), z in zip(sl.members, cover):
+            assert abs(z[0] - t) == radius
+            assert (z[0] - radius > t) if t < 0 else (z[0] + radius < t)
+        got = build_splitting_map(space, sl, [0.0], tol, cover_sample=cover,
+                                  cover_radius=radius)
+        want = build_splitting_map_loops(space, sl, [0.0], tol,
+                                         cover_sample=cover,
+                                         cover_radius=radius)
+        assert splitting_fields(got) == want
+        assert got.bijective
+
+    @pytest.mark.parametrize("lean", ["shifted", "tilted"])
+    def test_images_off_their_knot_time(self, lean):
+        # lines whose point at a time knot lies at another time: shifted
+        # parameters, or knots whose times lean with the factor point
+        space, sl, tol = product_slice()
+        rng = random.Random(5)
+        if lean == "shifted":
+            lines = tuple(line.shifted(rng.uniform(-0.3, 0.3))
+                          for line in sl.lines)
+        else:
+            lines = tuple(LineDescriptor(CausalChain(tuple(
+                (p[0] * (1.0 + 0.2 * p[1]) + 0.3 * p[1], p[1])
+                for p in line.chain.points)), line.params)
+                for line in sl.lines)
+        sl = SpacelikeSlice(sl.members, sl.d_S, lines, None, ())
+        knots = [-1.0, 0.0, 0.5]
+        cover = list(space.sample_points())[::3]
+        got = build_splitting_map(space, sl, knots, tol, cover_sample=cover,
+                                  cover_radius=0.1)
+        want = build_splitting_map_loops(space, sl, knots, tol,
+                                         cover_sample=cover, cover_radius=0.1)
+        assert splitting_fields(got) == want
+        assert 0 < sum(w[0] == "uncovered" for w in got.witnesses) < len(cover)
+
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_nan_times_as_min_takes_them(self, position):
+        # an image with a NaN time is never pruned from a window: at
+        # position 0 its NaN distance covers every sample point, later it is
+        # passed over; sample points with a NaN time meet NaN everywhere
+        space, sl, tol = product_slice()
+        nan_line = LineDescriptor(CausalChain(((math.nan, 0.5),
+                                               (math.nan, 0.5))), (0.0, 1.0))
+        lines = list(sl.lines[:3])
+        lines.insert(position, nan_line)
+        members = tuple(line.chain.points[-1] for line in lines)
+        sl = SpacelikeSlice(members, sl.d_S[:4, :4], tuple(lines), None, ())
+        cover = [(0.0, 0.0), (0.5, 0.5), (1.9, 1.0), (-1.0, 0.25),
+                 (math.nan, 0.5), (math.nan, 0.05)]
+        got = build_splitting_map(space, sl, [0.0], tol, cover_sample=cover,
+                                  cover_radius=0.3)
+        want = build_splitting_map_loops(space, sl, [0.0], tol,
+                                         cover_sample=cover, cover_radius=0.3)
+        assert splitting_fields(got) == want
+        assert got.bijective == (position == 0)
+
+    def test_samples_beyond_every_window(self):
+        # sample points far before, after and between the images' times,
+        # infinite ones among them, with a few covered points mixed in
+        space, sl, tol = product_slice()
+        knots = [-1.0, 1.0]
+        cover = [(t, x) for t in (-math.inf, -1e300, -50.0, -1.2, 0.0, 1.05,
+                                  3.5, 1e300, math.inf)
+                 for x in (0.0, 0.45, 1.0)]
+        got = build_splitting_map(space, sl, knots, tol, cover_sample=cover,
+                                  cover_radius=0.1)
+        want = build_splitting_map_loops(space, sl, knots, tol,
+                                         cover_sample=cover, cover_radius=0.1)
+        assert splitting_fields(got) == want
+        assert sum(w[0] == "uncovered" for w in got.witnesses) == 8 * 3
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tables_take_every_image(self, seed):
+        # a finite table has no time coordinate: each sample point goes
+        # against every image, decided as min() decides
+        space = finite_space(12, seed)
+        rng = random.Random(seed)
+        images = PointTuple(rng.sample(range(12), 5))
+        sample = tuple(rng.choice(range(12)) for _ in range(20))
+        for radius in (0.0, 0.5, 1.0):
+            assert splitting._uncovered(space, sample, images, radius) == [
+                z for z in sample
+                if min(space.d(z, w) for w in images) > radius]
+
+    def test_cover_work_is_the_windows(self, monkeypatch, capsys):
+        # the golden split command: the cover pass takes d_array only on
+        # image 0 and the images within the radius in time of each sample
+        # point (up to the window's relative 1e-12 widening), a fifth of
+        # the sample x images scan
+        class Counting(ProductSpace):
+            entries = 0
+
+            def d_array(self, points, i, j):
+                Counting.entries += math.prod(np.broadcast_shapes(
+                    np.shape(i), np.shape(j)))
+                return super().d_array(points, i, j)
+
+        calls, uncovered = [], splitting._uncovered
+
+        def counted(space, sample, images, radius):
+            counting = Counting(space.factor, space.t_min, space.t_max,
+                                space.t_step)
+            out = uncovered(counting, sample, images, radius)
+            calls.append((Counting.entries, sample, images, radius, out))
+            return out
+
+        monkeypatch.setattr(splitting, "_uncovered", counted)
+        golden = GOLDEN / "product_segment.json", \
+            GOLDEN / "product_vertical_line.json"
+        assert cli.main(["split", str(golden[0]), "--line", str(golden[1]),
+                         "--t-grid=-2:2:0.5"]) == 0
+        capsys.readouterr()
+        (entries, sample, images, radius, out), = calls
+        t = np.array([w[0] for w in images])
+        windows = sum(int((np.abs(t - z[0]) <= radius + 1e-9).sum())
+                      for z in sample)
+        assert (len(sample), len(images), out) == (1701, 189, [])
+        assert 0 < entries <= windows + len(sample)
+        assert entries < len(sample) * len(images) / 4
 
 
 # ---------------------------------------------------------------------------

@@ -29,11 +29,11 @@ from lorentz_lab.chains import CausalChain, MaximizerResult, maximize_tau
 from lorentz_lab.comparison import SpaceTriangle
 from lorentz_lab.core import (EPS, AxiomCheck, FiniteLorentzSpace,
                               PreconditionError, ValidationReport,
-                              validate_axioms)
+                              metric_defect, validate_axioms)
 from lorentz_lab.models import minkowski_space, tau_minkowski
 from lorentz_lab.sampling import (finite_triangles, flat_finite_space,
                                   sprinkle_causal_set)
-from lorentz_lab.splitting import slice_from_table
+from lorentz_lab.splitting import check_slice_alexandrov, slice_from_table
 
 from conftest import three_chain
 
@@ -612,6 +612,24 @@ class TestMetricDefectMatchesLoops:
         d = np.array(entries)
         got = slice_from_table(range(len(d)), d).validate_metric(EPS)
         assert got == validate_metric_loops(d, EPS)
+
+    def test_one_scan_per_slice(self):
+        # the slice keeps its defect: two validations and the curvature
+        # check scan its table once; the table is a read-only copy, so the
+        # kept defect cannot go stale
+        x = np.array([0.0, 0.5, 1.25, 2.0, 3.5])
+        d = np.abs(x[:, None] - x[None, :])
+        sl = slice_from_table(range(len(x)), d)
+        with mock.patch("lorentz_lab.splitting.metric_defect",
+                        wraps=metric_defect) as scan:
+            assert sl.validate_metric(EPS) == (True, 0.0)
+            assert sl.validate_metric(-1.0) == (False, 0.0)
+            check_slice_alexandrov(sl)
+        assert scan.call_count == 1
+        d[0, 1] = 9.0
+        assert sl.validate_metric(EPS) == (True, 0.0)
+        with pytest.raises(ValueError):
+            sl.d_S[0, 1] = 9.0
 
 
 # ---------------------------------------------------------------------------
