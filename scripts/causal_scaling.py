@@ -18,6 +18,9 @@ pair, and the traced-heap peaks (``tracemalloc``) of one weighted sprinkle
 and of one first maximization.  A run needs about 40 n² bytes at its peak:
 0.6 GB at n = 4000.
 
+At n = 48, 64 and 400 it times ``validate_axioms`` on
+``flat_finite_space(n, 1)``, best of three, with its verdict.
+
 The run goes into BENCH_causal_chains.json at the repository root under
 the sha256 of src/lorentz_lab, together with the machine and the Python
 and numpy versions.  An earlier run of the same source is replaced and runs
@@ -32,10 +35,12 @@ import numpy as np
 
 from bench_record import ROOT, best_time, new_run, save_run
 from lorentz_lab import chains
-from lorentz_lab.sampling import sprinkle_causal_set
+from lorentz_lab.core import validate_axioms
+from lorentz_lab.sampling import flat_finite_space, sprinkle_causal_set
 
 OUT = ROOT / "BENCH_causal_chains.json"
 SIZES = [400, 1000, 2000, 4000]
+AXIOM_SIZES = [48, 64, 400]
 SEED = 1
 REPEATS = 3
 
@@ -85,8 +90,21 @@ def measure(n):
             "first_maximize_peak_mb": maximize_peak}
 
 
+def measure_axioms(n):
+    space = flat_finite_space(n, SEED)
+    return {"n": n, "seed": SEED,
+            "validate_axioms_s": best_time(lambda: validate_axioms(space),
+                                           REPEATS),
+            "passed": validate_axioms(space).passed}
+
+
 def main():
     run = new_run(REPEATS)
+    run["validate_axioms"] = []
+    for n in AXIOM_SIZES:
+        size = measure_axioms(n)
+        run["validate_axioms"].append(size)
+        print(f"n {n:5d}  validate_axioms {size['validate_axioms_s']:.4f} s")
     run["sizes"] = []
     for n in SIZES:
         size = measure(n)

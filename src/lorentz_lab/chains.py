@@ -16,8 +16,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import (EPS, FiniteLorentzSpace, LorentzQuery, PointTuple,
-                   PreconditionError, _first)
+from .core import (EPS, PAIR_BLOCK, FiniteLorentzSpace, LorentzQuery,
+                   PointTuple, PreconditionError, _first)
 
 
 @dataclass(frozen=True)
@@ -112,6 +112,21 @@ def _causal_order(space: FiniteLorentzSpace):
     return space._causal_order
 
 
+def _relaxed_vertices(leq, source, target):
+    """The mask of the vertices ``maximize_tau`` relaxes: the source–target
+    diamond (the target and its past within ``leq[source]``, plus the source
+    itself, which ``leq[source, source]`` may leave out), unless ``leq``
+    relates one of its vertices to a vertex of the target's past outside
+    it; then the whole past."""
+    past = leq[:, target].copy()
+    past[target] = True
+    diamond = past & leq[source]
+    diamond[source] = True
+    if (leq[diamond] & (past & ~diamond)).any():
+        return past
+    return diamond
+
+
 def maximize_tau(space: FiniteLorentzSpace, source: int, target: int) -> MaximizerResult:
     """Exact longest-chain time separation from source to target over the DAG
     of the strict causal relation.
@@ -120,35 +135,39 @@ def maximize_tau(space: FiniteLorentzSpace, source: int, target: int) -> Maximiz
     number of optimal chains is reported.  Requires an antisymmetric causal
     relation (a causal space); raises when the endpoints are unrelated.
 
-    Only relations within the target's causal past are read: a few array
-    passes cut them, with their weights, from the packed successor lists,
-    and the relaxation runs over them in reverse topological order, each
-    vertex's successors in increasing order, with plain Python numbers and
-    no per-relation method or numpy call.
+    Only the vertices whose best value is read are relaxed: those of the
+    source–target diamond D, the target's past within ``leq[source]`` (the
+    source itself included), when no relation leaves D for the rest of the
+    target's past; otherwise the whole past.  The value, the tie count and
+    the forward walk read only vertices reachable from the source, and when
+    no relation leaves D they all lie in D; a transitive ``leq`` always
+    closes D.  A few array passes cut the relations into the relaxed
+    vertices, with their weights, from the packed successor lists, and the
+    relaxation runs over them in reverse topological order, each vertex's
+    successors in increasing order, with plain Python numbers and no
+    per-relation method or numpy call.
     """
     if source == target:
         raise PreconditionError("endpoints must be distinct")
     if not space.leq(source, target):
         raise PreconditionError(f"points {source} and {target} are not related")
     order, start, targets, weights = _causal_order(space)
-    # the vertices whose best value is read: the target and its past
-    past = space.leq_table()[:, target].copy()
-    past[target] = True
-    kept = np.flatnonzero(past[targets])
-    # the successors of v in the past are heads[bounds[v]:bounds[v + 1]];
+    relaxed = _relaxed_vertices(space.leq_table(), source, target)
+    kept = np.flatnonzero(relaxed[targets])
+    # the successors of v that are relaxed are heads[bounds[v]:bounds[v + 1]];
     # a memoryview yields Python numbers one at a time, so that no list of
     # every relation is built
     bounds = np.searchsorted(kept, start).tolist()
     heads = memoryview(targets[kept])
     weights = memoryview(weights[kept])
-    past = past.tolist()
+    relaxed = relaxed.tolist()
 
     # best[v]: longest chain value from v to target, counting chains
     best = [0.0] * space.n
     ways = [0] * space.n
     ways[target] = 1
     for v in reversed(order):
-        if v == target or not past[v]:
+        if v == target or not relaxed[v]:
             continue
         b = -math.inf
         w = 0
@@ -178,11 +197,6 @@ def maximize_tau(space: FiniteLorentzSpace, source: int, target: int) -> Maximiz
         else:
             raise AssertionError("optimal chain reconstruction failed")
     return MaximizerResult(value, CausalChain(tuple(chain)), ways[source])
-
-
-# entries per array pass of the blocked kernels (is_line, the sprinkle, the
-# parallel verdicts and the distance screen of the split path)
-PAIR_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)

@@ -21,6 +21,11 @@ EPS = 1e-9
 
 INF = math.inf
 
+# entries per array pass of the blocked kernels: the axiom scans here, and
+# through ``chains`` the line check, the sprinkle, the parallel verdicts and
+# the distance screen of the split path
+PAIR_BLOCK = 1 << 14
+
 
 class StructuralError(ValueError):
     """Malformed input tables (shape/dtype problems, not axiom failures)."""
@@ -137,8 +142,8 @@ class LorentzQuery:
         raise NotImplementedError
 
 
-def _as_square(arr, n, name, dtype):
-    out = np.array(arr, dtype=dtype)  # always copy: instances own their tables
+def _as_square(convert, arr, n, name, dtype):
+    out = convert(arr, dtype=dtype)
     if out.shape != (n, n):
         raise StructuralError(f"{name} table must be {n}x{n}, got {out.shape}")
     return out
@@ -149,18 +154,34 @@ class FiniteLorentzSpace(LorentzQuery):
 
     ``tau`` entries may be ``math.inf`` (explicit marker for an infinite time
     separation); globally hyperbolic examples must be marker-free.
+
+    The constructor copies its tables, so that a caller's arrays stay the
+    caller's; ``_of_own_tables`` takes over tables the library has just
+    built, with the same checks, and copies none.  Either way the instance
+    holds its tables read-only.
     """
 
     def __init__(self, d, leq, ll, tau):
-        d = np.array(d, dtype=float)
+        self._hold(np.array, d, leq, ll, tau)  # instances own their tables
+
+    @classmethod
+    def _of_own_tables(cls, d, leq, ll, tau):
+        """The space on tables that no one else holds, taken without a copy
+        when they already have the table dtypes."""
+        space = cls.__new__(cls)
+        space._hold(np.asarray, d, leq, ll, tau)
+        return space
+
+    def _hold(self, convert, d, leq, ll, tau):
+        d = convert(d, dtype=float)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise StructuralError(f"d table must be square, got shape {d.shape}")
         n = d.shape[0]
         self.n = n
         self._d = d
-        self._leq = _as_square(leq, n, "leq", bool)
-        self._ll = _as_square(ll, n, "ll", bool)
-        self._tau = _as_square(tau, n, "tau", float)
+        self._leq = _as_square(convert, leq, n, "leq", bool)
+        self._ll = _as_square(convert, ll, n, "ll", bool)
+        self._tau = _as_square(convert, tau, n, "tau", float)
         if np.isnan(self._d).any() or np.isnan(self._tau).any():
             raise StructuralError("NaN entries are not permitted")
         for a in (self._d, self._leq, self._ll, self._tau):
@@ -246,12 +267,17 @@ def _first(mask):
 
 
 def _first_triple(n, mask_at):
-    """Lexicographically first (i, j, k) where the (j, k) mask ``mask_at(i)``
-    holds, or None.  One i at a time, so no array grows beyond n x n."""
-    for i in range(n):
-        hit = _first(mask_at(i))
+    """Lexicographically first (i, j, k) where the (rows, n, n) mask
+    ``mask_at(rows)`` of the first indices ``rows`` (a slice) holds, or
+    None.  The first indices go in blocks of ``max(1, PAIR_BLOCK // n²)``,
+    so no mask grows beyond ``max(PAIR_BLOCK, n²)`` entries; a block's
+    row-major first hit is its lexicographically first, and the first block
+    holding one ends the scan."""
+    step = max(1, PAIR_BLOCK // max(1, n * n))
+    for i in range(0, n, step):
+        hit = _first(mask_at(slice(i, i + step)))
         if hit is not None:
-            return (i,) + hit
+            return (i + hit[0],) + hit[1:]
     return None
 
 
@@ -270,22 +296,22 @@ def validate_axioms(space: FiniteLorentzSpace) -> ValidationReport:
             "d zero diagonal": _first(np.abs(np.diagonal(d)) > EPS),
             "d symmetric": _first(np.triu(np.abs(d - d.T) > EPS, 1)),
             "d positive off diagonal": _first(~np.eye(n, dtype=bool) & (d <= EPS)),
-            # [j, k] of row i: d[i, k] > d[i, j] + d[j, k] + EPS
+            # [i, j, k], i in the block r: d[i, k] > d[i, j] + d[j, k] + EPS
             "d triangle inequality": _first_triple(
-                n, lambda i: d[i, None, :] > (d[i, :, None] + d) + EPS),
+                n, lambda r: d[r, None, :] > (d[r, :, None] + d) + EPS),
             # relation axioms
             "leq reflexive": _first(~np.diagonal(leq)),
             "leq transitive": _first_triple(
-                n, lambda i: leq[i, :, None] & leq & ~leq[i, None, :]),
+                n, lambda r: leq[r, :, None] & leq & ~leq[r, None, :]),
             "ll transitive": _first_triple(
-                n, lambda i: ll[i, :, None] & ll & ~ll[i, None, :]),
+                n, lambda r: ll[r, :, None] & ll & ~ll[r, None, :]),
             "ll contained in leq": _first(ll & ~leq),
             # time separation axioms
             "tau zero when unrelated": _first(~leq & (tau > EPS)),
             "tau positive iff timelike": _first((tau > EPS) != ll),
             "reverse triangle inequality": _first_triple(
-                n, lambda i: leq[i, :, None] & leq
-                & (tau[i, None, :] < (tau[i, :, None] + tau) - EPS)),
+                n, lambda r: leq[r, :, None] & leq
+                & (tau[r, None, :] < (tau[r, :, None] + tau) - EPS)),
         }
     return ValidationReport(tuple(AxiomCheck(name, w is None, w)
                                   for name, w in witnesses.items()))

@@ -37,11 +37,12 @@ def _random_stream(rng: random.Random):
     return np.random.Generator(bits)
 
 
-def _causal_rows(t, x, rows, draws):
-    """The ``leq``, ``ll`` and ``tau`` rows of the sprinkled points ``rows``
-    (diagonal left False): weights from ``draws`` in row-major order, or
-    the flat separations when ``draws`` is None."""
+def _sprinkle_rows(t, x, rows, draws):
+    """The ``d``, ``leq``, ``ll`` and ``tau`` rows of the sprinkled points
+    ``rows`` (the diagonal left 0 and False): weights from ``draws`` in
+    row-major order, or the flat separations when ``draws`` is None."""
     dt, dx = t - t[rows, None], np.abs(x - x[rows, None])
+    d = _product_d_array(dt, dx)
     leq = (dt >= dx) & ~((dt == 0) & (dx == 0))
     ll = leq & (dt > dx)
     tau = np.zeros(dt.shape)
@@ -49,7 +50,7 @@ def _causal_rows(t, x, rows, draws):
         tau[ll] = _product_tau_array(dt[ll], dx[ll])
     else:
         tau[ll] = 0.05 + (2.0 - 0.05) * draws.random(np.count_nonzero(ll))
-    return leq, ll, tau
+    return d, leq, ll, tau
 
 
 def sprinkle_causal_set(n, seed, weighted=True) -> FiniteLorentzSpace:
@@ -61,13 +62,14 @@ def sprinkle_causal_set(n, seed, weighted=True) -> FiniteLorentzSpace:
 
     The tables are built in blocks of whole rows, at most
     ``chains.PAIR_BLOCK`` entries and at most a quarter of the rows at a
-    time, so that a block's temporaries stay below the tables' own size and
-    the peak memory is the construction's copy of the tables.  Distances
-    are those of the flat product's ``d_array`` (``_product_d_array``), on
-    the columns after each block's first row only, as they are symmetric.
-    The weights of a weighted sprinkle are the values
-    ``rng.uniform(0.05, 2.0)`` would draw one per timelike pair in
-    row-major order, drawn a block at a time from ``_random_stream``."""
+    time, and handed to the space without a copy, so that the peak memory
+    is the tables once plus one block's temporaries.  Distances are those
+    of the flat product's ``d_array`` (``_product_d_array``) on whole rows:
+    ``t[j] - t[i]`` is ``-(t[i] - t[j])`` exactly and the kernel squares
+    it, so the table is symmetric bit for bit.  The weights of a weighted
+    sprinkle are the values ``rng.uniform(0.05, 2.0)`` would draw one per
+    timelike pair in row-major order, drawn a block at a time from
+    ``_random_stream``."""
     pts = np.array(sprinkle_points(n, seed), dtype=float).reshape(n, 2)
     t, x = pts[:, 0], pts[:, 1]
     draws = _random_stream(random.Random(seed + 10_000)) if weighted else None
@@ -78,16 +80,12 @@ def sprinkle_causal_set(n, seed, weighted=True) -> FiniteLorentzSpace:
     step = max(1, min(chains.PAIR_BLOCK // max(n, 1), n // 4))
     for i in range(0, n, step):
         rows = slice(i, i + step)
-        leq[rows], ll[rows], tau[rows] = _causal_rows(t, x, rows, draws)
-        d[rows, i + 1:] = _product_d_array(t[i + 1:] - t[rows, None],
-                                           x[i + 1:] - x[rows, None])
+        d[rows], leq[rows], ll[rows], tau[rows] = _sprinkle_rows(t, x, rows,
+                                                                 draws)
     np.fill_diagonal(leq, True)
-    # every entry above the diagonal is set, and those set below it hold
-    # the same value as their mirror image
-    d = np.maximum(d, d.T)
     np.maximum(d, 1e-6, out=d)
     np.fill_diagonal(d, 0.0)
-    return FiniteLorentzSpace(d, leq, ll, tau)
+    return FiniteLorentzSpace._of_own_tables(d, leq, ll, tau)
 
 
 def flat_finite_space(n, seed) -> FiniteLorentzSpace:

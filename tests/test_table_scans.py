@@ -14,6 +14,7 @@ product's ``sqrt(dt * dt + dx * dx)`` and its bulk draws to
 ``random.Random.random``.
 """
 
+import bisect
 import itertools
 import math
 import random
@@ -24,7 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lorentz_lab import chains, sampling
+from lorentz_lab import chains, core, sampling
 from lorentz_lab.chains import CausalChain, MaximizerResult, maximize_tau
 from lorentz_lab.comparison import SpaceTriangle
 from lorentz_lab.core import (EPS, AxiomCheck, FiniteLorentzSpace,
@@ -393,31 +394,38 @@ def random_dag(n, seed):
     return FiniteLorentzSpace(np.ones((n, n)) - np.eye(n), leq, tau > 0, tau)
 
 
-def planted(space, axiom, pick):
+def planted(space, axiom, pick, rows=None):
     """The table with one violation of a cubic axiom planted at a triple
-    chosen by ``pick`` (an index into the candidate triples)."""
+    chosen by ``pick`` (an index into the candidate triples), or one at
+    each first index in ``rows``, with the other two indices above it."""
     n = space.n
     d, leq, ll, tau = (np.array(a) for a in
                        (space._d, space._leq, space._ll, space._tau))
     triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)
                if len({i, j, k}) == 3]
+    if rows is not None:
+        triples = [t for t in triples if t[0] in rows and t[0] < min(t[1:])]
     if axiom in ("leq transitive", "reverse triangle inequality"):
         triples = [t for t in triples if leq[t[0], t[1]] and leq[t[1], t[2]]]
     elif axiom == "ll transitive":
         triples = [t for t in triples if ll[t[0], t[1]] and ll[t[1], t[2]]]
     if not triples:
         return space
-    i, j, k = triples[pick % len(triples)]
-    if axiom == "d triangle inequality":
-        d[i, k] = d[k, i] = d[i, j] + d[j, k] + 1.0
-    elif axiom == "leq transitive":
-        leq[i, k] = ll[i, k] = False
-        tau[i, k] = 0.0
-    elif axiom == "ll transitive":
-        ll[i, k] = False
-        tau[i, k] = 0.0
+    if rows is None:
+        chosen = [triples[pick % len(triples)]]
     else:
-        tau[i, k] = 0.5 * tau[i, k]
+        chosen = [next(t for t in triples if t[0] == r) for r in rows]
+    for i, j, k in chosen:
+        if axiom == "d triangle inequality":
+            d[i, k] = d[k, i] = d[i, j] + d[j, k] + 1.0
+        elif axiom == "leq transitive":
+            leq[i, k] = ll[i, k] = False
+            tau[i, k] = 0.0
+        elif axiom == "ll transitive":
+            ll[i, k] = False
+            tau[i, k] = 0.0
+        else:
+            tau[i, k] = 0.5 * tau[i, k]
     return FiniteLorentzSpace(d, leq, ll, tau)
 
 
@@ -458,6 +466,28 @@ class TestValidateAxiomsMatchesLoops:
         marked = FiniteLorentzSpace(space._d, space._leq, space._ll, tau)
         assert validate_axioms(marked) == validate_axioms_loops(marked)
 
+    @pytest.mark.parametrize("block", [1, 2, 3])
+    @pytest.mark.parametrize("axiom", CUBIC_AXIOMS)
+    def test_block_boundaries(self, axiom, block):
+        """With ``PAIR_BLOCK`` at ``block`` · n², the cubic scans take
+        ``block`` first indices per pass.  A violation in the last row of
+        the second block, in the first row of the third, or in both, is
+        found there and reported as the loops report it."""
+        n = 10
+        # a timelike zigzag: every pair is related, so every row below the
+        # last two holds triples of every kind
+        zigzag = [(float(i), 0.3 * (-1) ** i) for i in range(n)]
+        with mock.patch.object(sampling, "sprinkle_points",
+                               lambda n, seed: zigzag):
+            flat = flat_finite_space(n, 0)
+        last, first = 2 * block - 1, 2 * block
+        with mock.patch.object(core, "PAIR_BLOCK", block * n * n):
+            for rows in ([last], [first], [last, first]):
+                space = planted(flat, axiom, 0, rows)
+                report = validate_axioms(space)
+                assert report[axiom].witness[0] == rows[0]
+                assert report == validate_axioms_loops(space)
+
     def test_witnesses_are_plain_ints(self):
         witness = validate_axioms(three_chain(t02=1.5))[
             "reverse triangle inequality"].witness
@@ -479,6 +509,37 @@ def maximize_all(space, maximize=maximize_tau):
     return [outcome(maximize, space, p, q)
             for p in range(space.n) for q in range(space.n)
             if p != q and space.leq(p, q)]
+
+
+def relaxed_kinds(space, pairs=None):
+    """The kinds of vertex set that ``maximize_tau`` relaxes over the
+    related pairs (every one by default), each result checked against the
+    loop oracle: "diamond" when the source–target diamond is relaxed and
+    is smaller than the target's past, "past" when the past is relaxed and
+    the diamond is smaller, "same" when the two coincide."""
+    kinds = set()
+    relaxed = chains._relaxed_vertices
+
+    def spy(leq, source, target):
+        mask = relaxed(leq, source, target)
+        past = leq[:, target].copy()
+        past[target] = True
+        diamond = past & leq[source]
+        diamond[source] = True
+        if (diamond == past).all():
+            kinds.add("same")
+        else:
+            kinds.add("past" if (mask == past).all() else "diamond")
+            assert (mask == past).all() or (mask == diamond).all()
+        return mask
+
+    if pairs is None:
+        pairs = [(p, q) for p in range(space.n) for q in range(space.n)
+                 if p != q and space.leq(p, q)]
+    with mock.patch.object(chains, "_relaxed_vertices", spy):
+        got = [outcome(maximize_tau, space, p, q) for p, q in pairs]
+    assert got == [outcome(maximize_tau_loops, space, p, q) for p, q in pairs]
+    return kinds
 
 
 def irreflexive_dag(n, seed):
@@ -509,6 +570,75 @@ class TestChainScansMatchLoops:
                 mock.patch.object(chains, "_check_causal", check_causal_loops):
             want = maximize_all(twin)
         assert got == want
+
+    @pytest.mark.parametrize("kind, kinds", [
+        ("flat", {"diamond", "same"}),
+        ("weighted", {"diamond", "same"}),
+        ("dag", {"diamond", "past", "same"}),
+    ])
+    def test_both_diamond_branches(self, kind, kinds):
+        """The generators of ``test_order_and_maximizers`` reach both
+        branches of ``_relaxed_vertices``: a sprinkle's order is transitive,
+        so its diamonds are closed and some are smaller than the past; a
+        random DAG is not, and some of its diamonds have a relation leaving
+        them, so the whole past is relaxed."""
+        seen = set()
+        for seed in range(3):
+            space = random_dag(12, seed) if kind == "dag" else \
+                sprinkle_causal_set(12, seed, kind == "weighted")
+            seen |= relaxed_kinds(space)
+        assert seen == kinds
+
+    def test_relation_leaving_the_diamond(self):
+        """0 < 1 < 2 < 3 with 0 and 2 unrelated: the longest chain from 0
+        to 3 runs through 2, outside the diamond {0, 1, 3}."""
+        leq = np.eye(4, dtype=bool)
+        for i, j in [(0, 1), (1, 2), (2, 3), (1, 3), (0, 3)]:
+            leq[i, j] = True
+        space = FiniteLorentzSpace(np.ones((4, 4)) - np.eye(4), leq,
+                                   leq & ~np.eye(4, dtype=bool),
+                                   (leq & ~np.eye(4, dtype=bool)).astype(float))
+        assert relaxed_kinds(space, [(0, 3)]) == {"past"}
+        assert maximize_tau(space, 0, 3) == \
+            MaximizerResult(3.0, CausalChain((0, 1, 2, 3)), 1)
+
+    def test_irreflexive_source(self):
+        """With ``leq[source, source]`` False the source is still relaxed:
+        left out of its own diamond, its value would read as 0."""
+        space = three_chain(t02=1.5)
+        irreflexive = FiniteLorentzSpace(
+            space._d, space._leq & ~np.eye(3, dtype=bool), space._ll,
+            space._tau)
+        want = MaximizerResult(2.0, CausalChain((0, 1, 2)), 1)
+        assert maximize_tau(irreflexive, 0, 2) == want
+        assert maximize_tau_loops(irreflexive, 0, 2) == want
+        assert relaxed_kinds(irreflexive) == {"diamond", "same"}
+
+    def test_longest_chain_of_a_large_product_order(self):
+        """1000 points uniform in the unit square of light-cone coordinates
+        (u, v) under the product order, with unit weights on strict
+        relations, between the corners (0, 0) and (1, 1): the longest chain
+        steps through a longest increasing run of v in u order (patience
+        sorting), so its value is that run's length plus 1, and it
+        increases in both coordinates."""
+        m = 1000
+        rng = np.random.default_rng(7)
+        uv = np.vstack([[0.0, 0.0], rng.random((m, 2)), [1.0, 1.0]])
+        u, v = uv[:, 0], uv[:, 1]
+        leq = (u[:, None] <= u) & (v[:, None] <= v)
+        strict = leq & ~np.eye(m + 2, dtype=bool)
+        space = FiniteLorentzSpace(np.ones(leq.shape), leq, strict,
+                                   strict.astype(float))
+        piles = []
+        for k in np.argsort(u[1:-1]).tolist():
+            at = bisect.bisect_left(piles, v[1 + k])
+            piles[at:at + 1] = [v[1 + k]]
+        result = maximize_tau(space, 0, m + 1)
+        assert result.value == len(piles) + 1
+        chain = list(result.chain.points)
+        assert len(chain) == len(piles) + 2
+        assert chain[0] == 0 and chain[-1] == m + 1
+        assert (np.diff(u[chain]) > 0).all() and (np.diff(v[chain]) > 0).all()
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(2, 12), seed=SEEDS)
@@ -693,26 +823,35 @@ class TestSprinkleMatchesLoop:
     @pytest.mark.parametrize("n", [400, 800])
     @pytest.mark.parametrize("weighted", [True, False])
     def test_peak_memory(self, n, weighted):
-        """The row blocks hold less than the constructor's copies of the
-        tables, so the peak is the construction's: the four tables, the
-        constructor's own peak on them and at most 64 KiB for the points
-        and the draw generator, a quarter of one block-sized float64 array.
-        (The former one-row-at-a-time build peaked at 5 944 514 and
-        23 736 578 bytes, weighted, at n = 400 and 800; the blocks at
-        5 934 850 and 23 701 250, each measured in a fresh process.)"""
-        space = sprinkle_causal_set(n, 1, weighted)
-        tables = [np.array(a) for a in
-                  (space._d, space._leq, space._ll, space._tau)]
+        """The space takes the sprinkle's tables without a copy, so the peak
+        is the four tables once, the largest block's rows with their
+        temporaries, and at most 64 KiB for the points and the draw generator, a quarter
+        of one block-sized float64 array.  (When the constructor copied the
+        tables, the weighted sprinkle peaked at 5 934 850 and 23 701 250
+        bytes at n = 400 and 800, each measured in a fresh process.)"""
+        with mock.patch.object(sampling, "_sprinkle_rows",
+                               wraps=sampling._sprinkle_rows) as spy:
+            space = sprinkle_causal_set(n, 1, weighted)
+        tables = sum(a.nbytes for a in
+                     (space._d, space._leq, space._ll, space._tau))
+        draws = sampling._random_stream(random.Random(10_001)) \
+            if weighted else None
+        del space
         tracemalloc.start()
         try:
-            FiniteLorentzSpace(*tables)
-            construction = tracemalloc.get_traced_memory()[1]
+            block = 0
+            for call in spy.call_args_list:
+                t, x, rows, _ = call.args
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                sampling._sprinkle_rows(t, x, rows, draws)
+                block = max(block, tracemalloc.get_traced_memory()[1] - base)
             tracemalloc.reset_peak()
             sprinkle_causal_set(n, 1, weighted)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= sum(a.nbytes for a in tables) + construction + 65536
+        assert peak <= tables + block + 65536
 
 
 class TestRandomStreamMatchesRandom:
