@@ -112,16 +112,22 @@ def in_timelike_envelope(space, line: LineDescriptor, p) -> bool:
 
 def in_timelike_envelopes(space, line: LineDescriptor, points):
     """``in_timelike_envelope`` of each point, as a boolean array, decided
-    by one ``ll_array`` call over both directions on the line's kept knot
-    arrays joined with the points."""
+    by ``ll_array`` calls over both directions on the line's kept knot
+    arrays joined with the points, in bands of ``max(1,
+    chains.PAIR_BLOCK // knots)`` points."""
     n, m = len(line.chain.points), len(points)
-    # [0, s] pairs each knot with point s, [1, s] point s with each knot
-    pairs = np.empty((2, m, n), dtype=np.intp)
-    pairs[0] = np.arange(n)
-    pairs[1] = np.arange(n, n + m)[:, None]
-    related = space.ll_array(line.chain.points.joined(points), pairs,
-                             pairs[::-1])
-    return related[0].any(axis=1) & related[1].any(axis=1)
+    joined = line.chain.points.joined(points)
+    step = max(1, chains.PAIR_BLOCK // n)
+    out = np.empty(m, dtype=bool)
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        # [0, s] pairs each knot with point s, [1, s] point s with each knot
+        pairs = np.empty((2, hi - lo, n), dtype=np.intp)
+        pairs[0] = np.arange(n)
+        pairs[1] = np.arange(n + lo, n + hi)[:, None]
+        related = space.ll_array(joined, pairs, pairs[::-1])
+        out[lo:hi] = related[0].any(axis=1) & related[1].any(axis=1)
+    return out
 
 
 def line_point(space, line: LineDescriptor, param):

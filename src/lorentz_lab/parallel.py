@@ -10,8 +10,10 @@ residual parameter offset is the synchronization shift.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,12 +46,13 @@ class CFunctionTable:
     @property
     def mean(self):
         vals = self.defined_values()
-        return sum(vals) / len(vals) if vals else math.nan
+        return (functools.reduce(operator.add, vals, 0.0) / len(vals)
+                if vals else math.nan)
 
     @property
     def spread(self):
         vals = self.defined_values()
-        return max(vals) - min(vals) if vals else math.nan
+        return float(np.ptp(vals)) if vals else math.nan
 
     def per_function_spreads(self):
         out = {}
@@ -57,7 +60,7 @@ class CFunctionTable:
                            ("c_ba", list(self.c_ba.values())),
                            ("n_ab", [v for v, _, _ in self.n_ab.values()]),
                            ("n_ba", [v for v, _, _ in self.n_ba.values()])):
-            out[name] = (max(vals) - min(vals)) if vals else math.nan
+            out[name] = float(np.ptp(vals)) if vals else math.nan
         return out
 
     def null_brackets(self):
@@ -158,17 +161,10 @@ class ParallelVerdicts:
             int(self.complex_flags[k]))
 
 
-def _squares(x, mask):
-    """``v ** 2`` of the entries under mask (0 elsewhere), squared by
-    Python's ``**``: C ``pow`` can differ from ``v * v`` in the last bit."""
-    out = np.zeros(x.shape)
-    out[mask] = [v ** 2 for v in x[mask].tolist()]
-    return out
-
-
 def _sum(x, mask):
-    """Python's ``sum`` of each row's entries under mask: left to right,
-    from 0 (masked entries add 0.0, which changes no partial sum)."""
+    """Each row's sum of its entries under mask, left to right from +0.0
+    (masked entries add +0.0, which changes no partial sum), not in numpy's
+    pairwise order."""
     return np.add.accumulate(np.where(mask, x, 0.0), axis=-1)[..., -1] + 0.0
 
 
@@ -177,23 +173,12 @@ def _rows(x):
     return x.reshape(len(x), math.prod(x.shape[1:]))
 
 
-def _spread(*pairs):
-    """Python's ``max(v) - min(v)`` over each row's entries v under its
-    mask, for the rows of the 2-D (x, mask) pairs in turn: ties keep the
-    first entry, a NaN counts only as the first entry; NaN for no entries.
-    Narrower pairs are padded with masked-off zeros."""
-    width = max(x.shape[1] for x, _ in pairs)
-    both = np.zeros((2, len(pairs), len(pairs[0][0]), width))
-    for k, (x, mask) in enumerate(pairs):
-        both[:, k, :, :x.shape[1]] = x, mask
-    x, mask = both[0].reshape(-1, width), both[1].reshape(-1, width) > 0
-    rows = np.arange(len(x))
-    first = x[rows, mask.argmax(axis=1)]
-    numbers = mask & ~np.isnan(x)
-    high, low = np.where(numbers, x, -np.inf), np.where(numbers, x, np.inf)
-    spread = high[rows, high.argmax(axis=1)] - low[rows, low.argmin(axis=1)]
-    return np.where(mask.any(axis=1),
-                    np.where(np.isnan(first), first - first, spread), np.nan)
+def _spread(x, mask):
+    """Each row's largest minus smallest entry under mask: a NaN entry
+    makes it NaN, and so does a row with no entries."""
+    high = np.max(x, axis=1, where=mask, initial=-np.inf)
+    low = np.min(x, axis=1, where=mask, initial=np.inf)
+    return np.where(mask.any(axis=1), high - low, np.nan)
 
 
 def _c_values(s, t, leq, tau_sq):
@@ -203,7 +188,7 @@ def _c_values(s, t, leq, tau_sq):
     below -EPS), and the number of complex flags per pair."""
     dt = np.stack([t[:, None, :] - s[:, :, None],
                    s[:, :, None] - t[:, None, :]], axis=1)
-    rad = _squares(dt, leq) - tau_sq
+    rad = dt * dt - tau_sq
     flagged = leq & (rad < -EPS)
     c = np.sqrt(np.where(0.0 > rad, 0.0, rad))
     return dt, c, leq & ~flagged, flagged.sum(axis=(1, 2, 3))
@@ -242,7 +227,7 @@ def c_functions(space, alpha: LineDescriptor,
                                len(a_params), len(b_params))
     s, t = np.array([a_params], dtype=float), np.array([b_params], dtype=float)
     with np.errstate(all="ignore"):
-        _, c, live, flags = _c_values(s, t, leq, _squares(tau, leq))
+        _, c, live, flags = _c_values(s, t, leq, tau * tau)
         n_ab, n_ba = _null_minima(s, t, leq)
     keys = list(itertools.product(a_params, b_params))     # row-major
 
@@ -274,8 +259,7 @@ def _shifts(dt, c, live, nulls):
     n = m.sum(axis=2)
     gbar, ybar = _sum(np.stack([g, y]), m) / n
     dg = g - gbar[..., None]
-    den, cross = _sum(np.stack([_squares(dg, m), dg * (y - ybar[..., None])]),
-                      m)
+    den, cross = _sum(np.stack([dg * dg, dg * (y - ybar[..., None])]), m)
     # forward family: value^2 = -2 b g - b^2 + c^2 over g = t - s;
     # backward family: value^2 = +2 b g' - b^2 + c^2 over g' = s - t
     slope = cross / den
@@ -294,7 +278,7 @@ def _decide(space, lines, params, first, second, na, nb, tolerance):
     """``decide_parallel`` on one block of pairs: the field arrays."""
     leq, tau, valid = _pair_tables(space, lines, first, second, na, nb)
     s, t = params[first, :na], params[second, :nb]
-    tau_sq = _squares(tau, leq)
+    tau_sq = tau * tau
     dt, c, live, _ = _c_values(s, t, leq, tau_sq)
     shift = _shifts(dt, c, live, _null_minima(s, t, leq))
 
@@ -307,12 +291,11 @@ def _decide(space, lines, params, first, second, na, nb, tolerance):
     c_mean = np.where(none, np.nan,
                       _sum(values, defined) / defined.sum(axis=1))
     half = values.shape[1] // 2    # c_ab's entries, then c_ba's
-    spreads = _spread((values, defined),
-                      (values[:, :half], defined[:, :half]),
-                      (values[:, half:], defined[:, half:]),
-                      (n_ab[1], n_ab[0]),
-                      (n_ba[1], n_ba[0])).reshape(5, len(values))
-    spread, per_function = spreads[0], spreads[1:].T
+    spread = _spread(values, defined)
+    per_function = np.stack([
+        _spread(values[:, :half], defined[:, :half]),
+        _spread(values[:, half:], defined[:, half:]),
+        _spread(n_ab[1], n_ab[0]), _spread(n_ba[1], n_ba[0])], axis=1)
     ok = spread <= tolerance
     # the quantized null minima must stay consistent with the distance
     mean = c_mean[:, None]
@@ -341,10 +324,12 @@ def decide_parallel(space, lines, first, second,
     padded knot-pair tables hold at most ``chains.PAIR_BLOCK`` entries per
     direction (a single pair may exceed it).
 
-    The values equal the pairwise verdicts bit for bit, up to the sign of a
-    NaN made of two NaNs: squares are taken with Python's ``**`` and sums
-    run left to right in the order of the pairwise dictionaries, ``c_ab``
-    before ``c_ba``, row-major."""
+    The arithmetic is stated, so that the pairwise loop kept as a test
+    oracle gives the same values bit for bit, up to the sign of a NaN made
+    of two NaNs: squares are plain products, sums run left to right from
+    +0.0 in the order of the pairwise dictionaries (``c_ab`` before
+    ``c_ba``, row-major), and a spread is largest minus smallest entry,
+    NaN when any entry is."""
     first = np.asarray(first, dtype=np.intp)
     second = np.asarray(second, dtype=np.intp)
     knots = np.array([len(line.params) for line in lines], dtype=np.intp)

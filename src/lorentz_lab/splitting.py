@@ -488,11 +488,10 @@ def check_slice_alexandrov(sl: SpacelikeSlice, tol=1e-6,
 
 
 def _angles(d, others, centres):
-    """The comparison angles at each centre x over each pair a < b of its
-    others, at [x, a, b] (zero elsewhere), rounded as the scalar law of
-    cosines rounds them: ``math.acos`` of each clamped cosine (a degenerate
-    row gives NaN or inf in the cosine, and its quadruples are
-    skipped)."""
+    """The comparison angles at each centre x over each pair (a, b) of its
+    others, at [x, a, b]: ``np.arccos`` of the law of cosines' cosine,
+    clamped to [-1, 1] with NaN read as -1 (a degenerate row gives NaN or
+    inf in the cosine, and its quadruples are skipped)."""
     o = others[centres]
     da, dab = d[centres[:, None], o], d[o[:, :, None], o[:, None, :]]
     with np.errstate(all="ignore"):
@@ -500,13 +499,7 @@ def _angles(d, others, centres):
                 + da[:, None, :] * da[:, None, :]) - dab * dab) \
             / (2.0 * da[:, :, None] * da[:, None, :])
     cos = np.where(cos > -1.0, cos, -1.0)    # max(-1.0, c): NaN gives -1
-    cos = np.where(cos < 1.0, cos, 1.0)
-    a, b = np.triu_indices(others.shape[1], 1)
-    out = np.zeros(cos.shape)
-    out[:, a, b] = np.reshape(
-        list(map(math.acos, cos[:, a, b].ravel().tolist())),
-        (len(centres), len(a)))
-    return out
+    return np.arccos(np.where(cos < 1.0, cos, 1.0))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,10 @@ count of ``check_cauchy_slices``, the per-point synchronized time and
 ``in_timelike_envelope``, kept as oracles: each bisection, array form and
 knot-pair table must give the same answers, the same first failures, the
 same witnesses in the same order and the same values, bit for bit.  The
+oracles of the parallel verdicts and of the slice curvature test are
+written in the arithmetic that README "Numerical conventions" states for
+those kernels: squares as plain products, sums left to right from +0.0,
+spreads that a NaN entry makes NaN, and ``np.arccos``.  The
 array forms of ``tau`` and ``leq`` are compared with the scalar forms on
 every factor kind and on finite tables.
 """
@@ -20,6 +24,7 @@ import functools
 import gc
 import itertools
 import math
+import operator
 import random
 import tracemalloc
 import weakref
@@ -81,6 +86,19 @@ def outcome(fn, *args):
 
 # ---------------------------------------------------------------------------
 # loop oracles
+
+
+def left_sum(values):
+    """The sum of values left to right from +0.0, on every Python version
+    (3.12 made ``sum`` of floats compensated)."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
+def spread_loops(values):
+    """Largest minus smallest value, NaN when any value is NaN."""
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    return max(values) - min(values)
 
 
 def point_at_loops(line, t):
@@ -288,7 +306,7 @@ def check_slice_alexandrov_loops(sl, tol=1e-6, metric_tol=None):
         if da <= EPS or db <= EPS:
             return None
         c = (da * da + db * db - dab * dab) / (2.0 * da * db)
-        return math.acos(min(1.0, max(-1.0, c)))
+        return np.arccos(min(1.0, max(-1.0, c)))
 
     quads = [(x, trip) for x in range(n)
              for trip in itertools.combinations(
@@ -304,7 +322,7 @@ def check_slice_alexandrov_loops(sl, tol=1e-6, metric_tol=None):
             skipped += 1
             continue
         count += 1
-        excess = sum(angs) - 2.0 * math.pi
+        excess = (angs[0] + angs[1]) + angs[2] - 2.0 * math.pi
         if excess > worst:
             worst, witness = excess, (x, a, b, c)
     if count == 0:
@@ -320,13 +338,15 @@ def c_functions_loops(space, alpha, beta):
     for s, pa in a_knots:
         for t, pb in b_knots:
             if space.leq(pa, pb):
-                rad = (t - s) ** 2 - space.tau(pa, pb) ** 2
+                gap, tau = t - s, space.tau(pa, pb)
+                rad = gap * gap - tau * tau
                 if rad < -EPS:
                     flags += 1
                 else:
                     c_ab[(s, t)] = math.sqrt(max(rad, 0.0))
             if space.leq(pb, pa):
-                rad = (s - t) ** 2 - space.tau(pb, pa) ** 2
+                gap, tau = s - t, space.tau(pb, pa)
+                rad = gap * gap - tau * tau
                 if rad < -EPS:
                     flags += 1
                 else:
@@ -354,12 +374,12 @@ def affine_slope_loops(points):
     gs = [g for g, _ in points]
     ys = [y for _, y in points]
     n = len(points)
-    gbar = sum(gs) / n
-    ybar = sum(ys) / n
-    den = sum((g - gbar) ** 2 for g in gs)
+    gbar = left_sum(gs) / n
+    ybar = left_sum(ys) / n
+    den = left_sum((g - gbar) * (g - gbar) for g in gs)
     if den <= EPS:
         return None
-    return sum((g - gbar) * (y - ybar) for g, y in zip(gs, ys)) / den
+    return left_sum((g - gbar) * (y - ybar) for g, y in zip(gs, ys)) / den
 
 
 def fit_shift_loops(raw):
@@ -374,11 +394,12 @@ def fit_shift_loops(raw):
     if s_ba is not None:
         estimates.append(s_ba / 2.0)
     if estimates:
-        return sum(estimates) / len(estimates), "fit"
+        return left_sum(estimates) / len(estimates), "fit"
     nab = [v for v, _, _ in raw.n_ab.values()]
     nba = [v for v, _, _ in raw.n_ba.values()]
     if nab and nba:
-        return (sum(nba) / len(nba) - sum(nab) / len(nab)) / 2.0, "nulls"
+        return (left_sum(nba) / len(nba) - left_sum(nab) / len(nab)) / 2.0, \
+            "nulls"
     return 0.0, "none"
 
 
@@ -393,8 +414,8 @@ def parallel_verdict_loops(space, alpha, beta, tolerance):
         return ParallelVerdict(False, math.nan, shift, math.nan,
                                table.per_function_spreads(), math.nan, 0,
                                None, table.complex_flags)
-    spread = max(values) - min(values)
-    c_mean = sum(values) / len(values)
+    spread = spread_loops(values)
+    c_mean = left_sum(values) / len(values)
     ok = spread <= tolerance
     for low, high in table.null_brackets():
         if c_mean < low - tolerance or c_mean > high + tolerance:
@@ -813,6 +834,43 @@ class TestEnvelopeMatchesLoops:
         assert got == [in_timelike_envelope_loops(space, line, p)
                        for p in probes]
         assert True in got and False in got
+
+    @pytest.mark.parametrize("block", [1, 9, 18, 27, chains.PAIR_BLOCK])
+    def test_bands(self, block):
+        # bands of one, two and three points of a nine-knot line, and all
+        # points in one band
+        space = ProductSpace(EuclideanSegment(0.0, 1.0, 21), -2.0, 2.0, 0.05)
+        line = vertical_line(space, 0.5, range(-4, 5))
+        probes = [(t, q) for t in (-6.0, -4.0, -3.5, 0.0, 3.5, 4.0)
+                  for q in space.factor.sample()[::4]]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chains, "PAIR_BLOCK", block)
+            got = asymptotics.in_timelike_envelopes(space, line, probes)
+        assert got.tolist() == [in_timelike_envelope_loops(space, line, p)
+                                for p in probes]
+        assert got.any() and not got.all()
+
+    def test_memory_bounded_by_the_block(self):
+        # 401 seeds against the 521-knot golden line: one band would hold
+        # 0.4M pairs per direction
+        space = ProductSpace(EuclideanSegment(0.0, 1.0, 21), -2.0, 2.0, 0.05)
+        line = vertical_line(space, 0.5, range(-260, 261))
+        seeds = [(0.01 * k, 0.3) for k in range(-200, 201)]
+
+        def peak():
+            tracemalloc.start()
+            try:
+                inside = asymptotics.in_timelike_envelopes(space, line, seeds)
+                return tracemalloc.get_traced_memory()[1], inside
+            finally:
+                tracemalloc.stop()
+
+        blocked, inside = peak()
+        assert inside.all()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(chains, "PAIR_BLOCK", len(seeds) * 521)
+            unblocked, _ = peak()
+        assert blocked < 4 * 2 ** 20 < unblocked
 
 
 # ---------------------------------------------------------------------------
@@ -1753,10 +1811,31 @@ class TestBatchedVerdictsMatchLoops:
                                                        math.inf])))
         assert_batch_matches(space, *batch, tolerance, bits=nan_blind_bits)
 
+    def test_nan_after_the_first_entry(self):
+        # alpha(0) precedes beta's first two knots, which fit a shift of
+        # -0.5, and beta's knot at parameter inf precedes alpha's: its gap
+        # inf - inf makes the last c-value NaN.  A NaN entry makes a spread
+        # NaN wherever it stands, so the pair is not parallel
+        leq = np.eye(5, dtype=bool)
+        leq[0, 2] = leq[0, 3] = leq[4, 1] = True
+        space = FiniteLorentzSpace(1.0 - np.eye(5), leq,
+                                   np.zeros((5, 5), dtype=bool),
+                                   np.zeros((5, 5)))
+        alpha = LineDescriptor(CausalChain((0, 1)), (0.0, math.inf))
+        beta = LineDescriptor(CausalChain((2, 3, 4)), (0.0, 1.0, math.inf))
+        table = c_functions(space, alpha, beta)
+        assert bits(table.defined_values()[:2]) == bits([0.0, 1.0])
+        assert math.isnan(table.spread)
+        verdict = parallel_verdict(space, alpha, beta, 0.1)
+        assert verdict.shift == -0.5 and math.isnan(verdict.spread)
+        assert not verdict.parallel and verdict.realisation is None
+        assert_batch_matches(space, [alpha, beta], [(0, 1)], 0.1,
+                             bits=nan_blind_bits)
+
     def test_zero_slope_on_one_family(self):
         # verticals 0.75 apart with exact c-values 0.75 (a 3-4-5 triangle):
         # two forward entries fit a slope of +0.0, one backward entry fits
-        # none, and the shift is Python's sum of [-0.0], which is +0.0
+        # none, and the shift is the sum of [-0.0] from +0.0, which is +0.0
         space = PARALLEL_SPACES["minkowski"]
         alpha = LineDescriptor(CausalChain(((0.0, 0.0), (1.5, 0.0))), (0.0, 1.5))
         beta = LineDescriptor(CausalChain(((0.75, 0.75), (1.25, 0.75))),
