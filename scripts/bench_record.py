@@ -5,12 +5,21 @@ and the Python and numpy versions, and the repeat count; the script adds its
 own measurements.  ``save_run`` replaces an earlier run of the same source
 and keeps runs of other sources, so that two checkouts can be compared in
 one file.
+
+Two checkouts are best compared in one interleaved run: ``interleaved``
+starts the script once per checkout, as a worker that imports that
+checkout's src/lorentz_lab and times one item per request (``serve``), and
+the workers take turns on each item.  The host's speed drifts over
+minutes, so only times taken side by side compare.
 """
 
 import hashlib
 import json
+import math
 import os
 import platform
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -42,15 +51,15 @@ def cpu_model():
     return platform.processor()
 
 
-def src_sha256():
+def src_sha256(root=ROOT):
     digest = hashlib.sha256()
-    for path in sorted((ROOT / "src" / "lorentz_lab").glob("*.py")):
+    for path in sorted((Path(root) / "src" / "lorentz_lab").glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
     return digest.hexdigest()[:16]
 
 
-def new_run(repeats):
-    return {"src_sha256": src_sha256(),
+def new_run(repeats, root=ROOT):
+    return {"src_sha256": src_sha256(root),
             "env": {"cpu": cpu_model(), "nproc": os.cpu_count(),
                     "python": platform.python_version(),
                     "numpy": np.__version__},
@@ -63,3 +72,57 @@ def save_run(out, run):
     runs = json.loads(out.read_text())["runs"] if out.exists() else []
     runs = [r for r in runs if r["src_sha256"] != run["src_sha256"]] + [run]
     out.write_text(json.dumps({"runs": runs}, indent=2) + "\n")
+
+
+def serve(items):
+    """The worker loop of ``interleaved``: print the path of the imported
+    lorentz_lab, then, for each item index read from stdin, time the
+    item's function once and print its time and the digest it returns as
+    one JSON line.  ``items`` is a list of functions that return a
+    digest."""
+    import lorentz_lab
+    print(json.dumps(lorentz_lab.__file__), flush=True)
+    for row in sys.stdin:
+        start = time.perf_counter()
+        digest = items[int(row)]()
+        seconds = time.perf_counter() - start
+        print(json.dumps({"s": seconds, "digest": digest}), flush=True)
+
+
+def interleaved(script, roots, count, rounds):
+    """For each of ``count`` items, the best time and the digest that each
+    checkout in ``roots`` gives, as a list of (seconds, digest) pairs per
+    item.  ``script --serve`` runs once per checkout with that checkout's
+    src first on PYTHONPATH; the workers take turns on each item,
+    ``rounds`` times, in alternating order."""
+    workers = []
+    try:
+        for root in roots:
+            src = Path(root).resolve() / "src"
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+                [str(src), os.environ.get("PYTHONPATH", "")])}
+            proc = subprocess.Popen([sys.executable, str(script), "--serve"],
+                                    stdin=subprocess.PIPE,
+                                    stdout=subprocess.PIPE, text=True, env=env)
+            workers.append(proc)
+            imported = Path(json.loads(proc.stdout.readline()))
+            if src not in imported.parents:
+                raise RuntimeError(f"worker for {root} imported {imported}")
+        out = []
+        for index in range(count):
+            best = [math.inf] * len(workers)
+            digests = [None] * len(workers)
+            for r in range(rounds):
+                order = range(len(workers))
+                for w in (order if r % 2 == 0 else reversed(order)):
+                    workers[w].stdin.write(f"{index}\n")
+                    workers[w].stdin.flush()
+                    got = json.loads(workers[w].stdout.readline())
+                    best[w] = min(best[w], got["s"])
+                    digests[w] = got["digest"]
+            out.append(list(zip(best, digests)))
+        return out
+    finally:
+        for proc in workers:
+            proc.stdin.close()
+            proc.wait()

@@ -1,6 +1,6 @@
 """Per-call times of the comparison testers, at several sizes.
 
-    PYTHONPATH=src python scripts/curvature_scaling.py
+    PYTHONPATH=src python scripts/curvature_scaling.py [--against CHECKOUT]
 
 Times, best of ten:
 
@@ -20,12 +20,22 @@ to agree.  The run goes into BENCH_curvature.json at the repository root
 under the sha256 of src/lorentz_lab, together with the machine and the
 Python and numpy versions; an earlier run of the same source is replaced
 and runs of other sources are kept.
+
+With ``--against CHECKOUT`` (the root of another checkout, say a parent
+commit's ``git archive``) the script times both sources in one run: one
+worker process per checkout, taking turns on each item ten times, in
+alternating order, best of ten each.  It stops with an error when the two
+sources' digests of any item differ.  Both runs go into the file, each
+naming the other under ``interleaved_with``.
 """
 
+import argparse
 import hashlib
 import random
+import sys
 
-from bench_record import ROOT, best_time, new_run, save_run
+from bench_record import (ROOT, best_time, interleaved, new_run, save_run,
+                          serve, src_sha256)
 from lorentz_lab import cli, comparison, sampling
 
 OUT = ROOT / "BENCH_curvature.json"
@@ -39,13 +49,6 @@ REPEATS = 10
 
 def digest(values):
     return hashlib.sha256("\n".join(map(repr, values)).encode()).hexdigest()[:16]
-
-
-def time_calls(calls):
-    """Best time of the whole list of calls, and the digest of their
-    results."""
-    results = [call() for call in calls]
-    return best_time(lambda: [call() for call in calls], REPEATS), digest(results)
 
 
 def side_triples(count):
@@ -62,51 +65,90 @@ def side_triples(count):
     return out
 
 
-def main():
-    run = new_run(REPEATS)
+def items():
+    """The timed items in order: (section, record, per, calls).  The
+    record names the item; ``per`` is the number of calls its time is
+    divided by (0: the whole time is recorded under ``s``); the function
+    ``calls`` makes every call and returns the digest of the results."""
     strip, _ = cli.load_space(str(GOLDEN / "minkowski_strip.json"))
     segment, _ = cli.load_space(str(GOLDEN / "product_segment.json"))
 
-    run["curvature"] = []
+    def calling(*calls):
+        return lambda: digest([call() for call in calls])
+
+    out = []
     for name, space in (("strip", strip), ("segment", segment)):
         for count in TRIANGLES:
             triangles = sampling.minkowski_triangles(space, count, 0)
-            seconds, reports = time_calls([
-                lambda: comparison.test_curvature_lower0(space, triangles)])
-            run["curvature"].append({"space": name, "triangles": count,
-                                     "s": seconds, "reports": reports})
-            print(f"test_curvature_lower0 {name:8s} {count:5d} triangles "
-                  f"{seconds * 1e3:9.2f} ms")
+            out.append(("curvature", {"space": name, "triangles": count}, 0,
+                        calling(lambda space=space, triangles=triangles:
+                                comparison.test_curvature_lower0(space,
+                                                                 triangles))))
     table = sampling.flat_finite_space(TABLE_POINTS, 0)
     triangles = sampling.finite_triangles(table, TABLE_TRIANGLES, 0)
-    seconds, reports = time_calls([
-        lambda: comparison.test_curvature_lower0(table, triangles)])
-    run["curvature"].append({"space": f"table{TABLE_POINTS}",
-                             "triangles": TABLE_TRIANGLES, "s": seconds,
-                             "reports": reports})
-    print(f"test_curvature_lower0 table{TABLE_POINTS} {TABLE_TRIANGLES:5d} "
-          f"triangles {seconds * 1e3:9.2f} ms")
-
-    run["monotonicity"] = []
+    out.append(("curvature", {"space": f"table{TABLE_POINTS}",
+                              "triangles": TABLE_TRIANGLES}, 0,
+                calling(lambda: comparison.test_curvature_lower0(table,
+                                                                 triangles))))
     hinges = sampling.product_hinges(segment, HINGES, 0)
     for sense in ("lower", "upper"):
-        seconds, reports = time_calls([
-            (lambda a=a, b=b: comparison.test_monotonicity_comparison(
-                segment, a, b, sense)) for a, b in hinges])
-        run["monotonicity"].append({"sense": sense, "calls": len(hinges),
-                                    "s_per_call": seconds / len(hinges),
-                                    "reports": reports})
-        print(f"test_monotonicity_comparison {sense:5s} "
-              f"{seconds / len(hinges) * 1e6:8.1f} us per call")
-
+        out.append(("monotonicity", {"sense": sense, "calls": len(hinges)},
+                    len(hinges), calling(*[
+                        (lambda a=a, b=b, sense=sense:
+                         comparison.test_monotonicity_comparison(
+                             segment, a, b, sense)) for a, b in hinges])))
     triples = side_triples(SIDE_TRIPLES)
-    seconds, angles = time_calls([lambda: [comparison.solve_angle(sides)
-                                           for sides in triples]])
-    run["solve_angle"] = {"calls": len(triples),
-                          "s_per_call": seconds / len(triples),
-                          "angles": angles}
-    print(f"solve_angle {seconds / len(triples) * 1e6:8.2f} us per call")
-    save_run(OUT, run)
+    out.append(("solve_angle", {"calls": len(triples)}, len(triples),
+                calling(lambda: [comparison.solve_angle(sides)
+                                 for sides in triples])))
+    return out
+
+
+def record(run, section, named, per, seconds, reports):
+    entry = {**named, **({"s_per_call": seconds / per} if per else
+                         {"s": seconds}), "reports": reports}
+    run.setdefault(section, []).append(entry)
+    label = " ".join(str(v) for v in named.values())
+    shown = f"{seconds / per * 1e6:10.2f} us per call" if per else \
+        f"{seconds * 1e3:9.2f} ms"
+    print(f"{section:13s} {label:16s} {shown}")
+
+
+def main():
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--serve", action="store_true",
+                        help=argparse.SUPPRESS)
+    parser.add_argument("--against", metavar="CHECKOUT",
+                        help="time this checkout's source against that one's, "
+                             "interleaved")
+    args = parser.parse_args()
+    timed = items()
+    if args.serve:
+        serve([calls for _, _, _, calls in timed])
+        return
+    if args.against is None:
+        run = new_run(REPEATS)
+        for section, named, per, calls in timed:
+            reports = calls()
+            record(run, section, named, per, best_time(calls, REPEATS),
+                   reports)
+        save_run(OUT, run)
+        return
+
+    roots = [ROOT, args.against]
+    runs = [new_run(REPEATS, root) for root in roots]
+    for run, other in zip(runs, roots[::-1]):
+        run["interleaved_with"] = src_sha256(other)
+    results = interleaved(__file__, roots, len(timed), REPEATS)
+    for (section, named, per, _), pairs in zip(timed, results):
+        if len({reports for _, reports in pairs}) != 1:
+            sys.exit(f"{section} {named}: the sources' reports differ: "
+                     f"{[reports for _, reports in pairs]}")
+        for run, root, (seconds, reports) in zip(runs, roots, pairs):
+            print(f"{src_sha256(root)} ", end="")
+            record(run, section, named, per, seconds, reports)
+    for run in runs[::-1]:
+        save_run(OUT, run)
 
 
 if __name__ == "__main__":

@@ -249,10 +249,16 @@ def reparametrize_tau_arclength(space: LorentzQuery, chain: CausalChain):
     the parametrization would degenerate there.
     """
     validate_chain(space, chain)
-    steps = space.tau_array(chain.points, *_steps(chain))
+    return _arclength(chain.points,
+                      space.tau_array(chain.points, *_steps(chain)))
+
+
+def _arclength(points, steps):
+    """The cumulative sums, from 0.0, of the array ``steps`` of separations
+    between consecutive ``points``; raises at the first null step."""
     if (steps <= 0.0).any():
         i = int(np.argmax(steps <= 0.0))
-        a, b = chain.points[i], chain.points[i + 1]
+        a, b = points[i], points[i + 1]
         raise PreconditionError(f"null step {a} -> {b}: cannot parametrize")
     return list(accumulate(steps.tolist(), initial=0.0))
 

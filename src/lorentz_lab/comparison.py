@@ -290,32 +290,40 @@ def _knot_at(params, points, s, what):
     raise PreconditionError(f"parameter {s} is not a knot{what}")
 
 
-def _knots_at(params, points, rows, ss, what):
-    """``_knot_at(params[r], points[r], s, what)`` for each pair (r, s) of
-    ``rows`` and ``ss``, from one array pass over the knots of every row,
-    as a PointTuple.  Raises for the first s that names no knot."""
+def _knots_at(params, points, rows, ss, whats):
+    """``_knot_at(params[r], points[r], s, whats[r])`` for each pair (r, s)
+    of ``rows`` and ``ss``, from one array pass over the knots of every
+    row, as a PointTuple.  Raises for the first s that names no knot."""
     table = np.full((len(params), max([1, *map(len, params)])), np.nan)
     for r, ps in enumerate(params):
         table[r, :len(ps)] = ps
     hit = np.abs(table[rows] - np.asarray(ss, dtype=float)[:, None]) <= EPS
     found = hit.any(axis=1)
     if not found.all():
+        k = int(np.argmin(found))
         raise PreconditionError(
-            f"parameter {ss[int(np.argmin(found))]} is not a knot{what}")
+            f"parameter {ss[k]} is not a knot{whats[rows[k]]}")
     return PointTuple(points[r][k] for r, k in
                       zip(np.asarray(rows).tolist(), hit.argmax(axis=1).tolist()))
 
 
 def _side_points(space, sides, rows, ss):
     """``sides[r].point_at(s)`` for each pair (r, s) of ``rows`` and ``ss``,
-    the sides being TriangleSides of ``space``, from one array call, as a
-    PointTuple; raises the error of the first failing pair."""
+    from one pass, as a PointTuple; raises the error of the first failing
+    pair.  On a finite table the sides are TriangleSides or KnotLegs, and
+    the pass is one knot lookup over all of them.  On a product they are
+    TriangleSides: the starts and ends of the sides are converted once, in
+    one call, and their coordinate arrays, gathered by ``rows``, go to one
+    ``_realizer_core`` call."""
     if isinstance(space, FiniteLorentzSpace):
         return _knots_at([side.params for side in sides],
                          [side.knots for side in sides], rows, ss,
-                         " of this side")
-    return space.realizer_points([sides[r].start for r in rows],
-                                 [sides[r].end for r in rows], ss)
+                         [side.not_a_knot for side in sides])
+    t, x = space.point_arrays([side.start for side in sides]
+                              + [side.end for side in sides])
+    starts = np.asarray(rows, dtype=np.intp)
+    ends = starts + len(sides)
+    return space._realizer_core(t[starts], x[starts], t[ends], x[ends], ss)
 
 
 class TriangleSide:
@@ -333,20 +341,22 @@ class TriangleSide:
             raise PreconditionError("triangle sides must be timelike")
         self.knots = self.params = None
         if isinstance(space, FiniteLorentzSpace):
-            chain = _chains.maximize_tau(space, start, end).chain
-            self.knots = list(chain.points)
-            self.params = _chains.reparametrize_tau_arclength(space, chain)
+            # the maximizer walks strict leq relations, so its chain is
+            # causal and not constant: the steps come from the tau table
+            knots = _chains.maximize_tau(space, start, end).chain.points
+            k = np.array(knots)
+            self.knots = list(knots)
+            self.params = _chains._arclength(
+                knots, space.tau_table()[k[:-1], k[1:]])
             if abs(self.params[-1] - self.length) > EPS:
                 raise PreconditionError("side chain is not maximizing")
+
+    not_a_knot = " of this side"   # the end of a failed lookup's message
 
     def point_at(self, s):
         if self.params is None:
             return self.space.realizer_point(self.start, self.end, s)
-        return _knot_at(self.params, self.knots, s, " of this side")
-
-    def points_at(self, ss):
-        """``point_at`` of each parameter, from one array call."""
-        return _side_points(self.space, [self], [0] * len(ss), ss)
+        return _knot_at(self.params, self.knots, s, self.not_a_knot)
 
     def sample_params(self, rng: random.Random):
         if self.params is None:
@@ -412,7 +422,8 @@ def test_curvature_lower0(space, triangles, pairs_per_triangle=8, mode="lower",
 
     The loop over the triangles only draws the pairs, with the random calls
     of a per-pair loop in the same order.  The sampled points (one
-    ``realizer_points`` call, or one knot lookup on a finite table), the
+    ``_realizer_core`` call on the sides' endpoints, converted once per
+    side, or one knot lookup on a finite table), the
     planted triangles with their checks, the planted images and the
     separations of all pairs in both directions (one ``tau_array`` call)
     are array passes.  The error raised is the one a per-pair loop meets
@@ -431,6 +442,7 @@ def test_curvature_lower0(space, triangles, pairs_per_triangle=8, mode="lower",
     # the triangles and the sampler are the caller's code: what they raise,
     # like a malformed pair, is raised below once the entries drawn before
     # it pass, where a per-pair loop would meet it
+    choice = rng.choice
     try:
         for tidx, tri in enumerate(triangles):
             if tri.space is not space:
@@ -440,12 +452,13 @@ def test_curvature_lower0(space, triangles, pairs_per_triangle=8, mode="lower",
             if pair_sampler is not None:
                 pair_list = pair_sampler(rng, tri)
             else:
+                tri_sides = tri.sides
                 pair_list = []
                 for _ in range(pairs_per_triangle):
-                    sa = rng.choice(_SIDES)
-                    sb = rng.choice(_SIDES)
-                    pair_list.append(((sa, tri.sides[sa].sample_params(rng)),
-                                      (sb, tri.sides[sb].sample_params(rng))))
+                    sa = choice(_SIDES)
+                    sb = choice(_SIDES)
+                    pair_list.append(((sa, tri_sides[sa].sample_params(rng)),
+                                      (sb, tri_sides[sb].sample_params(rng))))
             for (sa, pa), (sb, pb) in pair_list:
                 rows.append(3 * tidx + _SIDE_INDEX[sa])
                 params.append(pa)
@@ -460,12 +473,13 @@ def test_curvature_lower0(space, triangles, pairs_per_triangle=8, mode="lower",
                         for tri in tris], dtype=float).reshape(-1, 3)
     (v1, v2, v3), refused = _realize_triangles(*lengths.T, "123")
     refused = np.flatnonzero(refused)
-    stop = firsts[refused[0]] if refused.size else len(params)
-    sides = [tri.sides[side] for tri in tris for side in _SIDES]
+    planted = int(refused[0]) if refused.size else len(tris)
+    stop = firsts[planted] if refused.size else len(params)
+    sides = [tri.sides[side] for tri in tris[:planted] for side in _SIDES]
     points = _side_points(space, sides, rows[:stop], params[:stop])
     if refused.size:
         # raises the error the mask found
-        realize_triangle(tris[refused[0]].side_triple())
+        realize_triangle(tris[planted].side_triple())
     if drawing_error is not None:
         raise drawing_error
     n_pairs = len(points)   # each sampled pair in both directions
@@ -530,15 +544,17 @@ class Leg:
         return self._side.point_at(s if self.direction == "future"
                                    else self.total - s)
 
-    def points_at(self, ss):
-        """``point_at`` of each parameter, from one array call."""
+    def _on_side(self, ss):
+        """The side that the leg's points at the parameters ss lie on, with
+        their parameters there, as ``point_at`` maps them; raises for the
+        first parameter outside the leg."""
         s = np.asarray(ss, dtype=float)
         outside = (s <= 0) | (s > self.total + EPS)
         if outside.any():
             raise PreconditionError(f"leg parameter {ss[int(np.argmax(outside))]} "
                                     f"outside (0, {self.total}]")
-        return self._side.points_at(ss if self.direction == "future"
-                                    else (self.total - s).tolist())
+        return self._side, (list(ss) if self.direction == "future"
+                            else (self.total - s).tolist())
 
     def param_grid(self, n):
         ps = self._side.params
@@ -550,7 +566,11 @@ class Leg:
 
 
 class KnotLeg:
-    """Leg given by explicit knots and parameters (finite-table hinges)."""
+    """Leg given by explicit knots and parameters (finite-table hinges).  It
+    is its own side: a knot lookup reads its ``params`` and ``knots`` as it
+    reads a table TriangleSide's."""
+
+    not_a_knot = ""
 
     def __init__(self, points, params, direction):
         self.points = list(points)
@@ -558,15 +578,20 @@ class KnotLeg:
         self.direction = direction
         self.total = max(params)
 
-    def point_at(self, s):
-        return _knot_at(self.params, self.points, s, "")
+    @property
+    def knots(self):
+        return self.points
 
-    def points_at(self, ss):
-        """``point_at`` of each parameter, from one array pass."""
-        return _knots_at([self.params], [self.points], [0] * len(ss), ss, "")
+    def point_at(self, s):
+        return _knot_at(self.params, self.points, s, self.not_a_knot)
+
+    def _on_side(self, ss):
+        return self, list(ss)
 
     def param_grid(self, n=None):
-        return [p for p in self.params if p > EPS]
+        """The positive parameters in rising order, as the scans read them;
+        a repeated parameter names one point and stays repeated."""
+        return sorted(p for p in self.params if p > EPS)
 
 
 def _hinge_config(dir_a, dir_b, a_first):
@@ -597,6 +622,21 @@ def hinge_angle(space, leg_a, leg_b, s, t) -> SignedAngle | None:
                   leg_a.direction, leg_b.direction)
 
 
+def _hinge_points(space, leg_a, leg_b, svals, tvals):
+    """The points of leg a at svals, then those of leg b at tvals, from one
+    ``_side_points`` pass over both legs.  The error is the one that a pass
+    per leg meets first: leg a's range check and lookup come before
+    anything of leg b."""
+    side_a, sa = leg_a._on_side(svals)
+    try:
+        side_b, sb = leg_b._on_side(tvals)
+    except PreconditionError:
+        _side_points(space, [side_a], [0] * len(sa), sa)
+        raise
+    return _side_points(space, [side_a, side_b],
+                        [0] * len(sa) + [1] * len(sb), sa + sb)
+
+
 @dataclass(frozen=True)
 class MonotonicityReport:
     passed: bool
@@ -617,11 +657,13 @@ def test_monotonicity_comparison(space, leg_a, leg_b, sense="lower",
     In the upper sense, parameter pairs that lose timelike relatedness while
     their comparison images keep it are counted as warnings, not failures.
 
-    Each leg's points come from one call, and the angles, the scans (down
-    each column of the s x t grid, then along each row; the first strict
-    maximum is the witness) and the warnings are array passes over the
-    grid.  A parameter repeated on a leg names the same point, so its
-    entries agree and it counts once among the defined pairs.
+    The points of both legs come from one pass (one ``_realizer_core``
+    call on a product, one knot lookup on a finite table), and the angles,
+    the scans (down each column of the s x t grid, then along each row;
+    the first strict maximum is the witness) and the warnings are array
+    passes over the grid.  A parameter repeated on a leg names the same
+    point, so its entries agree and it counts once among the defined
+    pairs.
     """
     if sense not in ("lower", "upper"):
         raise PreconditionError(f"unknown sense {sense!r}")
@@ -630,7 +672,7 @@ def test_monotonicity_comparison(space, leg_a, leg_b, sense="lower",
     ns, nt = len(svals), len(tvals)
     # each leg point once; entry [k, m] pairs leg-a point k with leg-b
     # point m, in both directions
-    points = leg_a.points_at(svals).joined(leg_b.points_at(tvals))
+    points = _hinge_points(space, leg_a, leg_b, svals, tvals)
     pairs = np.indices((ns, nt))
     pairs[1] += ns
     tpq, tqp = space.tau_array(points, pairs, pairs[::-1])

@@ -23,8 +23,11 @@ INF = math.inf
 
 # entries per array pass of the blocked kernels: the axiom scans here, and
 # through ``chains`` the line check, the sprinkle, the parallel verdicts and
-# the distance screen of the split path
-PAIR_BLOCK = 1 << 14
+# the distance screen of the split path.  A float64 block is 120 KiB, below
+# glibc's default mmap threshold of 128 KiB: a block of exactly 128 KiB sits
+# on it, and whether its temporaries are mapped and page-faulted afresh
+# then depends on allocation history, not on the code
+PAIR_BLOCK = 15 << 10
 
 
 class StructuralError(ValueError):

@@ -407,9 +407,15 @@ class ProductSpace(LorentzQuery):
         for bit, as a PointTuple that keeps its coordinate arrays.  Raises
         the error ``realizer_point`` raises for the first failing entry, in
         input order; the factor interpolates, through
-        ``interpolate_array``, only the entries before it."""
-        t0, x0 = self.point_arrays(starts)
-        t1, x1 = self.point_arrays(ends)
+        ``interpolate_array``, only the entries before it.  The points are
+        converted, then go to ``_realizer_core``."""
+        return self._realizer_core(*self.point_arrays(starts),
+                                   *self.point_arrays(ends), params)
+
+    def _realizer_core(self, t0, x0, t1, x1, params):
+        """``realizer_points`` of the starts with coordinate arrays t0 and
+        x0 and the ends with t1 and x1, so that callers with few distinct
+        pairs convert each endpoint once and gather the arrays."""
         n = len(t0)
         k = np.arange(n)
         dist = self.factor.distance_array(np.concatenate((x0, x1)), k, k + n)

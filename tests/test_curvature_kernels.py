@@ -6,7 +6,9 @@ The loops below are the former implementations of ``check_pushup``,
 ``test_monotonicity_comparison`` and ``test_curvature_lower0``, kept as
 oracles: each array kernel must give the same reports (``repr``-equal), the
 same verdicts and the same errors.  ``solve_angles`` is pinned to
-``solve_angle`` bit for bit.
+``solve_angle`` bit for bit.  Work guards count, through counting
+subclasses of the space classes, the conversions and passes each tester
+makes.
 """
 
 import math
@@ -16,10 +18,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lorentz_lab import chains, comparison
 from lorentz_lab.comparison import (CurvatureReport, KnotLeg, Leg,
                                     MonotonicityReport, SideTriple,
-                                    SpaceTriangle, UnrealizableError,
-                                    _hinge_config, _realize_triangles,
+                                    SpaceTriangle, TriangleSide,
+                                    UnrealizableError, _hinge_config,
+                                    _hinge_points, _realize_triangles,
                                     hinge_angle,
                                     realize_triangle, solve_angle,
                                     solve_angles)
@@ -39,7 +43,8 @@ from lorentz_lab.sampling import (finite_triangles, flat_finite_space,
                                   minkowski_triangles, product_hinges,
                                   sprinkle_causal_set)
 
-from conftest import flat_six_point_table, violated_six_point_table
+from conftest import (flat_six_point_table, null_coray_table,
+                      violated_six_point_table)
 
 SEEDS = st.integers(0, 10_000)
 CONFIGS = ("123", "321", "213", "231", "132", "312")
@@ -616,6 +621,167 @@ class TestMonotonicityMatchesLoop:
                 KnotLeg([3, 5], [2.25, 4.5], "future"))
         assert not same_reports(monotonicity_bound, monotonicity_loops, table,
                                 *legs, "lower", tol=1e-9).passed
+
+
+    def test_knot_order(self):
+        # a KnotLeg's grid rises whatever the order of its knots, so a
+        # permutation of (knot, parameter) pairs changes no report
+        table = violated_six_point_table()
+        leg_b = KnotLeg([3, 5], [2.25, 4.5], "future")
+        for sense in ("lower", "upper"):
+            reports = {repr(same_reports(monotonicity_bound,
+                                         monotonicity_loops, table,
+                                         KnotLeg(points, params, "future"),
+                                         leg_b, sense, tol=1e-9))
+                       for points, params in (([1, 2], [1.0, 2.0]),
+                                              ([2, 1], [2.0, 1.0]))}
+            assert len(reports) == 1
+        rng = random.Random(0)
+        for seed in range(10):
+            space = flat_finite_space(10, seed)
+            legs = []
+            for _ in range(2):
+                params = rng.sample([0.5, 1.0, 1.5, 2.0, 2.5], 3)
+                points = [rng.randrange(space.n) for _ in params]
+                legs.append((points, params, rng.choice(["future", "past"])))
+            (pa, sa, da), leg_b = legs[0], KnotLeg(*legs[1])
+            order = sorted(range(3), key=sa.__getitem__)
+            for sense in ("lower", "upper"):
+                assert repr(outcome(monotonicity_bound, space,
+                                    KnotLeg(pa, sa, da), leg_b, sense)) == \
+                    repr(outcome(monotonicity_bound, space,
+                                 KnotLeg([pa[k] for k in order],
+                                         [sa[k] for k in order], da),
+                                 leg_b, sense))
+
+    def test_mixed_kinds_on_a_table(self):
+        # a Leg along a maximizing chain beside a KnotLeg, either way round
+        rng = random.Random(1)
+        for seed in range(8):
+            space = flat_finite_space(12, seed)
+            base, tip = rng.choice(np.argwhere(space._ll).tolist())
+            if rng.random() < 0.5:
+                base, tip = tip, base
+            legs = (Leg(space, base, tip), random_knot_leg(space, rng))
+            for pair in (legs, legs[::-1]):
+                for sense in ("lower", "upper"):
+                    same_reports(monotonicity_bound, monotonicity_loops,
+                                 space, *pair, sense, tol=1e-9)
+
+    def test_factor_without_minimizers(self):
+        # an explicit-table factor interpolates nothing: a leg that moves
+        # in the factor raises, a vertical one does not
+        space = ProductSpace(REALIZER_FACTORS["table"])
+        base = (0.0, 1)
+        vertical, moving = Leg(space, base, (1.0, 1)), Leg(space, base, (2.0, 2))
+        seen = set()
+        for legs in ((vertical, moving), (moving, vertical), (moving, moving),
+                     (vertical, Leg(space, base, (-1.5, 1)))):
+            for sense in ("lower", "upper"):
+                got = same_reports(monotonicity_bound, monotonicity_loops,
+                                   space, *legs, sense, tol=1e-9)
+                seen.add(type(got))
+        assert seen == {tuple, MonotonicityReport}
+
+    def test_error_of_the_first_leg_first(self):
+        space = ProductSpace(REALIZER_FACTORS["table"])
+        base = (0.0, 1)
+        vertical, moving = Leg(space, base, (1.0, 1)), Leg(space, base, (2.0, 2))
+        no_minimizer = (PreconditionError, "factor has no minimizer structure")
+        for legs, svals, tvals, want in (
+                ((moving, vertical), [0.5], [9.0], no_minimizer),
+                ((vertical, moving), [0.5], [9.0],
+                 (PreconditionError,
+                  f"leg parameter 9.0 outside (0, {moving.total}]")),
+                ((vertical, moving), [9.0], [0.5],
+                 (PreconditionError, "leg parameter 9.0 outside (0, 1.0]")),
+                ((vertical, moving), [0.5], [0.5], no_minimizer)):
+            assert outcome(_hinge_points, space, *legs, svals, tvals) == want
+        points = _hinge_points(space, vertical, vertical, [0.25, 1.0], [0.5])
+        assert list(points) == [(0.25, 1), (1.0, 1), (0.5, 1)]
+
+
+def counting(cls):
+    """A subclass of the space class cls that counts its realizer-core
+    calls, the points it converts and its ``tau_array`` calls."""
+    class Counting(cls):
+        def reset(self):
+            self.cores = self.converted = self.tau_arrays = 0
+
+        def _realizer_core(self, *args):
+            self.cores += 1
+            return super()._realizer_core(*args)
+
+        def _convert(self, points):
+            self.converted += len(points)
+            return super()._convert(points)
+
+        def tau_array(self, points, i, j):
+            self.tau_arrays += 1
+            return super().tau_array(points, i, j)
+    return Counting
+
+
+class TestOnePassPerCall:
+    """Work guards: each tester converts every leg and side once."""
+
+    def test_one_realizer_pass_per_hinge(self, monkeypatch):
+        space = counting(ProductSpace)(EuclideanSegment(0.0, 1.0, 21),
+                                       -2.0, 2.0, 0.05)
+        seen = set()
+        for leg_a, leg_b in product_hinges(space, 4, 0):
+            for sense in ("lower", "upper"):
+                space.reset()
+                seen.add(type(outcome(monotonicity_bound, space, leg_a, leg_b,
+                                      sense)))
+                assert space.cores == 1 and space.converted == 4
+        assert MonotonicityReport in seen
+        lookups = []
+        knots_at = comparison._knots_at
+        monkeypatch.setattr(comparison, "_knots_at",
+                            lambda *args: lookups.append(1) or knots_at(*args))
+        table = flat_finite_space(12, 3)
+        for base, tip in np.argwhere(table._ll)[:4].tolist():
+            legs = (Leg(table, base, tip), KnotLeg([tip], [1.0], "future"))
+            for sense in ("lower", "upper"):
+                lookups.clear()
+                outcome(monotonicity_bound, table, *legs, sense)
+                assert len(lookups) == 1
+
+    def test_side_endpoints_once_per_side(self):
+        space = counting(ProductSpace)(EuclideanSegment(0.0, 1.0, 21),
+                                       -2.0, 2.0, 0.05)
+        triangles = minkowski_triangles(space, 7, 0)
+        for per in (0, 1, 12):
+            space.reset()
+            outcome(curvature_bound, space, triangles, per)
+            assert (space.cores, space.converted) == (1, 2 * 3 * 7)
+
+    def test_table_sides_from_the_tau_table(self, monkeypatch):
+        flat = flat_finite_space(16, 2)
+        space = counting(FiniteLorentzSpace)(flat._d, flat._leq, flat._ll,
+                                             flat._tau)
+        validated = []
+        validate = chains.validate_chain
+        monkeypatch.setattr(chains, "validate_chain",
+                            lambda *args: validated.append(1) or validate(*args))
+        space.reset()
+        triangles = finite_triangles(space, 6, 0)
+        assert validated == [] and space.tau_arrays == 0
+        for tri in triangles:
+            for side in tri.sides.values():
+                want = chains.reparametrize_tau_arclength(
+                    flat, chains.maximize_tau(flat, side.start, side.end).chain)
+                assert bits(side.params) == bits(want)
+
+    def test_null_step_refused(self):
+        # the maximizer from 4 to 2 runs through the null relay 5
+        space = null_coray_table()
+        chain = chains.maximize_tau(space, 4, 2).chain
+        want = outcome(chains.reparametrize_tau_arclength, space, chain)
+        assert want == (PreconditionError,
+                        "null step 4 -> 5: cannot parametrize")
+        assert outcome(TriangleSide, space, 4, 2) == want
 
 
 # ---------------------------------------------------------------------------
