@@ -77,16 +77,37 @@ def save_run(out, run):
 def serve(items):
     """The worker loop of ``interleaved``: print the path of the imported
     lorentz_lab, then, for each item index read from stdin, time the
-    item's function once and print its time and the digest it returns as
-    one JSON line.  ``items`` is a list of functions that return a
-    digest."""
+    item's call once and print its time and the digest of its result as
+    one JSON line.  ``items`` is a list of (call, reset, digest) triples:
+    ``reset()`` runs before the timed ``call()``, and ``digest(result)``
+    after the clock has stopped."""
     import lorentz_lab
     print(json.dumps(lorentz_lab.__file__), flush=True)
     for row in sys.stdin:
+        call, reset, digest = items[int(row)]
+        reset()
         start = time.perf_counter()
-        digest = items[int(row)]()
+        result = call()
         seconds = time.perf_counter() - start
-        print(json.dumps({"s": seconds, "digest": digest}), flush=True)
+        print(json.dumps({"s": seconds, "digest": digest(result)}),
+              flush=True)
+
+
+def checkout_env(root):
+    """The environment with the src directory of the checkout ``root``
+    first on PYTHONPATH."""
+    src = Path(root).resolve() / "src"
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+
+
+def run_in(script, root, *args):
+    """The JSON document that ``script args`` prints when it imports the
+    checkout ``root``'s src."""
+    done = subprocess.run([sys.executable, str(script), *args],
+                          stdout=subprocess.PIPE, text=True, check=True,
+                          env=checkout_env(root))
+    return json.loads(done.stdout)
 
 
 def interleaved(script, roots, count, rounds):
@@ -99,11 +120,10 @@ def interleaved(script, roots, count, rounds):
     try:
         for root in roots:
             src = Path(root).resolve() / "src"
-            env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-                [str(src), os.environ.get("PYTHONPATH", "")])}
             proc = subprocess.Popen([sys.executable, str(script), "--serve"],
                                     stdin=subprocess.PIPE,
-                                    stdout=subprocess.PIPE, text=True, env=env)
+                                    stdout=subprocess.PIPE, text=True,
+                                    env=checkout_env(root))
             workers.append(proc)
             imported = Path(json.loads(proc.stdout.readline()))
             if src not in imported.parents:

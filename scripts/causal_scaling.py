@@ -1,13 +1,13 @@
 """Growth of the causal-set kernels with the number of sprinkled points.
 
-    PYTHONPATH=src python scripts/causal_scaling.py
+    PYTHONPATH=src python scripts/causal_scaling.py [--against CHECKOUT]
 
-At n = 400, 1000, 2000 and 4000 points (seed 1) it times, best of three:
+At n = 400, 1000, 2000 and 4000 points (seed 1) it times, best of five:
 
 * ``weighted_sprinkle_s`` and ``flat_sprinkle_s``: ``sprinkle_causal_set``
   with drawn weights and with flat separations;
-* ``causal_order_s``: the causality check, topological order and packed
-  successor lists that the first ``maximize_tau`` on a space builds;
+* ``causal_order_s``: the topological order and packed successor lists
+  that the first ``maximize_tau`` on a space builds;
 * ``maximize_tau_s``: ``maximize_tau`` on the widest pair (the related
   pair with the most points between it, first in index order) once that
   order is built, so ``causal_order_s + maximize_tau_s`` is the cost of a
@@ -15,25 +15,43 @@ At n = 400, 1000, 2000 and 4000 points (seed 1) it times, best of three:
 
 It also records the longest-chain value, length and tie count of that
 pair, and the traced-heap peaks (``tracemalloc``) of one weighted sprinkle
-and of one first maximization.  A run needs about 40 n² bytes at its peak:
-0.6 GB at n = 4000.
+and of one first maximization.  A process holds one space at a time, about
+18 n² bytes (0.3 GB at n = 4000), and a sprinkle doubles that while it
+runs.
 
 At n = 48, 64 and 400 it times ``validate_axioms`` on
-``flat_finite_space(n, 1)``, best of three, with its verdict.
+``flat_finite_space(n, 1)``, best of five, with its verdict.
 
-The run goes into BENCH_causal_chains.json at the repository root under
-the sha256 of src/lorentz_lab, together with the machine and the Python
-and numpy versions.  An earlier run of the same source is replaced and runs
-of other sources are kept, so that two checkouts can be compared in one
-file.
+Beside each time the script keeps a sha256 of what the timed call
+returned: the tables of a sprinkle, the order with its packed lists, the
+maximizer's value, chain and tie count, the axiom report.  The run goes
+into BENCH_causal_chains.json at the repository root under the sha256 of
+src/lorentz_lab, together with the machine and the Python and numpy
+versions.  An earlier run of the same source is replaced and runs of other
+sources are kept.
+
+With ``--against CHECKOUT`` (the root of another checkout, say a parent
+commit's ``git archive``) the script times both sources in one run: one
+worker process per checkout, taking turns on each item five times, in
+alternating order, best of five each.  The heap peaks, which do not depend
+on the host's speed, come from one further process per checkout.  It stops
+with an error when the two sources' digests of any item, or the values,
+chains and tie counts of any pair, differ.  Both runs go into the file,
+each naming the other under ``interleaved_with``.
 """
 
+import argparse
+import hashlib
+import json
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
-from bench_record import ROOT, best_time, new_run, save_run
+from bench_record import (ROOT, best_time, interleaved, new_run, run_in,
+                          save_run, serve, src_sha256)
+import lorentz_lab
 from lorentz_lab import chains
 from lorentz_lab.core import validate_axioms
 from lorentz_lab.sampling import flat_finite_space, sprinkle_causal_set
@@ -42,7 +60,30 @@ OUT = ROOT / "BENCH_causal_chains.json"
 SIZES = [400, 1000, 2000, 4000]
 AXIOM_SIZES = [48, 64, 400]
 SEED = 1
-REPEATS = 3
+REPEATS = 5
+
+
+def digest(*parts):
+    out = hashlib.sha256()
+    for part in parts:
+        out.update(part if isinstance(part, bytes) else repr(part).encode())
+    return out.hexdigest()[:16]
+
+
+def table_digest(space):
+    return digest(*(a.tobytes() for a in (space._d, space._leq, space._ll,
+                                           space._tau)))
+
+
+def order_digest(order, start, targets, weights):
+    return digest(np.asarray(order, dtype=np.int64).tobytes(),
+                  np.asarray(start, dtype=np.int64).tobytes(),
+                  targets.astype(np.int32).tobytes(), weights.tobytes())
+
+
+def result_facts(result):
+    return {"value": result.value, "chain_points": len(result.chain),
+            "tie_count": result.tie_count}
 
 
 def traced_peak_mb(fn):
@@ -65,59 +106,149 @@ def widest_pair(space):
     return int(i), int(j)
 
 
-def measure(n):
-    weighted = best_time(lambda: sprinkle_causal_set(n, SEED), REPEATS)
-    flat = best_time(lambda: sprinkle_causal_set(n, SEED, weighted=False),
-                     REPEATS)
-    space, sprinkle_peak = traced_peak_mb(lambda: sprinkle_causal_set(n, SEED))
-    i, j = widest_pair(space)
+def items():
+    """The timed items in order: (section, n, record, call, reset,
+    digest).  ``reset()`` runs untimed before the timed ``call()``, and
+    ``digest(result)`` after it.  The order and maximizer items share the weighted sprinkle of
+    their size, built by a reset and dropped before a sprinkle is timed or
+    another size's is built, so a process holds one at a time."""
+    held = {}
 
-    def forget():
-        space._causal_order = None
+    def space(n):
+        if n not in held:
+            held.clear()
+            built = sprinkle_causal_set(n, SEED)
+            held[n] = built, widest_pair(built)
+        return held[n]
 
-    order = best_time(lambda: chains._causal_order(space), REPEATS, forget)
-    maximize = best_time(lambda: chains.maximize_tau(space, i, j), REPEATS)
-    forget()
-    result, maximize_peak = traced_peak_mb(
-        lambda: chains.maximize_tau(space, i, j))
-    return {"n": n, "seed": SEED, "pair": [i, j],
-            "relations": int(np.count_nonzero(space.leq_table())) - n,
-            "weighted_sprinkle_s": weighted, "flat_sprinkle_s": flat,
-            "causal_order_s": order, "maximize_tau_s": maximize,
-            "value": result.value, "chain_points": len(result.chain),
-            "tie_count": result.tie_count,
-            "sprinkle_peak_mb": sprinkle_peak,
-            "first_maximize_peak_mb": maximize_peak}
+    def forget_order(n):
+        space(n)[0]._causal_order = None
+
+    out = [("validate_axioms", n, "validate_axioms_s",
+            lambda space=flat_finite_space(n, SEED): validate_axioms(space),
+            lambda: None, digest)
+           for n in AXIOM_SIZES]
+    for n in SIZES:
+        out += [
+            ("sizes", n, "weighted_sprinkle_s",
+             lambda n=n: sprinkle_causal_set(n, SEED), held.clear,
+             table_digest),
+            ("sizes", n, "flat_sprinkle_s",
+             lambda n=n: sprinkle_causal_set(n, SEED, False), held.clear,
+             table_digest),
+            ("sizes", n, "causal_order_s",
+             lambda n=n: chains._causal_order(space(n)[0]),
+             lambda n=n: forget_order(n), lambda order: order_digest(*order)),
+            ("sizes", n, "maximize_tau_s",
+             lambda n=n: chains.maximize_tau(space(n)[0], *space(n)[1]),
+             lambda n=n: chains._causal_order(space(n)[0]),
+             lambda result: digest(result_facts(result))),
+        ]
+    return out
 
 
-def measure_axioms(n):
-    space = flat_finite_space(n, SEED)
-    return {"n": n, "seed": SEED,
-            "validate_axioms_s": best_time(lambda: validate_axioms(space),
-                                           REPEATS),
-            "passed": validate_axioms(space).passed}
+def facts():
+    """What does not depend on the host's speed, per size: the widest
+    pair, its longest chain, the heap peaks; and the axiom verdicts."""
+    sizes = []
+    for n in SIZES:
+        space, sprinkle_peak = traced_peak_mb(
+            lambda: sprinkle_causal_set(n, SEED))
+        pair = widest_pair(space)
+        result, maximize_peak = traced_peak_mb(
+            lambda: chains.maximize_tau(space, *pair))
+        sizes.append({"n": n, "seed": SEED, "pair": list(pair),
+                      "relations": int(np.count_nonzero(space.leq_table())) - n,
+                      **result_facts(result),
+                      "sprinkle_peak_mb": sprinkle_peak,
+                      "first_maximize_peak_mb": maximize_peak})
+        del space
+    axioms = [{"n": n, "seed": SEED,
+               "passed": validate_axioms(flat_finite_space(n, SEED)).passed}
+              for n in AXIOM_SIZES]
+    return {"imported": lorentz_lab.__file__, "validate_axioms": axioms,
+            "sizes": sizes}
+
+
+def record(run, found, timed):
+    """The run's sections: ``found`` (from ``facts``) with each timed
+    item's seconds and digest, given as ``(section, n, name, seconds,
+    digest)``."""
+    for section in ("validate_axioms", "sizes"):
+        run[section] = [dict(entry, digests={}) for entry in found[section]]
+    for section, n, name, seconds, item_digest in timed:
+        entry = next(e for e in run[section] if e["n"] == n)
+        entry[name] = seconds
+        entry["digests"][name] = item_digest
+    for entry in run["validate_axioms"]:
+        print(f"n {entry['n']:5d}  validate_axioms "
+              f"{entry['validate_axioms_s']:.4f} s")
+    for entry in run["sizes"]:
+        print(f"n {entry['n']:5d}  sprinkle {entry['weighted_sprinkle_s']:.3f}"
+              f" s (flat {entry['flat_sprinkle_s']:.3f} s)  order "
+              f"{entry['causal_order_s']:.3f} s  maximize_tau "
+              f"{entry['maximize_tau_s']:.3f} s  peaks "
+              f"{entry['sprinkle_peak_mb']:.1f} / "
+              f"{entry['first_maximize_peak_mb']:.1f} MB")
 
 
 def main():
-    run = new_run(REPEATS)
-    run["validate_axioms"] = []
-    for n in AXIOM_SIZES:
-        size = measure_axioms(n)
-        run["validate_axioms"].append(size)
-        print(f"n {n:5d}  validate_axioms {size['validate_axioms_s']:.4f} s")
-    run["sizes"] = []
-    for n in SIZES:
-        size = measure(n)
-        run["sizes"].append(size)
-        print(f"n {n:5d}  sprinkle {size['weighted_sprinkle_s']:.3f} s "
-              f"(flat {size['flat_sprinkle_s']:.3f} s)  order "
-              f"{size['causal_order_s']:.3f} s  maximize_tau "
-              f"{size['maximize_tau_s']:.3f} s  peaks "
-              f"{size['sprinkle_peak_mb']:.1f} / "
-              f"{size['first_maximize_peak_mb']:.1f} MB")
-    save_run(OUT, run)
-    return 0
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--serve", action="store_true",
+                        help=argparse.SUPPRESS)
+    parser.add_argument("--facts", action="store_true",
+                        help=argparse.SUPPRESS)
+    parser.add_argument("--against", metavar="CHECKOUT",
+                        help="time this checkout's source against that one's, "
+                             "interleaved")
+    args = parser.parse_args()
+    if args.facts:
+        print(json.dumps(facts()))
+        return
+    timed = items()
+    if args.serve:
+        serve([item[3:] for item in timed])
+        return
+    if args.against is None:
+        run = new_run(REPEATS)
+        found = facts()
+        del found["imported"]
+        results = []
+        for section, n, name, call, reset, digest_of in timed:
+            seconds = best_time(call, REPEATS, reset)
+            reset()
+            results.append((section, n, name, seconds, digest_of(call())))
+        record(run, found, results)
+        save_run(OUT, run)
+        return
+
+    roots = [ROOT, args.against]
+    found = [run_in(__file__, root, "--facts") for root in roots]
+    for root, got in zip(roots, found):
+        imported = Path(got.pop("imported"))
+        if Path(root).resolve() / "src" not in imported.parents:
+            sys.exit(f"the run for {root} imported {imported}")
+    runs = [new_run(REPEATS, root) for root in roots]
+    for run, other in zip(runs, roots[::-1]):
+        run["interleaved_with"] = src_sha256(other)
+    results = interleaved(__file__, roots, len(timed), REPEATS)
+    for (section, n, name, *_), pairs in zip(timed, results):
+        if len({item_digest for _, item_digest in pairs}) != 1:
+            sys.exit(f"{section} n={n} {name}: the sources' results differ: "
+                     f"{[item_digest for _, item_digest in pairs]}")
+    keys = ("pair", "value", "chain_points", "tie_count")
+    for a, b in zip(*(f["sizes"] for f in found)):
+        if any(a[k] != b[k] for k in keys):
+            sys.exit(f"n={a['n']}: the sources' maximizers differ: "
+                     f"{[{k: e[k] for k in keys} for e in (a, b)]}")
+    for w, (run, root, got) in enumerate(zip(runs, roots, found)):
+        print(src_sha256(root))
+        record(run, got, [(section, n, name, *pairs[w]) for
+                          (section, n, name, *_), pairs in
+                          zip(timed, results)])
+    for run in runs[::-1]:
+        save_run(OUT, run)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

@@ -78,37 +78,70 @@ def _topological_order(space: FiniteLorentzSpace):
     """A topological order of the strict relation (a DAG once antisymmetry
     holds), by Kahn's algorithm one level at a time: each round takes every
     vertex left without predecessors, in increasing index order, and
-    removes their relations with one array pass.  The successor lists are
-    packed into one array (4 bytes per relation): the successors of v, in
-    increasing order, are ``targets[start[v]:start[v + 1]]``."""
-    strict = space.leq_table() & ~np.eye(space.n, dtype=bool)
-    rows, targets = np.nonzero(strict)
-    start = np.searchsorted(rows, np.arange(space.n + 1)).tolist()
-    targets = targets.astype(np.int32)
-    indeg = strict.sum(axis=0)
+    removes their relations, reading their rows of ``leq`` at most
+    ``max(1, PAIR_BLOCK // n)`` at a time.  The in-degrees are column
+    counts less the diagonal, so no copy of ``leq`` without it is made."""
+    leq = space.leq_table()
+    step = max(1, PAIR_BLOCK // max(space.n, 1))
+    indeg = np.count_nonzero(leq, axis=0) - np.diagonal(leq)
     order = []
     ready = np.flatnonzero(indeg == 0)
     while ready.size:
         order += ready.tolist()
-        indeg -= strict[ready].sum(axis=0)
+        # a ready vertex has no predecessor left, so only its own column
+        # takes a diagonal entry here, and it is overwritten below
+        for r in range(0, ready.size, step):
+            indeg -= np.count_nonzero(leq[ready[r:r + step]], axis=0)
         indeg[ready] = -1
         ready = np.flatnonzero(indeg == 0)
     if len(order) != space.n:
         raise PreconditionError("non-causal space: leq is cyclic")
-    return order, start, targets
+    return order
+
+
+def _successors(space: FiniteLorentzSpace):
+    """The successor lists of the strict relation, packed: the successors
+    of v, in increasing order, are ``targets[start[v]:start[v + 1]]``
+    (int32), and ``weights`` holds ``tau[v, u]`` of each (float64), 12
+    bytes per relation.  The rows go in blocks of ``max(1, PAIR_BLOCK //
+    n)``: a copy of the block with its diagonal cleared, one
+    ``flatnonzero`` over it, the weights taken from the block's raveled tau
+    rows and the targets as the flat indices modulo n."""
+    leq, tau, n = space.leq_table(), space.tau_table(), space.n
+    step = max(1, PAIR_BLOCK // max(n, 1))
+    start = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.count_nonzero(leq, axis=1) - np.diagonal(leq),
+              out=start[1:])
+    targets = np.empty(start[-1], dtype=np.int32)
+    weights = np.empty(start[-1])
+    for r in range(0, n, step):
+        rows = slice(r, min(n, r + step))
+        block = leq[rows].reshape(-1).copy()
+        block[r::n + 1] = False   # the diagonal entries of the block's rows
+        flat = np.flatnonzero(block)
+        packed = slice(start[rows.start], start[rows.stop])
+        # every index is in bounds, and "clip" writes into out without the
+        # buffer that the default "raise" takes
+        np.take(tau[rows].reshape(-1), flat, mode="clip",
+                out=weights[packed])
+        flat %= n
+        targets[packed] = flat
+    return start, targets, weights
 
 
 def _causal_order(space: FiniteLorentzSpace):
-    """``_check_causal`` and ``_topological_order`` of a finite space, with
-    the weight ``tau[v, u]`` of every packed relation (8 bytes each), run on
+    """``_topological_order`` and ``_successors`` of a finite space, run on
     its first maximization and kept on the instance: its tables are
-    read-only, so none of this changes."""
+    read-only, so none of this changes.  Only a cyclic relation runs
+    ``_check_causal``, so that a 2-cycle, itself a cycle, is named; nothing
+    is kept then, and every call refuses alike."""
     if space._causal_order is None:
-        _check_causal(space)
-        order, start, targets = _topological_order(space)
-        rows = np.repeat(np.arange(space.n, dtype=np.int32), np.diff(start))
-        space._causal_order = (order, start, targets,
-                               space.tau_table()[rows, targets])
+        try:
+            order = _topological_order(space)
+        except PreconditionError:
+            _check_causal(space)
+            raise
+        space._causal_order = (order, *_successors(space))
     return space._causal_order
 
 

@@ -137,10 +137,23 @@ def _factor_in(doc):
     raise StructuralError(f"unknown factor kind {kind!r}")
 
 
+def _read_json(path):
+    """The JSON document of the file ``path``, read as UTF-8.  A file that
+    is not UTF-8 text, or that nests deeper than the parser can recurse,
+    raises InputError (exit 2) like any other unreadable document."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{path} is not UTF-8 text: {exc.reason} "
+                             f"at byte {exc.start}") from None
+        except RecursionError:
+            raise InputError(f"{path} nests too deeply") from None
+
+
 def load_space(path):
     """Parse a space file; returns (space, metadata dict)."""
-    with open(path) as fh:
-        doc = _object_in(json.load(fh), "space file")
+    doc = _object_in(_read_json(path), "space file")
     version = doc.get("format_version")
     if isinstance(version, bool) or version != FORMAT_VERSION:
         raise StructuralError(f"unsupported format_version {version}")
@@ -182,9 +195,8 @@ def _space_in(kind, payload):
 
 def load_chain(path, space_kind, n_points=None):
     """Parse a chain file: a list of ``points``, each an integer index in
-    0..n_points-1 (finite spaces) or a ``[t, x]`` pair of reals."""
-    with open(path) as fh:
-        doc = json.load(fh)
+    0..n_points-1 (finite spaces) or a ``[t, x]`` pair of finite reals."""
+    doc = _read_json(path)
     pts = doc.get("points") if isinstance(doc, dict) else None
     if not isinstance(pts, list):
         raise InputError(f"chain file {path} has no list of points")
@@ -195,7 +207,11 @@ def load_chain(path, space_kind, n_points=None):
     for p in pts:
         if not (isinstance(p, list) and len(p) == 2):
             raise InputError(f"chain point {p!r} is not a [t, x] pair")
-    return CausalChain(tuple((_parse_real(t), _parse_real(x)) for t, x in pts))
+    points = tuple((_parse_real(t), _parse_real(x)) for t, x in pts)
+    for p, (t, x) in zip(pts, points):
+        if not (math.isfinite(t) and math.isfinite(x)):
+            raise InputError(f"chain point {p!r} is not finite")
+    return CausalChain(points)
 
 
 def _atomic_write(path, text):

@@ -235,13 +235,14 @@ def _product_tau_array(dt, dist):
         return np.where((dt < dist) | ~(rad > 0.0), 0.0, np.sqrt(rad))
 
 
-def _product_d_array(dt, dist):
+def _product_d_array(dt, dist, out=None):
     """``sqrt(dt * dt + dist * dist)`` elementwise, within 2.2e-16 relative
     of ``math.hypot``; ``np.hypot`` where that leaves [1e-150, 1e150], where
     the squares may overflow or underflow.  The distances of a product's
-    ``d_array`` and of a sprinkled causal set."""
+    ``d_array`` and of a sprinkled causal set, written into ``out`` when it
+    is given."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.sqrt(dt * dt + dist * dist)
+        out = np.sqrt(dt * dt + dist * dist, out=out)
         wide = ~((out >= 1e-150) & (out <= 1e150))
     if wide.any():
         out[wide] = np.hypot(dt[wide], dist[wide])

@@ -37,20 +37,37 @@ def _random_stream(rng: random.Random):
     return np.random.Generator(bits)
 
 
-def _sprinkle_rows(t, x, rows, draws):
-    """The ``d``, ``leq``, ``ll`` and ``tau`` rows of the sprinkled points
-    ``rows`` (the diagonal left 0 and False): weights from ``draws`` in
-    row-major order, or the flat separations when ``draws`` is None."""
+def _sprinkle_rows(t, x, rows, draws, d, leq, ll, tau):
+    """Fill the rows ``rows`` (a slice) of the tables ``d``, ``leq``,
+    ``ll`` and ``tau`` of the sprinkled points in place: ``leq`` is
+    ``dt >= dx``, coincident points included (``_clear_coincident`` clears
+    them), the weights come from ``draws`` in row-major order, or are the
+    flat separations when ``draws`` is None.  The flat kernel gives 0
+    wherever ``dt > dx`` fails, so it runs on the whole block; ``tau`` must
+    come zeroed for drawn weights."""
     dt, dx = t - t[rows, None], np.abs(x - x[rows, None])
-    d = _product_d_array(dt, dx)
-    leq = (dt >= dx) & ~((dt == 0) & (dx == 0))
-    ll = leq & (dt > dx)
-    tau = np.zeros(dt.shape)
+    d_rows = _product_d_array(dt, dx, out=d[rows])
+    np.maximum(d_rows, 1e-6, out=d_rows)
+    np.greater_equal(dt, dx, out=leq[rows])
+    ll_rows = np.greater(dt, dx, out=ll[rows])
     if draws is None:
-        tau[ll] = _product_tau_array(dt[ll], dx[ll])
+        tau[rows] = _product_tau_array(dt, dx)
     else:
-        tau[ll] = 0.05 + (2.0 - 0.05) * draws.random(np.count_nonzero(ll))
-    return d, leq, ll, tau
+        tau[rows][ll_rows] = 0.05 + (2.0 - 0.05) * draws.random(
+            np.count_nonzero(ll_rows))
+
+
+def _clear_coincident(t, x, leq):
+    """Relate no two distinct points at the same coordinates, keeping the
+    diagonal: the groups of such points are runs of one sort of the
+    points."""
+    order = np.lexsort((x, t))
+    ts, xs = t[order], x[order]
+    same = (ts[1:] == ts[:-1]) & (xs[1:] == xs[:-1])
+    if same.any():
+        for group in np.split(order, np.flatnonzero(~same) + 1):
+            if len(group) > 1:
+                leq[np.ix_(group, group)] = np.eye(len(group), dtype=bool)
 
 
 def sprinkle_causal_set(n, seed, weighted=True) -> FiniteLorentzSpace:
@@ -60,7 +77,7 @@ def sprinkle_causal_set(n, seed, weighted=True) -> FiniteLorentzSpace:
     reverse triangle inequality); otherwise the flat separations are kept
     and every axiom holds.
 
-    The tables are built in blocks of whole rows, at most
+    The tables are filled in place in blocks of whole rows, at most
     ``chains.PAIR_BLOCK`` entries and at most a quarter of the rows at a
     time, and handed to the space without a copy, so that the peak memory
     is the tables once plus one block's temporaries.  Distances are those
@@ -73,17 +90,14 @@ def sprinkle_causal_set(n, seed, weighted=True) -> FiniteLorentzSpace:
     pts = np.array(sprinkle_points(n, seed), dtype=float).reshape(n, 2)
     t, x = pts[:, 0], pts[:, 1]
     draws = _random_stream(random.Random(seed + 10_000)) if weighted else None
-    d = np.zeros((n, n))
-    leq = np.zeros((n, n), dtype=bool)
-    ll = np.zeros((n, n), dtype=bool)
+    d = np.empty((n, n))
+    leq = np.empty((n, n), dtype=bool)
+    ll = np.empty((n, n), dtype=bool)
     tau = np.zeros((n, n))
     step = max(1, min(chains.PAIR_BLOCK // max(n, 1), n // 4))
     for i in range(0, n, step):
-        rows = slice(i, i + step)
-        d[rows], leq[rows], ll[rows], tau[rows] = _sprinkle_rows(t, x, rows,
-                                                                 draws)
-    np.fill_diagonal(leq, True)
-    np.maximum(d, 1e-6, out=d)
+        _sprinkle_rows(t, x, slice(i, i + step), draws, d, leq, ll, tau)
+    _clear_coincident(t, x, leq)
     np.fill_diagonal(d, 0.0)
     return FiniteLorentzSpace._of_own_tables(d, leq, ll, tau)
 

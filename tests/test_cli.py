@@ -377,6 +377,44 @@ def test_non_finite_point_exit_2(capsys):
     assert_one_line_exit_2(code, capsys)
 
 
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe{}", b'{"format_version": 1, "kind": "\xff"}', b"[" * 100_000,
+    b'{"points": ' + b"[" * 100_000,
+], ids=["utf16-bom", "latin1-byte", "nested-list", "nested-points"])
+@pytest.mark.parametrize("command", ["validate", "asymptote"])
+def test_undecodable_or_deeply_nested_document_exit_2(command, content,
+                                                      tmp_path, capsys):
+    # the space file of validate and the chain file of asymptote --line are
+    # read alike: no UnicodeDecodeError or RecursionError traceback
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    if command == "validate":
+        code = main(["validate", str(path)])
+    else:
+        code = main(["asymptote", golden("product_segment.json"),
+                     "--line", str(path), "--from", "0,0.5"])
+    assert_one_line_exit_2(code, capsys)
+
+
+@pytest.mark.parametrize("point", ['["nan", "0.5"]', '["1.0", "inf"]',
+                                   "[1e400, 0.5]", '["-Infinity", "0.5"]',
+                                   "[NaN, 0.5]"],
+                         ids=["nan-string", "inf-string", "overflow",
+                              "minus-infinity", "nan-literal"])
+def test_non_finite_chain_coordinate_exit_2(point, tmp_path, capsys):
+    # a non-finite coordinate is malformed input, as it is in --from, not
+    # a chain step that fails to be causal (exit 3)
+    path = tmp_path / "chain.json"
+    path.write_text('{"points": [["-1.0", "0.5"], ' + point + "]}")
+    code = main(["asymptote", golden("product_segment.json"),
+                 "--line", str(path), "--from", "0,0.5"])
+    assert_one_line_exit_2(code, capsys)
+    path.write_text('{"points": [' + point + ', ["1.0", "0.5"]]}')
+    code = main(["asymptote", golden("product_segment.json"),
+                 "--line", str(path), "--from", "0,0.5"])
+    assert_one_line_exit_2(code, capsys)
+
+
 @pytest.mark.parametrize("src,dst", [
     ("0,0.5,9", "2,0.5"), ("0,0.5", "2,0.5,"), ("0.5", "2,0.5"),
     ("0,0.5", ""), ("0,0.5", ","),

@@ -6,8 +6,9 @@ The loops below are the former implementations of ``validate_axioms``,
 ``SpacelikeSlice.validate_metric`` and ``sprinkle_causal_set``, kept as
 oracles: each array scan must give the same verdicts, the same first
 witnesses, the same errors and the same values, bit for bit.  The level
-order of ``_topological_order`` has its own loop, ``level_order_loops``;
-the former smallest-vertex-first loop stays as a second order that the
+order of ``_topological_order`` has its own loop, ``level_order_loops``,
+which also gives the successor lists that ``_successors`` packs; the
+former smallest-vertex-first loop stays as a second order that the
 maximizers must not notice, and the former ``maximize_tau`` as the
 maximizers' oracle.  The sprinkle's distances are pinned to the flat
 product's ``sqrt(dt * dt + dx * dx)`` and its bulk draws to
@@ -15,7 +16,6 @@ product's ``sqrt(dt * dt + dx * dx)`` and its bulk draws to
 """
 
 import bisect
-import itertools
 import math
 import random
 import tracemalloc
@@ -280,18 +280,24 @@ def level_order_loops(space):
     return order, succ
 
 
-def packed_order_loops(space):
-    """``topological_order_loops`` (smallest ready vertex first) in the
-    packed form of ``chains._topological_order``: a different order, so a
-    space maximized with it checks that the maximizers do not depend on
-    which topological order they run in."""
-    order, succ = topological_order_loops(space)
-    start = [0, *itertools.accumulate(map(len, succ))]
-    return order, start, np.array([j for row in succ for j in row], dtype=np.int32)
+def smallest_first_order(space):
+    """The order of ``topological_order_loops`` (smallest ready vertex
+    first), the return shape of ``chains._topological_order``: a different
+    order, so a space maximized with it checks that the maximizers do not
+    depend on which topological order they run in."""
+    return topological_order_loops(space)[0]
 
 
-def unpacked(order, start, targets):
-    return order, [targets[a:b].tolist() for a, b in zip(start, start[1:])]
+def unpacked(start, targets, weights):
+    """The successor lists packed by ``chains._successors``, and their
+    weights as one array."""
+    return [targets[a:b].tolist() for a, b in zip(start, start[1:])], weights
+
+
+def successor_weights(space, succ):
+    """``tau[v, u]`` of every successor u of every v, in packed order."""
+    return np.array([space._tau[v, u] for v, row in enumerate(succ)
+                     for u in row], dtype=float)
 
 
 def finite_triangles_loops(space, count, seed):
@@ -558,15 +564,18 @@ class TestChainScansMatchLoops:
             space = sprinkle_causal_set(n, seed, kind == "weighted")
         else:
             space = (random_dag if kind == "dag" else irreflexive_dag)(n, seed)
-        assert unpacked(*chains._topological_order(space)) == \
-            level_order_loops(space)
+        order, succ = level_order_loops(space)
+        assert chains._topological_order(space) == order
+        targets, weights = unpacked(*chains._successors(space))
+        assert targets == succ
+        assert weights.tobytes() == successor_weights(space, succ).tobytes()
         got = maximize_all(space)
         assert got == maximize_all(space, maximize_tau_loops)
         # a fresh instance, since a space keeps the order of its first
         # maximization
         twin = FiniteLorentzSpace(space._d, space._leq, space._ll, space._tau)
         with mock.patch.object(chains, "_topological_order",
-                               packed_order_loops), \
+                               smallest_first_order), \
                 mock.patch.object(chains, "_check_causal", check_causal_loops):
             want = maximize_all(twin)
         assert got == want
@@ -656,6 +665,69 @@ class TestChainScansMatchLoops:
         assert got[1].startswith("non-causal space: leq has a 2-cycle between")
         assert outcome(chains._topological_order, cyclic) == \
             outcome(level_order_loops, cyclic)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(3, 12), seed=SEEDS,
+           length=st.one_of(st.just(2), st.integers(3, 12)),
+           pick=st.integers(0, 10_000))
+    def test_planted_cycles(self, n, seed, length, pick):
+        """A cycle planted in a random DAG: ``length`` vertices drawn by
+        ``pick``, related in the DAG's rank order and the last back to the
+        first.  A 2-cycle is named on every call, a longer
+        cycle (with the forward relation from the first to the last
+        vertex dropped, so that no 2-cycle arises) reads "leq is cyclic",
+        and every pair's outcome is the loop oracle's."""
+        space = random_dag(n, seed)
+        leq = np.array(space._leq)
+        # random_dag relates vertices in the order of its rank permutation
+        rank = np.random.default_rng(seed).permutation(n)
+        cycle = sorted(random.Random(pick).sample(range(n), min(length, n)),
+                       key=lambda v: rank[v])
+        for a, b in zip(cycle, cycle[1:]):
+            leq[a, b] = True
+        if len(cycle) > 2:
+            leq[cycle[0], cycle[-1]] = False
+        leq[cycle[-1], cycle[0]] = True
+        cyclic = FiniteLorentzSpace(space._d, leq, space._ll, space._tau)
+        pairs = [(p, q) for p in range(n) for q in range(n)]
+        got = [outcome(maximize_tau, cyclic, p, q) for p, q in pairs]
+        assert got == [outcome(maximize_tau_loops, cyclic, p, q)
+                       for p, q in pairs]
+        refusals = {message for kind, message in got
+                    if message.startswith("non-causal")}
+        if len(cycle) == 2:
+            assert refusals == {"non-causal space: leq has a 2-cycle between "
+                                f"{min(cycle)} and {max(cycle)}"}
+        else:
+            assert refusals == {"non-causal space: leq is cyclic"}
+
+    def test_first_maximization_memory(self):
+        """A first maximization at n = 800 keeps 12 bytes per relation (the
+        int32 targets and float64 weights of ``_successors``) besides the
+        order and the row starts, and its traced peak is what it keeps plus
+        the larger of one row block's temporaries (an int64 index and a
+        bool copy per entry) and what a second maximization of the same
+        pair takes.  The former order, an int64 ``np.nonzero`` of a strict
+        copy of ``leq``, peaked about 400 KB above that."""
+        n = 800
+        space = sprinkle_causal_set(n, 1)
+        leq = space.leq_table()
+        relations = int(np.count_nonzero(leq)) - n
+        i = int(np.argmax(np.count_nonzero(leq, axis=1)))
+        j = int(np.argmax(np.where(leq[i], np.count_nonzero(leq, axis=0), -1)))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            maximize_tau(space, i, j)
+            kept, first = (v - base for v in tracemalloc.get_traced_memory())
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            maximize_tau(space, i, j)
+            second = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert kept <= 12 * relations + 64 * n
+        assert first <= kept + max(9 * chains.PAIR_BLOCK, second)
 
 
 # ---------------------------------------------------------------------------
@@ -836,15 +908,19 @@ class TestSprinkleMatchesLoop:
                      (space._d, space._leq, space._ll, space._tau))
         draws = sampling._random_stream(random.Random(10_001)) \
             if weighted else None
+        # the space's tables are read-only: the blocks are filled again
+        # into copies made before tracing starts
+        copies = [np.array(a) for a in
+                  (space._d, space._leq, space._ll, space._tau)]
         del space
         tracemalloc.start()
         try:
             block = 0
             for call in spy.call_args_list:
-                t, x, rows, _ = call.args
+                t, x, rows = call.args[:3]
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
-                sampling._sprinkle_rows(t, x, rows, draws)
+                sampling._sprinkle_rows(t, x, rows, draws, *copies)
                 block = max(block, tracemalloc.get_traced_memory()[1] - base)
             tracemalloc.reset_peak()
             sprinkle_causal_set(n, 1, weighted)
