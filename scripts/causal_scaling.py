@@ -6,6 +6,10 @@ At n = 400, 1000, 2000 and 4000 points (seed 1) it times, best of five:
 
 * ``weighted_sprinkle_s`` and ``flat_sprinkle_s``: ``sprinkle_causal_set``
   with drawn weights and with flat separations;
+* ``distance_table_s``: the first read of a fresh weighted sprinkle's
+  distance table ``d``, which the space builds then (a sprinkle that
+  filled ``d`` itself returns it at once, and its sprinkle time holds
+  this work instead);
 * ``causal_order_s``: the topological order and packed successor lists
   that the first ``maximize_tau`` on a space builds;
 * ``maximize_tau_s``: ``maximize_tau`` on the widest pair (the related
@@ -15,15 +19,18 @@ At n = 400, 1000, 2000 and 4000 points (seed 1) it times, best of five:
 
 It also records the longest-chain value, length and tie count of that
 pair, and the traced-heap peaks (``tracemalloc``) of one weighted sprinkle
-and of one first maximization.  A process holds one space at a time, about
-18 n² bytes (0.3 GB at n = 4000), and a sprinkle doubles that while it
-runs.
+and of one first maximization, at those sizes and, for this checkout
+only, at n = 10^4 (``REACH``), which it does not time.  A process holds one
+space at a time: about 10 n² bytes until its ``d`` is read and 18 n²
+bytes after (0.3 GB at n = 4000).  At n = 10^4 the space takes 1 GB and
+the widest pair's float32 product 0.8 GB more.
 
 At n = 48, 64 and 400 it times ``validate_axioms`` on
 ``flat_finite_space(n, 1)``, best of five, with its verdict.
 
 Beside each time the script keeps a sha256 of what the timed call
-returned: the tables of a sprinkle, the order with its packed lists, the
+returned: the tables of a sprinkle (``d`` included, built after the
+clock stops), the distance table, the order with its packed lists, the
 maximizer's value, chain and tie count, the axiom report.  The run goes
 into BENCH_causal_chains.json at the repository root under the sha256 of
 src/lorentz_lab, together with the machine and the Python and numpy
@@ -59,6 +66,8 @@ from lorentz_lab.sampling import flat_finite_space, sprinkle_causal_set
 OUT = ROOT / "BENCH_causal_chains.json"
 SIZES = [400, 1000, 2000, 4000]
 AXIOM_SIZES = [48, 64, 400]
+# sizes whose facts are recorded for this checkout alone and not timed
+REACH = [10_000]
 SEED = 1
 REPEATS = 5
 
@@ -99,7 +108,9 @@ def widest_pair(space):
     """The related pair with the most points between it, first in index
     order (float32 counts are exact up to 2^24 points)."""
     leq = space.leq_table()
-    between = leq.astype(np.float32) @ leq.astype(np.float32)
+    paths = leq.astype(np.float32)
+    between = paths @ paths
+    del paths
     between[~leq] = -1.0
     np.fill_diagonal(between, -1.0)
     i, j = np.unravel_index(int(np.argmax(between)), between.shape)
@@ -109,9 +120,10 @@ def widest_pair(space):
 def items():
     """The timed items in order: (section, n, record, call, reset,
     digest).  ``reset()`` runs untimed before the timed ``call()``, and
-    ``digest(result)`` after it.  The order and maximizer items share the weighted sprinkle of
-    their size, built by a reset and dropped before a sprinkle is timed or
-    another size's is built, so a process holds one at a time."""
+    ``digest(result)`` after it.  The order and maximizer items share the
+    weighted sprinkle of their size, built by a reset and dropped before a
+    sprinkle is timed or another sprinkle is built, so a process holds one
+    at a time; the distance item's reset builds a fresh one each time."""
     held = {}
 
     def space(n):
@@ -123,6 +135,10 @@ def items():
 
     def forget_order(n):
         space(n)[0]._causal_order = None
+
+    def fresh(n):
+        held.clear()
+        held["fresh"] = sprinkle_causal_set(n, SEED)
 
     out = [("validate_axioms", n, "validate_axioms_s",
             lambda space=flat_finite_space(n, SEED): validate_axioms(space),
@@ -136,6 +152,8 @@ def items():
             ("sizes", n, "flat_sprinkle_s",
              lambda n=n: sprinkle_causal_set(n, SEED, False), held.clear,
              table_digest),
+            ("sizes", n, "distance_table_s", lambda: held["fresh"]._d,
+             lambda n=n: fresh(n), lambda d: digest(d.tobytes())),
             ("sizes", n, "causal_order_s",
              lambda n=n: chains._causal_order(space(n)[0]),
              lambda n=n: forget_order(n), lambda order: order_digest(*order)),
@@ -147,17 +165,18 @@ def items():
     return out
 
 
-def facts():
-    """What does not depend on the host's speed, per size: the widest
-    pair, its longest chain, the heap peaks; and the axiom verdicts."""
-    sizes = []
-    for n in SIZES:
+def facts(sizes):
+    """What does not depend on the host's speed, per size in ``sizes``:
+    the widest pair, its longest chain, the heap peaks; and the axiom
+    verdicts."""
+    found = []
+    for n in sizes:
         space, sprinkle_peak = traced_peak_mb(
             lambda: sprinkle_causal_set(n, SEED))
         pair = widest_pair(space)
         result, maximize_peak = traced_peak_mb(
             lambda: chains.maximize_tau(space, *pair))
-        sizes.append({"n": n, "seed": SEED, "pair": list(pair),
+        found.append({"n": n, "seed": SEED, "pair": list(pair),
                       "relations": int(np.count_nonzero(space.leq_table())) - n,
                       **result_facts(result),
                       "sprinkle_peak_mb": sprinkle_peak,
@@ -167,7 +186,7 @@ def facts():
                "passed": validate_axioms(flat_finite_space(n, SEED)).passed}
               for n in AXIOM_SIZES]
     return {"imported": lorentz_lab.__file__, "validate_axioms": axioms,
-            "sizes": sizes}
+            "sizes": found}
 
 
 def record(run, found, timed):
@@ -184,8 +203,13 @@ def record(run, found, timed):
         print(f"n {entry['n']:5d}  validate_axioms "
               f"{entry['validate_axioms_s']:.4f} s")
     for entry in run["sizes"]:
+        if "weighted_sprinkle_s" not in entry:
+            print(f"n {entry['n']:5d}  peaks {entry['sprinkle_peak_mb']:.1f}"
+                  f" / {entry['first_maximize_peak_mb']:.1f} MB")
+            continue
         print(f"n {entry['n']:5d}  sprinkle {entry['weighted_sprinkle_s']:.3f}"
-              f" s (flat {entry['flat_sprinkle_s']:.3f} s)  order "
+              f" s (flat {entry['flat_sprinkle_s']:.3f} s)  d "
+              f"{entry['distance_table_s']:.3f} s  order "
               f"{entry['causal_order_s']:.3f} s  maximize_tau "
               f"{entry['maximize_tau_s']:.3f} s  peaks "
               f"{entry['sprinkle_peak_mb']:.1f} / "
@@ -196,14 +220,14 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--serve", action="store_true",
                         help=argparse.SUPPRESS)
-    parser.add_argument("--facts", action="store_true",
+    parser.add_argument("--facts", nargs="*", type=int,
                         help=argparse.SUPPRESS)
     parser.add_argument("--against", metavar="CHECKOUT",
                         help="time this checkout's source against that one's, "
                              "interleaved")
     args = parser.parse_args()
-    if args.facts:
-        print(json.dumps(facts()))
+    if args.facts is not None:
+        print(json.dumps(facts(SIZES + args.facts)))
         return
     timed = items()
     if args.serve:
@@ -211,7 +235,7 @@ def main():
         return
     if args.against is None:
         run = new_run(REPEATS)
-        found = facts()
+        found = facts(SIZES + REACH)
         del found["imported"]
         results = []
         for section, n, name, call, reset, digest_of in timed:
@@ -223,7 +247,10 @@ def main():
         return
 
     roots = [ROOT, args.against]
-    found = [run_in(__file__, root, "--facts") for root in roots]
+    # one process at a time: the reach sizes need gigabytes
+    found = [run_in(__file__, root, "--facts",
+                    *(map(str, REACH) if root == ROOT else ()))
+             for root in roots]
     for root, got in zip(roots, found):
         imported = Path(got.pop("imported"))
         if Path(root).resolve() / "src" not in imported.parents:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -152,6 +153,16 @@ def _as_square(convert, arr, n, name, dtype):
     return out
 
 
+def _sealed(table):
+    """The float table ``table``, refused when it holds a NaN and made
+    read-only.  The test is a minimum, which propagates NaN, so that it
+    allocates no mask of the table's size."""
+    if np.isnan(np.min(table, initial=np.inf)):
+        raise StructuralError("NaN entries are not permitted")
+    table.setflags(write=False)
+    return table
+
+
 class FiniteLorentzSpace(LorentzQuery):
     """Point set 0..n-1 with explicit metric, relation and time-separation tables.
 
@@ -161,7 +172,9 @@ class FiniteLorentzSpace(LorentzQuery):
     The constructor copies its tables, so that a caller's arrays stay the
     caller's; ``_of_own_tables`` takes over tables the library has just
     built, with the same checks, and copies none.  Either way the instance
-    holds its tables read-only.
+    holds its tables read-only.  A table the library built may instead be
+    built on its first read: ``_of_own_tables`` takes a builder in place
+    of ``d``.
     """
 
     def __init__(self, d, leq, ll, tau):
@@ -170,28 +183,41 @@ class FiniteLorentzSpace(LorentzQuery):
     @classmethod
     def _of_own_tables(cls, d, leq, ll, tau):
         """The space on tables that no one else holds, taken without a copy
-        when they already have the table dtypes."""
+        when they already have the table dtypes.  ``d`` may be a function
+        of no arguments that returns the table, run on the first read."""
         space = cls.__new__(cls)
         space._hold(np.asarray, d, leq, ll, tau)
         return space
 
     def _hold(self, convert, d, leq, ll, tau):
-        d = convert(d, dtype=float)
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise StructuralError(f"d table must be square, got shape {d.shape}")
-        n = d.shape[0]
+        if callable(d):
+            self._build_d, n = d, len(leq)
+        else:
+            d = convert(d, dtype=float)
+            if d.ndim != 2 or d.shape[0] != d.shape[1]:
+                raise StructuralError(
+                    f"d table must be square, got shape {d.shape}")
+            n = d.shape[0]
         self.n = n
-        self._d = d
         self._leq = _as_square(convert, leq, n, "leq", bool)
         self._ll = _as_square(convert, ll, n, "ll", bool)
-        self._tau = _as_square(convert, tau, n, "tau", float)
-        if np.isnan(self._d).any() or np.isnan(self._tau).any():
-            raise StructuralError("NaN entries are not permitted")
-        for a in (self._d, self._leq, self._ll, self._tau):
-            a.setflags(write=False)
+        self._tau = _sealed(_as_square(convert, tau, n, "tau", float))
+        if not callable(d):
+            self._d = _sealed(d)
+        self._leq.setflags(write=False)
+        self._ll.setflags(write=False)
         # topological order, successors of leq and their tau weights,
         # filled in by the chain optimizer on first use
         self._causal_order = None
+
+    @cached_property
+    def _d(self):
+        """The distance table of a space given its builder, built and
+        checked on the first read; it then replaces this property as a
+        plain attribute, so that later reads cost nothing extra."""
+        d = _sealed(self._build_d())
+        del self._build_d
+        return d
 
     def sample_points(self):
         return range(self.n)

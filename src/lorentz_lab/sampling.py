@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import partial
 
 import numpy as np
 
@@ -37,17 +38,34 @@ def _random_stream(rng: random.Random):
     return np.random.Generator(bits)
 
 
-def _sprinkle_rows(t, x, rows, draws, d, leq, ll, tau):
-    """Fill the rows ``rows`` (a slice) of the tables ``d``, ``leq``,
-    ``ll`` and ``tau`` of the sprinkled points in place: ``leq`` is
-    ``dt >= dx``, coincident points included (``_clear_coincident`` clears
-    them), the weights come from ``draws`` in row-major order, or are the
-    flat separations when ``draws`` is None.  The flat kernel gives 0
-    wherever ``dt > dx`` fails, so it runs on the whole block; ``tau`` must
-    come zeroed for drawn weights."""
-    dt, dx = t - t[rows, None], np.abs(x - x[rows, None])
-    d_rows = _product_d_array(dt, dx, out=d[rows])
+def _distance_rows(t, x, rows, d):
+    """Fill the rows ``rows`` (a slice) of the distance table ``d`` of the
+    sprinkled points in place: the flat distances, clamped at 1e-6."""
+    d_rows = _product_d_array(t - t[rows, None], np.abs(x - x[rows, None]),
+                              out=d[rows])
     np.maximum(d_rows, 1e-6, out=d_rows)
+
+
+def _distance_table(t, x, blocks):
+    """The distance table of the sprinkled points, filled in the row
+    blocks ``blocks`` (slices), with a zero diagonal."""
+    n = len(t)
+    d = np.empty((n, n))
+    for rows in blocks:
+        _distance_rows(t, x, rows, d)
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+def _sprinkle_rows(t, x, rows, draws, leq, ll, tau):
+    """Fill the rows ``rows`` (a slice) of the tables ``leq``, ``ll`` and
+    ``tau`` of the sprinkled points in place: ``leq`` is ``dt >= dx``,
+    coincident points included (``_clear_coincident`` clears them), the
+    weights come from ``draws`` in row-major order, or are the flat
+    separations when ``draws`` is None.  The flat kernel gives 0 wherever
+    ``dt > dx`` fails, so it runs on the whole block; ``tau`` must come
+    zeroed for drawn weights."""
+    dt, dx = t - t[rows, None], np.abs(x - x[rows, None])
     np.greater_equal(dt, dx, out=leq[rows])
     ll_rows = np.greater(dt, dx, out=ll[rows])
     if draws is None:
@@ -80,26 +98,29 @@ def sprinkle_causal_set(n, seed, weighted=True) -> FiniteLorentzSpace:
     The tables are filled in place in blocks of whole rows, at most
     ``chains.PAIR_BLOCK`` entries and at most a quarter of the rows at a
     time, and handed to the space without a copy, so that the peak memory
-    is the tables once plus one block's temporaries.  Distances are those
-    of the flat product's ``d_array`` (``_product_d_array``) on whole rows:
-    ``t[j] - t[i]`` is ``-(t[i] - t[j])`` exactly and the kernel squares
-    it, so the table is symmetric bit for bit.  The weights of a weighted
-    sprinkle are the values ``rng.uniform(0.05, 2.0)`` would draw one per
-    timelike pair in row-major order, drawn a block at a time from
+    is the tables once plus one block's temporaries: 10 n² bytes for
+    ``leq``, ``ll`` and ``tau``.  The distance table ``d`` is not among
+    them: the space builds it from the points on its first read, in the
+    same blocks, and holds 8 n² bytes more from then on.  Distances are
+    those of the flat product's ``d_array`` (``_product_d_array``) on whole
+    rows: ``t[j] - t[i]`` is ``-(t[i] - t[j])`` exactly and the kernel
+    squares it, so the table is symmetric bit for bit.  The weights of a
+    weighted sprinkle are the values ``rng.uniform(0.05, 2.0)`` would draw
+    one per timelike pair in row-major order, drawn a block at a time from
     ``_random_stream``."""
     pts = np.array(sprinkle_points(n, seed), dtype=float).reshape(n, 2)
     t, x = pts[:, 0], pts[:, 1]
     draws = _random_stream(random.Random(seed + 10_000)) if weighted else None
-    d = np.empty((n, n))
     leq = np.empty((n, n), dtype=bool)
     ll = np.empty((n, n), dtype=bool)
     tau = np.zeros((n, n))
     step = max(1, min(chains.PAIR_BLOCK // max(n, 1), n // 4))
-    for i in range(0, n, step):
-        _sprinkle_rows(t, x, slice(i, i + step), draws, d, leq, ll, tau)
+    blocks = [slice(i, i + step) for i in range(0, n, step)]
+    for rows in blocks:
+        _sprinkle_rows(t, x, rows, draws, leq, ll, tau)
     _clear_coincident(t, x, leq)
-    np.fill_diagonal(d, 0.0)
-    return FiniteLorentzSpace._of_own_tables(d, leq, ll, tau)
+    return FiniteLorentzSpace._of_own_tables(
+        partial(_distance_table, t, x, blocks), leq, ll, tau)
 
 
 def flat_finite_space(n, seed) -> FiniteLorentzSpace:
@@ -240,7 +261,10 @@ def spanning_timelike_chains(space: ProductSpace, count, seed):
 
 def finite_triangles(space: FiniteLorentzSpace, count, seed):
     """Timelike triangles of a table space: vertex triples that are pairwise
-    timelike related and admit maximizing side chains."""
+    timelike related and admit maximizing side chains; none for a count
+    below one."""
+    if count <= 0:
+        return []
     rng = random.Random(seed)
     ll = space._ll
     triples = []

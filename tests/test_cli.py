@@ -525,9 +525,13 @@ class TestCurvatureCommand:
         assert report["verdicts"]["monotonicity"]
 
     @pytest.mark.parametrize("samples", ["0", "-3"])
-    @pytest.mark.parametrize("bound", ["lower0", "upper0", "monotonicity"])
-    def test_empty_sample_exit_3(self, bound, samples, capsys):
-        code = main(["curvature", golden("minkowski_strip.json"),
+    @pytest.mark.parametrize("bound, path", [
+        *(pytest.param(bound, "minkowski_strip.json", id=bound)
+          for bound in ("lower0", "upper0", "monotonicity")),
+        *(pytest.param(bound, "finite_diamond.json", id=f"{bound}-finite")
+          for bound in ("lower0", "upper0"))])
+    def test_empty_sample_exit_3(self, bound, path, samples, capsys):
+        code = main(["curvature", golden(path),
                      "--bound", bound, f"--samples={samples}"])
         captured = capsys.readouterr()
         assert code == 3

@@ -45,6 +45,16 @@ class TestValidateAxioms:
             FiniteLorentzSpace(np.zeros((2, 2)), np.eye(3, dtype=bool),
                                np.zeros((2, 2), dtype=bool), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("table", ["d", "tau"])
+    def test_nan_in_the_last_entry_is_refused(self, table):
+        tables = dict(d=[[0.0, 1.0], [1.0, 0.0]], leq=np.eye(2, dtype=bool),
+                      ll=np.zeros((2, 2), dtype=bool), tau=np.zeros((2, 2)))
+        tables[table] = np.array(tables[table])
+        tables[table][-1, -1] = np.nan
+        with pytest.raises(StructuralError,
+                           match="NaN entries are not permitted"):
+            FiniteLorentzSpace(**tables)
+
     def test_idempotent_and_deterministic(self):
         space = diamond_table()
         first = validate_axioms(space)

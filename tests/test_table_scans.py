@@ -17,6 +17,7 @@ product's ``sqrt(dt * dt + dx * dx)`` and its bulk draws to
 
 import bisect
 import math
+import pickle
 import random
 import tracemalloc
 from unittest import mock
@@ -29,8 +30,9 @@ from lorentz_lab import chains, core, sampling
 from lorentz_lab.chains import CausalChain, MaximizerResult, maximize_tau
 from lorentz_lab.comparison import SpaceTriangle
 from lorentz_lab.core import (EPS, AxiomCheck, FiniteLorentzSpace,
-                              PreconditionError, ValidationReport,
-                              metric_defect, validate_axioms)
+                              PreconditionError, StructuralError,
+                              ValidationReport, metric_defect,
+                              validate_axioms)
 from lorentz_lab.models import minkowski_space, tau_minkowski
 from lorentz_lab.sampling import (finite_triangles, flat_finite_space,
                                   sprinkle_causal_set)
@@ -548,6 +550,15 @@ def relaxed_kinds(space, pairs=None):
     return kinds
 
 
+def widest_pair(space):
+    """A related pair with many points between it: the point with the most
+    successors and, among those, the one with the most predecessors."""
+    leq = space.leq_table()
+    i = int(np.argmax(np.count_nonzero(leq, axis=1)))
+    j = int(np.argmax(np.where(leq[i], np.count_nonzero(leq, axis=0), -1)))
+    return i, j
+
+
 def irreflexive_dag(n, seed):
     """``random_dag`` with leq False on the diagonal."""
     space = random_dag(n, seed)
@@ -711,10 +722,8 @@ class TestChainScansMatchLoops:
         copy of ``leq``, peaked about 400 KB above that."""
         n = 800
         space = sprinkle_causal_set(n, 1)
-        leq = space.leq_table()
-        relations = int(np.count_nonzero(leq)) - n
-        i = int(np.argmax(np.count_nonzero(leq, axis=1)))
-        j = int(np.argmax(np.where(leq[i], np.count_nonzero(leq, axis=0), -1)))
+        relations = int(np.count_nonzero(space.leq_table())) - n
+        i, j = widest_pair(space)
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -895,24 +904,25 @@ class TestSprinkleMatchesLoop:
     @pytest.mark.parametrize("n", [400, 800])
     @pytest.mark.parametrize("weighted", [True, False])
     def test_peak_memory(self, n, weighted):
-        """The space takes the sprinkle's tables without a copy, so the peak
-        is the four tables once, the largest block's rows with their
-        temporaries, and at most 64 KiB for the points and the draw generator, a quarter
-        of one block-sized float64 array.  (When the constructor copied the
-        tables, the weighted sprinkle peaked at 5 934 850 and 23 701 250
-        bytes at n = 400 and 800, each measured in a fresh process.)"""
+        """The space takes the sprinkle's tables without a copy and builds
+        its distance table only when it is read, so the peak is the three
+        other tables once, the largest block's rows with their
+        temporaries, and at most 64 KiB for the points and the draw
+        generator, a quarter of one block-sized float64 array.  (When the
+        constructor copied the tables, the weighted sprinkle peaked at
+        5 934 850 and 23 701 250 bytes at n = 400 and 800, each measured in
+        a fresh process.)"""
         with mock.patch.object(sampling, "_sprinkle_rows",
                                wraps=sampling._sprinkle_rows) as spy:
             space = sprinkle_causal_set(n, 1, weighted)
-        tables = sum(a.nbytes for a in
-                     (space._d, space._leq, space._ll, space._tau))
+        filled = (space._leq, space._ll, space._tau)
+        tables = sum(a.nbytes for a in filled)
         draws = sampling._random_stream(random.Random(10_001)) \
             if weighted else None
         # the space's tables are read-only: the blocks are filled again
         # into copies made before tracing starts
-        copies = [np.array(a) for a in
-                  (space._d, space._leq, space._ll, space._tau)]
-        del space
+        copies = [np.array(a) for a in filled]
+        del space, filled
         tracemalloc.start()
         try:
             block = 0
@@ -928,6 +938,64 @@ class TestSprinkleMatchesLoop:
         finally:
             tracemalloc.stop()
         assert peak <= tables + block + 65536
+
+
+class TestDeferredDistances:
+    """A sprinkle builds its distance table on the first read of it, from
+    the points it keeps; longest-chain work never reads it."""
+
+    def test_maximization_builds_no_distances(self):
+        with mock.patch.object(sampling, "_product_d_array",
+                               wraps=sampling._product_d_array) as kernel:
+            space = sprinkle_causal_set(300, 2)
+            i, j = widest_pair(space)
+            assert maximize_tau(space, i, j) == maximize_tau_loops(space, i, j)
+            assert kernel.call_count == 0
+            space._d
+            assert kernel.call_count > 0
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_first_read_builds_once(self, weighted):
+        with mock.patch.object(sampling, "_product_d_array",
+                               wraps=sampling._product_d_array) as kernel:
+            space = sprinkle_causal_set(60, 3, weighted)
+            d = space._d
+            built = kernel.call_count
+            assert space._d is d and not d.flags.writeable
+            space.d(0, 1), space.d_array(range(60), [0], [1])
+            validate_axioms(space)
+            assert space._d is d and kernel.call_count == built
+        assert d.tobytes() == sprinkle_causal_set_loops(60, 3, weighted)._d.tobytes()
+
+    def test_unread_sprinkle_pickles(self):
+        space = sprinkle_causal_set(30, 4)
+        copy = pickle.loads(pickle.dumps(space))
+        assert "_d" not in vars(copy)
+        assert table_bytes(copy) == table_bytes(space)
+
+    def test_built_table_is_checked(self):
+        n = 3
+        nan = np.zeros((n, n))
+        nan[-1, -1] = np.nan
+        space = FiniteLorentzSpace._of_own_tables(
+            lambda: nan, np.eye(n, dtype=bool), np.zeros((n, n), dtype=bool),
+            np.zeros((n, n)))
+        with pytest.raises(StructuralError,
+                           match="NaN entries are not permitted"):
+            space._d
+
+    def test_sprinkle_memory(self):
+        """A weighted sprinkle of 800 points traces below 12 bytes per pair:
+        10 for ``leq``, ``ll`` and ``tau`` and the rest for one block's
+        temporaries.  With its distance table it peaked at 19.06."""
+        n = 800
+        tracemalloc.start()
+        try:
+            sprinkle_causal_set(n, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * n * n
 
 
 class TestRandomStreamMatchesRandom:
