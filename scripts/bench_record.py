@@ -3,8 +3,9 @@
 A run is a dict that starts with the sha256 of src/lorentz_lab, the machine
 and the Python and numpy versions, and the repeat count; the script adds its
 own measurements.  ``save_run`` replaces an earlier run of the same source
-and keeps runs of other sources, so that two checkouts can be compared in
-one file.
+timed the same way (on its own, or interleaved with the same other source)
+and keeps every other run, so that two checkouts can be compared in one
+file and a source keeps each of its interleaved pairings.
 
 Two checkouts are best compared in one interleaved run: ``interleaved``
 starts the script once per checkout, as a worker that imports that
@@ -68,9 +69,13 @@ def new_run(repeats, root=ROOT):
 
 def save_run(out, run):
     """Write run into the file ``out`` in place of any run of the same
-    source."""
+    source with the same ``interleaved_with`` (none for a run on its
+    own)."""
+    def key(r):
+        return r["src_sha256"], r.get("interleaved_with")
+
     runs = json.loads(out.read_text())["runs"] if out.exists() else []
-    runs = [r for r in runs if r["src_sha256"] != run["src_sha256"]] + [run]
+    runs = [r for r in runs if key(r) != key(run)] + [run]
     out.write_text(json.dumps({"runs": runs}, indent=2) + "\n")
 
 
@@ -110,17 +115,18 @@ def run_in(script, root, *args):
     return json.loads(done.stdout)
 
 
-def interleaved(script, roots, count, rounds):
+def interleaved(script, roots, count, rounds, *args):
     """For each of ``count`` items, the best time and the digest that each
     checkout in ``roots`` gives, as a list of (seconds, digest) pairs per
-    item.  ``script --serve`` runs once per checkout with that checkout's
-    src first on PYTHONPATH; the workers take turns on each item,
-    ``rounds`` times, in alternating order."""
+    item.  ``script --serve args`` runs once per checkout with that
+    checkout's src first on PYTHONPATH; the workers take turns on each
+    item, ``rounds`` times, in alternating order."""
     workers = []
     try:
         for root in roots:
             src = Path(root).resolve() / "src"
-            proc = subprocess.Popen([sys.executable, str(script), "--serve"],
+            proc = subprocess.Popen([sys.executable, str(script), "--serve",
+                                     *args],
                                     stdin=subprocess.PIPE,
                                     stdout=subprocess.PIPE, text=True,
                                     env=checkout_env(root))

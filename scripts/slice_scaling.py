@@ -1,6 +1,7 @@
 """Growth of slice extraction and of the splitting map with the member count.
 
     PYTHONPATH=src python scripts/slice_scaling.py [--cover-up-to MEMBERS]
+        [--against CHECKOUT]
 
 Extracts the slice of the canonical segment product (a vertical line at
 x = 0.5, one seed per factor point, knot extent 2.5 as the split command
@@ -38,18 +39,30 @@ Beside the sizes, ``is_line`` is timed on the vertical line at x = 0.5 of
 the canonical product, first call on a fresh chain as the split command
 makes it, with 521 knots (the reference line above) and 2001 knots.
 
-The run goes into BENCH_slice.json at the repository root under the sha256
-of src/lorentz_lab, together with the machine and the Python and numpy
-versions.  An earlier run of the same source is replaced and runs of other
-sources are kept, so that two checkouts can be compared in one file.
+Beside each time the script records what the timed call returned: the
+verdicts and counts above, and for the extraction a sha256 of the slice's
+members and distance table, so that runs of two sources can be checked to
+agree.  The run goes into BENCH_slice.json at the repository root under the
+sha256 of src/lorentz_lab, together with the machine and the Python and
+numpy versions.  An earlier run of the same source is replaced and runs of
+other sources are kept, so that two checkouts can be compared in one file.
+
+With ``--against CHECKOUT`` (the root of another checkout, say a parent
+commit's ``git archive``) the script times both sources in one run: one
+worker process per checkout, taking turns on each item five times, in
+alternating order, best of five each.  It stops with an error when what the
+two sources return for any item differs.  Both runs go into the file, each
+naming the other under ``interleaved_with``.
 """
 
 import argparse
 import hashlib
 import math
 import sys
+from functools import cached_property
 
-from bench_record import ROOT, best_time, new_run, save_run
+from bench_record import (ROOT, best_time, interleaved, new_run, save_run,
+                          serve, src_sha256)
 from lorentz_lab import chains, sampling, splitting
 from lorentz_lab.asymptotics import vertical_line
 from lorentz_lab.models import EuclideanSegment, ProductSpace
@@ -68,6 +81,10 @@ REPLAYED = ("in_timelike_envelopes", "_busemann_values", "_asymptotic_lines",
             "_line_points")
 
 
+def sha(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()[:16]
+
+
 class Replaying:
     """fn, recording its results while ``recording``, then answering its
     calls with the recorded results in turn: one extraction makes the same
@@ -84,115 +101,166 @@ class Replaying:
         return self.results[(self.turn - 1) % len(self.results)]
 
 
-def measure_cover(space, sl, tol):
-    lo, hi = KNOTS[0] - 0.5 * KNOT_STEP, KNOTS[-1] + 0.5 * KNOT_STEP
-    cover = [z for z in space.sample_points() if lo <= z[0] <= hi]
+class Size:
+    """The canonical product at one size and what its items share: the
+    slice, its map and the spanning chains, each built on first use."""
 
-    def split():
-        return splitting.build_splitting_map(
-            space, sl, KNOTS, tolerance=tol, cover_sample=cover,
-            cover_radius=0.5 * KNOT_STEP + 2.0 * space.mesh)
+    def __init__(self, factor_points, t_step):
+        self.space = ProductSpace(EuclideanSegment(0.0, 1.0, factor_points),
+                                  -2.0, 2.0, t_step)
+        self.line = vertical_line(self.space, 0.5, range(-260, 261))
+        self.tol = 3.0 * (self.space.mesh + 0.5 ** 2 / (2.0 * HORIZONS[-1]))
+        self.seeds = [(0.0, q) for q in self.space.factor.sample()]
 
-    result = split()
-    return {"cover_map_s": best_time(split, REPEATS),
-            "cover_sample": len(cover), "images": len(result.images),
-            "cover_bijective": result.bijective,
-            "cover_witnesses": len(result.witnesses),
-            "cover_witnesses_sha256": hashlib.sha256(
-                repr(result.witnesses).encode()).hexdigest()[:16]}
+    def extract(self):
+        return splitting.extract_slice(self.space, self.line, self.seeds,
+                                       HORIZONS, tolerance=self.tol,
+                                       knot_extent=2.5)
 
-
-def measure(factor_points, t_step, cover_up_to):
-    space = ProductSpace(EuclideanSegment(0.0, 1.0, factor_points), -2.0, 2.0,
-                         t_step)
-    line = vertical_line(space, 0.5, range(-260, 261))
-    tol = 3.0 * (space.mesh + 0.5 ** 2 / (2.0 * HORIZONS[-1]))
-    seeds = [(0.0, q) for q in space.factor.sample()]
-
-    def extract():
-        return splitting.extract_slice(space, line, seeds, HORIZONS,
-                                       tolerance=tol, knot_extent=2.5)
-
-    sl = extract()
-    whole = best_time(extract, REPEATS)
-
-    def split():
-        return splitting.build_splitting_map(space, sl, KNOTS, tolerance=tol)
-
-    result = split()
-    mapped = best_time(split, REPEATS)
-    saved = {name: getattr(splitting, name) for name in REPLAYED}
-    try:
-        replays = [Replaying(fn) for fn in saved.values()]
-        for name, replay in zip(saved, replays):
-            setattr(splitting, name, replay)
-        extract()
-        for replay in replays:
+    @cached_property
+    def replays(self):
+        """The seed steps of one extraction, recorded to be answered in
+        turn."""
+        replays = {name: Replaying(getattr(splitting, name))
+                   for name in REPLAYED}
+        self.replayed_extract(replays)
+        for replay in replays.values():
             replay.recording = False
-        verdicts = best_time(extract, REPEATS)
-    finally:
-        for name, fn in saved.items():
-            setattr(splitting, name, fn)
+        return replays
+
+    def replayed_extract(self, replays=None):
+        """The extraction with its seed steps answered by ``replays``."""
+        saved = {name: getattr(splitting, name) for name in REPLAYED}
+        try:
+            for name, replay in (replays or self.replays).items():
+                setattr(splitting, name, replay)
+            return self.extract()
+        finally:
+            for name, fn in saved.items():
+                setattr(splitting, name, fn)
+
+    @cached_property
+    def slice(self):
+        return self.extract()
+
+    def split(self, cover=None):
+        if cover is None:
+            return splitting.build_splitting_map(self.space, self.slice, KNOTS,
+                                                 tolerance=self.tol)
+        return splitting.build_splitting_map(
+            self.space, self.slice, KNOTS, tolerance=self.tol,
+            cover_sample=cover,
+            cover_radius=0.5 * KNOT_STEP + 2.0 * self.space.mesh)
+
+    @cached_property
+    def result(self):
+        return self.split()
+
+    @cached_property
+    def probes(self):
+        return sampling.spanning_timelike_chains(self.space, len(self.slice), 0)
+
+    @cached_property
+    def cover(self):
+        """The grid points within half a knot step of the knots."""
+        lo, hi = KNOTS[0] - 0.5 * KNOT_STEP, KNOTS[-1] + 0.5 * KNOT_STEP
+        return [z for z in self.space.sample_points() if lo <= z[0] <= hi]
+
+
+def slice_facts(sl):
     members = len(sl)
-    probes = sampling.spanning_timelike_chains(space, members, 0)
+    return {"members": members, "member_pairs": members * (members - 1) // 2,
+            "slice_sha256": sha((sl.members, sl.d_S.tobytes()))}
 
-    def cauchy():
-        return splitting.check_cauchy_slices(space, result, probes, LEVELS)
 
-    report = cauchy()
-    out = {"factor_points": factor_points, "t_step": t_step,
-           "members": members, "member_pairs": members * (members - 1) // 2,
-           "extract_slice_s": whole, "verdict_pass_s": verdicts,
-           "build_splitting_map_s": mapped, "tau_defect": result.tau_defect,
-           "leq_mismatches": result.leq_mismatches,
-           "bijective": result.bijective,
-           "check_cauchy_slices_s": best_time(cauchy, REPEATS),
-           "chain_points": sum(len(chain) for chain in probes),
-           "cauchy_ok": report.each_chain_hits_each_slice_once,
-           "n_spanning": report.n_spanning}
-    if members <= cover_up_to:
-        out.update(measure_cover(space, sl, tol))
-    if members <= ALEXANDROV_MAX_MEMBERS:
-        def alexandrov():
-            return splitting.check_slice_alexandrov(sl, tol=1e-6,
-                                                    metric_tol=tol)
+def items(cover_up_to):
+    """The timed items in order: (section, key, name, call, reset, facts).
+    ``reset()`` runs untimed before the timed ``call()``, and
+    ``facts(result)`` gives what the run records beside the time, for the
+    record whose ``key`` (factor points or knots) is given."""
+    held = {}
 
-        curvature = alexandrov()
-        out.update(check_slice_alexandrov_s=best_time(alexandrov, REPEATS),
-                   nonneg_curvature=curvature.nonneg_curvature,
-                   worst_excess=curvature.worst_excess,
-                   n_quadruples=curvature.n_quadruples)
+    def size(factor_points, t_step):
+        if factor_points not in held:
+            held.clear()
+            held[factor_points] = Size(factor_points, t_step)
+        return held[factor_points]
+
+    # is_line's first call on a fresh chain, as the split command makes it
+    line_space = ProductSpace(EuclideanSegment(0.0, 1.0, 21), -2.0, 2.0, 0.05)
+    lines = {}
+
+    def fresh(knots):
+        lines[knots] = vertical_line(line_space, 0.5,
+                                     range(-(knots // 2), knots // 2 + 1))
+
+    def is_line(knots):
+        return chains.is_line(line_space, lines[knots].chain)
+
+    out = [("is_line", knots, "is_line_s", lambda knots=knots: is_line(knots),
+            lambda knots=knots: fresh(knots),
+            lambda check: {"is_line": check.is_line,
+                           "tau_length": check.tau_length})
+           for knots in LINE_KNOTS]
+    for points, t_step in SIZES:
+        def at(points=points, t_step=t_step):
+            return size(points, t_step)
+
+        out += [
+            ("sizes", points, "extract_slice_s", lambda at=at: at().extract(),
+             at, slice_facts),
+            ("sizes", points, "verdict_pass_s",
+             lambda at=at: at().replayed_extract(),
+             lambda at=at: at().replays, slice_facts),
+            ("sizes", points, "build_splitting_map_s",
+             lambda at=at: at().split(), lambda at=at: at().slice,
+             lambda result: {"tau_defect": result.tau_defect,
+                             "leq_mismatches": result.leq_mismatches,
+                             "bijective": result.bijective}),
+            ("sizes", points, "check_cauchy_slices_s",
+             lambda at=at: splitting.check_cauchy_slices(
+                 at().space, at().result, at().probes, LEVELS),
+             lambda at=at: (at().result, at().probes),
+             lambda report, at=at: {
+                 "chain_points": sum(len(chain) for chain in at().probes),
+                 "cauchy_ok": report.each_chain_hits_each_slice_once,
+                 "n_spanning": report.n_spanning}),
+        ]
+        if points <= cover_up_to:
+            out.append(
+                ("sizes", points, "cover_map_s",
+                 lambda at=at: at().split(at().cover),
+                 lambda at=at: (at().slice, at().cover),
+                 lambda result, at=at: {
+                     "cover_sample": len(at().cover),
+                     "images": len(result.images),
+                     "cover_bijective": result.bijective,
+                     "cover_witnesses": len(result.witnesses),
+                     "cover_witnesses_sha256": sha(result.witnesses)}))
+        if points <= ALEXANDROV_MAX_MEMBERS:
+            out.append(
+                ("sizes", points, "check_slice_alexandrov_s",
+                 lambda at=at: splitting.check_slice_alexandrov(
+                     at().slice, tol=1e-6, metric_tol=at().tol),
+                 lambda at=at: at().slice,
+                 lambda curvature: {
+                     "nonneg_curvature": curvature.nonneg_curvature,
+                     "worst_excess": curvature.worst_excess,
+                     "n_quadruples": curvature.n_quadruples}))
     return out
 
 
-def measure_is_line(knots):
-    space = ProductSpace(EuclideanSegment(0.0, 1.0, 21), -2.0, 2.0, 0.05)
-    lines = []
-
-    def fresh():
-        lines[:] = [vertical_line(space, 0.5, range(-(knots // 2),
-                                                    knots // 2 + 1))]
-
-    fresh()
-    check = chains.is_line(space, lines[0].chain)
-    return {"knots": knots,
-            "is_line_s": best_time(lambda: chains.is_line(space,
-                                                          lines[0].chain),
-                                   REPEATS, fresh),
-            "is_line": check.is_line, "tau_length": check.tau_length}
-
-
-def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--cover-up-to", type=int, default=SIZES[-1][0],
-                        metavar="MEMBERS",
-                        help="time the map with a cover sample up to this "
-                        "many members (default: every size)")
-    args = parser.parse_args()
-    run = new_run(REPEATS)
-    run["is_line"] = [measure_is_line(knots) for knots in LINE_KNOTS]
-    run["sizes"] = [measure(*size, args.cover_up_to) for size in SIZES]
-    save_run(OUT, run)
+def record(run, timed):
+    """The run's sections from each timed item, given as ``(section, key,
+    name, seconds, facts)``."""
+    run["is_line"] = [{"knots": knots} for knots in LINE_KNOTS]
+    run["sizes"] = [{"factor_points": points, "t_step": t_step}
+                    for points, t_step in SIZES]
+    first = {"is_line": "knots", "sizes": "factor_points"}
+    for section, key, name, seconds, facts in timed:
+        entry = next(e for e in run[section] if e[first[section]] == key)
+        entry[name] = seconds
+        entry.update(facts)
     for line in run["is_line"]:
         print(f"{line['knots']:4d} knots    is_line {line['is_line_s']:.4f} s")
     for size in run["sizes"]:
@@ -205,6 +273,51 @@ def main():
               f"{size.get('check_slice_alexandrov_s', math.nan):.4f} s  "
               f"with cover {size.get('cover_map_s', math.nan):.4f} s  "
               f"tau defect {size['tau_defect']!r}")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--serve", action="store_true",
+                        help=argparse.SUPPRESS)
+    parser.add_argument("--cover-up-to", type=int, default=SIZES[-1][0],
+                        metavar="MEMBERS",
+                        help="time the map with a cover sample up to this "
+                        "many members (default: every size)")
+    parser.add_argument("--against", metavar="CHECKOUT",
+                        help="time this checkout's source against that one's, "
+                             "interleaved")
+    args = parser.parse_args()
+    timed = items(args.cover_up_to)
+    if args.serve:
+        serve([item[3:] for item in timed])
+        return 0
+    if args.against is None:
+        run = new_run(REPEATS)
+        results = []
+        for section, key, name, call, reset, facts in timed:
+            seconds = best_time(call, REPEATS, reset)
+            reset()
+            results.append((section, key, name, seconds, facts(call())))
+        record(run, results)
+        save_run(OUT, run)
+        return 0
+
+    roots = [ROOT, args.against]
+    runs = [new_run(REPEATS, root) for root in roots]
+    for run, other in zip(runs, roots[::-1]):
+        run["interleaved_with"] = src_sha256(other)
+    results = interleaved(__file__, roots, len(timed), REPEATS,
+                          "--cover-up-to", str(args.cover_up_to))
+    for (section, key, name, *_), pairs in zip(timed, results):
+        if pairs[0][1] != pairs[1][1]:
+            sys.exit(f"{section} {key} {name}: the sources' results differ: "
+                     f"{[facts for _, facts in pairs]}")
+    for w, (run, root) in enumerate(zip(runs, roots)):
+        print(src_sha256(root))
+        record(run, [(section, key, name, *pairs[w]) for
+                     (section, key, name, *_), pairs in zip(timed, results)])
+    for run in runs[::-1]:
+        save_run(OUT, run)
     return 0
 
 

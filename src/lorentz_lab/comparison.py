@@ -145,14 +145,16 @@ def solve_angles(a12, a23, a13, config):
     if not (isinstance(config, str) and config in _ORDERS):
         raise PreconditionError(f"bad configuration {config!r}")
     a, b, c = (np.asarray(v, dtype=float) for v in (a12, a23, a13))
-    return _omegas(a, b, c, config[1] == "2", _long_and_short(config, a, b, c))
+    return _omegas(a, b, c, config[1] == "2",
+                   _long_and_short(config, a, b, c))[0]
 
 
 def _omegas(a, b, c, middle, bound):
     """``solve_angles`` of the side arrays a, b and c (broadcast against
     each other) with x2 between the others when ``middle``, and with the
     long side and the two short sides of the size bound given as
-    ``bound``."""
+    ``bound``; with it the grid u = cosh(omega) - 1 that the angles come
+    from, negative values clamped to 0."""
     lng, s1, s2 = bound
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if middle:
@@ -166,7 +168,7 @@ def _omegas(a, b, c, middle, bound):
         w = u + np.sqrt(u * (u + 2.0))
     omega = np.array([math.log1p(v) for v in w.ravel().tolist()]).reshape(w.shape)
     omega[raises] = np.nan
-    return omega
+    return omega, u
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +658,11 @@ def test_monotonicity_comparison(space, leg_a, leg_b, sense="lower",
 
     In the upper sense, parameter pairs that lose timelike relatedness while
     their comparison images keep it are counted as warnings, not failures.
+    The image of an undefined pair (s2, t2) lies in the flat hinge of the
+    lexicographically first defined pair (s, t) with s >= s2 and t >= t2,
+    at that pair's angle omega.  The images are related when the legs point
+    to opposite time directions, and otherwise exactly when
+    (s2 - t2)^2 > 2 s2 t2 (cosh(omega) - 1), by the law of cosines.
 
     The points of both legs come from one pass (one ``_realizer_core``
     call on a product, one knot lookup on a finite table), and the angles,
@@ -690,7 +697,8 @@ def test_monotonicity_comparison(space, leg_a, leg_b, sense="lower",
         _long_and_short(_hinge_config(leg_a.direction, leg_b.direction, f),
                         sv, tv, cross) for f in (True, False))
     bound = [np.where(a_first, x, y) for x, y in zip(when_first, when_second)]
-    signed = (1 if mixed else -1) * _omegas(sv, tv, cross, mixed, bound)
+    omega, gaps = _omegas(sv, tv, cross, mixed, bound)
+    signed = (1 if mixed else -1) * omega
     defined = ~np.isnan(signed)
     rows = list({s: k for k, s in enumerate(svals)}.values())
     cols = list({t: m for m, t in enumerate(tvals)}.values())
@@ -726,20 +734,20 @@ def test_monotonicity_comparison(space, leg_a, leg_b, sense="lower",
 
     warnings = 0
     if sense == "upper":
-        warnings = _upper_warnings(svals, tvals, defined, tpq, cross,
-                                   leg_a.direction, leg_b.direction)
+        warnings = _upper_warnings(svals, tvals, defined, gaps, mixed)
     return MonotonicityReport(worst <= tol, worst, witness, n_defined,
                               sense, warnings)
 
 
-def _upper_warnings(svals, tvals, defined, tpq, cross, dir_a, dir_b):
+def _upper_warnings(svals, tvals, defined, gaps, mixed):
     """The undefined grid pairs (s2, t2) whose comparison points are
-    timelike related in the planted hinge triangle of the lexicographically
-    first defined pair (s, t) with s >= s2 and t >= t2: that triangle's
-    points at leg parameters s2 and t2 (side parameters run from the
-    causally earlier end, so a past-directed leg measures backwards).
-    Raises ``realize_triangle``'s error for the first such triangle, in
-    row-major order of (s2, t2), that does not close up."""
+    timelike related in the flat hinge of the lexicographically first
+    defined pair (s, t) with s >= s2 and t >= t2: the hinge with legs s and
+    t at that pair's angle omega, ``gaps`` holding u = cosh(omega) - 1 per
+    pair.  Its points at leg parameters s2 and t2 are always related when
+    the legs point to opposite time directions (``mixed``); otherwise their
+    squared separation is (s2 - t2)^2 - 2 s2 t2 u, and they are related
+    when that is > 0 (a null pair is not)."""
     sv, tv = np.array(svals, dtype=float), np.array(tvals, dtype=float)
     dk, dm = np.nonzero(defined)
     by_key = np.lexsort((tv[dm], sv[dk]))
@@ -748,42 +756,12 @@ def _upper_warnings(svals, tvals, defined, tpq, cross, dir_a, dir_b):
     dominated = ((sv[dk][None, :] >= sv[uk][:, None])
                  & (tv[dm][None, :] >= tv[um][:, None]))
     has = dominated.any(axis=1)
-    if not has.any():
-        return 0
+    if mixed:
+        return int(np.count_nonzero(has))
     pick = dominated.argmax(axis=1)[has]
     s2, t2 = sv[uk[has]], tv[um[has]]
-    k, m = dk[pick], dm[pick]
-    s, t, c = sv[k], tv[m], cross[k, m]
-    a_first = tpq[k, m] > 0.0
-    related = np.zeros(len(k), dtype=bool)
-    refused = np.zeros(len(k), dtype=bool)
-    for first in (True, False):
-        on = a_first == first
-        if not on.any():
-            continue
-        config = _hinge_config(dir_a, dir_b, first)
-        verts, refused[on] = _realize_triangles(s[on], t[on], c[on], config)
-        rank = _RANKS[config]
-        # s2 <= s and t2 <= t, so every parameter lies on its side
-        ends = []
-        for (i, j), length, u, forward in (
-                ((1, 2), s[on], s2[on], dir_a == "future"),
-                ((2, 3), t[on], t2[on], dir_b == "future")):
-            if rank[i - 1] > rank[j - 1]:
-                i, j = j, i
-            (a0, a1), (b0, b1) = verts[i - 1], verts[j - 1]
-            lam = _clip_unit((u if forward else length - u) / length)
-            ends.append((a0 + lam * (b0 - a0), a1 + lam * (b1 - a1)))
-        (pt, px), (qt, qx) = ends
-        related[on] = ((_product_tau_array(qt - pt, np.abs(qx - px)) > 0)
-                       | (_product_tau_array(pt - qt, np.abs(px - qx)) > 0))
-    if refused.any():
-        # raises the error the mask found
-        b = int(np.argmax(refused))
-        realize_triangle(SideTriple(
-            svals[k[b]], tvals[m[b]], float(c[b]),
-            _hinge_config(dir_a, dir_b, bool(a_first[b]))))
-    return int(related.sum())
+    u = gaps[dk[pick], dm[pick]]
+    return int(np.count_nonzero((s2 - t2) * (s2 - t2) > 2.0 * s2 * t2 * u))
 
 
 def upper_angle(space, leg_a, leg_b):

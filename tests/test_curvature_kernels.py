@@ -5,7 +5,9 @@ The loops below are the former implementations of ``check_pushup``,
 ``check_product_glob_hyp``, ``check_diamond_basis``,
 ``test_monotonicity_comparison`` and ``test_curvature_lower0``, kept as
 oracles: each array kernel must give the same reports (``repr``-equal), the
-same verdicts and the same errors.  ``solve_angles`` is pinned to
+same verdicts and the same errors.  The monotonicity loop counts its
+upper-sense warnings by the law of cosines, the closed form that is itself
+checked against planted hinges.  ``solve_angles`` is pinned to
 ``solve_angle`` bit for bit.  Work guards count, through counting
 subclasses of the space classes, the conversions and passes each tester
 makes.
@@ -22,8 +24,8 @@ from lorentz_lab import chains, comparison
 from lorentz_lab.comparison import (CurvatureReport, KnotLeg, Leg,
                                     MonotonicityReport, SideTriple,
                                     SpaceTriangle, TriangleSide,
-                                    UnrealizableError, _hinge_config,
-                                    _hinge_points, _realize_triangles,
+                                    UnrealizableError, _hinge_points,
+                                    _realize_triangles,
                                     hinge_angle,
                                     realize_triangle, solve_angle,
                                     solve_angles)
@@ -126,13 +128,21 @@ def diamond_within_loops(space, p, q, t_lo, t_hi, center, radius):
     return True
 
 
-def _planted_pair_related(tri, dir_a, dir_b, s2, t2):
-    """Whether the comparison points at leg parameters (s2, t2) of a planted
-    hinge triangle are timelike related.  Side parameters run from the
-    causally earlier endpoint, so a past-directed leg measures backwards."""
-    pa = tri.point_on_side(1, 2, s2 if dir_a == "future" else tri.sides.a12 - s2)
-    pb = tri.point_on_side(2, 3, t2 if dir_b == "future" else tri.sides.a23 - t2)
-    return tau_minkowski(pa, pb) > 0 or tau_minkowski(pb, pa) > 0
+def cosh_gap(s, t, cross):
+    """cosh(omega) - 1 at the base of a hinge whose legs s and t point one
+    time direction and whose leg points are cross apart, in the arithmetic
+    of ``solve_angle``, negative values clamped to 0."""
+    gap = abs(s - t)
+    u = (gap - cross) * (gap + cross) / (2.0 * s * t)
+    return 0.0 if u < 0.0 else u
+
+
+def images_related(s2, t2, u, mixed):
+    """Whether the points at leg parameters s2 and t2 of a flat hinge with
+    cosh(omega) - 1 = u are timelike related: always when the legs point to
+    opposite time directions, else when their squared separation
+    (s2 - t2)^2 - 2 s2 t2 u is positive."""
+    return mixed or (s2 - t2) * (s2 - t2) > 2.0 * s2 * t2 * u
 
 
 def monotonicity_loops(space, leg_a, leg_b, sense="lower", tol=EPS):
@@ -186,13 +196,9 @@ def monotonicity_loops(space, leg_a, leg_b, sense="lower", tol=EPS):
                     continue
                 s, t = dominating[0]
                 p, q = leg_a.point_at(s), leg_b.point_at(t)
-                tpq = space.tau(p, q)
-                cross = max(tpq, space.tau(q, p))
-                tri = realize_triangle(SideTriple(
-                    s, t, cross,
-                    _hinge_config(leg_a.direction, leg_b.direction, tpq > 0.0)))
-                if _planted_pair_related(tri, leg_a.direction,
-                                         leg_b.direction, s2, t2):
+                cross = max(space.tau(p, q), space.tau(q, p))
+                if images_related(s2, t2, cosh_gap(s, t, cross),
+                                  leg_a.direction != leg_b.direction):
                     warnings += 1
     return MonotonicityReport(worst <= tol, worst, witness, len(theta),
                               sense, warnings)
@@ -612,9 +618,23 @@ class TestMonotonicityMatchesLoop:
         lower = same_reports(monotonicity_bound, monotonicity_loops, tripod,
                              *legs, "lower", tol=1e-9)
         assert not lower.passed
-        warned = [same_reports(monotonicity_bound, monotonicity_loops, SEGMENT,
-                               *legs, "upper", tol=1e-9).warnings
-                  for legs in product_hinges(SEGMENT, 20, 0)]
+        # a flat product warns nowhere: its leg points are related exactly
+        # where their comparison images are
+        for space in (SEGMENT, MINK):
+            warned = [same_reports(monotonicity_bound, monotonicity_loops,
+                                   space, *legs, "upper", tol=1e-9).warnings
+                      for legs in product_hinges(space, 20, 0)]
+            assert max(warned) == 0
+        # knot legs pin arbitrary table points to their parameters
+        rng = random.Random(0)
+        warned = []
+        for seed in range(20):
+            space = flat_finite_space(8, seed)
+            got = same_reports(monotonicity_bound, monotonicity_loops, space,
+                               random_knot_leg(space, rng),
+                               random_knot_leg(space, rng), "upper", tol=1e-9)
+            if isinstance(got, MonotonicityReport):
+                warned.append(got.warnings)
         assert max(warned) > 0
         table = violated_six_point_table()
         legs = (KnotLeg([1, 2], [1.0, 2.0], "future"),
@@ -701,6 +721,76 @@ class TestMonotonicityMatchesLoop:
         assert list(points) == [(0.25, 1), (1.0, 1), (0.5, 1)]
 
 
+# The hinge of each configuration, (a12, a23, a13) = (s, t, cross) with the
+# base x2, from the two sides the draw fixes and the slack of the third
+# (long) side over the reverse triangle inequality.
+HINGE_SIDES = {
+    "123": lambda s, t, c, slack: (s, t, s + t + slack),
+    "321": lambda s, t, c, slack: (s, t, s + t + slack),
+    "213": lambda s, t, c, slack: (s, s + c + slack, c),
+    "312": lambda s, t, c, slack: (s, s + c + slack, c),
+    "231": lambda s, t, c, slack: (t + c + slack, t, c),
+    "132": lambda s, t, c, slack: (t + c + slack, t, c),
+}
+
+
+class TestUpperWarningImagesMatchPlanting:
+    """The closed form of the upper-sense warnings against the planted
+    hinge: the comparison points at leg parameters s2 and t2, measured from
+    the base x2 along each planted side (the planting puts the causally
+    lowest vertex at the bottom, so the base is the earlier end of a side
+    or the later one), must be timelike related exactly when
+    ``images_related`` says so.  Exactly null pairs are left out: their
+    planted separation is rounding, so the closed form is the exact oracle
+    and this check holds wherever the squared separation is more than 1e-9
+    from 0."""
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_images(self, config, data):
+        side = st.floats(0.05, 5.0)
+        slack = st.one_of(st.just(0.0), st.floats(0.0, 3.0))
+        a12, a23, a13 = HINGE_SIDES[config](data.draw(side), data.draw(side),
+                                            data.draw(side), data.draw(slack))
+        tri = realize_triangle(SideTriple(a12, a23, a13, config))
+        mixed = config[1] == "2"
+        sigma = 1 if mixed else -1
+        if mixed:
+            u = (a13 - (a12 + a23)) * (a13 + a12 + a23) / (2.0 * a12 * a23)
+        else:
+            u = cosh_gap(a12, a23, a13)
+        u = max(u, 0.0)
+        grid = st.integers(1, 8).map(lambda k: k / 8)
+        fractions = st.lists(st.tuples(st.one_of(grid, st.floats(0.0, 1.0)),
+                                       st.one_of(grid, st.floats(0.0, 1.0))),
+                             min_size=1, max_size=8)
+        for fs, ft in data.draw(fractions):
+            s2, t2 = fs * a12, ft * a23
+            images = []
+            for (i, j), length, param in (((1, 2), a12, s2),
+                                          ((2, 3), a23, t2)):
+                tip = i if j == 2 else j
+                base_first = tri.vertex(2)[0] < tri.vertex(tip)[0]
+                images.append(tri.point_on_side(
+                    i, j, param if base_first else length - param))
+            p, q = images
+            planted = tau_minkowski(p, q) > 0 or tau_minkowski(q, p) > 0
+            radicand = s2 * s2 + t2 * t2 + 2.0 * sigma * s2 * t2 * (1.0 + u)
+            if abs(radicand) > 1e-9:
+                assert planted == images_related(s2, t2, u, mixed)
+
+    def test_time_reversed_configurations_are_planted_upside_down(self):
+        # so a leg parameter measured from a side's earlier end would start
+        # at a tip of "321", "312" and "231", not at the base
+        for config in CONFIGS:
+            tri = realize_triangle(SideTriple(*HINGE_SIDES[config](
+                1.0, 2.0, 0.5, 0.25), config))
+            planted = "".join(sorted("123", key=lambda v: tri.vertex(int(v))[0]))
+            assert planted == (config[::-1] if config in ("321", "312", "231")
+                               else config)
+
+
 def counting(cls):
     """A subclass of the space class cls that counts its realizer-core
     calls, the points it converts and its ``tau_array`` calls."""
@@ -747,6 +837,18 @@ class TestOnePassPerCall:
                 lookups.clear()
                 outcome(monotonicity_bound, table, *legs, sense)
                 assert len(lookups) == 1
+
+    def test_upper_warnings_plant_no_triangle(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("planted a triangle")
+        monkeypatch.setattr(comparison, "_realize_triangles", refuse)
+        monkeypatch.setattr(comparison, "realize_triangle", refuse)
+        undefined = 0
+        for leg_a, leg_b in product_hinges(SEGMENT, 8, 0):
+            report = monotonicity_bound(SEGMENT, leg_a, leg_b, "upper")
+            undefined += (len(leg_a.param_grid(8)) * len(leg_b.param_grid(8))
+                          - report.n_defined)
+        assert undefined > 0
 
     def test_side_endpoints_once_per_side(self):
         space = counting(ProductSpace)(EuclideanSegment(0.0, 1.0, 21),
