@@ -10,7 +10,10 @@ Times, best of ten:
   triangles (``sampling.finite_triangles``, seed 0) on a flat 32-point
   table;
 * ``test_monotonicity_comparison`` per call, in each sense, over the 20
-  hinges of ``sampling.product_hinges`` (segment product, seed 0);
+  hinges of ``sampling.product_hinges`` (segment product, seed 0), and
+  over 20 hinges of the flat 32-point table: two ``KnotLeg``s from one
+  base along maximizing chains to two tips, one to the past and one to
+  the future or both to the future, in turn, with timelike related tips;
 * ``solve_angle`` per call over 500 side triples, half with the middle
   vertex between the others and half with it a time endpoint.
 
@@ -65,6 +68,37 @@ def side_triples(count):
     return out
 
 
+def knot_leg(space, base, tip):
+    """The KnotLeg from base to tip along a maximizing chain of the table,
+    parametrized by the separation to the base."""
+    if space.ll(base, tip):
+        side = comparison.TriangleSide(space, base, tip)
+        return comparison.KnotLeg(side.knots, side.params, "future")
+    side = comparison.TriangleSide(space, tip, base)
+    return comparison.KnotLeg(side.knots,
+                              [side.length - p for p in side.params], "past")
+
+
+def table_hinges(space, count):
+    """Hinges of the table from random bases: a past and a future leg, then
+    two future legs, in turn, to timelike related tips."""
+    rng = random.Random(0)
+    out = []
+    while len(out) < count:
+        base = rng.randrange(space.n)
+        future = [p for p in range(space.n) if space.ll(base, p)]
+        past = [p for p in range(space.n) if space.ll(p, base)]
+        tips = past if len(out) % 2 == 0 else future
+        if not tips:
+            continue
+        a = rng.choice(tips)
+        tips = [b for b in future if space.ll(a, b) or space.ll(b, a)]
+        if tips:
+            out.append((knot_leg(space, base, a),
+                        knot_leg(space, base, rng.choice(tips))))
+    return out
+
+
 def items():
     """The timed items in order: (section, record, per, calls).  The
     record names the item; ``per`` is the number of calls its time is
@@ -90,13 +124,16 @@ def items():
                               "triangles": TABLE_TRIANGLES}, 0,
                 calling(lambda: comparison.test_curvature_lower0(table,
                                                                  triangles))))
-    hinges = sampling.product_hinges(segment, HINGES, 0)
-    for sense in ("lower", "upper"):
-        out.append(("monotonicity", {"sense": sense, "calls": len(hinges)},
-                    len(hinges), calling(*[
-                        (lambda a=a, b=b, sense=sense:
-                         comparison.test_monotonicity_comparison(
-                             segment, a, b, sense)) for a, b in hinges])))
+    for name, space, hinges in (
+            ("segment", segment, sampling.product_hinges(segment, HINGES, 0)),
+            (f"table{TABLE_POINTS}", table, table_hinges(table, HINGES))):
+        for sense in ("lower", "upper"):
+            out.append(("monotonicity", {"space": name, "sense": sense,
+                                         "calls": len(hinges)},
+                        len(hinges), calling(*[
+                            (lambda space=space, a=a, b=b, sense=sense:
+                             comparison.test_monotonicity_comparison(
+                                 space, a, b, sense)) for a, b in hinges])))
     triples = side_triples(SIDE_TRIPLES)
     out.append(("solve_angle", {"calls": len(triples)}, len(triples),
                 calling(lambda: [comparison.solve_angle(sides)

@@ -238,27 +238,23 @@ def realize_triangle(sides: SideTriple) -> ComparisonTriangle:
     return tri
 
 
-def _realize_triangles(a12, a23, a13, config):
-    """Array form of ``realize_triangle`` for one configuration: the
+def _realize_triangles(a12, a23, a13):
+    """Array form of ``realize_triangle`` for the configuration "123": the
     planted vertices 1, 2 and 3 of each side triple (a12[k], a23[k],
     a13[k]) as ``(t, x)`` pairs of arrays, bit for bit, and the mask of the
     triples ``realize_triangle`` refuses (a side not positive, the size
     bound, a side that does not close up)."""
-    sides = tuple(np.asarray(v, dtype=float) for v in (a12, a23, a13))
-    lng, s1, s2 = _long_and_short(config, *sides)
-    rank = _RANKS[config]
+    sides = s1, s2, lng = tuple(np.asarray(v, dtype=float)
+                                for v in (a12, a23, a13))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         tm = (lng * lng + s1 * s1 - s2 * s2) / (2.0 * lng)
         rad = tm * tm - s1 * s1
         xm = np.sqrt(np.where(rad > 0.0, rad, 0.0))
         zero = np.zeros_like(lng)
-        slots = ((zero, zero), (tm, xm), (lng, zero))
-        verts = tuple(slots[r] for r in rank)
-        refused = ((sides[0] <= 0.0) | (sides[1] <= 0.0) | (sides[2] <= 0.0)
+        verts = ((zero, zero), (tm, xm), (lng, zero))
+        refused = ((s1 <= 0.0) | (s2 <= 0.0) | (lng <= 0.0)
                    | (lng + EPS < s1 + s2))
         for (i, j), want in zip(_SIDES, sides):
-            if rank[i - 1] > rank[j - 1]:
-                i, j = j, i
             (a0, a1), (c0, c1) = verts[i - 1], verts[j - 1]
             got = _product_tau_array(c0 - a0, np.abs(c1 - a1))
             refused |= np.abs(got - want) > 1e-9 * np.maximum(1.0, want)
@@ -292,21 +288,36 @@ def _knot_at(params, points, s, what):
     raise PreconditionError(f"parameter {s} is not a knot{what}")
 
 
-def _knots_at(params, points, rows, ss, whats):
-    """``_knot_at(params[r], points[r], s, whats[r])`` for each pair (r, s)
-    of ``rows`` and ``ss``, from one array pass over the knots of every
-    row, as a PointTuple.  Raises for the first s that names no knot."""
-    table = np.full((len(params), max([1, *map(len, params)])), np.nan)
-    for r, ps in enumerate(params):
-        table[r, :len(ps)] = ps
-    hit = np.abs(table[rows] - np.asarray(ss, dtype=float)[:, None]) <= EPS
+def _knot_picks(table, ss, what):
+    """For each s of ss, the index of the first knot within EPS of s in its
+    row of the knot parameter table (a row per s, or one for all); raises
+    for the first s that names no knot, ``what(k)`` ending its message."""
+    hit = np.abs(table - np.asarray(ss, dtype=float)[:, None]) <= EPS
     found = hit.any(axis=1)
     if not found.all():
         k = int(np.argmin(found))
-        raise PreconditionError(
-            f"parameter {ss[k]} is not a knot{whats[rows[k]]}")
+        raise PreconditionError(f"parameter {ss[k]} is not a knot{what(k)}")
+    return hit.argmax(axis=1).tolist()
+
+
+def _knots_at(params, points, rows, ss, whats):
+    """``_knot_at(params[r], points[r], s, whats[r])`` for each pair (r, s)
+    of ``rows`` and ``ss``, from one lookup over the knots of every row,
+    as a PointTuple."""
+    table = np.full((len(params), max([1, *map(len, params)])), np.nan)
+    for r, ps in enumerate(params):
+        table[r, :len(ps)] = ps
+    picks = _knot_picks(table[rows], ss, lambda k: whats[rows[k]])
     return PointTuple(points[r][k] for r, k in
-                      zip(np.asarray(rows).tolist(), hit.argmax(axis=1).tolist()))
+                      zip(np.asarray(rows).tolist(), picks))
+
+
+def _knot_arrays(side, space, ss):
+    """The coordinate arrays of the knots of a table side or a KnotLeg at
+    the parameters ss, from one lookup."""
+    knots = side.knots
+    return space._convert([knots[k] for k in _knot_picks(
+        np.array(side.params, dtype=float), ss, lambda k: side.not_a_knot)])
 
 
 def _side_points(space, sides, rows, ss):
@@ -360,9 +371,17 @@ class TriangleSide:
             return self.space.realizer_point(self.start, self.end, s)
         return _knot_at(self.params, self.knots, s, self.not_a_knot)
 
+    def _arrays(self, space, ss):
+        """The coordinate arrays of ``point_at(s)`` for each s of ss, from
+        one knot lookup, or from the realizer steps on the endpoints."""
+        if self.params is None:
+            return space._side_arrays(self.start, self.end, self.length, ss)
+        return _knot_arrays(self, space, ss)
+
     def sample_params(self, rng: random.Random):
         if self.params is None:
-            return rng.uniform(0.0, self.length)
+            # rng.uniform(0.0, length), bit for bit, one frame fewer
+            return self.length * rng.random()
         return rng.choice(self.params)
 
 
@@ -473,7 +492,7 @@ def test_curvature_lower0(space, triangles, pairs_per_triangle=8, mode="lower",
 
     lengths = np.array([[tri.sides[side].length for side in _SIDES]
                         for tri in tris], dtype=float).reshape(-1, 3)
-    (v1, v2, v3), refused = _realize_triangles(*lengths.T, "123")
+    (v1, v2, v3), refused = _realize_triangles(*lengths.T)
     refused = np.flatnonzero(refused)
     planted = int(refused[0]) if refused.size else len(tris)
     stop = firsts[planted] if refused.size else len(params)
@@ -546,17 +565,15 @@ class Leg:
         return self._side.point_at(s if self.direction == "future"
                                    else self.total - s)
 
-    def _on_side(self, ss):
-        """The side that the leg's points at the parameters ss lie on, with
-        their parameters there, as ``point_at`` maps them; raises for the
-        first parameter outside the leg."""
-        s = np.asarray(ss, dtype=float)
-        outside = (s <= 0) | (s > self.total + EPS)
-        if outside.any():
-            raise PreconditionError(f"leg parameter {ss[int(np.argmax(outside))]} "
-                                    f"outside (0, {self.total}]")
-        return self._side, (list(ss) if self.direction == "future"
-                            else (self.total - s).tolist())
+    def _arrays(self, space, ss):
+        """The coordinate arrays of ``point_at(s)`` for each s of ss, from
+        one pass over the side; raises for the first s outside the leg."""
+        for s in ss:
+            if s <= 0 or s > self.total + EPS:
+                raise PreconditionError(
+                    f"leg parameter {s} outside (0, {self.total}]")
+        return self._side._arrays(space, ss if self.direction == "future"
+                                  else [self.total - s for s in ss])
 
     def param_grid(self, n):
         ps = self._side.params
@@ -587,8 +604,7 @@ class KnotLeg:
     def point_at(self, s):
         return _knot_at(self.params, self.points, s, self.not_a_knot)
 
-    def _on_side(self, ss):
-        return self, list(ss)
+    _arrays = _knot_arrays
 
     def param_grid(self, n=None):
         """The positive parameters in rising order, as the scans read them;
@@ -624,21 +640,6 @@ def hinge_angle(space, leg_a, leg_b, s, t) -> SignedAngle | None:
                   leg_a.direction, leg_b.direction)
 
 
-def _hinge_points(space, leg_a, leg_b, svals, tvals):
-    """The points of leg a at svals, then those of leg b at tvals, from one
-    ``_side_points`` pass over both legs.  The error is the one that a pass
-    per leg meets first: leg a's range check and lookup come before
-    anything of leg b."""
-    side_a, sa = leg_a._on_side(svals)
-    try:
-        side_b, sb = leg_b._on_side(tvals)
-    except PreconditionError:
-        _side_points(space, [side_a], [0] * len(sa), sa)
-        raise
-    return _side_points(space, [side_a, side_b],
-                        [0] * len(sa) + [1] * len(sb), sa + sb)
-
-
 @dataclass(frozen=True)
 class MonotonicityReport:
     passed: bool
@@ -664,25 +665,24 @@ def test_monotonicity_comparison(space, leg_a, leg_b, sense="lower",
     to opposite time directions, and otherwise exactly when
     (s2 - t2)^2 > 2 s2 t2 (cosh(omega) - 1), by the law of cosines.
 
-    The points of both legs come from one pass (one ``_realizer_core``
-    call on a product, one knot lookup on a finite table), and the angles,
-    the scans (down each column of the s x t grid, then along each row;
-    the first strict maximum is the witness) and the warnings are array
-    passes over the grid.  A parameter repeated on a leg names the same
-    point, so its entries agree and it counts once among the defined
-    pairs.
+    Each leg's points come from one pass over its side, leg a's first (the
+    realizer steps on the side's endpoints, converted once, on a product;
+    a knot lookup on a table), and the separations of the s x t grid, both
+    ways, from one broadcast of their coordinate arrays (two gathers from
+    the tau table on a table).  The angles, the scans (down each column,
+    then along each row; the first strict maximum is the witness) and the
+    warnings are array passes over the grid.  A parameter repeated on a
+    leg names the same point, so its entries agree and it counts once
+    among the defined pairs.
     """
     if sense not in ("lower", "upper"):
         raise PreconditionError(f"unknown sense {sense!r}")
     svals = leg_a.param_grid(8)
     tvals = leg_b.param_grid(8)
     ns, nt = len(svals), len(tvals)
-    # each leg point once; entry [k, m] pairs leg-a point k with leg-b
-    # point m, in both directions
-    points = _hinge_points(space, leg_a, leg_b, svals, tvals)
-    pairs = np.indices((ns, nt))
-    pairs[1] += ns
-    tpq, tqp = space.tau_array(points, pairs, pairs[::-1])
+    # entry [k, m] pairs leg-a point k with leg-b point m, both ways
+    tpq, tqp = space._tau_grids(leg_a._arrays(space, svals),
+                                leg_b._arrays(space, tvals))
     cross = np.maximum(tpq, tqp)
     # hinge_angle per pair: undefined unless timelike related, NaN where
     # solve_angle raises (such pairs are left out like undefined ones).

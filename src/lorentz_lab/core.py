@@ -132,6 +132,13 @@ class LorentzQuery:
     def tau_array(self, points, i, j):
         raise NotImplementedError
 
+    def _tau_grids(self, a, b):
+        """``tau(p, q)`` and ``tau(q, p)``, for p a point with coordinate
+        arrays a and q one with b, over the grid of a's points (rows) by
+        b's (columns), each entry as ``tau_array`` gives it; the two grids
+        stacked, or a pair."""
+        raise NotImplementedError
+
     def leq_array(self, points, i, j):
         raise NotImplementedError
 
@@ -244,6 +251,11 @@ class FiniteLorentzSpace(LorentzQuery):
 
     def tau_array(self, points, i, j):
         return self._gather(self._tau, points, i, j)
+
+    def _tau_grids(self, a, b):
+        # two gathers from the tau table
+        (i,), (j,) = a, b
+        return self._tau[i[:, None], j], self._tau[j, i[:, None]]
 
     def leq_array(self, points, i, j):
         return self._gather(self._leq, points, i, j)

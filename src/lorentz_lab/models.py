@@ -48,6 +48,15 @@ class MetricFactor:
                                          j.ravel().tolist())],
                         dtype=float).reshape(i.shape)
 
+    def distance_grids(self, a, b):
+        """``distance(a[k], b[m])`` at [0, k, m] and ``distance(b[m],
+        a[k])`` at [1, k, m], for a and b as ``point_array`` gives them,
+        each entry as ``distance_array`` gives it; an array of shape (2,
+        len(a), len(b)) or one that broadcasts to it."""
+        ij = np.indices((len(a), len(b)))
+        ij[1] += len(a)
+        return self.distance_array(np.concatenate((a, b)), ij, ij[::-1])
+
     def sample(self):
         raise NotImplementedError
 
@@ -94,6 +103,10 @@ class EuclideanSegment(MetricFactor):
     def distance_array(self, points, i, j):
         x = np.asarray(points, dtype=float)
         return np.abs(x[j] - x[i])
+
+    def distance_grids(self, a, b):
+        # |b - a| is |a - b| bit for bit, so one grid serves both ways
+        return np.abs(b - a[:, None])
 
     def sample(self):
         step = self.eta
@@ -249,6 +262,25 @@ def _product_d_array(dt, dist, out=None):
     return out
 
 
+def _realizer_lams(total, params):
+    """The lam and clip steps of the realizer: the fractions params / total
+    (total broadcast against params), clipped to [0, 1] as
+    ``realizer_point`` clips them, up to the first parameter that it
+    refuses, and the error it raises there (None when it refuses none),
+    to be raised once the fractions before it are interpolated."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lam = np.asarray(params, dtype=float) / total
+    failed = (total <= 0.0) | ~((-EPS <= lam) & (lam <= 1.0 + EPS))
+    if not failed.any():
+        return _clip_unit(lam), None
+    stop = int(failed.argmax())
+    if np.broadcast_to(total, lam.shape)[stop] <= 0.0:
+        error = "maximizer parametrization needs a timelike pair"
+    else:
+        error = "parameter outside the maximizer"
+    return _clip_unit(lam[:stop]), PreconditionError(error)
+
+
 def _clip_unit(lam):
     """``min(max(lam, 0.0), 1.0)`` elementwise, bit for bit, as a new array:
     Python keeps the first argument on ties, so -0.0 and NaN pass
@@ -290,6 +322,10 @@ def product_image_defect(tau, leq, dt, dx, null_band):
     defect, kept, mismatched = product_image_terms(tau, leq, dt, dx, null_band)
     return (float(np.fmax.reduce(defect, where=kept, initial=0.0)),
             np.flatnonzero(mismatched).tolist())
+
+
+# the time differences of a point pair, taken one way and the other
+_BOTH_WAYS = np.array([1.0, -1.0])[:, None, None]
 
 
 class ProductSpace(LorentzQuery):
@@ -420,28 +456,48 @@ class ProductSpace(LorentzQuery):
         n = len(t0)
         k = np.arange(n)
         dist = self.factor.distance_array(np.concatenate((x0, x1)), k, k + n)
-        total = _product_tau_array(t1 - t0, dist)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lam = np.asarray(params, dtype=float) / total
-        failed = (total <= 0.0) | ~((-EPS <= lam) & (lam <= 1.0 + EPS))
-        stop = int(failed.argmax()) if failed.any() else n
-        lam = _clip_unit(lam[:stop])
+        lam, error = _realizer_lams(_product_tau_array(t1 - t0, dist), params)
+        stop = len(lam)
         moving = dist[:stop] != 0.0
         x = x0[:stop].copy()
-        moved = self.factor.interpolate_array(x0[:stop][moving],
-                                              x1[:stop][moving], lam[moving])
-        if moved.dtype == object and any(a is None for a in moved.tolist()):
-            raise PreconditionError("factor has no minimizer structure")
-        x[moving] = moved
-        if stop < n:
-            if total[stop] <= 0.0:
-                raise PreconditionError(
-                    "maximizer parametrization needs a timelike pair")
-            raise PreconditionError("parameter outside the maximizer")
+        x[moving] = self._interpolated(x0[:stop][moving], x1[:stop][moving],
+                                       lam[moving])
+        if error is not None:
+            raise error
         t = t0 + lam * (t1 - t0)
         out = PointTuple(zip(t.tolist(), x.tolist()))
         out.arrays(self._coordinate_kind(), lambda _: (t, x))
         return out
+
+    def _side_arrays(self, start, end, total, params):
+        """The coordinate arrays of ``realizer_point(start, end, s)`` for
+        each s of params, total being ``tau(start, end)``, bit for bit, by
+        the steps of ``_realizer_core``: the two endpoints are converted
+        once, and no point is built."""
+        t, x = self.point_arrays((start, end))
+        lam, error = _realizer_lams(total, params)
+        k = np.zeros(len(lam), dtype=np.intp)
+        x0 = x[k]
+        if self.factor.distance_array(x, 0, 1) != 0.0:
+            x0 = self._interpolated(x0, x[k + 1], lam)
+        if error is not None:
+            raise error
+        return t[0] + lam * (t[1] - t[0]), x0
+
+    def _interpolated(self, x0, x1, lam):
+        """The interpolate step of the realizer: ``interpolate_array``,
+        refused when the factor gives None."""
+        moved = self.factor.interpolate_array(x0, x1, lam)
+        if moved.dtype == object and any(a is None for a in moved.tolist()):
+            raise PreconditionError("factor has no minimizer structure")
+        return moved
+
+    def _tau_grids(self, a, b):
+        (ta, xa), (tb, xb) = a, b
+        # t(p) - t(q) is -(t(q) - t(p)) bit for bit, but for the sign of
+        # a zero, which _product_tau_array does not read
+        dt = (tb - ta[:, None]) * _BOTH_WAYS
+        return _product_tau_array(dt, self.factor.distance_grids(xa, xb))
 
 
 def minkowski_space(t_min=-2.0, t_max=2.0, x_min=-1.0, x_max=1.0, step=0.25):

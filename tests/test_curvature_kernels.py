@@ -13,6 +13,7 @@ subclasses of the space classes, the conversions and passes each tester
 makes.
 """
 
+import copy
 import math
 import random
 
@@ -24,8 +25,7 @@ from lorentz_lab import chains, comparison
 from lorentz_lab.comparison import (CurvatureReport, KnotLeg, Leg,
                                     MonotonicityReport, SideTriple,
                                     SpaceTriangle, TriangleSide,
-                                    UnrealizableError, _hinge_points,
-                                    _realize_triangles,
+                                    UnrealizableError, _realize_triangles,
                                     hinge_angle,
                                     realize_triangle, solve_angle,
                                     solve_angles)
@@ -704,6 +704,8 @@ class TestMonotonicityMatchesLoop:
         assert seen == {tuple, MonotonicityReport}
 
     def test_error_of_the_first_leg_first(self):
+        # the tester makes one pass per leg, leg a's first: its range check
+        # and its realizer steps come before anything of leg b
         space = ProductSpace(REALIZER_FACTORS["table"])
         base = (0.0, 1)
         vertical, moving = Leg(space, base, (1.0, 1)), Leg(space, base, (2.0, 2))
@@ -716,9 +718,17 @@ class TestMonotonicityMatchesLoop:
                 ((vertical, moving), [9.0], [0.5],
                  (PreconditionError, "leg parameter 9.0 outside (0, 1.0]")),
                 ((vertical, moving), [0.5], [0.5], no_minimizer)):
-            assert outcome(_hinge_points, space, *legs, svals, tvals) == want
-        points = _hinge_points(space, vertical, vertical, [0.25, 1.0], [0.5])
-        assert list(points) == [(0.25, 1), (1.0, 1), (0.5, 1)]
+            leg_a, leg_b = gridded(legs[0], svals), gridded(legs[1], tvals)
+            assert outcome(monotonicity_bound, space, leg_a, leg_b) == want
+        t, x = vertical._arrays(space, [0.25, 1.0])
+        assert list(zip(t.tolist(), x.tolist())) == [(0.25, 1), (1.0, 1)]
+
+
+def gridded(leg, params):
+    """A copy of leg whose parameter grid is params."""
+    leg = copy.copy(leg)
+    leg.param_grid = lambda n: list(params)
+    return leg
 
 
 # The hinge of each configuration, (a12, a23, a13) = (s, t, cross) with the
@@ -793,14 +803,24 @@ class TestUpperWarningImagesMatchPlanting:
 
 def counting(cls):
     """A subclass of the space class cls that counts its realizer-core
-    calls, the points it converts and its ``tau_array`` calls."""
+    calls, its single-side realizer passes, the points it converts, its
+    ``tau_array`` calls and its separation grids."""
     class Counting(cls):
         def reset(self):
-            self.cores = self.converted = self.tau_arrays = 0
+            self.cores = self.sides = self.converted = 0
+            self.tau_arrays = self.grids = 0
 
         def _realizer_core(self, *args):
             self.cores += 1
             return super()._realizer_core(*args)
+
+        def _side_arrays(self, *args):
+            self.sides += 1
+            return super()._side_arrays(*args)
+
+        def _tau_grids(self, a, b):
+            self.grids += 1
+            return super()._tau_grids(a, b)
 
         def _convert(self, points):
             self.converted += len(points)
@@ -816,6 +836,8 @@ class TestOnePassPerCall:
     """Work guards: each tester converts every leg and side once."""
 
     def test_one_realizer_pass_per_hinge(self, monkeypatch):
+        # one realizer pass per leg on its two endpoints, converted once,
+        # and one separation grid per hinge, with no tau_array call
         space = counting(ProductSpace)(EuclideanSegment(0.0, 1.0, 21),
                                        -2.0, 2.0, 0.05)
         seen = set()
@@ -824,19 +846,25 @@ class TestOnePassPerCall:
                 space.reset()
                 seen.add(type(outcome(monotonicity_bound, space, leg_a, leg_b,
                                       sense)))
-                assert space.cores == 1 and space.converted == 4
+                assert (space.sides, space.converted, space.cores,
+                        space.tau_arrays, space.grids) == (2, 4, 0, 0, 1)
         assert MonotonicityReport in seen
+        # on a table, one knot lookup per leg and two gathers
         lookups = []
-        knots_at = comparison._knots_at
-        monkeypatch.setattr(comparison, "_knots_at",
-                            lambda *args: lookups.append(1) or knots_at(*args))
-        table = flat_finite_space(12, 3)
+        knot_picks = comparison._knot_picks
+        monkeypatch.setattr(comparison, "_knot_picks",
+                            lambda *args: lookups.append(1) or knot_picks(*args))
+        flat = flat_finite_space(12, 3)
+        table = counting(FiniteLorentzSpace)(flat._d, flat._leq, flat._ll,
+                                             flat._tau)
         for base, tip in np.argwhere(table._ll)[:4].tolist():
             legs = (Leg(table, base, tip), KnotLeg([tip], [1.0], "future"))
             for sense in ("lower", "upper"):
                 lookups.clear()
+                table.reset()
                 outcome(monotonicity_bound, table, *legs, sense)
-                assert len(lookups) == 1
+                assert len(lookups) == 2
+                assert (table.tau_arrays, table.grids) == (0, 1)
 
     def test_upper_warnings_plant_no_triangle(self, monkeypatch):
         def refuse(*args):
@@ -924,6 +952,17 @@ class TestCurvatureMatchesLoop:
             same_reports(curvature_bound, curvature_loops, space, triangles,
                          mode=mode, tol=1e-9, seed=seed,
                          pair_sampler=knot_sampler)
+
+    def test_analytic_draws_are_uniform_draws(self):
+        # an analytic side draws length * random(): rng.uniform(0.0,
+        # length) bit for bit, draw for draw
+        for seed in range(20):
+            for tri in minkowski_triangles(SEGMENT, 2, seed):
+                for side in tri.sides.values():
+                    got, want = random.Random(seed), random.Random(seed)
+                    assert bits([side.sample_params(got) for _ in range(50)]) \
+                        == bits([want.uniform(0.0, side.length)
+                                 for _ in range(50)])
 
     def test_planted_violation_and_out_of_range_parameter(self):
         space = violated_six_point_table()
@@ -1024,6 +1063,11 @@ class TestCurvatureErrorsInLoopOrder:
 
 
 class TestPlantedTrianglesMatchScalar:
+    """The kernel plants "123" triples.  A triple of any configuration is
+    the "123" triple of its vertices relabelled bottom to top, and
+    ``realize_triangle`` plants each vertex where the kernel plants the
+    vertex of its rank."""
+
     @pytest.mark.parametrize("config", CONFIGS)
     @settings(max_examples=20, deadline=None)
     @given(data=st.data())
@@ -1034,14 +1078,22 @@ class TestPlantedTrianglesMatchScalar:
             side_triples(config),
             st.tuples(*[st.sampled_from([1e200, 2.5e200, 1.0]) for _ in "abc"])),
             min_size=1, max_size=6))
-        a12, a23, a13 = (np.array(v) for v in zip(*triples))
-        verts, refused = _realize_triangles(a12, a23, a13, config)
+        order = SideTriple(1.0, 1.0, 1.0, config).ordered()
+        bottom, middle, top = order
+
+        def chain(a12, a23, a13):
+            side = {(1, 2): a12, (2, 3): a23, (1, 3): a13}
+            return [side[tuple(sorted(e))] for e in
+                    ((bottom, middle), (middle, top), (bottom, top))]
+        verts, refused = _realize_triangles(
+            *(np.array(v) for v in zip(*map(chain, *zip(*triples)))))
         for k, sides in enumerate(triples):
             want = outcome(realize_triangle, SideTriple(*sides, config)) \
                 if min(sides) > 0.0 else (UnrealizableError, "")
             assert refused[k] == isinstance(want, tuple)
             if not refused[k]:
-                got = [(float(t[k]), float(x[k])) for t, x in verts]
+                got = [(float(t[k]), float(x[k])) for t, x in
+                       (verts[order.index(v)] for v in (1, 2, 3))]
                 assert bits([c for v in got for c in v]) == \
                     bits([c for v in want.coords for c in v])
 
@@ -1049,7 +1101,7 @@ class TestPlantedTrianglesMatchScalar:
         sides = SideTriple(1e200, 1e200, 2.5e200, "123")
         with pytest.raises(UnrealizableError, match="do not close up"):
             realize_triangle(sides)
-        _, refused = _realize_triangles([1e200], [1e200], [2.5e200], "123")
+        _, refused = _realize_triangles([1e200], [1e200], [2.5e200])
         assert refused.tolist() == [True]
 
 
@@ -1176,6 +1228,75 @@ class TestRealizerPointsMatchScalar:
         assert point_bits(got[0]) == point_bits(
             realizer_points_loops(seg, *args)[0])
         assert math.copysign(1.0, got[0][0]) == -1.0
+
+
+class TestSideArraysMatchScalar:
+    """One side's realizer pass against ``realizer_point``, bit for bit,
+    with the side's separation as its total, errors included."""
+
+    @pytest.mark.parametrize("kind", sorted(REALIZER_FACTORS))
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_entries(self, kind, data):
+        space = ProductSpace(REALIZER_FACTORS[kind])
+        entries = data.draw(realizer_entries(space))
+        p, q = data.draw(st.sampled_from([(p, q) for p, q, _ in entries]
+                                         or [((0.0, space.factor.sample()[0]),
+                                              (1.0, space.factor.sample()[-1]))]))
+        total = space.tau(p, q)
+        params = [total * f for f in data.draw(st.lists(
+            st.sampled_from(FRACTIONS), min_size=1, max_size=8))]
+        got = outcome(space._side_arrays, p, q, total, params)
+        want = outcome(realizer_points_loops, space, [p] * len(params),
+                       [q] * len(params), params)
+        if isinstance(want, list):
+            t, x = got
+            assert [point_bits(pt) for pt in zip(t.tolist(), x.tolist())] \
+                == [point_bits(pt) for pt in want]
+        else:
+            assert got == want
+
+
+# an explicit factor whose distances are not symmetric
+SKEWED = ExplicitTable(((0.0, 0.3, 1.0), (0.5, 0.0, 0.25), (0.75, 0.5, 0.0)),
+                       0.5)
+
+
+class TestTauGridsMatchTauArray:
+    """The separation grids of two point lists, both ways, against
+    ``tau_array`` over the joined list, bit for bit."""
+
+    @pytest.mark.parametrize("kind", sorted(REALIZER_FACTORS) + ["skewed"])
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data())
+    def test_products(self, kind, data):
+        space = ProductSpace(SKEWED if kind == "skewed"
+                             else REALIZER_FACTORS[kind])
+        point = st.tuples(st.sampled_from([-1.0, -0.0, 0.0, 0.5, 1.0, 2.5]),
+                          st.sampled_from(space.factor.sample()))
+        a = data.draw(st.lists(point, min_size=1, max_size=5))
+        b = data.draw(st.lists(point, min_size=1, max_size=5))
+        self.check(space, a, b)
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=SEEDS, data=st.data())
+    def test_tables(self, seed, data):
+        space = flat_finite_space(10, seed)
+        point = st.integers(0, space.n - 1)
+        a = data.draw(st.lists(point, min_size=1, max_size=5))
+        b = data.draw(st.lists(point, min_size=1, max_size=5))
+        self.check(space, a, b)
+
+    @staticmethod
+    def check(space, a, b):
+        tpq, tqp = space._tau_grids(space._convert(a), space._convert(b))
+        i, j = np.indices((len(a), len(b)))
+        j += len(a)
+        joined = list(a) + list(b)
+        assert bits(np.ravel(tpq).tolist()) == \
+            bits(space.tau_array(joined, i, j).ravel().tolist())
+        assert bits(np.ravel(tqp).tolist()) == \
+            bits(space.tau_array(joined, j, i).ravel().tolist())
 
 
 class TestInterpolateArrayMatchesScalar:
