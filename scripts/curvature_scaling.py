@@ -6,9 +6,9 @@ Times, best of ten:
 
 * ``test_curvature_lower0`` in the lower mode at 50, 500 and 5000
   triangles (``sampling.minkowski_triangles``, seed 0, eight pairs per
-  triangle) on the golden strip and the golden segment product, and at 20
-  triangles (``sampling.finite_triangles``, seed 0) on a flat 32-point
-  table;
+  triangle) on the golden strip and the golden segment product, and
+  (``sampling.finite_triangles``, seed 0) at 20 triangles on a flat
+  32-point table and at 200 on a flat 64-point one, where the draws count;
 * ``test_monotonicity_comparison`` per call, in each sense, over the 20
   hinges of ``sampling.product_hinges`` (segment product, seed 0), and
   over 20 hinges of the flat 32-point table: two ``KnotLeg``s from one
@@ -44,7 +44,9 @@ from lorentz_lab import cli, comparison, sampling
 OUT = ROOT / "BENCH_curvature.json"
 GOLDEN = ROOT / "docs" / "golden"
 TRIANGLES = (50, 500, 5000)
-TABLE_POINTS, TABLE_TRIANGLES = 32, 20
+TABLE_POINTS = 32
+# the flat tables of the triangle items: points and triangles
+TABLE_TRIANGLES = ((TABLE_POINTS, 20), (64, 200))
 HINGES = 20
 SIDE_TRIPLES = 500
 REPEATS = 10
@@ -118,12 +120,15 @@ def items():
                         calling(lambda space=space, triangles=triangles:
                                 comparison.test_curvature_lower0(space,
                                                                  triangles))))
+    for points, count in TABLE_TRIANGLES:
+        table = sampling.flat_finite_space(points, 0)
+        triangles = sampling.finite_triangles(table, count, 0)
+        out.append(("curvature", {"space": f"table{points}",
+                                  "triangles": count}, 0,
+                    calling(lambda table=table, triangles=triangles:
+                            comparison.test_curvature_lower0(table,
+                                                             triangles))))
     table = sampling.flat_finite_space(TABLE_POINTS, 0)
-    triangles = sampling.finite_triangles(table, TABLE_TRIANGLES, 0)
-    out.append(("curvature", {"space": f"table{TABLE_POINTS}",
-                              "triangles": TABLE_TRIANGLES}, 0,
-                calling(lambda: comparison.test_curvature_lower0(table,
-                                                                 triangles))))
     for name, space, hinges in (
             ("segment", segment, sampling.product_hinges(segment, HINGES, 0)),
             (f"table{TABLE_POINTS}", table, table_hinges(table, HINGES))):

@@ -16,10 +16,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
-from .core import EPS, FiniteLorentzSpace, PointTuple, PreconditionError
+from .core import EPS, FiniteLorentzSpace, PreconditionError
 from .models import _clip_unit, _product_tau_array, tau_minkowski
 from . import chains as _chains
 
@@ -300,43 +301,12 @@ def _knot_picks(table, ss, what):
     return hit.argmax(axis=1).tolist()
 
 
-def _knots_at(params, points, rows, ss, whats):
-    """``_knot_at(params[r], points[r], s, whats[r])`` for each pair (r, s)
-    of ``rows`` and ``ss``, from one lookup over the knots of every row,
-    as a PointTuple."""
-    table = np.full((len(params), max([1, *map(len, params)])), np.nan)
-    for r, ps in enumerate(params):
-        table[r, :len(ps)] = ps
-    picks = _knot_picks(table[rows], ss, lambda k: whats[rows[k]])
-    return PointTuple(points[r][k] for r, k in
-                      zip(np.asarray(rows).tolist(), picks))
-
-
 def _knot_arrays(side, space, ss):
     """The coordinate arrays of the knots of a table side or a KnotLeg at
     the parameters ss, from one lookup."""
     knots = side.knots
     return space._convert([knots[k] for k in _knot_picks(
         np.array(side.params, dtype=float), ss, lambda k: side.not_a_knot)])
-
-
-def _side_points(space, sides, rows, ss):
-    """``sides[r].point_at(s)`` for each pair (r, s) of ``rows`` and ``ss``,
-    from one pass, as a PointTuple; raises the error of the first failing
-    pair.  On a finite table the sides are TriangleSides or KnotLegs, and
-    the pass is one knot lookup over all of them.  On a product they are
-    TriangleSides: the starts and ends of the sides are converted once, in
-    one call, and their coordinate arrays, gathered by ``rows``, go to one
-    ``_realizer_core`` call."""
-    if isinstance(space, FiniteLorentzSpace):
-        return _knots_at([side.params for side in sides],
-                         [side.knots for side in sides], rows, ss,
-                         [side.not_a_knot for side in sides])
-    t, x = space.point_arrays([side.start for side in sides]
-                              + [side.end for side in sides])
-    starts = np.asarray(rows, dtype=np.intp)
-    ends = starts + len(sides)
-    return space._realizer_core(t[starts], x[starts], t[ends], x[ends], ss)
 
 
 class TriangleSide:
@@ -377,12 +347,6 @@ class TriangleSide:
         if self.params is None:
             return space._side_arrays(self.start, self.end, self.length, ss)
         return _knot_arrays(self, space, ss)
-
-    def sample_params(self, rng: random.Random):
-        if self.params is None:
-            # rng.uniform(0.0, length), bit for bit, one frame fewer
-            return self.length * rng.random()
-        return rng.choice(self.params)
 
 
 class SpaceTriangle:
@@ -426,10 +390,43 @@ class CurvatureReport:
     max_defect: float
 
 
-# the index, in a SpaceTriangle's vertices, of each side's causally earlier
-# and later end; the side index of each side label pair
-_SIDE_START, _SIDE_END = np.array(_SIDES).T - 1
+# the shifts from row 3 * t + k, side k of triangle t, to the indices of its
+# earlier and later end among the vertices; the side index of each label
+_SHIFTS = np.array(_SIDES).T - 1 - np.arange(3)
 _SIDE_INDEX = {side: k for k, side in enumerate(_SIDES)}
+_TRIANGLE_SIDES = itemgetter(*_SIDES)
+
+
+def _pick(getrandbits, seq):
+    """``rng.choice(seq)``, draw for draw, as CPython draws it: an index of
+    ``len(seq).bit_length()`` random bits, redrawn until it is in range."""
+    n, k = len(seq), len(seq).bit_length()
+    i = getrandbits(k)
+    while i >= n:
+        i = getrandbits(k)
+    return seq[i]
+
+
+def _side_points(space, tris, sides, rows, spans, ss):
+    """``sides[r].point_at(s)`` for r in the array rows and s in ss (sides
+    three per triangle of tris) as the function of index arrays i and j
+    giving tau(point i, point j); raises the first failing point's error.
+    A table's pass is one knot lookup, a product's one ``_realizer_core``
+    call on the vertices, gathered by ``spans``, their sides' ends."""
+    if isinstance(space, FiniteLorentzSpace):
+        sizes = np.array([len(side.params) for side in sides], dtype=np.intp)
+        held = np.arange(sizes.max(initial=1)) < sizes[:, None]
+        params, knots = np.full(held.shape, np.nan), np.zeros_like(held, np.intp)
+        params[held] = [p for side in sides for p in side.params]
+        knots[held] = [k for side in sides for k in side.knots]
+        k = knots[rows, _knot_picks(params[rows], ss,
+                                    lambda m: sides[rows[m]].not_a_knot)]
+        return lambda i, j: space.tau_table()[k[i], k[j]]
+    t, x = space.point_arrays([v for tri in tris for v in tri.vertices])
+    (t0, t1), (x0, x1) = t[spans], x[spans]
+    t, x = space._realizer_core(t0, x0, t1, x1, ss)
+    return lambda i, j: _product_tau_array(
+        t[j] - t[i], space.factor.distance_array(x, i, j))
 
 
 def test_curvature_lower0(space, triangles, pairs_per_triangle=8, mode="lower",
@@ -441,102 +438,105 @@ def test_curvature_lower0(space, triangles, pairs_per_triangle=8, mode="lower",
     inequality.  The worst signed defect tau - taubar and its witness are
     reported.  Every triangle must lie in ``space``.
 
-    The loop over the triangles only draws the pairs, with the random calls
-    of a per-pair loop in the same order.  The sampled points (one
-    ``_realizer_core`` call on the sides' endpoints, converted once per
-    side, or one knot lookup on a finite table), the
-    planted triangles with their checks, the planted images and the
-    separations of all pairs in both directions (one ``tau_array`` call)
-    are array passes.  The error raised is the one a per-pair loop meets
-    first: an error met while drawing (a triangle in another space, a
-    failing pair sampler, a malformed pair) is raised only once the planted
-    triangles and the points drawn before it pass.
+    The loop over the triangles only draws a per-pair loop's random numbers
+    in its order, inline and bit for bit (``rng.choice`` of a side, then of
+    a knot parameter or ``rng.uniform(0.0, length)``), into two flat lists:
+    each point's row 3 * triangle + side and its parameter.  The points on
+    the vertices, converted once and gathered by row, their separations and
+    the planted images are array passes; only the extreme pairs' witnesses
+    are built.  The error raised is a per-pair loop's first: one met while
+    drawing waits for the triangles and points before it.
     """
     if mode not in ("lower", "upper"):
         raise PreconditionError(f"unknown mode {mode!r}")
     rng = random.Random(seed)
-    tris = []
-    firsts = []      # per triangle: the index of its first point
-    rows = []        # per point: 3 * triangle index + side index
-    params = []      # per point: its parameter on the side
-    witnesses = []   # per sampled pair
-    # the triangles and the sampler are the caller's code: what they raise,
-    # like a malformed pair, is raised below once the entries drawn before
-    # it pass, where a per-pair loop would meet it
-    choice = rng.choice
+    getrandbits, uniform = rng.getrandbits, rng.random
+    table = isinstance(space, FiniteLorentzSpace)
+    tris, sides, lengths = [], [], []   # the sides three per triangle
+    rows, params, labels = [], [], []   # per point; labels from a sampler
     try:
         for tidx, tri in enumerate(triangles):
             if tri.space is not space:
                 raise PreconditionError(f"triangle {tidx} lies in another space")
             tris.append(tri)
-            firsts.append(len(params))
+            own = _TRIANGLE_SIDES(tri.sides)
+            sides += own
+            lengths += (own[0].length, own[1].length, own[2].length)
+            base = 3 * tidx
             if pair_sampler is not None:
-                pair_list = pair_sampler(rng, tri)
-            else:
-                tri_sides = tri.sides
-                pair_list = []
-                for _ in range(pairs_per_triangle):
-                    sa = choice(_SIDES)
-                    sb = choice(_SIDES)
-                    pair_list.append(((sa, tri_sides[sa].sample_params(rng)),
-                                      (sb, tri_sides[sb].sample_params(rng))))
-            for (sa, pa), (sb, pb) in pair_list:
-                rows.append(3 * tidx + _SIDE_INDEX[sa])
-                params.append(pa)
-                rows.append(3 * tidx + _SIDE_INDEX[sb])
-                params.append(pb)
-                witnesses.append((tidx, (sa, pa), (sb, pb)))
+                for (sa, pa), (sb, pb) in pair_sampler(rng, tri):
+                    for label, s in ((sa, pa), (sb, pb)):
+                        rows.append(base + _SIDE_INDEX[label])
+                        params.append(s)
+                        labels.append(label)
+                continue
+            for _ in range(pairs_per_triangle):
+                # the two side picks, then a parameter on each side
+                a = getrandbits(2)
+                while a == 3:
+                    a = getrandbits(2)
+                b = getrandbits(2)
+                while b == 3:
+                    b = getrandbits(2)
+                rows += base + a, base + b
+                params += ((_pick(getrandbits, own[a].params),
+                            _pick(getrandbits, own[b].params)) if table
+                           else (own[a].length * uniform(),
+                                 own[b].length * uniform()))
         drawing_error = None
     except Exception as exc:
         drawing_error = exc
 
-    lengths = np.array([[tri.sides[side].length for side in _SIDES]
-                        for tri in tris], dtype=float).reshape(-1, 3)
-    (v1, v2, v3), refused = _realize_triangles(*lengths.T)
+    lengths = np.array(lengths, dtype=float)
+    (v1, v2, v3), refused = _realize_triangles(*lengths.reshape(-1, 3).T)
     refused = np.flatnonzero(refused)
     planted = int(refused[0]) if refused.size else len(tris)
-    stop = firsts[planted] if refused.size else len(params)
-    sides = [tri.sides[side] for tri in tris[:planted] for side in _SIDES]
-    points = _side_points(space, sides, rows[:stop], params[:stop])
+    row = np.array(rows, dtype=np.intp)
+    stop = int(np.searchsorted(row, 3 * planted))
+    # a planted side refuses a parameter beyond EPS outside it once the
+    # points of its pair pass; a pair the drawing left unfinished is not met
+    param, total = np.array(params[:stop], dtype=float), lengths[row[:stop]]
+    outside = np.flatnonzero(((param < -EPS) | (param > total + EPS))[:stop & ~1])
+    cut = (outside[0] | 1) + 1 if outside.size else stop   # its pair's end
+    spans = row + _SHIFTS[:, row % 3]
+    taus = _side_points(space, tris[:planted], sides[:3 * planted], row[:cut],
+                        spans[:, :cut], params[:cut])
+    if outside.size:
+        k = outside[0]
+        raise PreconditionError(
+            f"parameter {params[k]} outside side of length {float(total[k])}")
     if refused.size:
         # raises the error the mask found
         realize_triangle(tris[planted].side_triple())
     if drawing_error is not None:
         raise drawing_error
-    n_pairs = len(points)   # each sampled pair in both directions
+    n_pairs = len(params)   # each sampled pair in both directions
     if n_pairs == 0:
         raise PreconditionError("no on-triangle pairs sampled")
 
     # planted images as ComparisonTriangle.point_on_side computes them
-    tri_of, side_of = np.divmod(np.array(rows), 3)
-    param = np.array(params, dtype=float)
-    total = lengths[tri_of, side_of]
-    outside = (param < -EPS) | (param > total + EPS)
-    if outside.any():
-        k = int(np.argmax(outside))
-        raise PreconditionError(
-            f"parameter {params[k]} outside side of length {float(total[k])}")
-    vt = np.stack((v1[0], v2[0], v3[0]), axis=1)
-    vx = np.stack((v1[1], v2[1], v3[1]), axis=1)
-    a0, a1 = vt[tri_of, _SIDE_START[side_of]], vx[tri_of, _SIDE_START[side_of]]
-    b0, b1 = vt[tri_of, _SIDE_END[side_of]], vx[tri_of, _SIDE_END[side_of]]
     lam = _clip_unit(param / total)
+    (a0, b0), (a1, b1) = (np.stack(coord, axis=1).ravel()[spans]
+                          for coord in zip(v1, v2, v3))
     bar_t = a0 + lam * (b0 - a0)
     bar_x = a1 + lam * (b1 - a1)
     # entry 2k is (p, q) of pair k, entry 2k + 1 is (q, p)
     i = np.arange(n_pairs)
     j = i ^ 1
-    defect = space.tau_array(points, i, j) - _product_tau_array(
-        bar_t[j] - bar_t[i], np.abs(bar_x[j] - bar_x[i]))
-    # the first extreme, as a strict comparison in a loop picks it
+    defect = taus(i, j) - _product_tau_array(bar_t[j] - bar_t[i],
+                                             np.abs(bar_x[j] - bar_x[i]))
+    # the first extreme, as a strict comparison in a loop picks it; the
+    # witness is its pair as drawn, with a pair sampler's own objects
     k_lo, k_hi = int(np.argmin(defect)), int(np.argmax(defect))
     lo, hi = float(defect[k_lo]), float(defect[k_hi])
-    n_tris = len(tris)
+    k = (k_hi if mode == "lower" else k_lo) & ~1
+    sa, sb = labels[k:k + 2] or (_SIDES[rows[k] % 3], _SIDES[rows[k + 1] % 3])
+    witness = rows[k] // 3, (sa, params[k]), (sb, params[k + 1])
     if mode == "lower":
-        return CurvatureReport("lower", hi <= tol, hi, witnesses[k_hi // 2],
-                               n_tris, n_pairs, lo, hi)
-    return CurvatureReport("upper", -lo <= tol, lo, witnesses[k_lo // 2],
-                           n_tris, n_pairs, lo, hi)
+        return CurvatureReport("lower", hi <= tol, hi, witness, len(tris),
+                               n_pairs, lo, hi)
+    return CurvatureReport("upper", -lo <= tol, lo, witness, len(tris),
+                           n_pairs, lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -446,13 +446,16 @@ class ProductSpace(LorentzQuery):
         input order; the factor interpolates, through
         ``interpolate_array``, only the entries before it.  The points are
         converted, then go to ``_realizer_core``."""
-        return self._realizer_core(*self.point_arrays(starts),
+        t, x = self._realizer_core(*self.point_arrays(starts),
                                    *self.point_arrays(ends), params)
+        out = PointTuple(zip(t.tolist(), x.tolist()))
+        out.arrays(self._coordinate_kind(), lambda _: (t, x))
+        return out
 
     def _realizer_core(self, t0, x0, t1, x1, params):
         """``realizer_points`` of the starts with coordinate arrays t0 and
-        x0 and the ends with t1 and x1, so that callers with few distinct
-        pairs convert each endpoint once and gather the arrays."""
+        x0 and the ends with t1 and x1, as coordinate arrays, so that callers
+        with few distinct endpoints convert each once and gather them."""
         n = len(t0)
         k = np.arange(n)
         dist = self.factor.distance_array(np.concatenate((x0, x1)), k, k + n)
@@ -464,10 +467,7 @@ class ProductSpace(LorentzQuery):
                                        lam[moving])
         if error is not None:
             raise error
-        t = t0 + lam * (t1 - t0)
-        out = PointTuple(zip(t.tolist(), x.tolist()))
-        out.arrays(self._coordinate_kind(), lambda _: (t, x))
-        return out
+        return t0 + lam * (t1 - t0), x
 
     def _side_arrays(self, start, end, total, params):
         """The coordinate arrays of ``realizer_point(start, end, s)`` for

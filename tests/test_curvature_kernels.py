@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lorentz_lab import chains, comparison
+from lorentz_lab import chains, comparison, models
 from lorentz_lab.comparison import (CurvatureReport, KnotLeg, Leg,
                                     MonotonicityReport, SideTriple,
                                     SpaceTriangle, TriangleSide,
@@ -204,6 +204,14 @@ def monotonicity_loops(space, leg_a, leg_b, sense="lower", tol=EPS):
                               sense, warnings)
 
 
+def stdlib_param(rng, side):
+    """A parameter on a triangle side, drawn with the standard library: one
+    of a table side's knot parameters, else uniform along the side."""
+    if side.params is None:
+        return rng.uniform(0.0, side.length)
+    return rng.choice(side.params)
+
+
 def curvature_loops(space, triangles, pairs_per_triangle=8, mode="lower",
                     tol=EPS, seed=0, pair_sampler=None):
     if mode not in ("lower", "upper"):
@@ -223,8 +231,8 @@ def curvature_loops(space, triangles, pairs_per_triangle=8, mode="lower",
             for _ in range(pairs_per_triangle):
                 sa = rng.choice(SpaceTriangle.SIDES)
                 sb = rng.choice(SpaceTriangle.SIDES)
-                pair_list.append(((sa, tri.sides[sa].sample_params(rng)),
-                                  (sb, tri.sides[sb].sample_params(rng))))
+                pair_list.append(((sa, stdlib_param(rng, tri.sides[sa])),
+                                  (sb, stdlib_param(rng, tri.sides[sb]))))
         for (sa, pa), (sb, pb) in pair_list:
             p = tri.point_at(sa, pa)
             q = tri.point_at(sb, pb)
@@ -878,14 +886,22 @@ class TestOnePassPerCall:
                           - report.n_defined)
         assert undefined > 0
 
-    def test_side_endpoints_once_per_side(self):
+    def test_vertices_once_per_triangle(self, monkeypatch):
+        # the three vertices of each triangle converted in one call, one
+        # realizer-core pass, separations from its arrays: no point tuple
+        # and no tau_array call
+        def refuse(*args):
+            raise AssertionError("built a point tuple")
+        monkeypatch.setattr(models, "PointTuple", refuse)
         space = counting(ProductSpace)(EuclideanSegment(0.0, 1.0, 21),
                                        -2.0, 2.0, 0.05)
         triangles = minkowski_triangles(space, 7, 0)
         for per in (0, 1, 12):
             space.reset()
-            outcome(curvature_bound, space, triangles, per)
-            assert (space.cores, space.converted) == (1, 2 * 3 * 7)
+            report = outcome(curvature_bound, space, triangles, per)
+            assert isinstance(report, CurvatureReport) == (per > 0)
+            assert (space.cores, space.converted, space.tau_arrays) == \
+                (1, 3 * 7, 0)
 
     def test_table_sides_from_the_tau_table(self, monkeypatch):
         flat = flat_finite_space(16, 2)
@@ -903,6 +919,18 @@ class TestOnePassPerCall:
                 want = chains.reparametrize_tau_arclength(
                     flat, chains.maximize_tau(flat, side.start, side.end).chain)
                 assert bits(side.params) == bits(want)
+        # a call looks its points up once, and gathers their separations
+        # from the tau table
+        lookups = []
+        knot_picks = comparison._knot_picks
+        monkeypatch.setattr(comparison, "_knot_picks",
+                            lambda *args: lookups.append(1) or knot_picks(*args))
+        for per in (0, 1, 12):
+            lookups.clear()
+            space.reset()
+            outcome(curvature_bound, space, triangles, per)
+            assert (len(lookups), space.tau_arrays, space.converted) == \
+                (1, 0, 0)
 
     def test_null_step_refused(self):
         # the maximizer from 4 to 2 runs through the null relay 5
@@ -953,16 +981,116 @@ class TestCurvatureMatchesLoop:
                          mode=mode, tol=1e-9, seed=seed,
                          pair_sampler=knot_sampler)
 
-    def test_analytic_draws_are_uniform_draws(self):
-        # an analytic side draws length * random(): rng.uniform(0.0,
-        # length) bit for bit, draw for draw
-        for seed in range(20):
-            for tri in minkowski_triangles(SEGMENT, 2, seed):
-                for side in tri.sides.values():
-                    got, want = random.Random(seed), random.Random(seed)
-                    assert bits([side.sample_params(got) for _ in range(50)]) \
-                        == bits([want.uniform(0.0, side.length)
-                                 for _ in range(50)])
+    def test_pick_rule_is_choice(self):
+        # the tester picks a side (three labels, inline) and a table side's
+        # knot parameter by rng.choice's rule, which _pick states: pinned to
+        # rng.choice, draw for draw, on sequences of every length up to 40,
+        # the powers of two and the lengths just past them, whose redraws
+        # are most frequent, among them; the stream stays in step after
+        for seed in range(200):
+            for n in range(1, 41):
+                seq = [float(k) for k in range(n)]
+                got, want = random.Random(seed), random.Random(seed)
+                assert [comparison._pick(got.getrandbits, seq)
+                        for _ in range(8)] == [want.choice(seq)
+                                               for _ in range(8)]
+                assert got.random() == want.random()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, count=st.integers(1, 4), table=st.booleans(),
+           data=st.data())
+    def test_sampler_objects_and_parameters_out_of_range(self, seed, count,
+                                                         table, data):
+        # a pair sampler's labels and parameters as numpy scalars, and
+        # parameters outside a side (beyond the planted side's absolute EPS
+        # only, beyond the space's relative one too, or far) mid-list: the
+        # same report, witness objects included, or the same first error
+        if table:
+            space = flat_finite_space(16, seed)
+            try:
+                triangles = finite_triangles(space, count, seed)
+            except ValueError:
+                return
+        else:
+            space = MINK
+            triangles = minkowski_triangles(MINK, count, seed)
+        outside = st.sampled_from([1.0 + 0.9 * EPS, 1.0 + 3.0 * EPS, 1.5,
+                                   -0.25])
+
+        def param(side):
+            if data.draw(st.integers(0, 2)) == 0:
+                return side.length * data.draw(outside)
+            if side.params is not None:
+                return data.draw(st.sampled_from(side.params))
+            return side.length * data.draw(st.floats(0.0, 1.0))
+
+        def label(side):
+            return tuple(map(data.draw(st.sampled_from([int, np.int64])),
+                             side))
+
+        def point(tri):
+            side = data.draw(st.sampled_from(SpaceTriangle.SIDES))
+            s = param(tri.sides[side])
+            kinds = [float, np.float64] + [np.int64] * float(s).is_integer()
+            return label(side), data.draw(st.sampled_from(kinds))(s)
+
+        plans = {id(tri): [(point(tri), point(tri))
+                           for _ in range(data.draw(st.integers(0, 4)))]
+                 for tri in triangles}
+        for mode in ("lower", "upper"):
+            got = outcome(curvature_bound, space, triangles, mode=mode,
+                          pair_sampler=lambda rng, tri: plans[id(tri)])
+            want = outcome(curvature_loops, space, triangles, mode=mode,
+                           pair_sampler=lambda rng, tri: plans[id(tri)])
+            assert repr(got) == repr(want)
+
+    def test_witness_keeps_sampler_objects(self):
+        # the witness holds a pair sampler's own label and parameter objects
+        tri = minkowski_triangles(MINK, 1, 0)[0]
+        label = (np.int64(1), np.int64(3))
+        s = np.float64(0.5 * tri.sides[(1, 3)].length)
+        for mode in ("lower", "upper"):
+            report = same_reports(curvature_bound, curvature_loops, MINK,
+                                  [tri], mode=mode, pair_sampler=lambda rng, t:
+                                  [((label, s), ((1, 2), 0.0))])
+            assert report.witness[1][0] is label and report.witness[1][1] is s
+
+    def test_planted_side_refuses_before_later_points(self):
+        # a parameter the space's relative tolerance admits and the planted
+        # side refuses: its error comes after the points of its pair and
+        # before a later pair's point error, a later unrealizable triangle
+        # or a later failing sampler, as the loop meets them; a pair the
+        # sampler leaves unfinished never reaches it
+        tri, other = sorted(minkowski_triangles(MINK, 6, 0),
+                            key=lambda tri: tri.sides[(1, 3)].length)[:-3:-1]
+        length = tri.sides[(1, 3)].length
+        assert length > 2.0
+        beyond = ((1, 3), length * (1.0 + 0.9 * EPS))
+        far = ((1, 2), 1.5 * tri.sides[(1, 2)].length)
+        near = ((1, 2), 0.1)
+        bad = minkowski_triangles(MINK, 1, 1)[0]
+        bad.sides[(1, 3)].length = 0.1     # fails the size bound
+
+        def sampler(plan):
+            def draw(rng, t):
+                if t is other:
+                    raise RuntimeError("sampler fails")
+                return plan
+            return draw
+        refused = (PreconditionError, f"parameter {beyond[1]} outside side "
+                                      f"of length {length}")
+        for triangles, plan, want in (
+                ([tri], [(beyond, near), (far, near)], refused),
+                ([tri], [(near, beyond), (near, far)], refused),
+                ([tri, bad], [(beyond, near)], refused),
+                ([tri, other], [(near, beyond)], refused),
+                ([tri], [(near, near), (beyond, ((2, 1), 0.1))],
+                 (KeyError, "(2, 1)"))):
+            got = any_outcome(curvature_bound, MINK, triangles,
+                              pair_sampler=sampler(plan))
+            assert repr(got) == repr(any_outcome(
+                curvature_loops, MINK, triangles, pair_sampler=sampler(plan)))
+            assert got == want
 
     def test_planted_violation_and_out_of_range_parameter(self):
         space = violated_six_point_table()
