@@ -141,9 +141,9 @@ def line_point(space, line: LineDescriptor, param):
     ps, pts = line.params, line.chain.points
     if on_knot:
         return pts[i]
-    if hasattr(space, "realizer_point"):
-        return space.realizer_point(pts[i], pts[i + 1], param - ps[i])
-    return pts[i] if param - ps[i] <= ps[i + 1] - param else pts[i + 1]
+    if isinstance(space, FiniteLorentzSpace):
+        return pts[i] if param - ps[i] <= ps[i + 1] - param else pts[i + 1]
+    return space.realizer_point(pts[i], pts[i + 1], param - ps[i])
 
 
 def _bracket(line, param):
@@ -171,7 +171,7 @@ def _line_points(space, lines, param):
         if found is None:
             continue
         i, on_knot = found
-        if not on_knot and hasattr(space, "realizer_point"):
+        if not (on_knot or isinstance(space, FiniteLorentzSpace)):
             between.append((k, line.chain.points[i], line.chain.points[i + 1],
                             param - line.params[i]))
         else:
@@ -195,6 +195,14 @@ class AsymptoteResult:
     is_timelike: bool
     min_step: float
     stabilized: bool
+
+
+def _knot_grid(space, horizons, knot_extent):
+    """The knot step of an asymptote's limit chain, max(2, 20 mesh), and its
+    knot extent: ``knot_extent``, or by default the smallest of the sorted
+    horizons, at least one knot step."""
+    step = max(2.0, 20.0 * space.mesh)
+    return step, (max(horizons[0], step) if knot_extent is None else knot_extent)
 
 
 def _analytic_limit(space, p, targets, direction, knot_step, knot_extent):
@@ -273,9 +281,7 @@ def build_asymptote(space: LorentzQuery, line: LineDescriptor, p, direction,
     if not in_timelike_envelope(space, line, p):
         raise PreconditionError("footpoint is not timelike related to the line "
                                 "in both directions")
-    knot_step = max(2.0, 20.0 * space.mesh)
-    if knot_extent is None:
-        knot_extent = max(horizons[0], knot_step)
+    knot_step, knot_extent = _knot_grid(space, horizons, knot_extent)
 
     targets = []
     for t in horizons:
@@ -426,9 +432,7 @@ def _asymptotic_lines(space, line, points, horizons, shifts, knot_extent):
     fut, pst = (np.array(k[-2:], dtype=np.intp) for k in targets)
     ok = (space.ll_array(pts, here[:, None], np.array(targets[0])).all(axis=1)
           & space.ll_array(pts, np.array(targets[1]), here[:, None]).all(axis=1))
-    knot_step = max(2.0, 20.0 * space.mesh)
-    if knot_extent is None:
-        knot_extent = max(horizons[0], knot_step)
+    knot_step, knot_extent = _knot_grid(space, horizons, knot_extent)
     ok, chain, params, past, lengths = _analytic_limits(
         space, pts, here, fut, pst, ok, knot_step, knot_extent)
     return _joined_lines(space, chain, params, past, lengths, ok, shifts)

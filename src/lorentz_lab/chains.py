@@ -262,8 +262,10 @@ def is_line(space: LorentzQuery, chain: CausalChain, tol: float = EPS) -> LineCh
         cols = k[i0 + 1:]
         rows = k[i0:min(n - 1, i0 + max(1, PAIR_BLOCK // len(cols)))]
         ii, jj = rows[:, None], cols[None, :]
-        bad = ((np.abs((cum[jj] - cum[ii]) - space.tau_array(pts, ii, jj))
-                > tol) & (jj > ii))
+        # an infinite separation makes inf - inf, which fails no pair
+        with np.errstate(invalid="ignore"):
+            bad = ((np.abs((cum[jj] - cum[ii]) - space.tau_array(pts, ii, jj))
+                    > tol) & (jj > ii))
         if bad.any():
             # later pairs change nothing: the line fails, and a failure in
             # row 0 comes first, so the first row settles the ray

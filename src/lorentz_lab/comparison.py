@@ -281,14 +281,6 @@ def triangle_angle(sides: SideTriple, vertex: int) -> SignedAngle:
 # triangles inside a space
 
 
-def _knot_at(params, points, s, what):
-    """The point of the first knot whose parameter is within EPS of s."""
-    for p, pt in zip(params, points):
-        if abs(p - s) <= EPS:
-            return pt
-    raise PreconditionError(f"parameter {s} is not a knot{what}")
-
-
 def _knot_picks(table, ss, what):
     """For each s of ss, the index of the first knot within EPS of s in its
     row of the knot parameter table (a row per s, or one for all); raises
@@ -301,12 +293,17 @@ def _knot_picks(table, ss, what):
     return hit.argmax(axis=1).tolist()
 
 
-def _knot_arrays(side, space, ss):
-    """The coordinate arrays of the knots of a table side or a KnotLeg at
-    the parameters ss, from one lookup."""
+def _knots_at(side, ss):
+    """The knots of a table side or a KnotLeg at the parameters ss, from
+    one lookup."""
     knots = side.knots
-    return space._convert([knots[k] for k in _knot_picks(
-        np.array(side.params, dtype=float), ss, lambda k: side.not_a_knot)])
+    return [knots[k] for k in _knot_picks(
+        np.array(side.params, dtype=float), ss, lambda k: side.not_a_knot)]
+
+
+def _knot_arrays(side, space, ss):
+    """The coordinate arrays of ``_knots_at(side, ss)``."""
+    return space._convert(_knots_at(side, ss))
 
 
 class TriangleSide:
@@ -339,7 +336,7 @@ class TriangleSide:
     def point_at(self, s):
         if self.params is None:
             return self.space.realizer_point(self.start, self.end, s)
-        return _knot_at(self.params, self.knots, s, self.not_a_knot)
+        return _knots_at(self, [s])[0]
 
     def _arrays(self, space, ss):
         """The coordinate arrays of ``point_at(s)`` for each s of ss, from
@@ -411,22 +408,21 @@ def _side_points(space, tris, sides, rows, spans, ss):
     """``sides[r].point_at(s)`` for r in the array rows and s in ss (sides
     three per triangle of tris) as the function of index arrays i and j
     giving tau(point i, point j); raises the first failing point's error.
-    A table's pass is one knot lookup, a product's one ``_realizer_core``
-    call on the vertices, gathered by ``spans``, their sides' ends."""
+    A table's pass is one knot lookup, giving the knot indices; an analytic
+    space's one ``_realizer_core`` call on the vertices, gathered by
+    ``spans``, their sides' ends."""
     if isinstance(space, FiniteLorentzSpace):
         sizes = np.array([len(side.params) for side in sides], dtype=np.intp)
         held = np.arange(sizes.max(initial=1)) < sizes[:, None]
         params, knots = np.full(held.shape, np.nan), np.zeros_like(held, np.intp)
         params[held] = [p for side in sides for p in side.params]
         knots[held] = [k for side in sides for k in side.knots]
-        k = knots[rows, _knot_picks(params[rows], ss,
-                                    lambda m: sides[rows[m]].not_a_knot)]
-        return lambda i, j: space.tau_table()[k[i], k[j]]
-    t, x = space.point_arrays([v for tri in tris for v in tri.vertices])
-    (t0, t1), (x0, x1) = t[spans], x[spans]
-    t, x = space._realizer_core(t0, x0, t1, x1, ss)
-    return lambda i, j: _product_tau_array(
-        t[j] - t[i], space.factor.distance_array(x, i, j))
+        coords = (knots[rows, _knot_picks(
+            params[rows], ss, lambda m: sides[rows[m]].not_a_knot)],)
+    else:
+        vertices = space.point_arrays([v for tri in tris for v in tri.vertices])
+        coords = space._realizer_core(*zip(*(a[spans] for a in vertices)), ss)
+    return lambda i, j: space._tau_at(coords, i, j)
 
 
 def test_curvature_lower0(space, triangles, pairs_per_triangle=8, mode="lower",
@@ -602,7 +598,7 @@ class KnotLeg:
         return self.points
 
     def point_at(self, s):
-        return _knot_at(self.params, self.points, s, self.not_a_knot)
+        return _knots_at(self, [s])[0]
 
     _arrays = _knot_arrays
 

@@ -86,6 +86,48 @@ class LorentzQuery:
     Finite tables answer from storage, analytic spaces from formulas; either
     way the answers must be deterministic and mutually consistent (``tau > 0``
     iff ``ll``, ``tau == 0`` when not ``leq``, ...) on any finite sample.
+
+    Every space supplies:
+
+    * the scalar forms ``d``, ``leq``, ``ll`` and ``tau`` of two points,
+      ``sample_points`` and ``mesh``;
+    * ``_convert(points)``, the coordinate arrays of points (a tuple of
+      arrays, one entry per point), and ``_coordinate_kind`` when spaces
+      of several classes convert points alike;
+    * the array forms on coordinate arrays ``_tau_at``, ``_leq_at``,
+      ``_ll_at`` and ``_d_at(arrays, i, j)``: i and j are index arrays
+      broadcast against each other, and each entry is the scalar answer
+      for the points i and j of ``arrays``, in an array of the broadcast
+      shape.  ``_tau_at``, ``_leq_at`` and ``_ll_at`` equal ``tau``,
+      ``leq`` and ``ll`` bit for bit; ``_d_at`` may differ from ``d`` in
+      the last bit (a product's is not ``math.hypot``), so threshold
+      decisions go through ``splitting._screened_d``, which settles
+      near-ties with ``d``;
+    * ``_tau_grids(a, b)``: ``tau(p, q)`` and ``tau(q, p)``, for p a point
+      of the coordinate arrays a and q one of b, over the grid of a's
+      points (rows) by b's (columns), each entry as ``_tau_at`` gives it;
+      the two grids stacked, or a pair.
+
+    The array forms on points, ``tau_array``, ``leq_array``, ``ll_array``
+    and ``d_array(points, i, j)``, are written here once: ``point_arrays``
+    followed by the form on coordinate arrays.
+
+    A finite table (``FiniteLorentzSpace``) is the one space kind without
+    maximizers between its points.  Every other space is analytic and
+    adds:
+
+    * ``realizer_point(p, q, s)``, the point at cumulative separation s
+      along the maximizer from p to q, and ``realizer_points(starts, ends,
+      params)``, its array form on points, bit for bit, raising the error
+      of the first failing entry;
+    * ``_realizer_core(starts, ends, params)``, ``realizer_points`` on the
+      coordinate arrays of the starts and of the ends, giving coordinate
+      arrays, and ``_side_arrays(start, end, total, params)``, those of
+      the points of one maximizer of separation total;
+    * time as its first coordinate array, with ``d`` and ``_d_at`` never
+      below the time difference of two points: the cover check of
+      ``splitting.build_splitting_map`` takes only the images near a point
+      in time.
     """
 
     mesh = EPS   # unit of grid-scale tolerances; products override it
@@ -106,17 +148,6 @@ class LorentzQuery:
     def tau(self, p, q) -> float:
         raise NotImplementedError
 
-    # Array forms: i and j are index arrays broadcast against each other,
-    # and each entry is the scalar answer for the pair (points[i],
-    # points[j]), bit for bit, in an array of the broadcast shape.  The
-    # points are converted to coordinate arrays on every call, or once
-    # when they come as a PointTuple.
-
-    def _convert(self, points):
-        """The coordinate arrays of points: a tuple of arrays, one entry
-        per point."""
-        raise NotImplementedError
-
     def point_arrays(self, points):
         """``_convert(points)``, kept on points when they are a
         PointTuple, under ``_coordinate_kind()``: spaces that convert points
@@ -130,27 +161,16 @@ class LorentzQuery:
         return type(self)
 
     def tau_array(self, points, i, j):
-        raise NotImplementedError
-
-    def _tau_grids(self, a, b):
-        """``tau(p, q)`` and ``tau(q, p)``, for p a point with coordinate
-        arrays a and q one with b, over the grid of a's points (rows) by
-        b's (columns), each entry as ``tau_array`` gives it; the two grids
-        stacked, or a pair."""
-        raise NotImplementedError
+        return self._tau_at(self.point_arrays(points), i, j)
 
     def leq_array(self, points, i, j):
-        raise NotImplementedError
+        return self._leq_at(self.point_arrays(points), i, j)
 
     def ll_array(self, points, i, j):
-        raise NotImplementedError
+        return self._ll_at(self.point_arrays(points), i, j)
 
     def d_array(self, points, i, j):
-        """Array form of ``d``; unlike the others it may differ from the
-        scalar form in the last bit (a product's is not ``math.hypot``), so
-        threshold decisions go through ``splitting._screened_d``, which
-        settles near-ties with ``d``."""
-        raise NotImplementedError
+        return self._d_at(self.point_arrays(points), i, j)
 
 
 def _as_square(convert, arr, n, name, dtype):
@@ -244,27 +264,27 @@ class FiniteLorentzSpace(LorentzQuery):
     def _convert(self, points):
         return (np.asarray(points, dtype=np.intp),)
 
-    def _gather(self, table, points, i, j):
-        pts, = self.point_arrays(points)
+    def _gather(self, table, arrays, i, j):
+        pts, = arrays
         return table[pts[np.asarray(i, dtype=np.intp)],
                      pts[np.asarray(j, dtype=np.intp)]]
 
-    def tau_array(self, points, i, j):
-        return self._gather(self._tau, points, i, j)
+    def _tau_at(self, arrays, i, j):
+        return self._gather(self._tau, arrays, i, j)
 
     def _tau_grids(self, a, b):
         # two gathers from the tau table
         (i,), (j,) = a, b
         return self._tau[i[:, None], j], self._tau[j, i[:, None]]
 
-    def leq_array(self, points, i, j):
-        return self._gather(self._leq, points, i, j)
+    def _leq_at(self, arrays, i, j):
+        return self._gather(self._leq, arrays, i, j)
 
-    def ll_array(self, points, i, j):
-        return self._gather(self._ll, points, i, j)
+    def _ll_at(self, arrays, i, j):
+        return self._gather(self._ll, arrays, i, j)
 
-    def d_array(self, points, i, j):
-        return self._gather(self._d, points, i, j)
+    def _d_at(self, arrays, i, j):
+        return self._gather(self._d, arrays, i, j)
 
     @property
     def has_infinite_tau(self) -> bool:

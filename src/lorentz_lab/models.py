@@ -378,24 +378,23 @@ class ProductSpace(LorentzQuery):
     def _coordinate_kind(self):
         return type(self.factor)
 
-    def _dt_dist(self, points, i, j):
+    def _dt_dist(self, arrays, i, j):
         i, j = np.asarray(i, dtype=np.intp), np.asarray(j, dtype=np.intp)
-        t, x = self.point_arrays(points)
-        return t[j] - t[i], self.factor.distance_array(x, i, j)
+        t, x = arrays
+        with np.errstate(over="ignore", invalid="ignore"):
+            return t[j] - t[i], self.factor.distance_array(x, i, j)
 
-    def d_array(self, points, i, j):
-        return _product_d_array(*self._dt_dist(points, i, j))
+    def _d_at(self, arrays, i, j):
+        return _product_d_array(*self._dt_dist(arrays, i, j))
 
-    def leq_array(self, points, i, j):
-        dt, dist = self._dt_dist(points, i, j)
-        return dt >= dist
+    def _leq_at(self, arrays, i, j):
+        return np.greater_equal(*self._dt_dist(arrays, i, j))
 
-    def ll_array(self, points, i, j):
-        dt, dist = self._dt_dist(points, i, j)
-        return dt > dist
+    def _ll_at(self, arrays, i, j):
+        return np.greater(*self._dt_dist(arrays, i, j))
 
-    def tau_array(self, points, i, j):
-        return _product_tau_array(*self._dt_dist(points, i, j))
+    def _tau_at(self, arrays, i, j):
+        return _product_tau_array(*self._dt_dist(arrays, i, j))
 
     # -- analytic maximizers ------------------------------------------------
 
@@ -446,19 +445,19 @@ class ProductSpace(LorentzQuery):
         input order; the factor interpolates, through
         ``interpolate_array``, only the entries before it.  The points are
         converted, then go to ``_realizer_core``."""
-        t, x = self._realizer_core(*self.point_arrays(starts),
-                                   *self.point_arrays(ends), params)
+        t, x = self._realizer_core(self.point_arrays(starts),
+                                   self.point_arrays(ends), params)
         out = PointTuple(zip(t.tolist(), x.tolist()))
         out.arrays(self._coordinate_kind(), lambda _: (t, x))
         return out
 
-    def _realizer_core(self, t0, x0, t1, x1, params):
-        """``realizer_points`` of the starts with coordinate arrays t0 and
-        x0 and the ends with t1 and x1, as coordinate arrays, so that callers
-        with few distinct endpoints convert each once and gather them."""
-        n = len(t0)
-        k = np.arange(n)
-        dist = self.factor.distance_array(np.concatenate((x0, x1)), k, k + n)
+    def _realizer_core(self, starts, ends, params):
+        """``realizer_points`` on coordinate arrays: those of the starts
+        and of the ends in, those of the points out, so that callers with
+        few distinct endpoints convert each once and gather them."""
+        (t0, x0), (t1, x1) = starts, ends
+        k = np.arange(len(t0))
+        dist = self.factor.distance_array(np.concatenate((x0, x1)), k, k + len(k))
         lam, error = _realizer_lams(_product_tau_array(t1 - t0, dist), params)
         stop = len(lam)
         moving = dist[:stop] != 0.0

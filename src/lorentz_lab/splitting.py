@@ -19,8 +19,9 @@ from operator import itemgetter
 import numpy as np
 
 from . import chains
-from .core import EPS, PointTuple, PreconditionError, metric_defect
-from .models import ProductSpace, product_image_defect
+from .core import (EPS, FiniteLorentzSpace, PointTuple, PreconditionError,
+                   metric_defect)
+from .models import product_image_defect
 from .asymptotics import (LineDescriptor, _asymptotic_lines,
                           _busemann_values, _extrapolated, _line_points,
                           build_asymptotic_line, busemann_value,
@@ -270,20 +271,22 @@ def _uncovered(space, sample, images, radius):
     """The sample points farther than ``radius`` from every image, in sample
     order: ``min(space.d(z, w) for w in images) > radius``, so a NaN distance
     to the first image covers z and any later NaN is passed over.  As
-    ``d >= |dt|`` on a product, z goes against image 0 and its window: the
+    ``d >= |dt|`` on an analytic space, dt the difference of its first
+    coordinate, its time, z goes against image 0 and its window: the
     images within the radius of it in time, widened by a relative 1e-12.  A
-    NaN time, or a space without time, makes every window whole.  A band of
-    windows is one ``_screened_d`` call (README, numerical conventions)."""
+    NaN time, or a finite table, which has no time, makes every window
+    whole.  A band of windows is one ``_screened_d`` call (README,
+    numerical conventions)."""
     if not sample:
         return []
     if not images:
         raise PreconditionError("no images to cover the sample with")
     n = len(images)
     points = images.joined(sample)
-    if isinstance(space, ProductSpace):
-        times = space.point_arrays(points)[0]
-    else:
+    if isinstance(space, FiniteLorentzSpace):
         times = np.full(len(points), np.nan)
+    else:
+        times = space.point_arrays(points)[0]
     order = np.argsort(times[:n])
     t, z = times[:n][order], times[n:]
     reach = abs(radius) + 1e-12 * (np.abs(z) + abs(radius))

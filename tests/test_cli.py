@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -320,6 +321,65 @@ def test_fuzzed_chain_document(node, value):
     if code in {2, 3}:
         assert out.getvalue() == ""
         assert err.getvalue().count("\n") == 1
+
+
+# chain coordinates at every scale, separations that overflow included, as
+# JSON numbers and as the strings the file format also reads
+TIMES = st.one_of(st.sampled_from([-1e308, -1e200, -4.0, -2.0, -1.0, 0.0,
+                                   1.0, 2.0, 4.0, 1e200, 1e308]),
+                  st.floats(-1e308, 1e308))
+COORDINATES = st.one_of(TIMES, st.sampled_from(
+    [0.5, 5e-324, "1e308", "-1e308", "0.5", "inf", "nan", "x", None]))
+
+
+@st.composite
+def chain_documents(draw):
+    """A vertical line at x = 0.5 through unit-spaced times (which may
+    reach the horizons) or through sorted times at any scale, or up to five
+    [t, x] points drawn at random."""
+    kind = draw(st.sampled_from(["unit", "sorted", "random"]))
+    if kind == "unit":
+        times = range(draw(st.integers(-40, -30)), draw(st.integers(30, 40)))
+    elif kind == "sorted":
+        times = sorted(set(draw(st.lists(TIMES, min_size=2, max_size=6))))
+    else:
+        return {"points": draw(st.lists(st.lists(
+            COORDINATES, min_size=2, max_size=2), max_size=5))}
+    return {"points": [[t, 0.5] for t in times]}
+
+
+CHAIN_COMMANDS = (
+    ["asymptote", golden("product_segment.json"), "--from", "0,0.5",
+     "--horizons", "16,32"],
+    ["split", golden("product_segment.json"), "--horizons", "16,32",
+     "--t-grid=-1:1:0.5"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(doc=chain_documents(), argv=st.sampled_from(CHAIN_COMMANDS))
+def test_generated_chain_document(doc, argv):
+    # asymptote and split on a generated chain file keep to the exit-code
+    # contract: 1 only with a verdict, one stderr line when no report is
+    # printed, and neither a traceback nor a warning
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        line = os.path.join(tmp, "line.json")
+        with open(line, "w") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([*argv[:2], "--line", line, *argv[2:]])
+    assert code in {0, 1, 2, 3}
+    assert [str(w.message) for w in caught] == []
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("\n") == (0 if out.getvalue() else 1)
+    if code == 1:
+        if out.getvalue():
+            assert False in json.loads(out.getvalue())["verdicts"].values()
+        else:
+            assert err.getvalue().startswith("failure: ")
 
 
 def test_stated_zero_tolerance_is_used(tmp_path, capsys):

@@ -489,9 +489,14 @@ class TestKnotLookupsMatchLoops:
     @given(params=knot_params(), extra=st.lists(
         st.floats(allow_nan=True, allow_infinity=True), max_size=5))
     def test_line_point_nearest_knot(self, params, extra):
-        # a space without maximizers: the nearer bracketing knot
+        # a finite table, the space kind without maximizers between its
+        # points: the nearer bracketing knot
         line = LineDescriptor(CausalChain(tuple(range(len(params)))), params)
-        space = object()
+        k = np.arange(len(params))
+        space = FiniteLorentzSpace(np.abs(k[None, :] - k[:, None]),
+                                   k[:, None] <= k[None, :],
+                                   k[:, None] < k[None, :],
+                                   np.maximum(k[None, :] - k[:, None], 0))
         for t in queries(params, EXTRA + extra):
             assert outcome(line_point, space, line, t) == \
                 outcome(line_point_loops, space, line, t), t
